@@ -1,16 +1,11 @@
-// Internet-scale ecosystem fast path (PR 8 acceptance bar): builds the
-// 1024-provider scaled shard set and reports ns/host and bytes/host, an A/B
-// of the pre-refactor host storage (per-host heap allocation + node-based
-// service map) against the arena + flat-sorted-vector path, and a deferred
-// vs eager materialization peak-RSS comparison. The RSS A/B re-executes this
-// binary as a subprocess per mode (--rss-probe) so each mode gets its own
-// VmHWM instead of sharing one monotone high-water mark.
+// Internet-scale ecosystem fast path: builds the 1024-provider scaled shard
+// set and reports ns/host, bytes/host and peak RSS, plus an A/B of the
+// pre-refactor host storage (per-host heap allocation + node-based service
+// map) against the arena + flat-sorted-vector path.
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,7 +19,6 @@
 #include "netsim/network.h"
 #include "util/arena.h"
 #include "util/clock.h"
-#include "util/mem.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -79,6 +73,8 @@ void bench_scaled_census() {
   std::printf("arena:  %.1f MiB used / %.1f MiB reserved across shards\n",
               report.arena_used_bytes / (1024.0 * 1024.0),
               report.arena_reserved_bytes / (1024.0 * 1024.0));
+  std::printf("peak RSS:  %.1f MiB (at most %zu shard worlds resident)\n",
+              report.peak_rss_kb / 1024.0, kJobs);
   bench::compare("scaled shard build (1024 providers)",
                  "62-provider campaign shards",
                  util::format("%.0f ns/host over %zu hosts", ns_per_host,
@@ -195,70 +191,13 @@ void bench_host_storage() {
                               legacy_ms / arena_ms));
 }
 
-// --- 3. deferred vs eager materialization: peak RSS -------------------------
-
-// Runs one campaign mode in a child process and returns its VmHWM in KiB
-// (0 on any failure). Each child starts from this process's pre-campaign
-// footprint, so the two modes' high-water marks are directly comparable.
-std::size_t rss_probe(const char* exe, const char* mode, std::size_t scale) {
-  const std::string cmd =
-      util::format("'%s' --rss-probe %s %zu", exe, mode, scale);
-  std::FILE* pipe = ::popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return 0;
-  char line[128];
-  std::size_t kb = 0;
-  while (std::fgets(line, sizeof line, pipe) != nullptr)
-    kb = static_cast<std::size_t>(std::strtoull(line, nullptr, 10));
-  if (::pclose(pipe) != 0) return 0;
-  return kb;
-}
-
-void bench_materialization_rss(const char* exe) {
-  constexpr std::size_t kRssScale = 512;
-  const std::size_t deferred_kb = rss_probe(exe, "deferred", kRssScale);
-  const std::size_t eager_kb = rss_probe(exe, "eager", kRssScale);
-  if (deferred_kb == 0 || eager_kb == 0) {
-    bench::note("rss probe unavailable (no procfs or child failed); skipping");
-    return;
-  }
-  std::printf("peak RSS (%zu providers, jobs %zu):  eager %zu KiB   "
-              "deferred %zu KiB\n",
-              kRssScale, kJobs, eager_kb, deferred_kb);
-  bench::compare("peak RSS deferred vs eager",
-                 "eager: all shard worlds resident",
-                 util::format("%zu KiB vs %zu KiB eager (%.2fx smaller)",
-                              deferred_kb, eager_kb,
-                              static_cast<double>(eager_kb) /
-                                  static_cast<double>(deferred_kb)));
-}
-
-// Child mode: run one campaign and print our own peak RSS. No bench header,
-// so no BENCH_JSON trailer is armed in the child.
-int run_rss_probe(const char* mode, std::size_t scale) {
-  const auto catalog =
-      ecosystem::generate_scaled_catalog(scale, kSubscribers, kSeed);
-  core::ScaledCampaignOptions options;
-  options.seed = kSeed;
-  options.jobs = kJobs;
-  options.eager = std::strcmp(mode, "eager") == 0;
-  const auto report = core::run_scaled_campaign(catalog, options);
-  if (report.shards.size() != scale) return 1;
-  std::printf("%zu\n", util::peak_rss_kb());
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc == 4 && std::strcmp(argv[1], "--rss-probe") == 0)
-    return run_rss_probe(argv[2], static_cast<std::size_t>(
-                                      std::strtoull(argv[3], nullptr, 10)));
-
+int main() {
   bench::print_header(
       "ecosystem-scale",
-      "1024-provider shard set: ns/host, bytes/host, storage A/B, RSS");
+      "1024-provider shard set: ns/host, bytes/host, RSS, storage A/B");
   bench_scaled_census();
   bench_host_storage();
-  bench_materialization_rss(argv[0]);
   return 0;
 }

@@ -5,7 +5,7 @@
 //   ./full_campaign [output-dir] [--jobs N] [--faults PROFILE]
 //                   [--speedtest] [--trace FILE] [--metrics FILE]
 //                   [--trace-hops] [--status-file FILE] [--watchdog MULT]
-//                   [--profile FILE] [--scale N] [--subscribers M] [--eager]
+//                   [--profile FILE] [--scale N] [--subscribers M]
 //                   [--cache-dir DIR] [--cache off|rw|ro] [--explain-cache]
 //                   [--isolate] [--resume] [--max-shard-retries N]
 //
@@ -42,12 +42,11 @@
 // --scale N switches to the Internet-scale census path: a synthetic
 // catalog of N providers is generated from the 62 evaluated providers'
 // empirical distributions (seeded; deterministic), each provider gets its
-// own lazily-materialized shard world, and the run writes scale_census.csv
-// plus a payload fingerprint — byte-identical at any --jobs. --subscribers
-// sets the modeled mean subscriber count per provider (default 1000;
-// subscribers are counts, only a capped handful of eyeball clients
-// materialize per shard). --eager pre-materializes every shard world in
-// the driver first — the peak-RSS A/B baseline for the deferred default.
+// own shard world, built by a worker only while it runs that shard, and
+// the run writes scale_census.csv plus a payload fingerprint —
+// byte-identical at any --jobs. --subscribers sets the modeled mean
+// subscriber count per provider (default 1000; subscribers are counts,
+// only a capped handful of eyeball clients materialize per shard).
 //
 // --cache-dir DIR points the content-addressed artifact store at DIR and
 // (unless --cache overrides it) opens it read-write: each provider shard
@@ -79,8 +78,9 @@
 // shard); after a crash or SIGKILL of the driver itself, re-running with
 // --resume replays every journaled shard whose artifact is still in the
 // --cache-dir store and recomputes only the rest — the final payload is
-// byte-identical to an uninterrupted run. --max-shard-retries bounds the
-// re-runs a crashed/erroring shard gets (default 2). SIGINT/SIGTERM are
+// byte-identical to an uninterrupted run. --max-shard-retries N bounds the
+// re-runs a crashed/erroring shard gets, in or out of process (default 2;
+// sets CampaignOptions::shard_attempts = N + 1). SIGINT/SIGTERM are
 // handled cooperatively under --isolate: workers are reaped, the final
 // status JSON and a partial run_manifest.json are flushed, exit code 130.
 //
@@ -120,7 +120,7 @@ int usage() {
                "[--faults off|flaky|hostile] [--speedtest] [--trace FILE] "
                "[--metrics FILE] [--trace-hops] [--status-file FILE] "
                "[--watchdog MULT] [--profile FILE] [--scale N] "
-               "[--subscribers M] [--eager] [--cache-dir DIR] "
+               "[--subscribers M] [--cache-dir DIR] "
                "[--cache off|rw|ro] [--explain-cache] [--isolate] "
                "[--resume] [--max-shard-retries N]\n");
   return 2;
@@ -149,8 +149,7 @@ int run_worker_base(const core::CampaignOptions& opts, std::uint64_t seed) {
   std::vector<std::string> selection;
   for (const auto& ep : ecosystem::evaluated_providers())
     selection.push_back(ep.spec.name);
-  const std::shared_ptr<const netsim::RoutingPlane> plane =
-      opts.share_routing_plane ? ecosystem::shared_backbone_plane() : nullptr;
+  const auto plane = ecosystem::shared_backbone_plane();
   const core::RunnerOptions runner = opts.runner;
   return core::shard_worker_loop(
       0, 1, [&](std::uint32_t index, std::uint32_t) {
@@ -161,8 +160,7 @@ int run_worker_base(const core::CampaignOptions& opts, std::uint64_t seed) {
 
 int run_worker_scaled(const ecosystem::ScaledCatalog& catalog,
                       const core::ScaledCampaignOptions& opts) {
-  const std::shared_ptr<const netsim::RoutingPlane> plane =
-      opts.share_routing_plane ? ecosystem::shared_backbone_plane() : nullptr;
+  const auto plane = ecosystem::shared_backbone_plane();
   return core::shard_worker_loop(
       0, 1, [&](std::uint32_t index, std::uint32_t) {
         return core::encode_shard_census(
@@ -193,16 +191,15 @@ void explain_cache(const std::vector<core::ShardCacheRecord>& records) {
 // campaign, write scale_census.csv + scale_manifest.json, and print the
 // fingerprints a caller needs to compare runs.
 int run_scaled(const std::filesystem::path& out_dir, std::size_t scale,
-               std::uint32_t subscribers, std::size_t jobs, bool eager,
+               std::uint32_t subscribers, std::size_t jobs,
                const store::CacheConfig& cache, bool explain, bool isolate,
-               int max_shard_retries, bool worker_mode,
+               int shard_attempts, bool worker_mode,
                const std::vector<std::string>& worker_argv) {
   core::ScaledCampaignOptions opts;
   opts.jobs = jobs;
-  opts.eager = eager;
   opts.cache = cache;
-  opts.isolate = isolate && !eager;
-  opts.max_shard_retries = max_shard_retries;
+  opts.isolate = isolate;
+  opts.shard_attempts = shard_attempts;
   opts.worker_argv = worker_argv;
   opts.interrupt = &g_interrupt;
 
@@ -223,8 +220,7 @@ int run_scaled(const std::filesystem::path& out_dir, std::size_t scale,
               static_cast<unsigned long long>(catalog.fingerprint()));
 
   if (opts.isolate) install_interrupt_handlers();
-  std::printf("running scaled census (jobs=%zu, %s materialization%s)...\n",
-              jobs, eager ? "eager" : "deferred",
+  std::printf("running scaled census (jobs=%zu%s)...\n", jobs,
               opts.isolate ? ", isolated workers" : "");
   const auto report = core::run_scaled_campaign(catalog, opts);
 
@@ -282,14 +278,13 @@ int main(int argc, char** argv) {
   double watchdog_multiple = 0.0;
   std::size_t scale = 0;
   std::uint32_t subscribers = 1000;
-  bool eager = false;
   store::CacheConfig cache;
   bool cache_mode_set = false;
   bool explain = false;
   bool isolate = false;
   bool resume = false;
   bool worker_mode = false;
-  int max_shard_retries = 2;
+  int shard_attempts = core::CampaignOptions{}.shard_attempts;
   faults::FaultProfile fault_profile = faults::FaultProfile::kOff;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0) {
@@ -303,8 +298,6 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return usage();
       subscribers =
           static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--eager") == 0) {
-      eager = true;
     } else if (std::strcmp(argv[i], "--faults") == 0) {
       if (i + 1 >= argc) return usage();
       const auto parsed = faults::parse_profile(argv[++i]);
@@ -345,8 +338,9 @@ int main(int argc, char** argv) {
       resume = true;
     } else if (std::strcmp(argv[i], "--max-shard-retries") == 0) {
       if (i + 1 >= argc) return usage();
-      max_shard_retries = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-      if (max_shard_retries < 0) return usage();
+      const long retries = std::strtol(argv[++i], nullptr, 10);
+      if (retries < 0) return usage();
+      shard_attempts = static_cast<int>(retries) + 1;
     } else if (std::strcmp(argv[i], "--vpna-worker") == 0) {
       worker_mode = true;
     } else if (argv[i][0] == '-') {
@@ -371,15 +365,15 @@ int main(int argc, char** argv) {
   }
 
   if (scale > 0)
-    return run_scaled(out_dir, scale, subscribers, jobs, eager, cache, explain,
-                      isolate, max_shard_retries, worker_mode, worker_argv);
+    return run_scaled(out_dir, scale, subscribers, jobs, cache, explain,
+                      isolate, shard_attempts, worker_mode, worker_argv);
 
   core::CampaignOptions opts;
   opts.runner.vantage_points_per_provider = 3;
   opts.runner.fault_profile = fault_profile;
   opts.runner.speed_test = speed_test;
   opts.jobs = jobs;
-  opts.shard_attempts = 2;
+  opts.shard_attempts = shard_attempts;
   // Any observability output requires the shards to run traced.
   opts.trace.enabled =
       !trace_path.empty() || !metrics_path.empty() || trace_hops;
@@ -391,7 +385,6 @@ int main(int argc, char** argv) {
   // Process isolation: exec-mode workers, a durable journal next to the
   // artefacts, and cooperative interrupt handling.
   opts.isolate = isolate;
-  opts.max_shard_retries = max_shard_retries;
   opts.worker_argv = worker_argv;
   opts.resume = resume;
   if (isolate) {
@@ -542,8 +535,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "crash quarantine: %zu provider shard(s) exhausted their "
                  "%d retr%s on crashed workers:\n",
-                 result.crash_quarantined_providers.size(), max_shard_retries,
-                 max_shard_retries == 1 ? "y" : "ies");
+                 result.crash_quarantined_providers.size(), shard_attempts - 1,
+                 shard_attempts == 2 ? "y" : "ies");
     for (const auto& name : result.crash_quarantined_providers)
       std::fprintf(stderr, "  crash-quarantined: %s\n", name.c_str());
   }

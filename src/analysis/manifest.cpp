@@ -77,7 +77,6 @@ RunManifest build_run_manifest(const core::CampaignOptions& options,
   m.tasks_run = engine.tasks_run;
   m.steals = engine.steals;
   m.retries = engine.retries;
-  m.timeouts = engine.timeouts;
   m.failed_shards = engine.failed_shards;
   m.quarantined_shards = engine.quarantined_shards;
   m.degraded_vantage_points = engine.degraded_vantage_points;
@@ -195,8 +194,6 @@ std::string render_manifest_json(const RunManifest& m) {
                       static_cast<unsigned long long>(m.steals));
   out += util::format("    \"retries\": %llu,\n",
                       static_cast<unsigned long long>(m.retries));
-  out += util::format("    \"timeouts\": %llu,\n",
-                      static_cast<unsigned long long>(m.timeouts));
   out += util::format("    \"failed_shards\": %zu,\n", m.failed_shards);
   out += util::format("    \"quarantined_shards\": %zu,\n",
                       m.quarantined_shards);
@@ -241,7 +238,6 @@ std::string render_scaled_manifest_json(
   out += "  },\n";
   out += "  \"run\": {\n";
   out += util::format("    \"jobs\": %zu,\n", report.jobs);
-  out += util::format("    \"eager\": %s,\n", report.eager ? "true" : "false");
   out += util::format("    \"shards\": %zu,\n", report.shards.size());
   out += util::format("    \"mode\": \"%s\",\n",
                       report.execution_isolated ? "isolated" : "in-process");

@@ -38,7 +38,7 @@ struct RunManifest {
 
   // --- run: execution parameters ----------------------------------------
   std::size_t jobs = 0;
-  int shard_attempts = 1;
+  int shard_attempts = 3;
   bool trace_enabled = false;
 
   // --- execution: process-isolation provenance --------------------------
@@ -86,7 +86,6 @@ struct RunManifest {
   std::uint64_t tasks_run = 0;
   std::uint64_t steals = 0;
   std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
   std::size_t failed_shards = 0;
   std::size_t quarantined_shards = 0;
   std::size_t degraded_vantage_points = 0;

@@ -101,7 +101,6 @@ CampaignEngineSummary summarize_campaign(const core::CampaignReport& report) {
     out.tasks_run += w.tasks_run;
     out.steals += w.steals;
     out.retries += w.retries;
-    out.timeouts += w.timeouts;
     out.busy_wall_s += w.busy_wall_s;
     out.busy_cpu_s += w.busy_cpu_s;
   }

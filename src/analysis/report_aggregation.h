@@ -79,7 +79,6 @@ struct CampaignEngineSummary {
   std::uint64_t tasks_run = 0;
   std::uint64_t steals = 0;
   std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
   double busy_wall_s = 0.0;
   double busy_cpu_s = 0.0;
   double wall_s = 0.0;

@@ -1,107 +1,31 @@
 #include "core/parallel_campaign.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <future>
+#include <cstdlib>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
 
 #include "core/report_codec.h"
 #include "core/shard_supervisor.h"
+#include "core/worker_protocol.h"
 #include "ecosystem/evaluated.h"
 #include "ecosystem/testbed.h"
 #include "faults/profile.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 #include "store/code_epoch.h"
 #include "store/journal.h"
-#include "transport/policy.h"
 #include "util/mem.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
 namespace vpna::core {
 
-namespace {
-
-// The shard body shared by the plain and traced entry points; assumes any
-// desired obs binding is already installed on the calling thread.
-ProviderReport run_shard_body(const std::string& name,
-                              std::uint64_t campaign_seed,
-                              const RunnerOptions& options,
-                              ecosystem::Testbed& shard) {
-  // Fault profiles arm transport-level resilience for the whole shard:
-  // every flow that didn't pick its own retry/fallback settings adopts the
-  // profile's. kOff installs nothing (session_policy_for returns nullptr).
-  transport::ScopedSessionPolicy session_policy(
-      faults::session_policy_for(options.fault_profile));
-  // Degradation records attribute give-ups to injected faults via the
-  // faults.* counters, which only exist while a registry is bound. Traced
-  // campaigns already bind one per shard; for untraced fault-profile runs,
-  // bind a throwaway metrics-only registry here. Never engaged under kOff,
-  // so off-profile shards observe exactly what they did before.
-  obs::MetricsRegistry attribution;
-  std::optional<obs::ScopedObservation> attribution_scope;
-  if (options.fault_profile != faults::FaultProfile::kOff &&
-      obs::meter() == nullptr)
-    attribution_scope.emplace(nullptr, &attribution);
-
-  obs::ProfileScope profile("shard.run");
-  obs::Span root("shard.run", "campaign");
-  if (root) {
-    root.arg("provider", name);
-    root.arg("seed", static_cast<std::int64_t>(campaign_seed));
-  }
-  TestRunner runner(shard, options);
-  runner.collect_ground_truth();
-  const auto* deployed = shard.provider(name);
-  if (deployed == nullptr)
-    throw std::runtime_error("run_provider_shard: shard missing " + name);
-  return runner.run_provider(*deployed);
-}
-
-}  // namespace
-
-ProviderReport run_provider_shard(
-    const std::string& name, std::uint64_t campaign_seed,
-    const RunnerOptions& options,
-    std::shared_ptr<const netsim::RoutingPlane> plane) {
-  auto shard = ecosystem::build_provider_shard(
-      name, campaign_seed, std::move(plane), options.fault_profile,
-      options.speed_test);
-  if (!shard.world)
-    throw std::invalid_argument("run_provider_shard: unknown provider " + name);
-  return run_shard_body(name, campaign_seed, options, shard);
-}
-
-ProviderReport run_provider_shard(
-    const std::string& name, std::uint64_t campaign_seed,
-    const RunnerOptions& options, const obs::TraceConfig& trace,
-    obs::ShardTrace* out, std::shared_ptr<const netsim::RoutingPlane> plane) {
-  if (!trace.enabled || out == nullptr)
-    return run_provider_shard(name, campaign_seed, options, std::move(plane));
-
-  auto shard = ecosystem::build_provider_shard(
-      name, campaign_seed, std::move(plane), options.fault_profile,
-      options.speed_test);
-  if (!shard.world)
-    throw std::invalid_argument("run_provider_shard: unknown provider " + name);
-
-  obs::TraceRecorder recorder(trace);
-  recorder.bind_clock(&shard.world->network().clock());
-  obs::MetricsRegistry metrics;
-  ProviderReport report;
-  {
-    obs::ScopedObservation scope(&recorder, &metrics);
-    report = run_shard_body(name, campaign_seed, options, shard);
-  }
-  out->shard = name;
-  out->events = recorder.take_events();
-  out->metrics = std::move(metrics);
-  return report;
-}
+// run_provider_shard lives in runner.cpp, next to the TestRunner it drives.
 
 std::string_view cache_outcome_name(ShardCacheRecord::Outcome outcome) noexcept {
   switch (outcome) {
@@ -154,199 +78,320 @@ store::ShardKey campaign_shard_key(const std::string& name, std::uint64_t seed,
 
 namespace {
 
-// Cache plumbing shared by the serial and pooled paths: keys derived up
-// front (cheap, pure), the store consulted inside each shard task so a hit
-// skips world construction on whichever path runs.
-struct ShardCacheContext {
+// --- the shard executor ------------------------------------------------------
+// Every campaign is "compute N pure shards, merge them in catalog order".
+// execute_shards() is that loop, once: generic over the shard kind through
+// the hooks in ShardKind, with two backends — an in-process TaskPool of
+// `jobs` workers (at jobs == 1 the calling thread is the one worker) and
+// the supervised worker processes of ShardSupervisor. Both feed one
+// terminal-outcome handler.
+
+// How a shard's execution ended.
+enum class ShardEnd : std::uint8_t {
+  kComputed,  // ran to completion this run
+  kCached,    // replayed from the artifact store
+  kFailed,    // every attempt threw (in-process) or sent an error frame
+  kCrashed,   // every isolated attempt died, or its result did not decode
+  kSkipped,   // interrupted before it finished
+};
+
+// The hooks a shard kind plugs into the executor. `decode` also checks
+// that the bytes belong to shard i (a foreign artifact is corrupt).
+template <typename R>
+struct ShardKind {
+  std::vector<std::string> names;  // canonical order
+  std::function<store::ShardKey(std::size_t)> key;
+  std::function<R(std::size_t)> compute;
+  std::function<std::string(const R&)> encode;
+  std::function<bool(std::string_view, std::size_t, R*)> decode;
+  std::function<R(std::size_t, ShardEnd)> placeholder;
+};
+
+struct ExecOptions {
+  std::size_t jobs = 1;  // 0 = hardware concurrency
+  int attempts = 1;      // total attempts per shard, either backend
+  bool graceful = true;  // exhausted failures quarantine, not hard-fail
+  bool isolate = false;
+  SupervisorOptions supervisor;  // isolated only; jobs/attempts filled in
+  store::CacheConfig cache;
+  bool cache_bypass = false;  // keys and records, but no consult or put
+  obs::StatusBoard* status = nullptr;
+  obs::StatusOptions status_opts;
+  std::string journal_path;  // empty = no journal
+  bool resume = false;
+  store::JournalHeader journal_header;
+};
+
+template <typename R>
+struct ShardRun {
+  std::vector<R> results;  // canonical order; placeholders where not done
+  std::vector<ShardEnd> ends;
+  std::vector<ShardCacheRecord> cache_records;  // empty when the cache is off
+  std::vector<util::WorkerCounters> workers;    // in-process backend
+  SupervisorResult supervisor;                  // isolated backend
+  std::size_t jobs = 1;
+  std::size_t resumed = 0;
+};
+
+std::string current_error() {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown exception";
+  }
+}
+
+// VPNA_CRASH_SHARD=<i>:throw[:always] makes shard i's compute hook throw:
+// the in-process backend sees a thrown task, a fork-mode worker sends an
+// error frame. The worker-only modes (segv/exit/hang) are ignored here.
+std::optional<CrashDirective> injected_throw() {
+  const char* spec = std::getenv("VPNA_CRASH_SHARD");
+  auto d = parse_crash_directive(spec == nullptr ? "" : spec);
+  if (d && d->mode != CrashDirective::Mode::kThrow) d.reset();
+  return d;
+}
+
+template <typename R>
+ShardRun<R> execute_shards(const ShardKind<R>& kind, const ExecOptions& opts) {
+  const std::size_t n = kind.names.size();
+  const int attempts = std::max(opts.attempts, 1);
+  obs::StatusBoard* status = opts.status;
+  ShardRun<R> run;
+  run.results.resize(n);
+  run.ends.assign(n, ShardEnd::kSkipped);
+
+  // Content-addressed cache: one key per shard, derived up front.
   std::optional<store::ArtifactStore> store;
-  std::vector<store::ShardKey> keys;  // aligned with the selection
-  // Traced runs bypass: a ShardTrace is not part of the cached artifact,
-  // so a hit could not reproduce one.
-  bool bypass = false;
-
-  [[nodiscard]] bool enabled() const { return store.has_value(); }
-};
-
-// Consults the store for shard `i`; on a decodable hit fills *report and
-// returns true. Otherwise records the probe outcome (bypass/miss/corrupt)
-// and returns false — the caller recomputes and calls store_shard().
-bool fetch_shard(const ShardCacheContext& ctx, std::size_t i,
-                 const std::string& name, ProviderReport* report,
-                 ShardCacheRecord* record, obs::StatusBoard* status) {
-  record->provider = name;
-  if (!ctx.enabled()) return false;
-  record->key_id = ctx.keys[i].id();
-  if (ctx.bypass) return false;  // outcome stays kBypass
-  obs::ProfileScope profile("campaign.cache");
-  store::FetchResult fetched = ctx.store->fetch(ctx.keys[i]);
-  if (fetched.status == store::FetchStatus::kHit) {
-    ProviderReport decoded;
-    if (decode_provider_report(fetched.payload, &decoded) &&
-        decoded.provider == name) {
-      record->outcome = ShardCacheRecord::Outcome::kHit;
-      record->bytes = fetched.payload.size();
-      if (status != nullptr)
-        status->cache_event(obs::StatusBoard::CacheEvent::kHit);
-      *report = std::move(decoded);
-      return true;
+  std::vector<store::ShardKey> keys;
+  if (opts.cache.enabled()) {
+    store.emplace(opts.cache);
+    run.cache_records.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      keys.push_back(kind.key(i));
+      run.cache_records[i].provider = kind.names[i];
+      run.cache_records[i].key_id = keys[i].id();
     }
-    // Integrity-valid but undecodable (foreign writer, or a codec change
-    // that forgot its version bump): corruption from the campaign's point
-    // of view. Evict (rw only) so the rewrite below lands clean.
-    ctx.store->discard(ctx.keys[i]);
-    fetched.status = store::FetchStatus::kCorrupt;
   }
-  const bool corrupt = fetched.status == store::FetchStatus::kCorrupt;
-  record->outcome = corrupt ? ShardCacheRecord::Outcome::kCorrupt
-                            : ShardCacheRecord::Outcome::kMiss;
-  if (status != nullptr)
-    status->cache_event(corrupt ? obs::StatusBoard::CacheEvent::kCorrupt
-                                : obs::StatusBoard::CacheEvent::kMiss);
-  return false;
-}
+  const bool consult = store.has_value() && !opts.cache_bypass;
+  const bool write_back = consult && store->config().writable();
 
-// Files a recomputed shard report (rw stores, non-bypassed shards only —
-// and never for failed/quarantined placeholders; callers skip those).
-void store_shard(const ShardCacheContext& ctx, std::size_t i,
-                 const ProviderReport& report, ShardCacheRecord* record) {
-  if (!ctx.enabled() || ctx.bypass || !ctx.store->config().writable()) return;
-  obs::ProfileScope profile("campaign.cache");
-  const std::string bytes = encode_provider_report(report);
-  if (ctx.store->put(ctx.keys[i], bytes)) {
-    record->stored = true;
-    record->bytes = bytes.size();
+  // Journal: a resume marks the shards journaled done under the same key
+  // as replayable; then one append-only record per terminal outcome.
+  std::vector<char> replayable(n, 0);
+  std::optional<store::CampaignJournal> journal;
+  if (!opts.journal_path.empty()) {
+    store::JournalHeader old;
+    std::vector<store::JournalEntry> entries;
+    const bool resumed =
+        opts.resume &&
+        store::CampaignJournal::load(opts.journal_path, &old, &entries);
+    if (resumed && old.campaign_fingerprint !=
+                       opts.journal_header.campaign_fingerprint)
+      throw std::runtime_error(
+          "ParallelCampaign: --resume refused — the journal describes a "
+          "different campaign configuration (seed, code epoch, options, "
+          "or provider selection changed)");
+    for (const auto& e : entries)
+      if (resumed && consult && e.outcome == "done" && e.index < n &&
+          e.provider == kind.names[e.index] &&
+          (e.key_id.empty() || e.key_id == keys[e.index].id()))
+        replayable[e.index] = 1;
+    journal = store::CampaignJournal::open(opts.journal_path,
+                                           opts.journal_header, !resumed);
   }
-}
 
-// Canonicalize to catalog order, dropping unknown names and duplicates.
-std::vector<std::string> canonical_selection(
-    const std::vector<std::string>& names) {
-  std::vector<std::string> out;
-  for (const auto& ep : ecosystem::evaluated_providers()) {
-    if (names.empty()) {
-      out.push_back(ep.spec.name);
-      continue;
-    }
-    for (const auto& name : names) {
-      if (name == ep.spec.name) {
-        out.push_back(ep.spec.name);
-        break;
+  // The terminal-outcome handler, called exactly once per shard and
+  // serialized here (pool workers race to it; the supervisor's poll loop
+  // never does). The only place a finished shard becomes a result or
+  // placeholder, a cache artifact, a journal line and a status transition.
+  std::mutex settle_mu;
+  const auto settle = [&](std::size_t i, ShardEnd end, int attempts_used,
+                          R* value = nullptr, std::string_view bytes = {},
+                          std::string_view detail = {}) {
+    std::lock_guard<std::mutex> lock(settle_mu);
+    const bool ok = end == ShardEnd::kComputed || end == ShardEnd::kCached;
+    const bool replayed = end == ShardEnd::kCached && replayable[i] != 0;
+    run.ends[i] = end;
+    run.results[i] = ok ? std::move(*value) : kind.placeholder(i, end);
+    if (replayed) ++run.resumed;
+    if (!run.cache_records.empty()) {
+      auto& record = run.cache_records[i];
+      if (end == ShardEnd::kComputed && write_back) {
+        obs::ProfileScope profile("campaign.cache");
+        if (store->put(keys[i], bytes)) {
+          record.stored = true;
+          record.bytes = bytes.size();
+        }
+      } else if (!ok) {
+        // Exhausted shards leave a placeholder, never an artifact; the
+        // provenance record says the cache played no part.
+        record.outcome = ShardCacheRecord::Outcome::kBypass;
+        record.bytes = 0;
       }
     }
-  }
-  return out;
-}
+    if (end == ShardEnd::kSkipped) return;
+    const bool quarantined =
+        end == ShardEnd::kCrashed || (end == ShardEnd::kFailed && opts.graceful);
+    if (status != nullptr)
+      status->shard_finished(i, ok            ? obs::StatusBoard::Outcome::kDone
+                                : quarantined ? obs::StatusBoard::Outcome::kQuarantined
+                                              : obs::StatusBoard::Outcome::kFailed);
+    // A journal replay is already on the record.
+    if (!journal || !journal->valid() || replayed) return;
+    store::JournalEntry e;
+    e.index = i;
+    e.provider = kind.names[i];
+    e.outcome = ok ? "done" : quarantined ? "quarantined" : "failed";
+    if (!keys.empty()) e.key_id = keys[i].id();
+    e.attempts = attempts_used;
+    e.detail = end == ShardEnd::kCached ? "cache-hit" : std::string(detail);
+    journal->record(e);
+  };
 
-// Placeholder for a shard that failed every attempt: keeps the provider's
-// slot (and catalog order) in the report without fabricating measurements.
-ProviderReport failed_shard_report(const std::string& name) {
-  ProviderReport report;
-  report.provider = name;
-  const auto* ep = ecosystem::evaluated_provider(name);
-  if (ep != nullptr) {
-    report.subscription = ep->spec.subscription;
-    report.has_custom_client = ep->spec.has_custom_client;
-  }
-  return report;
-}
-
-// Keeps a failed shard's slot in the traces vector: the shard name with no
-// events and (at most) a failure counter, so trace alignment with
-// `providers` survives shard failures.
-obs::ShardTrace failed_shard_trace(const std::string& name) {
-  obs::ShardTrace trace;
-  trace.shard = name;
-  trace.metrics.add("shard.failed");
-  return trace;
-}
-
-// Quarantine variants: under an active fault profile an exhausted shard is
-// a structured degraded outcome (the campaign still succeeds), not a hard
-// failure — the placeholder carries the quarantined flag instead of the
-// provider landing in failed_providers.
-ProviderReport quarantined_shard_report(const std::string& name) {
-  ProviderReport report = failed_shard_report(name);
-  report.quarantined = true;
-  return report;
-}
-
-obs::ShardTrace quarantined_shard_trace(const std::string& name) {
-  obs::ShardTrace trace;
-  trace.shard = name;
-  trace.metrics.add("shard.quarantined");
-  return trace;
-}
-
-// Background health monitor: on every tick it runs the watchdog scan,
-// refreshes the per-worker counter snapshot on the board, and atomically
-// rewrites the status file. RAII — destruction stops the thread and runs
-// one final tick so the file ends at 100% with the complete alert list.
-// Purely observational: it reads pool counters and board state, so it can
-// never perturb shard results.
-class StatusMonitor {
- public:
-  StatusMonitor(obs::StatusBoard& board, const obs::StatusOptions& opts,
-                const util::TaskPool* pool)
-      : board_(board), opts_(opts), pool_(pool) {
-    thread_ = std::thread([this] { loop(); });
-  }
-
-  ~StatusMonitor() {
+  // Consults the store for shard i; a decodable hit settles it uncomputed.
+  const auto replay = [&](std::size_t i) {
+    if (!consult) return false;
+    auto& record = run.cache_records[i];
+    store::FetchResult fetched;
+    R value;
+    bool hit = false;
     {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
+      obs::ProfileScope profile("campaign.cache");
+      fetched = store->fetch(keys[i]);
+      hit = fetched.status == store::FetchStatus::kHit &&
+            kind.decode(fetched.payload, i, &value);
+      // Integrity-valid but undecodable (foreign writer, or a codec change
+      // that forgot its version bump) is corrupt too: evict it (rw only)
+      // so the recompute's put lands clean.
+      if (!hit && fetched.status == store::FetchStatus::kHit)
+        store->discard(keys[i]);
     }
-    cv_.notify_all();
-    thread_.join();
-    tick();
+    using CacheEvent = obs::StatusBoard::CacheEvent;
+    const bool corrupt = !hit && fetched.status != store::FetchStatus::kMiss;
+    record.outcome = hit       ? ShardCacheRecord::Outcome::kHit
+                     : corrupt ? ShardCacheRecord::Outcome::kCorrupt
+                               : ShardCacheRecord::Outcome::kMiss;
+    if (status != nullptr)
+      status->cache_event(hit       ? CacheEvent::kHit
+                          : corrupt ? CacheEvent::kCorrupt
+                                    : CacheEvent::kMiss);
+    if (!hit) return false;
+    record.bytes = fetched.payload.size();
+    settle(i, ShardEnd::kCached, 0, &value);
+    return true;
+  };
+
+  const auto injected = injected_throw();
+  const auto compute = [&](std::size_t i, int attempt) {
+    if (injected && injected->index == i && (injected->always || attempt == 1))
+      throw std::runtime_error(
+          util::format("injected failure in shard %zu (VPNA_CRASH_SHARD)", i));
+    return kind.compute(i);
+  };
+
+  run.jobs = opts.jobs == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                            : opts.jobs;
+  if (status != nullptr) status->begin(kind.names, run.jobs);
+
+  if (opts.isolate) {
+    // Cache consults, artifact puts and journal appends stay in this
+    // process; workers only compute. The supervisor is single-threaded
+    // (fork safety), so status ticks inline and settle runs on its poll
+    // loop.
+    std::vector<std::size_t> todo;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (consult && status != nullptr) status->shard_started(i, -1);
+      if (!replay(i)) todo.push_back(i);
+    }
+    SupervisorOptions sup = opts.supervisor;
+    sup.jobs = run.jobs;
+    sup.attempts = attempts;
+    // Runs in the worker (fork mode). The frame payload is the canonical
+    // encoding — the bytes a cache artifact holds.
+    ShardSupervisor supervisor(sup, kind.names,
+                               [&](std::uint32_t index, std::uint32_t attempt) {
+                                 return kind.encode(compute(
+                                     index, static_cast<int>(attempt)));
+                               });
+    run.supervisor = supervisor.run(
+        todo, status, opts.status_opts,
+        [&](std::size_t i, const SupervisedShard& s) {
+          R value;
+          if (s.outcome == SupervisedShard::Outcome::kError)
+            settle(i, ShardEnd::kFailed, s.attempts, nullptr, {}, s.error);
+          else if (s.outcome != SupervisedShard::Outcome::kDone)
+            settle(i, ShardEnd::kCrashed, s.attempts, nullptr, {}, s.error);
+          else if (kind.decode(s.payload, i, &value))
+            settle(i, ShardEnd::kComputed, s.attempts, &value, s.payload);
+          else  // a checksummed frame that doesn't decode is codec skew
+            settle(i, ShardEnd::kCrashed, s.attempts, nullptr, {},
+                   "result frame did not decode");
+        });
+    for (std::size_t i : todo)
+      if (run.supervisor.shards[i].outcome == SupervisedShard::Outcome::kSkipped)
+        settle(i, ShardEnd::kSkipped, 0);
+    run.supervisor.shards.clear();
+    return run;
   }
 
-  StatusMonitor(const StatusMonitor&) = delete;
-  StatusMonitor& operator=(const StatusMonitor&) = delete;
-
- private:
-  void loop() {
-    const auto interval = std::chrono::duration<double, std::milli>(
-        opts_.interval_ms < 1.0 ? 1.0 : opts_.interval_ms);
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (cv_.wait_for(lock, interval, [this] { return stop_; })) return;
-      lock.unlock();
-      tick();
-      lock.lock();
-    }
-  }
-
-  void tick() {
-    if (opts_.watchdog_multiple > 0.0)
-      board_.watchdog_scan(opts_.watchdog_multiple,
-                           opts_.watchdog_min_completed);
-    if (pool_ != nullptr) {
-      std::vector<obs::WorkerStatus> workers;
-      for (const auto& c : pool_->counters()) {
-        obs::WorkerStatus w;
-        w.tasks_run = c.tasks_run;
-        w.steals = c.steals;
-        w.retries = c.retries;
-        w.timeouts = c.timeouts;
-        w.busy_wall_s = c.busy_wall_s;
-        workers.push_back(w);
+  // jobs == 1 runs the same tasks on the calling thread: a one-worker pool
+  // adds only a thread whose malloc arena outlives the run (measured: +65%
+  // peak RSS on a cached replay).
+  std::optional<util::TaskPool> pool;
+  if (run.jobs > 1) pool.emplace(run.jobs);
+  util::WorkerCounters caller;
+  // Declared after the pool so it joins (and takes its final counter
+  // snapshot) before the pool is torn down.
+  std::optional<obs::StatusMonitor> monitor;
+  if (status != nullptr)
+    monitor.emplace(*status, opts.status_opts, [&pool] {
+      std::vector<obs::WorkerStatus> rows;
+      if (pool)
+        for (const auto& c : pool->counters())
+          rows.push_back({c.tasks_run, c.steals, c.retries, c.busy_wall_s});
+      return rows;
+    });
+  // Attempts started per shard. The pool re-runs a thrown task on the
+  // worker that ran it, so each slot has a single writer.
+  std::vector<int> tries(n, 0);
+  util::TaskOptions task_opts;
+  task_opts.max_attempts = attempts;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto task = [&, i] {
+      // Heartbeats bracket every attempt: started restarts the shard's
+      // watchdog clock, a thrown attempt parks it back in pending.
+      if (status != nullptr)
+        status->shard_started(i, util::TaskPool::current_worker_index());
+      if (tries[i] == 0 && replay(i)) return;
+      const int attempt = ++tries[i];
+      R value;
+      std::string bytes;
+      try {
+        value = compute(i, attempt);
+        if (write_back) bytes = kind.encode(value);
+      } catch (...) {
+        if (attempt < attempts) {
+          if (status != nullptr) status->shard_attempt_failed(i);
+        } else {
+          settle(i, ShardEnd::kFailed, attempt, nullptr, {}, current_error());
+        }
+        throw;  // the pool retries, or drops the exhausted exception
       }
-      board_.set_workers(std::move(workers));
-    }
-    if (!opts_.file.empty())
-      obs::write_file_atomic(opts_.file,
-                             obs::render_status_json(board_.snapshot()));
+      settle(i, ShardEnd::kComputed, attempt, &value, bytes);
+    };
+    if (pool)
+      (void)pool->submit(task, task_opts);
+    else
+      util::TaskPool::run_inline(task, task_opts, caller);
   }
+  if (pool) pool->wait_idle();
+  run.workers = pool ? pool->counters() : std::vector{caller};
+  return run;
+}
 
-  obs::StatusBoard& board_;
-  obs::StatusOptions opts_;
-  const util::TaskPool* pool_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
+// --- the paper campaign -------------------------------------------------------
 
 // Binds a journal to one campaign configuration: the journaled outcomes
 // describe a computation of exactly (seed, code epoch, runner options,
@@ -365,6 +410,13 @@ std::uint64_t campaign_execution_fingerprint(
   return util::fnv1a(canon);
 }
 
+// A provider shard's report and trace travel together, so a retried shard
+// can never pair one attempt's report with another's trace.
+struct CampaignShard {
+  ProviderReport report;
+  obs::ShardTrace trace;
+};
+
 }  // namespace
 
 ParallelCampaign::ParallelCampaign(CampaignOptions options)
@@ -377,438 +429,153 @@ CampaignReport ParallelCampaign::run(const std::vector<std::string>& names,
         "ParallelCampaign: --isolate cannot trace shards (a ShardTrace does "
         "not stream over the worker frame protocol)");
   const auto t0 = std::chrono::steady_clock::now();
-  const auto selection = canonical_selection(names);
-
-  CampaignReport report;
-  report.seed = seed;
-  report.providers.resize(selection.size());
   const bool traced = options_.trace.enabled;
-  if (traced) report.traces.resize(selection.size());
-
-  const int attempts = options_.shard_attempts < 1 ? 1 : options_.shard_attempts;
   // Under a fault profile, shards that exhaust every attempt degrade
   // gracefully into quarantine instead of failing the campaign.
   const bool graceful =
       options_.runner.fault_profile != faults::FaultProfile::kOff;
-
   // One all-pairs plane serves every shard (their core topologies are
   // identical); computed up front so no shard pays the Dijkstra sweep.
-  const std::shared_ptr<const netsim::RoutingPlane> plane =
-      options_.share_routing_plane ? ecosystem::shared_backbone_plane()
-                                   : nullptr;
+  const auto plane = ecosystem::shared_backbone_plane();
+
+  // Canonical catalog order, unknown names dropped, duplicates collapsed.
+  ShardKind<CampaignShard> kind;
+  for (const auto& ep : ecosystem::evaluated_providers())
+    if (names.empty() ||
+        std::find(names.begin(), names.end(), ep.spec.name) != names.end())
+      kind.names.push_back(ep.spec.name);
+  const auto& selection = kind.names;
+  kind.key = [&](std::size_t i) {
+    return campaign_shard_key(selection[i], seed, options_.runner);
+  };
+  kind.compute = [&](std::size_t i) {
+    // A fresh trace per attempt: a retried shard's trace holds only the
+    // run that succeeded, identical to a first-try trace.
+    CampaignShard s;
+    s.report = run_provider_shard(selection[i], seed, options_.runner,
+                                  options_.trace, traced ? &s.trace : nullptr,
+                                  plane);
+    return s;
+  };
+  kind.encode = [](const CampaignShard& s) {
+    return encode_provider_report(s.report);
+  };
+  kind.decode = [&](std::string_view bytes, std::size_t i, CampaignShard* s) {
+    return decode_provider_report(bytes, &s->report) &&
+           s->report.provider == selection[i];
+  };
+  // A placeholder keeps the provider's slot (and catalog order) without
+  // fabricating measurements. Under an active fault profile an exhausted
+  // shard is a structured degraded outcome flagged quarantined; crashes
+  // always quarantine.
+  kind.placeholder = [&](std::size_t i, ShardEnd end) {
+    CampaignShard s;
+    s.report.provider = selection[i];
+    s.report.quarantined =
+        end == ShardEnd::kCrashed || (end == ShardEnd::kFailed && graceful);
+    if (const auto* ep = ecosystem::evaluated_provider(selection[i])) {
+      s.report.subscription = ep->spec.subscription;
+      s.report.has_custom_client = ep->spec.has_custom_client;
+    }
+    s.trace.shard = selection[i];
+    s.trace.metrics.add(s.report.quarantined ? "shard.quarantined"
+                                             : "shard.failed");
+    return s;
+  };
 
   // Health plane: a StatusBoard receives shard heartbeats from whichever
-  // path runs below; the monitor thread (scoped per path, so it never
-  // outlives the pool it snapshots) does the periodic file rewrite and
-  // watchdog scan. Telemetry only — shard results cannot observe it.
+  // backend runs. Telemetry only — shard results cannot observe it.
   std::optional<obs::StatusBoard> board;
   if (options_.status.engaged()) board.emplace();
-  obs::StatusBoard* status = board ? &*board : nullptr;
 
-  // Content-addressed cache: one key per shard, derived up front.
-  ShardCacheContext cache_ctx;
-  if (options_.cache.enabled()) {
-    cache_ctx.store.emplace(options_.cache);
-    cache_ctx.bypass = traced;
-    cache_ctx.keys.reserve(selection.size());
-    for (const auto& name : selection)
-      cache_ctx.keys.push_back(campaign_shard_key(name, seed, options_.runner));
-    report.cache_records.resize(selection.size());
+  ExecOptions exec;
+  exec.jobs = options_.jobs;
+  exec.attempts = options_.shard_attempts;
+  exec.graceful = graceful;
+  exec.isolate = options_.isolate;
+  exec.supervisor.shard_timeout_s = options_.shard_timeout_s;
+  exec.supervisor.term_grace_s = options_.term_grace_s;
+  exec.supervisor.watchdog_multiple = options_.status.watchdog_multiple;
+  exec.supervisor.watchdog_min_completed = options_.status.watchdog_min_completed;
+  exec.supervisor.worker_argv = options_.worker_argv;
+  exec.supervisor.interrupt = options_.interrupt;
+  exec.cache = options_.cache;
+  // Traced runs bypass: a ShardTrace is not part of the cached artifact,
+  // so a hit could not reproduce one.
+  exec.cache_bypass = traced;
+  exec.status = board ? &*board : nullptr;
+  exec.status_opts = options_.status;
+  exec.journal_path = options_.journal_path;
+  exec.resume = options_.resume;
+  exec.journal_header.campaign_fingerprint =
+      campaign_execution_fingerprint(selection, seed, options_.runner);
+  exec.journal_header.seed = seed;
+  exec.journal_header.shards = selection.size();
+  exec.journal_header.cache_dir = options_.cache.dir;
+
+  auto run = execute_shards(kind, exec);
+
+  CampaignReport report;
+  report.seed = seed;
+  report.jobs = run.jobs;
+  report.execution_isolated = options_.isolate;
+  for (std::size_t i = 0; i < selection.size(); ++i) {
+    report.providers.push_back(std::move(run.results[i].report));
+    if (traced) report.traces.push_back(std::move(run.results[i].trace));
+    if (run.ends[i] == ShardEnd::kFailed && !graceful)
+      report.failed_providers.push_back(selection[i]);
+    if (run.ends[i] == ShardEnd::kCrashed)
+      report.crash_quarantined_providers.push_back(selection[i]);
+    // Canonical order, never scheduling: part of the deterministic payload.
+    if (report.providers.back().degraded())
+      report.degraded_providers.push_back(selection[i]);
   }
-
-  if (options_.isolate) {
-    // Isolated path: shards run in supervised worker processes; the
-    // supervisor is single-threaded (fork safety), so status ticks happen
-    // inline instead of via a StatusMonitor thread. Cache consults and
-    // journal appends stay in this process — workers only compute.
-    const std::size_t jobs = options_.jobs == 0
-                                 ? std::max(1u, std::thread::hardware_concurrency())
-                                 : options_.jobs;
-    report.jobs = jobs;
-    report.execution_isolated = true;
-    if (status != nullptr) status->begin(selection, jobs);
-
-    const std::uint64_t exec_fp =
-        campaign_execution_fingerprint(selection, seed, options_.runner);
-    store::JournalHeader header;
-    header.campaign_fingerprint = exec_fp;
-    header.seed = seed;
-    header.shards = selection.size();
-    header.cache_dir = options_.cache.dir;
-
-    // Shards settled before the supervisor runs: journal replays first,
-    // then plain warm-cache hits. Both go through fetch_shard, so a
-    // replayed report is exactly the bytes a recompute would produce.
-    std::vector<char> settled(selection.size(), 0);
-    ShardCacheRecord scratch_record;
-    const auto record_for = [&](std::size_t i) {
-      return cache_ctx.enabled() ? &report.cache_records[i] : &scratch_record;
-    };
-
-    bool fresh_journal = true;
-    if (options_.resume && !options_.journal_path.empty()) {
-      store::JournalHeader old_header;
-      std::vector<store::JournalEntry> entries;
-      if (store::CampaignJournal::load(options_.journal_path, &old_header,
-                                       &entries)) {
-        if (old_header.campaign_fingerprint != exec_fp)
-          throw std::runtime_error(
-              "ParallelCampaign: --resume refused — the journal describes a "
-              "different campaign configuration (seed, code epoch, options, "
-              "or provider selection changed)");
-        fresh_journal = false;
-        for (const auto& e : entries) {
-          if (e.outcome != "done" || e.index >= selection.size()) continue;
-          if (e.provider != selection[e.index] || settled[e.index] != 0)
-            continue;
-          if (!cache_ctx.enabled() || cache_ctx.bypass) continue;
-          if (!e.key_id.empty() && e.key_id != cache_ctx.keys[e.index].id())
-            continue;  // journaled under a different key: recompute
-          if (status != nullptr) status->shard_started(e.index, -1);
-          if (fetch_shard(cache_ctx, e.index, selection[e.index],
-                          &report.providers[e.index], record_for(e.index),
-                          status)) {
-            settled[e.index] = 1;
-            ++report.resumed_shards;
-            if (status != nullptr)
-              status->shard_finished(e.index, obs::StatusBoard::Outcome::kDone);
-          }
-        }
-      }
-      // No loadable journal: a fresh run that happens to carry --resume.
-    }
-
-    std::optional<store::CampaignJournal> journal;
-    if (!options_.journal_path.empty())
-      journal = store::CampaignJournal::open(options_.journal_path, header,
-                                             fresh_journal);
-    const auto journal_record = [&](std::size_t i, std::string_view outcome,
-                                    int attempts, std::string_view detail) {
-      if (!journal || !journal->valid()) return;
-      store::JournalEntry e;
-      e.index = i;
-      e.provider = selection[i];
-      e.outcome = std::string(outcome);
-      if (cache_ctx.enabled()) e.key_id = cache_ctx.keys[i].id();
-      e.attempts = attempts;
-      e.detail = std::string(detail);
-      journal->record(e);
-    };
-
-    // Warm-cache pass for everything the journal didn't settle.
-    for (std::size_t i = 0; i < selection.size(); ++i) {
-      if (settled[i] != 0) continue;
-      if (!cache_ctx.enabled() || cache_ctx.bypass) break;
-      if (status != nullptr) status->shard_started(i, -1);
-      if (fetch_shard(cache_ctx, i, selection[i], &report.providers[i],
-                      record_for(i), status)) {
-        settled[i] = 1;
-        if (status != nullptr)
-          status->shard_finished(i, obs::StatusBoard::Outcome::kDone);
-        journal_record(i, "done", 0, "cache-hit");
-      }
-    }
-
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < selection.size(); ++i)
-      if (settled[i] == 0) todo.push_back(i);
-
-    SupervisorOptions sup;
-    sup.jobs = jobs;
-    sup.max_shard_retries = options_.max_shard_retries;
-    sup.shard_timeout_s = options_.shard_timeout_s;
-    sup.term_grace_s = options_.term_grace_s;
-    sup.watchdog_multiple = options_.status.watchdog_multiple;
-    sup.watchdog_min_completed = options_.status.watchdog_min_completed;
-    sup.worker_argv = options_.worker_argv;
-    sup.graceful = graceful;
-    sup.interrupt = options_.interrupt;
-
-    const RunnerOptions runner_opts = options_.runner;
-    const std::vector<std::string> shard_names = selection;
-    ShardSupervisor supervisor(
-        sup, selection,
-        [shard_names, seed, runner_opts, plane](std::uint32_t index,
-                                                std::uint32_t) {
-          // Runs in the worker (fork mode). The frame payload is the
-          // canonical report encoding — the same bytes a cache artifact
-          // holds, so every consumer downstream decodes one format.
-          return encode_provider_report(run_provider_shard(
-              shard_names.at(index), seed, runner_opts, plane));
-        });
-
-    const auto on_terminal = [&](std::size_t i, const SupervisedShard& s) {
-      // Journal + artifact filing happen here, the moment the outcome is
-      // terminal: a supervisor killed right after this leaves a durable
-      // record of exactly the shards whose results survive.
-      switch (s.outcome) {
-        case SupervisedShard::Outcome::kDone: {
-          auto* record = record_for(i);
-          if (cache_ctx.enabled() && !cache_ctx.bypass &&
-              cache_ctx.store->config().writable() &&
-              cache_ctx.store->put(cache_ctx.keys[i], s.payload)) {
-            record->stored = true;
-            record->bytes = s.payload.size();
-          }
-          journal_record(i, "done", s.attempts, "");
-          break;
-        }
-        case SupervisedShard::Outcome::kCrashed:
-          journal_record(i, "quarantined", s.attempts, s.error);
-          break;
-        case SupervisedShard::Outcome::kError:
-          journal_record(i, graceful ? "quarantined" : "failed", s.attempts,
-                         s.error);
-          break;
-        default:
-          break;
-      }
-    };
-
-    SupervisorResult sres =
-        supervisor.run(todo, status, options_.status, on_terminal);
-
-    for (std::size_t i : todo) {
-      const SupervisedShard& s = sres.shards[i];
-      switch (s.outcome) {
-        case SupervisedShard::Outcome::kDone: {
-          ProviderReport decoded;
-          if (decode_provider_report(s.payload, &decoded) &&
-              decoded.provider == selection[i]) {
-            report.providers[i] = std::move(decoded);
-          } else {
-            // A checksummed frame that doesn't decode means codec skew,
-            // not line noise — quarantine rather than trust it.
-            report.providers[i] = quarantined_shard_report(selection[i]);
-            report.crash_quarantined_providers.push_back(selection[i]);
-          }
-          break;
-        }
-        case SupervisedShard::Outcome::kCrashed:
-          report.providers[i] = quarantined_shard_report(selection[i]);
-          report.crash_quarantined_providers.push_back(selection[i]);
-          break;
-        case SupervisedShard::Outcome::kError:
-          if (graceful) {
-            report.providers[i] = quarantined_shard_report(selection[i]);
-          } else {
-            report.providers[i] = failed_shard_report(selection[i]);
-            report.failed_providers.push_back(selection[i]);
-          }
-          break;
-        case SupervisedShard::Outcome::kSkipped:
-        case SupervisedShard::Outcome::kPending:
-          // Interrupted before completion: placeholder only. The run is
-          // reported interrupted, so nothing downstream trusts the payload.
-          report.providers[i] = failed_shard_report(selection[i]);
-          break;
-      }
-    }
-
-    report.interrupted = sres.interrupted;
-    report.process_spawns = sres.spawns;
-    report.process_crashes = sres.crashes;
-    report.process_kills = sres.kills;
-    report.process_timeouts = sres.timeouts;
-    report.processes = std::move(sres.processes);
-    if (!board) report.watchdog_alerts = sres.alerts;
-  } else if (options_.jobs == 1) {
-    // Serial path: the identical shard tasks, run in-caller in catalog
-    // order. No pool, no threads — the determinism baseline.
-    report.jobs = 1;
-    if (status != nullptr) status->begin(selection, 1);
-    std::optional<StatusMonitor> monitor;
-    if (status != nullptr) monitor.emplace(*status, options_.status, nullptr);
-    util::WorkerCounters serial;
-    ShardCacheRecord scratch_record;
-    for (std::size_t i = 0; i < selection.size(); ++i) {
-      ShardCacheRecord* record = cache_ctx.enabled()
-                                     ? &report.cache_records[i]
-                                     : &scratch_record;
-      if (status != nullptr) status->shard_started(i, -1);
-      if (fetch_shard(cache_ctx, i, selection[i], &report.providers[i], record,
-                      status)) {
-        // Replayed from the store — no world built, no attempts spent. The
-        // merged report is byte-identical to a recompute by the purity of
-        // shards, so nothing downstream can tell.
-        if (status != nullptr)
-          status->shard_finished(i, obs::StatusBoard::Outcome::kDone);
-        continue;
-      }
-      bool done = false;
-      for (int attempt = 1; attempt <= attempts && !done; ++attempt) {
-        ++serial.tasks_run;
-        const auto shard_t0 = std::chrono::steady_clock::now();
-        if (status != nullptr) status->shard_started(i, -1);
-        try {
-          // Fresh trace per attempt, so a retried shard's trace contains
-          // only the successful run — identical to the first-try trace.
-          obs::ShardTrace trace;
-          report.providers[i] = run_provider_shard(
-              selection[i], seed, options_.runner, options_.trace,
-              traced ? &trace : nullptr, plane);
-          if (traced) report.traces[i] = std::move(trace);
-          store_shard(cache_ctx, i, report.providers[i], record);
-          done = true;
-          if (status != nullptr)
-            status->shard_finished(i, obs::StatusBoard::Outcome::kDone);
-        } catch (...) {
-          if (attempt < attempts) {
-            ++serial.retries;
-            if (status != nullptr) status->shard_attempt_failed(i);
-          } else if (graceful) {
-            report.providers[i] = quarantined_shard_report(selection[i]);
-            if (traced) report.traces[i] = quarantined_shard_trace(selection[i]);
-            if (status != nullptr)
-              status->shard_finished(i, obs::StatusBoard::Outcome::kQuarantined);
-          } else {
-            report.providers[i] = failed_shard_report(selection[i]);
-            if (traced) report.traces[i] = failed_shard_trace(selection[i]);
-            report.failed_providers.push_back(selection[i]);
-            if (status != nullptr)
-              status->shard_finished(i, obs::StatusBoard::Outcome::kFailed);
-          }
-          if (!done && attempt == attempts) {
-            // Exhausted shards leave a placeholder, never an artifact; the
-            // provenance record says "bypass" — the cache played no part.
-            record->outcome = ShardCacheRecord::Outcome::kBypass;
-            record->bytes = 0;
-          }
-        }
-        serial.busy_wall_s += std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - shard_t0)
-                                  .count();
-      }
-    }
-    report.workers.push_back(serial);
-  } else {
-    util::TaskPool pool(options_.jobs);
-    report.jobs = pool.worker_count();
-    if (status != nullptr) status->begin(selection, pool.worker_count());
-    // Declared after the pool so it joins (and takes its final counter
-    // snapshot) before the pool is torn down.
-    std::optional<StatusMonitor> monitor;
-    if (status != nullptr) monitor.emplace(*status, options_.status, &pool);
-    util::TaskOptions task_opts;
-    task_opts.max_attempts = attempts;
-    task_opts.timeout_s = options_.shard_timeout_s;
-
-    // A shard's report, its trace, and its cache provenance travel
-    // together through the future so a retry can never pair one attempt's
-    // report with another's trace (or cache record).
-    struct ShardOutcome {
-      ProviderReport report;
-      obs::ShardTrace trace;
-      ShardCacheRecord cache;
-    };
-
-    std::vector<std::future<ShardOutcome>> futures;
-    futures.reserve(selection.size());
-    const RunnerOptions runner_opts = options_.runner;
-    const obs::TraceConfig trace_cfg = options_.trace;
-    for (std::size_t i = 0; i < selection.size(); ++i) {
-      const std::string name = selection[i];
-      futures.push_back(pool.submit(
-          [name, i, seed, runner_opts, trace_cfg, traced, plane, status,
-           &cache_ctx] {
-            // Heartbeats bracket every attempt (the pool re-invokes this
-            // body on retry): started restarts the shard's watchdog clock,
-            // a thrown attempt parks the slot back in pending so its wall
-            // never reaches the ETA median.
-            if (status != nullptr)
-              status->shard_started(i, util::TaskPool::current_worker_index());
-            ShardOutcome out;
-            // Consulted per attempt — fetch is idempotent and cheap, and a
-            // first-attempt failure never wrote anything back.
-            if (fetch_shard(cache_ctx, i, name, &out.report, &out.cache,
-                            status)) {
-              if (status != nullptr)
-                status->shard_finished(i, obs::StatusBoard::Outcome::kDone);
-              return out;
-            }
-            try {
-              out.report = run_provider_shard(name, seed, runner_opts,
-                                              trace_cfg,
-                                              traced ? &out.trace : nullptr,
-                                              plane);
-              store_shard(cache_ctx, i, out.report, &out.cache);
-              if (status != nullptr)
-                status->shard_finished(i, obs::StatusBoard::Outcome::kDone);
-              return out;
-            } catch (...) {
-              if (status != nullptr) status->shard_attempt_failed(i);
-              throw;
-            }
-          },
-          task_opts));
-    }
-    // Merge in canonical catalog order — the futures vector is already in
-    // that order, regardless of which worker ran which shard when. Cached
-    // reports replay through this exact same path: by the time a future
-    // resolves, hit and recompute are indistinguishable.
-    obs::ProfileScope merge_profile("campaign.merge");
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      try {
-        auto outcome = futures[i].get();
-        report.providers[i] = std::move(outcome.report);
-        if (traced) report.traces[i] = std::move(outcome.trace);
-        if (cache_ctx.enabled())
-          report.cache_records[i] = std::move(outcome.cache);
-      } catch (...) {
-        if (cache_ctx.enabled()) {
-          // Exhausted shards leave a placeholder, never an artifact; the
-          // provenance record says "bypass" — the cache played no part.
-          report.cache_records[i].provider = selection[i];
-          report.cache_records[i].key_id = cache_ctx.keys[i].id();
-        }
-        if (graceful) {
-          report.providers[i] = quarantined_shard_report(selection[i]);
-          if (traced) report.traces[i] = quarantined_shard_trace(selection[i]);
-          if (status != nullptr)
-            status->shard_finished(i, obs::StatusBoard::Outcome::kQuarantined);
-        } else {
-          report.providers[i] = failed_shard_report(selection[i]);
-          if (traced) report.traces[i] = failed_shard_trace(selection[i]);
-          report.failed_providers.push_back(selection[i]);
-          if (status != nullptr)
-            status->shard_finished(i, obs::StatusBoard::Outcome::kFailed);
-        }
-      }
-    }
-    // The last shard's promise resolves before its worker finishes its
-    // counter bookkeeping; drain the pool so the snapshot is complete.
-    pool.wait_idle();
-    report.workers = pool.counters();
-  }
-
-  // One canonical-order pass over the merged providers: worker count and
-  // scheduling never influence this list, so it is part of the
-  // deterministic payload.
-  for (const auto& p : report.providers)
-    if (p.degraded()) report.degraded_providers.push_back(p.provider);
-
-  if (board) report.watchdog_alerts = board->alerts();
-
+  report.workers = std::move(run.workers);
+  report.cache_records = std::move(run.cache_records);
+  report.resumed_shards = run.resumed;
+  report.interrupted = run.supervisor.interrupted;
+  report.process_spawns = run.supervisor.spawns;
+  report.process_crashes = run.supervisor.crashes;
+  report.process_kills = run.supervisor.kills;
+  report.process_timeouts = run.supervisor.timeouts;
+  report.processes = std::move(run.supervisor.processes);
+  report.watchdog_alerts = board ? board->alerts() : run.supervisor.alerts;
   report.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return report;
 }
 
+// --- scaled campaigns ---------------------------------------------------------
+
 namespace {
 
-// One shard's census: counts plus an FNV fingerprint over the target
-// provider's vantage addresses in deployment order. Pure function of the
-// materialized shard, so deferred and eager modes agree byte for byte.
+// One shard's census: builds the provider's shard world, counts it, and
+// fingerprints the target provider's vantage addresses in deployment order
+// (FNV). Pure. The world lives only inside this call, so peak RSS is
+// bounded by the live workers, not the shard count. `arena` (optional)
+// accumulates the world's {reserved, used} host-arena bytes.
 ScaledShardCensus census_shard(const ecosystem::ScaledCatalog& catalog,
-                               std::size_t index, ecosystem::Testbed& tb,
-                               std::uint32_t max_clients) {
+                               std::size_t index,
+                               const ScaledCampaignOptions& options,
+                               std::shared_ptr<const netsim::RoutingPlane> plane,
+                               std::atomic<std::uint64_t>* arena = nullptr) {
   const auto& name = catalog.providers[index].spec.name;
+  ecosystem::ScaledShardOptions shard_opts;
+  shard_opts.max_clients = options.max_clients;
+  const auto tb = ecosystem::build_scaled_shard(catalog, name, options.seed,
+                                                std::move(plane), shard_opts);
   ScaledShardCensus census;
   census.provider = name;
   census.modeled_subscribers = catalog.subscribers[index];
-  census.clients = std::min(max_clients, catalog.subscribers[index]);
+  census.clients = std::min(options.max_clients, catalog.subscribers[index]);
   if (!tb.world) return census;
+  if (arena != nullptr) {
+    arena[0].fetch_add(tb.world->host_arena_reserved_bytes(),
+                       std::memory_order_relaxed);
+    arena[1].fetch_add(tb.world->host_arena_used_bytes(),
+                       std::memory_order_relaxed);
+  }
   census.hosts = static_cast<std::uint32_t>(tb.world->host_count());
   const auto* deployed = tb.provider(name);
   if (deployed != nullptr) {
@@ -833,12 +600,7 @@ ScaledShardCensus run_scaled_census_shard(
   if (index >= catalog.providers.size())
     throw std::invalid_argument(
         "run_scaled_census_shard: shard index out of range");
-  ecosystem::ScaledShardOptions shard_opts;
-  shard_opts.max_clients = options.max_clients;
-  auto shard = ecosystem::build_scaled_shard(
-      catalog, catalog.providers[index].spec.name, options.seed,
-      std::move(plane), shard_opts);
-  return census_shard(catalog, index, shard, options.max_clients);
+  return census_shard(catalog, index, options, std::move(plane));
 }
 
 store::ShardKey scaled_shard_key(const ecosystem::ScaledCatalog& catalog,
@@ -862,200 +624,60 @@ ScaledCampaignReport run_scaled_campaign(
     const ecosystem::ScaledCatalog& catalog,
     const ScaledCampaignOptions& options) {
   const auto t0 = std::chrono::steady_clock::now();
+  const auto plane = ecosystem::shared_backbone_plane();
+  // Arena accounting {reserved, used} is deterministic (a pure function of
+  // each shard's build sequence) but summed across threads, so gather
+  // atomically. Cache hits skip the build and contribute nothing.
+  std::atomic<std::uint64_t> arena[2] = {0, 0};
 
-  ScaledCampaignReport report;
-  report.seed = options.seed;
-  report.eager = options.eager;
-  report.catalog_fingerprint = catalog.fingerprint();
-  const std::size_t n = catalog.providers.size();
-  report.shards.resize(n);
-
-  const std::shared_ptr<const netsim::RoutingPlane> plane =
-      options.share_routing_plane ? ecosystem::shared_backbone_plane()
-                                  : nullptr;
-  ecosystem::ScaledShardOptions shard_opts;
-  shard_opts.max_clients = options.max_clients;
-
-  // Content-addressed census cache. Eager mode bypasses it: eager exists
-  // as the RSS A/B baseline and must build every world regardless.
-  std::optional<store::ArtifactStore> art;
-  std::vector<store::ShardKey> keys;
-  const bool cache_on = options.cache.enabled() && !options.eager;
-  if (options.cache.enabled()) {
-    report.cache_records.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      report.cache_records[i].provider = catalog.providers[i].spec.name;
-  }
-  if (cache_on) {
-    art.emplace(options.cache);
-    keys.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      keys.push_back(
-          scaled_shard_key(catalog, catalog.providers[i].spec.name, options));
-      report.cache_records[i].key_id = keys[i].id();
-    }
-  }
-
-  // Arena accounting is deterministic (a pure function of each shard's
-  // build sequence) but summed across threads, so gather atomically.
-  // Cache hits skip the build, so warm runs contribute nothing here.
-  std::atomic<std::uint64_t> arena_reserved{0};
-  std::atomic<std::uint64_t> arena_used{0};
-
-  // Cache consult; on a decodable hit fills *out and returns true.
-  const auto fetch_one = [&](std::size_t i, ScaledShardCensus* out) -> bool {
-    if (!cache_on) return false;
-    const auto& name = catalog.providers[i].spec.name;
-    ShardCacheRecord* record = &report.cache_records[i];
-    obs::ProfileScope cache_profile("campaign.cache");
-    store::FetchResult fetched = art->fetch(keys[i]);
-    if (fetched.status == store::FetchStatus::kHit) {
-      ScaledShardCensus census;
-      if (decode_shard_census(fetched.payload, &census) &&
-          census.provider == name) {
-        record->outcome = ShardCacheRecord::Outcome::kHit;
-        record->bytes = fetched.payload.size();
-        *out = std::move(census);
-        return true;
-      }
-      art->discard(keys[i]);
-      fetched.status = store::FetchStatus::kCorrupt;
-    }
-    record->outcome = fetched.status == store::FetchStatus::kCorrupt
-                          ? ShardCacheRecord::Outcome::kCorrupt
-                          : ShardCacheRecord::Outcome::kMiss;
-    return false;
+  ShardKind<ScaledShardCensus> kind;
+  for (const auto& p : catalog.providers) kind.names.push_back(p.spec.name);
+  kind.key = [&](std::size_t i) {
+    return scaled_shard_key(catalog, kind.names[i], options);
   };
-
-  // Deferred mode: the world exists only between here and the end of
-  // this call — peak RSS is bounded by live workers, not shard count.
-  const auto compute_one = [&](std::size_t i) {
-    const auto& name = catalog.providers[i].spec.name;
-    auto shard = ecosystem::build_scaled_shard(catalog, name, options.seed,
-                                               plane, shard_opts);
-    if (shard.world) {
-      arena_reserved.fetch_add(shard.world->host_arena_reserved_bytes(),
-                               std::memory_order_relaxed);
-      arena_used.fetch_add(shard.world->host_arena_used_bytes(),
-                           std::memory_order_relaxed);
-    }
-    return census_shard(catalog, i, shard, options.max_clients);
+  kind.compute = [&](std::size_t i) {
+    return census_shard(catalog, i, options, plane, arena);
   };
-
-  const auto store_one = [&](std::size_t i, const std::string& bytes) {
-    if (!cache_on || !art->config().writable()) return;
-    obs::ProfileScope cache_profile("campaign.cache");
-    if (art->put(keys[i], bytes)) {
-      report.cache_records[i].stored = true;
-      report.cache_records[i].bytes = bytes.size();
-    }
+  kind.encode = encode_shard_census;
+  kind.decode = [&](std::string_view bytes, std::size_t i,
+                    ScaledShardCensus* out) {
+    return decode_shard_census(bytes, out) && out->provider == kind.names[i];
   };
-
-  const auto run_one = [&](std::size_t i) {
+  // A lost shard keeps a zeroed census record (catalog facts only), so the
+  // catalog-order payload still completes.
+  kind.placeholder = [&](std::size_t i, ShardEnd) {
     ScaledShardCensus census;
-    if (fetch_one(i, &census)) return census;
-    census = compute_one(i);
-    store_one(i, encode_shard_census(census));
+    census.provider = kind.names[i];
+    census.modeled_subscribers = catalog.subscribers[i];
     return census;
   };
 
-  if (options.eager) {
-    // Eager baseline: every shard world materialized before any census —
-    // the storage pattern deferred mode exists to avoid. Serial by design;
-    // the point is RSS, not throughput.
-    report.jobs = 1;
-    std::vector<ecosystem::Testbed> worlds;
-    worlds.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      worlds.push_back(ecosystem::build_scaled_shard(
-          catalog, catalog.providers[i].spec.name, options.seed, plane,
-          shard_opts));
-    for (std::size_t i = 0; i < n; ++i) {
-      if (worlds[i].world) {
-        arena_reserved.fetch_add(worlds[i].world->host_arena_reserved_bytes(),
-                                 std::memory_order_relaxed);
-        arena_used.fetch_add(worlds[i].world->host_arena_used_bytes(),
-                             std::memory_order_relaxed);
-      }
-      report.shards[i] =
-          census_shard(catalog, i, worlds[i], options.max_clients);
-    }
-  } else if (options.isolate) {
-    // Isolated census: misses run in supervised worker processes; cache
-    // consults and artifact puts stay in the supervisor. A shard that
-    // crashes every attempt keeps a zeroed census record (provider name
-    // only), listed in crashed_providers, and the campaign completes.
-    const std::size_t jobs =
-        options.jobs == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                          : options.jobs;
-    report.jobs = jobs;
-    report.execution_isolated = true;
-    std::vector<std::string> names;
-    names.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      names.push_back(catalog.providers[i].spec.name);
+  ExecOptions exec;
+  exec.jobs = options.jobs;
+  exec.attempts = options.shard_attempts;
+  exec.isolate = options.isolate;
+  exec.supervisor.term_grace_s = options.term_grace_s;
+  exec.supervisor.worker_argv = options.worker_argv;
+  exec.supervisor.interrupt = options.interrupt;
+  exec.cache = options.cache;
 
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (fetch_one(i, &report.shards[i])) continue;
-      todo.push_back(i);
-    }
+  auto run = execute_shards(kind, exec);
 
-    SupervisorOptions sup;
-    sup.jobs = jobs;
-    sup.max_shard_retries = options.max_shard_retries;
-    sup.term_grace_s = options.term_grace_s;
-    sup.worker_argv = options.worker_argv;
-    sup.graceful = true;  // census shards degrade, never hard-fail the run
-    sup.interrupt = options.interrupt;
-
-    ShardSupervisor supervisor(
-        sup, names, [&compute_one](std::uint32_t index, std::uint32_t) {
-          return encode_shard_census(compute_one(index));
-        });
-    const obs::StatusOptions no_status;
-    SupervisorResult sres = supervisor.run(
-        todo, nullptr, no_status,
-        [&](std::size_t i, const SupervisedShard& s) {
-          if (s.outcome == SupervisedShard::Outcome::kDone)
-            store_one(i, s.payload);
-        });
-
-    for (std::size_t i : todo) {
-      const SupervisedShard& s = sres.shards[i];
-      ScaledShardCensus decoded;
-      if (s.outcome == SupervisedShard::Outcome::kDone &&
-          decode_shard_census(s.payload, &decoded) &&
-          decoded.provider == names[i]) {
-        report.shards[i] = std::move(decoded);
-        continue;
-      }
-      report.shards[i] = ScaledShardCensus{};
-      report.shards[i].provider = names[i];
-      report.shards[i].modeled_subscribers = catalog.subscribers[i];
-      if (s.outcome != SupervisedShard::Outcome::kSkipped &&
-          s.outcome != SupervisedShard::Outcome::kPending)
-        report.crashed_providers.push_back(names[i]);
-    }
-    report.interrupted = sres.interrupted;
-    report.process_spawns = sres.spawns;
-    report.process_crashes = sres.crashes;
-  } else if (options.jobs == 1) {
-    report.jobs = 1;
-    for (std::size_t i = 0; i < n; ++i) report.shards[i] = run_one(i);
-  } else {
-    util::TaskPool pool(options.jobs);
-    report.jobs = pool.worker_count();
-    std::vector<std::future<ScaledShardCensus>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      futures.push_back(pool.submit([&run_one, i] { return run_one(i); }));
-    // Canonical catalog-order merge, independent of scheduling.
-    for (std::size_t i = 0; i < n; ++i) report.shards[i] = futures[i].get();
-  }
-
-  report.arena_reserved_bytes = arena_reserved.load();
-  report.arena_used_bytes = arena_used.load();
+  ScaledCampaignReport report;
+  report.seed = options.seed;
+  report.jobs = run.jobs;
+  report.catalog_fingerprint = catalog.fingerprint();
+  report.shards = std::move(run.results);
+  for (std::size_t i = 0; i < report.shards.size(); ++i)
+    if (run.ends[i] == ShardEnd::kFailed || run.ends[i] == ShardEnd::kCrashed)
+      report.crashed_providers.push_back(kind.names[i]);
+  report.cache_records = std::move(run.cache_records);
+  report.arena_reserved_bytes = arena[0].load();
+  report.arena_used_bytes = arena[1].load();
+  report.execution_isolated = options.isolate;
+  report.interrupted = run.supervisor.interrupted;
+  report.process_spawns = run.supervisor.spawns;
+  report.process_crashes = run.supervisor.crashes;
 
   // Canonical payload serialization (catalog order; telemetry excluded).
   report.payload = "provider,vantage_points,hosts,clients,subscribers,addr_fp\n";

@@ -25,19 +25,21 @@ namespace vpna::core {
 struct CampaignOptions {
   // Per-vantage-point suite options, applied inside every shard runner.
   RunnerOptions runner;
-  // Worker threads; 0 = hardware concurrency, 1 = serial (in-caller)
-  // execution of the very same shard tasks.
+  // Worker threads (or worker processes under `isolate`); 0 = hardware
+  // concurrency. In-process, jobs = 1 runs the very same shard tasks on
+  // the calling thread.
   std::size_t jobs = 1;
-  // Shard-level retry/timeout policy (generalizes connect_attempts one
-  // level up: a whole provider shard that throws or overruns its budget is
-  // re-run from scratch — shards are pure, so a re-run is identical).
-  int shard_attempts = 1;
-  double shard_timeout_s = 0.0;  // 0 = no budget
-  // Share one all-pairs routing plane (ecosystem::shared_backbone_plane())
-  // across all shard worlds instead of letting each shard compute its own.
-  // Read-only sharing: results are identical either way (the cross-shard
-  // determinism test proves it); off only for A/B benchmarking.
-  bool share_routing_plane = true;
+  // The one retry budget: total attempts per shard on either backend
+  // (generalizes connect_attempts one level up). In-process, a shard that
+  // throws is re-run; isolated, a shard whose worker crashes, hangs or
+  // reports an error is re-run on a fresh process. Shards are pure, so a
+  // re-run is identical.
+  int shard_attempts = 3;
+  // Isolated backend only: hard per-attempt wall budget of a worker
+  // process (0 = none). Past it the supervisor escalates SIGTERM →
+  // SIGKILL and charges the shard a crashed attempt. In-process shards
+  // cannot be pre-empted and have no timeout.
+  double shard_timeout_s = 0.0;
   // Observability: when trace.enabled, every shard runs under its own
   // TraceRecorder + MetricsRegistry (bound to the shard's sim clock) and
   // the per-shard observations come back in CampaignReport::traces. Trace
@@ -70,10 +72,6 @@ struct CampaignOptions {
   // byte-compares them). Incompatible with tracing (a ShardTrace cannot
   // stream over the frame protocol): isolate + trace.enabled throws.
   bool isolate = false;
-  // Re-runs granted after a shard's first isolated attempt (crash or
-  // in-worker exception alike). The in-process `shard_attempts` knob is
-  // ignored under isolation — this is the whole retry policy.
-  int max_shard_retries = 2;
   // SIGTERM→SIGKILL grace for hang escalation and shutdown.
   double term_grace_s = 2.0;
   // Exec-mode worker command line (a process that speaks the worker
@@ -217,32 +215,29 @@ struct CampaignReport {
 // The O(10³)-provider census path: every provider in a synthetic scaled
 // catalog gets its own shard world (same shard_seed discipline as the paper
 // campaign), each shard reports a deterministic census record, and records
-// merge in canonical catalog order. The payload is byte-identical at any
-// `jobs` and in both materialization modes.
+// merge in canonical catalog order. Each worker builds a shard world only
+// while it runs that shard, so peak RSS is bounded by the worker count,
+// not the shard count. The payload is byte-identical at any `jobs`.
 
 struct ScaledCampaignOptions {
   std::uint64_t seed = 20181031;
-  // Worker threads; 0 = hardware concurrency, 1 = serial.
+  // Worker threads (or processes under `isolate`); 0 = hardware
+  // concurrency.
   std::size_t jobs = 1;
-  // Eager mode materializes every shard world in the driver before any
-  // census runs — the peak-RSS A/B baseline. The default (deferred) hands
-  // workers DeferredShard handles materialized on first touch, bounding
-  // peak RSS by the worker count instead of the shard count.
-  bool eager = false;
   // Per-shard eyeball-client materialization cap (see ScaledShardOptions).
   std::uint32_t max_clients = 4;
-  bool share_routing_plane = true;
+  // Total attempts per census shard, either backend (as
+  // CampaignOptions::shard_attempts).
+  int shard_attempts = 3;
   // Content-addressed census cache, keyed per provider on the scaled
   // catalog's provider_fingerprint() — independent of catalog size, so
   // growing N providers to N+1 recomputes exactly the one new shard.
   store::CacheConfig cache;
   // Process isolation (same machinery as CampaignOptions::isolate): census
-  // shards run in supervised worker processes; a crashed shard retries and,
-  // exhausted, keeps a zeroed census record so the catalog-order payload
-  // still completes. Ignored in eager mode (the RSS baseline is in-process
-  // by definition).
+  // shards run in supervised worker processes. On either backend a shard
+  // that exhausts its attempts keeps a zeroed census record, listed in
+  // crashed_providers, so the catalog-order payload still completes.
   bool isolate = false;
-  int max_shard_retries = 2;
   double term_grace_s = 2.0;
   std::vector<std::string> worker_argv;  // empty = fork-mode workers
   const volatile std::sig_atomic_t* interrupt = nullptr;
@@ -261,11 +256,10 @@ struct ScaledShardCensus {
 struct ScaledCampaignReport {
   std::uint64_t seed = 0;
   std::size_t jobs = 1;
-  bool eager = false;
   std::vector<ScaledShardCensus> shards;  // canonical catalog order
   std::uint64_t catalog_fingerprint = 0;
   // Canonical serialization of `shards` and its hash — the deterministic
-  // payload (compare across jobs / materialization modes by this).
+  // payload (compare across jobs and backends by this).
   std::string payload;
   std::uint64_t payload_fingerprint = 0;
   // Arena bytes summed over shard worlds (deterministic: a pure function
@@ -275,8 +269,8 @@ struct ScaledCampaignReport {
   std::uint64_t arena_used_bytes = 0;
   // Cache provenance in canonical catalog order; empty when disabled.
   std::vector<ShardCacheRecord> cache_records;
-  // Isolate-mode provenance: providers whose census shard crashed every
-  // attempt (zeroed record in `shards`), plus process telemetry.
+  // Providers whose census shard failed or crashed every attempt (zeroed
+  // record in `shards`), plus isolate-mode provenance and process telemetry.
   bool execution_isolated = false;
   bool interrupted = false;
   std::vector<std::string> crashed_providers;

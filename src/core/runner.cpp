@@ -1,8 +1,12 @@
 #include "core/runner.h"
 
+#include <stdexcept>
+
+#include "core/parallel_campaign.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "transport/policy.h"
 #include "util/strings.h"
 #include "vpn/client.h"
 
@@ -240,6 +244,82 @@ std::vector<ProviderReport> TestRunner::run_all() {
   for (const auto& provider : testbed_.providers)
     out.push_back(run_provider(provider));
   return out;
+}
+
+// --- one provider's shard (declared in core/parallel_campaign.h) ----------
+
+namespace {
+
+// The shard body shared by the plain and traced runs; assumes any desired
+// obs binding is already installed on the calling thread.
+ProviderReport run_shard_body(const std::string& name,
+                              std::uint64_t campaign_seed,
+                              const RunnerOptions& options,
+                              ecosystem::Testbed& shard) {
+  // Fault profiles arm transport-level resilience for the whole shard:
+  // every flow that didn't pick its own retry/fallback settings adopts the
+  // profile's. kOff installs nothing (session_policy_for returns nullptr).
+  transport::ScopedSessionPolicy session_policy(
+      faults::session_policy_for(options.fault_profile));
+  // Degradation records attribute give-ups to injected faults via the
+  // faults.* counters, which only exist while a registry is bound. Traced
+  // campaigns already bind one per shard; for untraced fault-profile runs,
+  // bind a throwaway metrics-only registry here. Never engaged under kOff,
+  // so off-profile shards observe exactly what they did before.
+  obs::MetricsRegistry attribution;
+  std::optional<obs::ScopedObservation> attribution_scope;
+  if (options.fault_profile != faults::FaultProfile::kOff &&
+      obs::meter() == nullptr)
+    attribution_scope.emplace(nullptr, &attribution);
+
+  obs::ProfileScope profile("shard.run");
+  obs::Span root("shard.run", "campaign");
+  if (root) {
+    root.arg("provider", name);
+    root.arg("seed", static_cast<std::int64_t>(campaign_seed));
+  }
+  TestRunner runner(shard, options);
+  runner.collect_ground_truth();
+  const auto* deployed = shard.provider(name);
+  if (deployed == nullptr)
+    throw std::runtime_error("run_provider_shard: shard missing " + name);
+  return runner.run_provider(*deployed);
+}
+
+}  // namespace
+
+ProviderReport run_provider_shard(
+    const std::string& name, std::uint64_t campaign_seed,
+    const RunnerOptions& options,
+    std::shared_ptr<const netsim::RoutingPlane> plane) {
+  return run_provider_shard(name, campaign_seed, options, obs::TraceConfig{},
+                            nullptr, std::move(plane));
+}
+
+ProviderReport run_provider_shard(
+    const std::string& name, std::uint64_t campaign_seed,
+    const RunnerOptions& options, const obs::TraceConfig& trace,
+    obs::ShardTrace* out, std::shared_ptr<const netsim::RoutingPlane> plane) {
+  auto shard = ecosystem::build_provider_shard(
+      name, campaign_seed, std::move(plane), options.fault_profile,
+      options.speed_test);
+  if (!shard.world)
+    throw std::invalid_argument("run_provider_shard: unknown provider " + name);
+  if (!trace.enabled || out == nullptr)
+    return run_shard_body(name, campaign_seed, options, shard);
+
+  obs::TraceRecorder recorder(trace);
+  recorder.bind_clock(&shard.world->network().clock());
+  obs::MetricsRegistry metrics;
+  ProviderReport report;
+  {
+    obs::ScopedObservation scope(&recorder, &metrics);
+    report = run_shard_body(name, campaign_seed, options, shard);
+  }
+  out->shard = name;
+  out->events = recorder.take_events();
+  out->metrics = std::move(metrics);
+  return report;
 }
 
 }  // namespace vpna::core

@@ -47,9 +47,9 @@ namespace vpna::core {
 
 struct SupervisorOptions {
   std::size_t jobs = 1;
-  // Re-runs granted to a shard after its first attempt (crash or error
-  // frame alike). Total attempts = max_shard_retries + 1.
-  int max_shard_retries = 2;
+  // Total attempts per shard (crash or error frame alike); the campaign's
+  // shard_attempts.
+  int attempts = 3;
   // Exponential backoff between a shard's failed attempt and its re-run:
   // initial × 2^(attempt-1), capped. Wall-clock telemetry only — the
   // shard's recompute is deterministic regardless of when it happens.
@@ -70,10 +70,6 @@ struct SupervisorOptions {
   // stdio (e.g. `full_campaign ... --vpna-worker`). Empty = fork mode:
   // workers are forked from this process and run `child_run` directly.
   std::vector<std::string> worker_argv;
-  // Campaign-policy view of exhausted *error* shards (worker reported an
-  // exception every attempt): true → status shows quarantined, false →
-  // failed. Crashed shards always quarantine.
-  bool graceful = false;
   // Cooperative interrupt (SIGINT/SIGTERM handler flag). When it becomes
   // non-zero the supervisor stops dispatching, TERM→KILLs workers, marks
   // unfinished shards kSkipped, and returns with interrupted=true.
@@ -118,7 +114,8 @@ class ShardSupervisor {
   // frames. Ignored in exec mode (the exec'd binary brings its own).
   using ChildRun = std::function<std::string(std::uint32_t, std::uint32_t)>;
   // Invoked in the SUPERVISOR the moment a shard reaches a terminal
-  // outcome (journal/artifact hook). Never invoked for kSkipped.
+  // outcome: the campaign's terminal-outcome handler (result, artifact,
+  // journal, status shard_finished). Never invoked for kSkipped.
   using TerminalHook = std::function<void(std::size_t, const SupervisedShard&)>;
 
   ShardSupervisor(SupervisorOptions options, std::vector<std::string> names,

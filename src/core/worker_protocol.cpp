@@ -130,6 +130,8 @@ std::optional<CrashDirective> parse_crash_directive(std::string_view spec) {
       d.mode = CrashDirective::Mode::kExit;
     } else if (tok == "hang") {
       d.mode = CrashDirective::Mode::kHang;
+    } else if (tok == "throw") {
+      d.mode = CrashDirective::Mode::kThrow;
     } else if (tok == "always") {
       d.always = true;
     } else {
@@ -166,6 +168,8 @@ namespace {
         struct timespec ts{1, 0};
         ::nanosleep(&ts, nullptr);
       }
+    case CrashDirective::Mode::kThrow:
+      break;  // filtered out by the caller: the executor's mode
   }
   ::_exit(124);
 }
@@ -178,6 +182,7 @@ int shard_worker_loop(
   std::optional<CrashDirective> crash;
   if (const char* spec = std::getenv("VPNA_CRASH_SHARD"))
     crash = parse_crash_directive(spec);
+  if (crash && crash->mode == CrashDirective::Mode::kThrow) crash.reset();
 
   std::string pending;
   for (;;) {

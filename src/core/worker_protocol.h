@@ -27,13 +27,16 @@
 // supervisor kills that worker and re-runs its in-flight shard.
 //
 // Deterministic crash injection (tests, CI lanes): the worker loop honours
-//   VPNA_CRASH_SHARD=<index>[:segv|exit|hang][:always]
+//   VPNA_CRASH_SHARD=<index>[:segv|exit|hang|throw][:always]
 // self-destructing right before running shard <index>. Default mode is
 // segv; `segv` additionally writes a torn frame prefix first so the
 // supervisor's partial-frame path is exercised, `exit` _exits 41, `hang`
 // blocks forever (the watchdog/timeout escalation reaps it). Without
 // `:always` the crash fires only on attempt 1, so a retried shard
 // succeeds — the containment path is testable without flaky timing.
+// `throw` is not a worker mode: the campaign's shard executor reads it and
+// makes the shard's compute hook throw, which an in-process run sees as a
+// thrown task and a fork-mode worker reports as an error frame.
 #pragma once
 
 #include <cstdint>
@@ -94,7 +97,8 @@ class FrameReader {
 // Parsed VPNA_CRASH_SHARD directive (exposed for tests).
 struct CrashDirective {
   std::uint32_t index = 0;
-  enum class Mode : std::uint8_t { kSegv, kExit, kHang } mode = Mode::kSegv;
+  enum class Mode : std::uint8_t { kSegv, kExit, kHang, kThrow } mode =
+      Mode::kSegv;
   bool always = false;  // fire on every attempt, not just the first
 };
 

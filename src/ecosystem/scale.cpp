@@ -223,19 +223,4 @@ Testbed build_scaled_shard(const ScaledCatalog& catalog, std::string_view name,
   return tb;
 }
 
-DeferredShard defer_scaled_shard(const ScaledCatalog& catalog,
-                                 std::string_view name,
-                                 std::uint64_t campaign_seed,
-                                 std::shared_ptr<const netsim::RoutingPlane> plane,
-                                 const ScaledShardOptions& options) {
-  std::string provider(name);
-  const ScaledCatalog* cat = &catalog;
-  return DeferredShard(
-      provider, [cat, provider, campaign_seed, plane = std::move(plane),
-                 options] {
-        return build_scaled_shard(*cat, provider, campaign_seed, plane,
-                                  options);
-      });
-}
-
 }  // namespace vpna::ecosystem

@@ -84,13 +84,4 @@ struct ScaledShardOptions {
     std::shared_ptr<const netsim::RoutingPlane> plane = nullptr,
     const ScaledShardOptions& options = {});
 
-// Deferred form: captures the arguments (plus a pointer to `catalog`,
-// which must outlive the handle) and materializes on first touch —
-// identical output to build_scaled_shard.
-[[nodiscard]] DeferredShard defer_scaled_shard(
-    const ScaledCatalog& catalog, std::string_view name,
-    std::uint64_t campaign_seed,
-    std::shared_ptr<const netsim::RoutingPlane> plane = nullptr,
-    const ScaledShardOptions& options = {});
-
 }  // namespace vpna::ecosystem

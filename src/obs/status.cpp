@@ -227,11 +227,10 @@ std::string render_status_json(const StatusSnapshot& snap) {
     out += i == 0 ? "\n" : ",\n";
     out += util::format(
         "    {\"worker\": %zu, \"tasks_run\": %llu, \"steals\": %llu, "
-        "\"retries\": %llu, \"timeouts\": %llu, \"busy_wall_s\": %.3f}",
+        "\"retries\": %llu, \"busy_wall_s\": %.3f}",
         i, static_cast<unsigned long long>(w.tasks_run),
         static_cast<unsigned long long>(w.steals),
-        static_cast<unsigned long long>(w.retries),
-        static_cast<unsigned long long>(w.timeouts), w.busy_wall_s);
+        static_cast<unsigned long long>(w.retries), w.busy_wall_s);
   }
   out += snap.workers.empty() ? "],\n" : "\n  ],\n";
   out += "  \"processes\": [";
@@ -265,6 +264,42 @@ bool write_file_atomic(const std::string& path, const std::string& content) {
     return false;
   }
   return true;
+}
+
+StatusMonitor::StatusMonitor(StatusBoard& board, StatusOptions opts,
+                             std::function<std::vector<WorkerStatus>()> workers)
+    : board_(board), opts_(std::move(opts)), workers_(std::move(workers)) {
+  thread_ = std::thread([this] { loop(); });
+}
+
+StatusMonitor::~StatusMonitor() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  thread_.join();
+  tick();
+}
+
+void StatusMonitor::loop() {
+  const auto interval = std::chrono::duration<double, std::milli>(
+      opts_.interval_ms < 1.0 ? 1.0 : opts_.interval_ms);
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    if (cv_.wait_for(lock, interval, [this] { return stop_; })) return;
+    lock.unlock();
+    tick();
+    lock.lock();
+  }
+}
+
+void StatusMonitor::tick() {
+  if (opts_.watchdog_multiple > 0.0)
+    board_.watchdog_scan(opts_.watchdog_multiple, opts_.watchdog_min_completed);
+  board_.set_workers(workers_());
+  if (!opts_.file.empty())
+    write_file_atomic(opts_.file, render_status_json(board_.snapshot()));
 }
 
 }  // namespace vpna::obs

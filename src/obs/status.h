@@ -22,10 +22,12 @@
 // volatile section of the metrics rendering.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace vpna::obs {
@@ -68,7 +70,6 @@ struct WorkerStatus {
   std::uint64_t tasks_run = 0;
   std::uint64_t steals = 0;
   std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
   double busy_wall_s = 0.0;
 };
 
@@ -144,7 +145,7 @@ class StatusBoard {
   void cache_event(CacheEvent event);
 
   // Latest pool counters for the status stream (monitor thread pushes
-  // these each rewrite so the JSON carries per-worker retry/timeout data).
+  // these each rewrite so the JSON carries per-worker retry data).
   void set_workers(std::vector<WorkerStatus> workers);
 
   // Latest per-worker-process snapshot (isolate mode; the supervisor
@@ -198,5 +199,32 @@ class StatusBoard {
 // Atomically replaces `path` with `content` (write "<path>.tmp", rename).
 // Returns false on I/O failure — the monitor treats that as non-fatal.
 bool write_file_atomic(const std::string& path, const std::string& content);
+
+// Background health monitor for in-process campaigns: every tick runs the
+// watchdog scan, pushes the worker counters `workers` returns onto the
+// board, and atomically rewrites the status file. RAII — destruction stops
+// the thread and runs one final tick, so the file ends at 100% with the
+// complete alert list. Purely observational: it never perturbs results.
+class StatusMonitor {
+ public:
+  StatusMonitor(StatusBoard& board, StatusOptions opts,
+                std::function<std::vector<WorkerStatus>()> workers);
+  ~StatusMonitor();
+
+  StatusMonitor(const StatusMonitor&) = delete;
+  StatusMonitor& operator=(const StatusMonitor&) = delete;
+
+ private:
+  void loop();
+  void tick();
+
+  StatusBoard& board_;
+  StatusOptions opts_;
+  std::function<std::vector<WorkerStatus>()> workers_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::thread thread_;
+};
 
 }  // namespace vpna::obs

@@ -143,7 +143,6 @@ void TaskPool::worker_loop(std::size_t index) {
       std::lock_guard<std::mutex> lock(self.mu);
       self.counters.tasks_run += delta.tasks_run;
       self.counters.retries += delta.retries;
-      self.counters.timeouts += delta.timeouts;
       self.counters.busy_wall_s += delta.busy_wall_s;
       self.counters.busy_cpu_s += delta.busy_cpu_s;
     }
@@ -176,7 +175,6 @@ WorkerCounters TaskPool::total_counters() const {
     total.tasks_run += c.tasks_run;
     total.steals += c.steals;
     total.retries += c.retries;
-    total.timeouts += c.timeouts;
     total.busy_wall_s += c.busy_wall_s;
     total.busy_cpu_s += c.busy_cpu_s;
   }

@@ -1,10 +1,10 @@
 // Work-stealing thread pool for embarrassingly parallel campaign work.
 //
 // Each worker owns a deque; submissions are distributed round-robin and an
-// idle worker steals from the back of a victim's deque. Tasks carry optional
-// retry and timeout policy (generalizing the runner's connect_attempts), and
-// every worker keeps lightweight counters (tasks run, steals, retries,
-// timeouts, busy wall/cpu time) that campaign reports surface.
+// idle worker steals from the back of a victim's deque. Tasks carry an
+// optional retry policy (generalizing the runner's connect_attempts), and
+// every worker keeps lightweight counters (tasks run, steals, retries, busy
+// wall/cpu time) that campaign reports surface.
 //
 // The pool schedules work; it never makes results depend on scheduling. Any
 // task set whose tasks are independent and individually deterministic yields
@@ -30,19 +30,8 @@ namespace vpna::util {
 // Per-task execution policy.
 struct TaskOptions {
   // Total attempts before the task's failure is surfaced (>= 1). A thrown
-  // exception or an exceeded timeout consumes one attempt.
+  // exception consumes one attempt; the retry runs on the same worker.
   int max_attempts = 1;
-  // Per-attempt wall-clock budget in seconds; 0 disables the check. The
-  // pool cannot preempt a running task, so the timeout is checked when the
-  // attempt finishes: an over-budget attempt is discarded and retried (or
-  // reported as TaskTimeoutError once attempts are exhausted).
-  double timeout_s = 0.0;
-};
-
-// Raised through the task's future when every attempt exceeded its budget.
-class TaskTimeoutError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
 };
 
 // Counters one worker accumulates over its lifetime. Snapshot via
@@ -51,7 +40,6 @@ struct WorkerCounters {
   std::uint64_t tasks_run = 0;  // attempts started (retries included)
   std::uint64_t steals = 0;     // tasks taken from another worker's deque
   std::uint64_t retries = 0;    // failed attempts that were re-run
-  std::uint64_t timeouts = 0;   // attempts discarded for exceeding budget
   double busy_wall_s = 0.0;     // wall time spent inside task bodies
   double busy_cpu_s = 0.0;      // thread cpu time spent inside task bodies
 };
@@ -68,14 +56,13 @@ class TaskPool {
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
 
   // Index of the pool worker running the calling thread, or -1 when the
-  // caller is not a pool worker (e.g. the serial in-caller path). Lets a
+  // caller is not a pool worker (e.g. a task run by run_inline). Lets a
   // task attribute status heartbeats to its worker without threading the
   // index through every task signature.
   [[nodiscard]] static int current_worker_index() noexcept;
 
-  // Schedules `fn` and returns a future for its result. Retry/timeout
-  // policy comes from `opts`; the final failure (exception or timeout)
-  // propagates through the future.
+  // Schedules `fn` and returns a future for its result. Retry policy comes
+  // from `opts`; the final exception propagates through the future.
   template <typename F>
   auto submit(F fn, TaskOptions opts = {})
       -> std::future<std::invoke_result_t<F&>> {
@@ -87,6 +74,21 @@ class TaskPool {
       run_with_policy<R>(*prom, *body, opts, c);
     });
     return fut;
+  }
+
+  // The zero-thread form of submit(): runs `fn` to completion on the
+  // calling thread under the same retry policy and counter accounting a
+  // worker applies. The final exception, if any, is dropped — callers
+  // observe outcomes through the task itself.
+  template <typename F>
+  static void run_inline(F fn, TaskOptions opts, WorkerCounters& counters) {
+    using R = std::invoke_result_t<F&>;
+    std::promise<R> prom;
+    const auto t0 = std::chrono::steady_clock::now();
+    run_with_policy<R>(prom, fn, opts, counters);
+    counters.busy_wall_s += std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
   }
 
   // Blocks until every submitted task has finished (including retries).
@@ -117,34 +119,12 @@ class TaskPool {
     const int attempts = opts.max_attempts < 1 ? 1 : opts.max_attempts;
     for (int attempt = 1; attempt <= attempts; ++attempt) {
       ++c.tasks_run;
-      const auto t0 = std::chrono::steady_clock::now();
       try {
         if constexpr (std::is_void_v<R>) {
           body();
-          if (attempt_timed_out(t0, opts)) {
-            ++c.timeouts;
-            if (attempt < attempts) {
-              ++c.retries;
-              continue;
-            }
-            prom.set_exception(std::make_exception_ptr(
-                TaskTimeoutError("task exceeded per-attempt budget")));
-            return;
-          }
           prom.set_value();
         } else {
-          R result = body();
-          if (attempt_timed_out(t0, opts)) {
-            ++c.timeouts;
-            if (attempt < attempts) {
-              ++c.retries;
-              continue;
-            }
-            prom.set_exception(std::make_exception_ptr(
-                TaskTimeoutError("task exceeded per-attempt budget")));
-            return;
-          }
-          prom.set_value(std::move(result));
+          prom.set_value(body());
         }
         return;
       } catch (const std::future_error&) {
@@ -158,15 +138,6 @@ class TaskPool {
         return;
       }
     }
-  }
-
-  static bool attempt_timed_out(std::chrono::steady_clock::time_point t0,
-                                const TaskOptions& opts) {
-    if (opts.timeout_s <= 0.0) return false;
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return elapsed > opts.timeout_s;
   }
 
   void enqueue(Task task);

@@ -153,6 +153,12 @@ TEST(CrashDirective, ParsesTheFullGrammar) {
   EXPECT_EQ(d->mode, core::CrashDirective::Mode::kSegv);
   EXPECT_TRUE(d->always);
 
+  d = core::parse_crash_directive("2:throw:always");
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->index, 2u);
+  EXPECT_EQ(d->mode, core::CrashDirective::Mode::kThrow);
+  EXPECT_TRUE(d->always);
+
   EXPECT_FALSE(core::parse_crash_directive("").has_value());
   EXPECT_FALSE(core::parse_crash_directive("nope").has_value());
   EXPECT_FALSE(core::parse_crash_directive("5:explode").has_value());

@@ -1,7 +1,7 @@
 // The internet-scale synthetic catalog and its campaign path: generator
 // determinism (the whole point of seeding every provider stream by name),
-// payload byte-identity across worker counts and materialization modes,
-// and the reseller-aliasing edge case at scale.
+// payload byte-identity across worker counts, and the reseller-aliasing
+// edge case at scale.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -117,33 +117,6 @@ TEST(ScaledCampaign, PayloadByteIdenticalAcrossJobs) {
     EXPECT_EQ(report.catalog_fingerprint, baseline.catalog_fingerprint);
     EXPECT_EQ(report.arena_used_bytes, baseline.arena_used_bytes);
   }
-}
-
-TEST(ScaledCampaign, EagerAndDeferredMaterializationAgree) {
-  const auto cat = ecosystem::generate_scaled_catalog(12, 1000, kSeed);
-  core::ScaledCampaignOptions options;
-  options.seed = kSeed;
-  options.jobs = 2;
-  const auto deferred = core::run_scaled_campaign(cat, options);
-  options.eager = true;
-  const auto eager = core::run_scaled_campaign(cat, options);
-  EXPECT_EQ(deferred.payload, eager.payload);
-  EXPECT_EQ(deferred.arena_used_bytes, eager.arena_used_bytes);
-}
-
-TEST(ScaledCampaign, DeferredShardMaterializesOnFirstTouch) {
-  const auto cat = ecosystem::generate_scaled_catalog(4, 100, kSeed);
-  auto handle = ecosystem::defer_scaled_shard(cat, "svp-00002", kSeed);
-  EXPECT_FALSE(handle.materialized());
-  auto& tb = handle.materialize();
-  EXPECT_TRUE(handle.materialized());
-  ASSERT_NE(tb.world, nullptr);
-
-  // Identical to the eager build: same host census, same arena footprint.
-  const auto eager = ecosystem::build_scaled_shard(cat, "svp-00002", kSeed);
-  EXPECT_EQ(tb.world->host_count(), eager.world->host_count());
-  EXPECT_EQ(tb.world->host_arena_used_bytes(),
-            eager.world->host_arena_used_bytes());
 }
 
 }  // namespace

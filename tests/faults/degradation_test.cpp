@@ -4,6 +4,7 @@
 // campaign_exit_code fails a run only for hard shard failures.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -111,60 +112,110 @@ TEST(DegradationAppendix, RendersQuarantineAndGiveUpLines) {
 
 // --- end-to-end quarantine via the campaign engine ------------------------
 
-// A sub-nanosecond per-attempt budget makes every shard attempt "overrun"
-// (the pool checks the budget when the attempt finishes), so with
-// shard_attempts=1 every shard exhausts its attempts deterministically.
-core::CampaignOptions exhausted_shard_options(faults::FaultProfile profile) {
+// Both shard-executor backends, from one table: every case below runs on
+// each. The isolated backend uses fork-mode workers.
+struct Backend {
+  const char* name;
+  bool isolate;
+};
+constexpr Backend kBackends[] = {{"in-process", false}, {"isolated", true}};
+
+// Scoped failure injection: VPNA_CRASH_SHARD=0:throw:always makes shard
+// 0's compute hook throw on every attempt, so it exhausts its budget
+// deterministically while shard 1 runs normally.
+class InjectedThrow {
+ public:
+  explicit InjectedThrow(const char* spec) {
+    ::setenv("VPNA_CRASH_SHARD", spec, 1);
+  }
+  ~InjectedThrow() { ::unsetenv("VPNA_CRASH_SHARD"); }
+};
+
+core::CampaignOptions exhausted_shard_options(faults::FaultProfile profile,
+                                              const Backend& backend) {
   core::CampaignOptions opts;
   opts.runner.vantage_points_per_provider = 1;
   opts.runner.fault_profile = profile;
-  opts.jobs = 2;  // the timeout budget only exists on the pool path
-  opts.shard_attempts = 1;
-  opts.shard_timeout_s = 1e-9;
+  opts.jobs = 2;
+  opts.shard_attempts = 2;
+  opts.isolate = backend.isolate;
+  opts.term_grace_s = 0.3;
   return opts;
 }
 
 const std::vector<std::string> kSubset = {"NordVPN", "Anonine"};
 
 TEST(QuarantineIntegration, FaultProfileQuarantinesExhaustedShards) {
-  core::ParallelCampaign campaign(
-      exhausted_shard_options(faults::FaultProfile::kFlaky));
-  const auto report = campaign.run(kSubset, 99);
+  const InjectedThrow inject("0:throw:always");
+  for (const auto& backend : kBackends) {
+    SCOPED_TRACE(backend.name);
+    core::ParallelCampaign campaign(
+        exhausted_shard_options(faults::FaultProfile::kFlaky, backend));
+    const auto report = campaign.run(kSubset, 99);
 
-  // Both shards exhausted their budget — but the run degrades, not fails.
-  ASSERT_EQ(report.providers.size(), 2u);
-  EXPECT_TRUE(report.failed_providers.empty());
-  for (const auto& provider : report.providers) {
-    EXPECT_TRUE(provider.quarantined) << provider.provider;
-    EXPECT_TRUE(provider.degraded()) << provider.provider;
-    EXPECT_TRUE(provider.vantage_points.empty()) << provider.provider;
+    // Shard 0 exhausted its budget — but the run degrades, not fails.
+    ASSERT_EQ(report.providers.size(), 2u);
+    EXPECT_TRUE(report.failed_providers.empty());
+    EXPECT_TRUE(report.crash_quarantined_providers.empty());
+    const auto& lost = report.providers[0];
+    EXPECT_TRUE(lost.quarantined);
+    EXPECT_TRUE(lost.degraded());
+    EXPECT_TRUE(lost.vantage_points.empty());
+    EXPECT_FALSE(report.providers[1].quarantined);
+    EXPECT_FALSE(report.providers[1].vantage_points.empty());
+    ASSERT_FALSE(report.degraded_providers.empty());
+    EXPECT_EQ(report.degraded_providers[0], lost.provider);
+
+    const auto summary = analysis::summarize_campaign(report);
+    EXPECT_EQ(summary.quarantined_shards, 1u);
+    EXPECT_EQ(summary.failed_shards, 0u);
+    EXPECT_EQ(analysis::campaign_exit_code(summary), 0);
+    EXPECT_NE(analysis::render_degradation_appendix(report), "");
   }
-  EXPECT_EQ(report.degraded_providers, kSubset);
-
-  const auto summary = analysis::summarize_campaign(report);
-  EXPECT_EQ(summary.quarantined_shards, 2u);
-  EXPECT_EQ(summary.failed_shards, 0u);
-  EXPECT_EQ(analysis::campaign_exit_code(summary), 0);
-  EXPECT_NE(analysis::render_degradation_appendix(report), "");
 }
 
 TEST(QuarantineIntegration, OffProfileKeepsHardFailureSemantics) {
-  core::ParallelCampaign campaign(
-      exhausted_shard_options(faults::FaultProfile::kOff));
-  const auto report = campaign.run(kSubset, 99);
+  const InjectedThrow inject("0:throw:always");
+  for (const auto& backend : kBackends) {
+    SCOPED_TRACE(backend.name);
+    core::ParallelCampaign campaign(
+        exhausted_shard_options(faults::FaultProfile::kOff, backend));
+    const auto report = campaign.run(kSubset, 99);
 
-  // Same exhaustion without a fault profile stays a hard failure: the
-  // providers land in failed_providers and the run exits non-zero.
-  ASSERT_EQ(report.providers.size(), 2u);
-  EXPECT_EQ(report.failed_providers, kSubset);
-  EXPECT_TRUE(report.degraded_providers.empty());
-  for (const auto& provider : report.providers)
-    EXPECT_FALSE(provider.quarantined) << provider.provider;
+    // Same exhaustion without a fault profile stays a hard failure: the
+    // provider lands in failed_providers and the run exits non-zero.
+    ASSERT_EQ(report.providers.size(), 2u);
+    ASSERT_EQ(report.failed_providers.size(), 1u);
+    EXPECT_EQ(report.failed_providers[0], report.providers[0].provider);
+    EXPECT_TRUE(report.crash_quarantined_providers.empty());
+    EXPECT_TRUE(report.degraded_providers.empty());
+    for (const auto& provider : report.providers)
+      EXPECT_FALSE(provider.quarantined) << provider.provider;
+    EXPECT_FALSE(report.providers[1].vantage_points.empty());
 
-  const auto summary = analysis::summarize_campaign(report);
-  EXPECT_EQ(summary.failed_shards, 2u);
-  EXPECT_EQ(summary.quarantined_shards, 0u);
-  EXPECT_EQ(analysis::campaign_exit_code(summary), 1);
+    const auto summary = analysis::summarize_campaign(report);
+    EXPECT_EQ(summary.failed_shards, 1u);
+    EXPECT_EQ(summary.quarantined_shards, 0u);
+    EXPECT_EQ(analysis::campaign_exit_code(summary), 1);
+  }
+}
+
+TEST(QuarantineIntegration, FirstAttemptThrowIsRetriedToTheSameBytes) {
+  std::string clean;
+  {
+    core::ParallelCampaign campaign(exhausted_shard_options(
+        faults::FaultProfile::kOff, kBackends[0]));
+    clean = analysis::serialize_campaign_payload(campaign.run(kSubset, 99));
+  }
+  const InjectedThrow inject("0:throw");  // attempt 1 only
+  for (const auto& backend : kBackends) {
+    SCOPED_TRACE(backend.name);
+    core::ParallelCampaign campaign(
+        exhausted_shard_options(faults::FaultProfile::kOff, backend));
+    const auto report = campaign.run(kSubset, 99);
+    EXPECT_TRUE(report.failed_providers.empty());
+    EXPECT_EQ(analysis::serialize_campaign_payload(report), clean);
+  }
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ TEST_F(CacheCampaignTest, WarmReplayIsByteIdenticalAcrossModesAndJobs) {
   EXPECT_EQ(cold_sum.hits, 0u);
   EXPECT_GT(cold_sum.bytes_written, 0u);
 
-  // Warm replays: rw and ro, serial and pooled — all hits, same bytes.
+  // Warm replays: rw and ro, one worker and four — all hits, same bytes.
   for (auto mode : {store::CacheMode::kReadWrite, store::CacheMode::kReadOnly}) {
     for (std::size_t jobs : {1u, 4u}) {
       const auto warm =

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "analysis/manifest.h"
 #include "analysis/report_aggregation.h"
 #include "core/parallel_campaign.h"
@@ -46,7 +48,13 @@ class HealthPlaneTest : public ::testing::Test {
   void SetUp() override {
     obs::Profiler::disable();
     obs::Profiler::instance().reset();
-    dir_ = std::filesystem::temp_directory_path() / "vpna_health_plane_test";
+    // One directory per case and process: ctest runs the cases in
+    // parallel, and a shared directory let one TearDown delete another
+    // case's status files.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           ("vpna_health_plane_" + std::string(info->name()) + "_" +
+            std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
