@@ -1,14 +1,14 @@
 // Health-plane microbench: the observability hooks must be free when off.
 //
-// Measures the wall-clock profiler's disabled fast path (one relaxed
-// atomic load per scope — the cost every instrumented phase pays in a
-// plain campaign run), the enabled hot path (thread-local frame push/pop
-// plus path accounting), StatusBoard heartbeat and snapshot cost under
-// contention-free use, and bucket-interpolated histogram quantiles. The
-// acceptance bar is the disabled scope staying in single-digit
-// nanoseconds — well under the <2% budget against microsecond-scale
-// phases — and heartbeats staying cheap enough that per-shard events
-// never show up in campaign wall time.
+// Measures obs::Span with nothing bound and the profiler off (a
+// thread-local read plus one relaxed atomic load — the cost every
+// instrumented seam pays in a plain campaign run), the profiler-only path
+// (thread-local frame push/pop plus interned path accounting), StatusBoard
+// heartbeat and snapshot cost under contention-free use, and
+// bucket-interpolated histogram quantiles. The acceptance bar is the
+// nothing-bound span staying in single-digit nanoseconds — well under the
+// <2% budget against microsecond-scale phases — and heartbeats staying
+// cheap enough that per-shard events never show up in campaign wall time.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/status.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 using namespace vpna;
@@ -45,13 +46,13 @@ double bench_baseline() {
   return best;
 }
 
-double bench_scope_disabled() {
+double bench_span_unbound() {
   obs::Profiler::disable();
   double best = 1e18;
   for (int r = 0; r < kRounds; ++r) {
     const auto t0 = Clock::now();
     for (int i = 0; i < kScopes; ++i) {
-      obs::ProfileScope scope("bench.disabled");
+      obs::Span span("bench.unbound", "bench");
       g_sink = g_sink + 1;
     }
     best = std::min(best, ms_since(t0));
@@ -59,14 +60,14 @@ double bench_scope_disabled() {
   return best;
 }
 
-double bench_scope_enabled() {
+double bench_span_profiled() {
   obs::Profiler::enable();
   obs::Profiler::instance().reset();
   double best = 1e18;
   for (int r = 0; r < kRounds; ++r) {
     const auto t0 = Clock::now();
     for (int i = 0; i < kScopes; ++i) {
-      obs::ProfileScope scope("bench.enabled");
+      obs::Span span("bench.profiled", "bench");
       g_sink = g_sink + 1;
     }
     best = std::min(best, ms_since(t0));
@@ -75,15 +76,15 @@ double bench_scope_enabled() {
   return best;
 }
 
-double bench_scope_enabled_nested() {
+double bench_span_profiled_nested() {
   obs::Profiler::enable();
   obs::Profiler::instance().reset();
   double best = 1e18;
   for (int r = 0; r < kRounds; ++r) {
     const auto t0 = Clock::now();
     for (int i = 0; i < kScopes / 2; ++i) {
-      obs::ProfileScope outer("bench.outer");
-      obs::ProfileScope inner("bench.inner");
+      obs::Span outer("bench.outer", "bench");
+      obs::Span inner("bench.inner", "bench");
       g_sink = g_sink + 1;
     }
     best = std::min(best, ms_since(t0));
@@ -161,13 +162,14 @@ double bench_histogram_quantile() {
 
 int main() {
   bench::print_header("Health plane",
-                      "profiler scope cost (off/on), status heartbeats, "
+                      "span cost (nothing bound / profiler only), status "
+                      "heartbeats, "
                       "histogram quantiles");
 
   const double base_ms = bench_baseline();
-  const double off_ms = bench_scope_disabled();
-  const double on_ms = bench_scope_enabled();
-  const double nested_ms = bench_scope_enabled_nested();
+  const double off_ms = bench_span_unbound();
+  const double on_ms = bench_span_profiled();
+  const double nested_ms = bench_span_profiled_nested();
   const double hb_ms = bench_status_heartbeats();
   const double snap_ms = bench_status_snapshot_render();
   const double q_ms = bench_histogram_quantile();
@@ -175,11 +177,12 @@ int main() {
   const double off_ns = (off_ms - base_ms) / kScopes * 1e6;
   const double on_ns = (on_ms - base_ms) / kScopes * 1e6;
   const double nested_ns = (nested_ms - base_ms) / kScopes * 1e6;
-  bench::compare("ProfileScope disabled, ns/scope", "<5ns (one atomic load)",
+  bench::compare("Span nothing bound, ns/span",
+                 "<10ns (TLS read + one atomic load)",
                  util::format("%.1f", off_ns));
-  bench::compare("ProfileScope enabled, ns/scope", "<200ns (push+pop+fold)",
+  bench::compare("Span profiler only, ns/span", "<200ns (push+pop+fold)",
                  util::format("%.1f", on_ns));
-  bench::compare("ProfileScope enabled nested, ns/scope", "~enabled flat",
+  bench::compare("Span profiler only nested, ns/span", "~profiler only flat",
                  util::format("%.1f", nested_ns));
   bench::compare("StatusBoard heartbeat pairs/sec", "millions (mutex only)",
                  util::format("%.0f", kHeartbeats / hb_ms * 1e3));
@@ -187,8 +190,8 @@ int main() {
                  util::format("%.0f", kSnapshots / snap_ms * 1e3));
   bench::compare("histogram_quantile p99/sec", "millions (12-bucket walk)",
                  util::format("%.0f", kQuantiles / q_ms * 1e3));
-  bench::note("the disabled-scope number is the entire cost an instrumented "
-              "phase pays in a plain campaign run; the <2% budget on "
+  bench::note("the nothing-bound number is the entire cost an instrumented "
+              "seam pays in a plain campaign run; the <2% budget on "
               "bench_transact-scale work is ~20ns, so single digits is free");
   return 0;
 }

@@ -109,6 +109,7 @@
 #include "faults/profile.h"
 #include "obs/export.h"
 #include "obs/profiler.h"
+#include "obs/trace.h"
 
 using namespace vpna;
 
@@ -443,8 +444,8 @@ int main(int argc, char** argv) {
 
   // Artefacts. The serialize scope closes before the profile report is
   // taken, so the phase shows up in the profile file.
-  std::optional<obs::ProfileScope> serialize_profile(std::in_place,
-                                                     "campaign.serialize");
+  std::optional<obs::Span> serialize_span(std::in_place, "campaign.serialize",
+                                          "campaign");
   {
     std::ofstream csv(out_dir / "campaign.csv");
     csv << analysis::render_campaign_csv(reports);
@@ -482,7 +483,7 @@ int main(int argc, char** argv) {
     manifest << analysis::render_manifest_json(
         analysis::build_run_manifest(opts, result, payload));
   }
-  serialize_profile.reset();
+  serialize_span.reset();
   if (!profile_path.empty()) {
     std::ofstream profile(profile_path);
     profile << obs::render_profile_text(obs::Profiler::instance().report());

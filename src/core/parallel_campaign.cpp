@@ -16,7 +16,7 @@
 #include "ecosystem/evaluated.h"
 #include "ecosystem/testbed.h"
 #include "faults/profile.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "store/code_epoch.h"
 #include "store/journal.h"
 #include "util/mem.h"
@@ -219,7 +219,7 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind, const ExecOptions& opts) {
     if (!run.cache_records.empty()) {
       auto& record = run.cache_records[i];
       if (end == ShardEnd::kComputed && write_back) {
-        obs::ProfileScope profile("campaign.cache");
+        obs::Span span("campaign.cache", "campaign");
         if (store->put(keys[i], bytes)) {
           record.stored = true;
           record.bytes = bytes.size();
@@ -258,7 +258,7 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind, const ExecOptions& opts) {
     R value;
     bool hit = false;
     {
-      obs::ProfileScope profile("campaign.cache");
+      obs::Span span("campaign.cache", "campaign");
       fetched = store->fetch(keys[i]);
       hit = fetched.status == store::FetchStatus::kHit &&
             kind.decode(fetched.payload, i, &value);

@@ -44,7 +44,7 @@ struct CampaignOptions {
   // TraceRecorder + MetricsRegistry (bound to the shard's sim clock) and
   // the per-shard observations come back in CampaignReport::traces. Trace
   // content is part of the determinism contract: byte-identical exports at
-  // any `jobs` (unless trace.capture_wall opts into wall-clock data).
+  // any `jobs`.
   obs::TraceConfig trace;
   // Health plane: live progress heartbeats, an optional --status-file JSON
   // rewritten atomically on every monitor tick, and a watchdog that flags

@@ -4,7 +4,6 @@
 
 #include "core/parallel_campaign.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "transport/policy.h"
 #include "util/strings.h"
@@ -77,10 +76,9 @@ VantagePointReport TestRunner::run_vantage_point(
     vp_span.arg("provider", provider.spec.name);
     vp_span.arg("vantage", vp.spec.id);
   }
-  // Runs `fn` under a sim-time span named after the test, plus a wall-clock
-  // profiler phase (inert unless --profile enabled it).
+  // Runs `fn` under a span named after the test: a sim-time span when
+  // traced, a wall-clock profiler phase under --profile.
   const auto timed = [](std::string_view name, auto&& fn) {
-    obs::ProfileScope profile(name);
     obs::Span span(name, "test");
     return fn();
   };
@@ -272,7 +270,6 @@ ProviderReport run_shard_body(const std::string& name,
       obs::meter() == nullptr)
     attribution_scope.emplace(nullptr, &attribution);
 
-  obs::ProfileScope profile("shard.run");
   obs::Span root("shard.run", "campaign");
   if (root) {
     root.arg("provider", name);

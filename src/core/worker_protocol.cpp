@@ -158,6 +158,9 @@ namespace {
       const std::string bytes = encode_shard_frame(torn);
       (void)util::write_all(out_fd, std::string_view(bytes).substr(
                                         0, bytes.size() / 2));
+      // Default disposition first: a handler someone installed (ASan's
+      // turns SIGSEGV into an exit) must not soften the death by signal.
+      ::signal(SIGSEGV, SIG_DFL);
       ::raise(SIGSEGV);
       ::_exit(124);  // unreachable unless SIGSEGV is blocked
     }

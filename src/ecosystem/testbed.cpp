@@ -4,7 +4,7 @@
 #include <set>
 
 #include "ecosystem/capacity.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace vpna::ecosystem {
@@ -91,7 +91,7 @@ Testbed build_provider_shard(std::string_view name, std::uint64_t campaign_seed,
                              bool link_capacities) {
   const auto* target = evaluated_provider(name);
   if (target == nullptr) return {};
-  obs::ProfileScope build_profile("shard.build");
+  obs::Span build_span("shard.build", "ecosystem");
 
   // Catalog-order selection of {target} ∪ {reseller partner}: the partner
   // must be deployed in the shard for vantage-point aliasing to resolve.

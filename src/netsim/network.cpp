@@ -7,7 +7,6 @@
 #include <queue>
 #include <stdexcept>
 
-#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace vpna::netsim {
@@ -104,7 +103,7 @@ void Network::add_link(RouterId a, RouterId b, double latency_ms) {
 
 void Network::freeze_topology() {
   if (frozen_) throw std::logic_error("freeze_topology: already frozen");
-  obs::ProfileScope profile("routing.freeze");
+  obs::Span span("routing.freeze", "netsim");
   frozen_ = true;
   frozen_count_ = routers_.size();
   // FNV-1a over the router/link structure. Link latencies hash by bit
@@ -474,10 +473,9 @@ std::optional<double> Network::base_latency_ms(const Host& a, const Host& b) con
 TransactResult Network::transact(Host& from, Packet packet,
                                  const TransactOptions& opts) {
   // Fast path: nothing observing this thread — skip straight to delivery.
-  // This keeps the disabled-tracing per-packet cost to two thread-local
-  // reads and adds no allocations (the acceptance bar for the hot path).
-  if (!obs::tracing() && obs::meter() == nullptr)
-    return transact_impl(from, packet, opts);
+  // This keeps the unobserved per-packet cost to two thread-local reads and
+  // one relaxed load, and adds no allocations (the hot path's acceptance bar).
+  if (!obs::observing()) return transact_impl(from, packet, opts);
 
   obs::Span span("net.transact", "netsim");
   if (span) {

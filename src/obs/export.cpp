@@ -37,10 +37,6 @@ void append_args_object(std::string& out, const TraceEvent& ev) {
     out += "\"" + json_escape(arg.key) + "\":\"" + json_escape(arg.value) +
            "\"";
   }
-  if (ev.wall_dur_ms >= 0.0) {
-    if (!first) out += ",";
-    out += util::format("\"wall_ms\":%.3f", ev.wall_dur_ms);
-  }
   out += "}";
 }
 

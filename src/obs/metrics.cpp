@@ -7,7 +7,7 @@
 namespace vpna::obs {
 
 namespace detail {
-thread_local MetricsRegistry* t_meter = nullptr;
+thread_local constinit MetricsRegistry* t_meter = nullptr;
 }  // namespace detail
 
 namespace {

@@ -108,7 +108,7 @@ class MetricsRegistry {
 namespace detail {
 // The thread-bound registry. Exposed (as a detail) so the no-meter checks
 // below inline into the per-packet hot path; use meter()/ScopedObservation.
-extern thread_local MetricsRegistry* t_meter;
+extern thread_local constinit MetricsRegistry* t_meter;
 
 // Swaps the thread-bound registry, returning the previous one. Used by
 // ScopedObservation (trace.h); not part of the instrumentation API.

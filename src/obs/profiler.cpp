@@ -22,24 +22,56 @@ std::int64_t wall_now_ns() {
       .count();
 }
 
-// One open phase on a thread's frame stack. `path` is the full stack path
-// built at push time ("shard.run;test.pings") so close never re-walks the
-// stack; `child_ns` accumulates closed children for self-time attribution.
-struct Frame {
+// Stack paths are interned per thread as a tree: a frame's node is its
+// parent's node plus its own name, so a frame on a known path allocates
+// nothing. Node 0 is the root (the empty stack); 0 also ends a child list.
+struct PathNode {
+  std::uint32_t parent = 0;
   std::string name;
-  std::string path;
-  std::int64_t start_ns = 0;
-  std::int64_t child_ns = 0;
+  PhaseStats stats;
+  std::uint32_t first_child = 0;
+  std::uint32_t next_sibling = 0;
 };
 
-// Per-thread accumulation. The frame stack is touched only by the owning
-// thread; the two tables are shared with report()/reset() and guarded by
-// `mu` (taken once per scope close — short and uncontended in practice).
+// One open frame. `self_ns` accumulates the intervals during which this
+// frame was the innermost open one, which stays exact when frames close out
+// of order.
+struct Frame {
+  std::uint32_t token = 0;
+  std::uint32_t node = 0;
+  std::int64_t start_ns = 0;
+  std::int64_t self_ns = 0;
+};
+
+// Per-thread accumulation. Only the owning thread touches the frame stack
+// and writes `nodes`; it grows the node table and updates stats under `mu`,
+// which report()/reset() take too (short and uncontended in practice).
 struct ThreadProfile {
   std::vector<Frame> stack;
+  std::int64_t mark_ns = 0;  // last push/pop, where the top's self resumes
+  std::uint32_t last_token = 0;
   mutable std::mutex mu;
-  std::map<std::string, PhaseStats, std::less<>> phases;
-  std::map<std::string, PhaseStats, std::less<>> paths;
+  std::vector<PathNode> nodes = std::vector<PathNode>(1);
+
+  std::uint32_t child(std::uint32_t parent, std::string_view name) {
+    for (auto id = nodes[parent].first_child; id != 0;
+         id = nodes[id].next_sibling)
+      if (nodes[id].name == name) return id;
+    std::lock_guard<std::mutex> lock(mu);
+    const auto id = static_cast<std::uint32_t>(nodes.size());
+    nodes.push_back(
+        PathNode{parent, std::string(name), {}, 0, nodes[parent].first_child});
+    nodes[parent].first_child = id;
+    return id;
+  }
+
+  // Charges the interval since the last push/pop to the innermost frame.
+  std::int64_t advance() {
+    const std::int64_t now = wall_now_ns();
+    if (!stack.empty()) stack.back().self_ns += now - mark_ns;
+    mark_ns = now;
+    return now;
+  }
 };
 
 thread_local ThreadProfile* t_profile = nullptr;
@@ -68,34 +100,33 @@ struct Registry {
 
 namespace detail {
 
-void push_frame(std::string_view name) {
+std::uint32_t push_frame(std::string_view name) {
   if (t_profile == nullptr) t_profile = Registry::instance().adopt();
-  Frame frame;
-  frame.name.assign(name);
-  frame.path = t_profile->stack.empty()
-                   ? frame.name
-                   : t_profile->stack.back().path + ";" + frame.name;
-  frame.start_ns = wall_now_ns();
-  t_profile->stack.push_back(std::move(frame));
+  ThreadProfile& tp = *t_profile;
+  const std::uint32_t node =
+      tp.child(tp.stack.empty() ? 0 : tp.stack.back().node, name);
+  const std::int64_t now = tp.advance();
+  if (++tp.last_token == 0) ++tp.last_token;  // 0 means "no frame"
+  tp.stack.push_back(Frame{tp.last_token, node, now, 0});
+  return tp.last_token;
 }
 
-void pop_frame() noexcept {
+void pop_frame(std::uint32_t token) noexcept {
   ThreadProfile* tp = t_profile;
-  if (tp == nullptr || tp->stack.empty()) return;  // tolerate mid-run reset
-  Frame frame = std::move(tp->stack.back());
-  tp->stack.pop_back();
-  const std::int64_t total = wall_now_ns() - frame.start_ns;
-  const std::int64_t self = total - frame.child_ns;
-  if (!tp->stack.empty()) tp->stack.back().child_ns += total;
+  if (tp == nullptr) return;
+  // RAII makes the closing frame the top in practice; search down for the
+  // out-of-order ends spans allow.
+  std::size_t at = tp->stack.size();
+  while (at > 0 && tp->stack[at - 1].token != token) --at;
+  if (at == 0) return;
+  const std::int64_t now = tp->advance();
+  const Frame frame = tp->stack[at - 1];
+  tp->stack.erase(tp->stack.begin() + static_cast<std::ptrdiff_t>(at - 1));
   std::lock_guard<std::mutex> lock(tp->mu);
-  PhaseStats& phase = tp->phases[frame.name];
-  phase.calls += 1;
-  phase.total_ns += total;
-  phase.self_ns += self;
-  PhaseStats& path = tp->paths[frame.path];
-  path.calls += 1;
-  path.total_ns += total;
-  path.self_ns += self;
+  PhaseStats& stats = tp->nodes[frame.node].stats;
+  stats.calls += 1;
+  stats.total_ns += now - frame.start_ns;
+  stats.self_ns += frame.self_ns;
 }
 
 }  // namespace detail
@@ -110,8 +141,7 @@ void Profiler::reset() {
   std::lock_guard<std::mutex> lock(reg.mu);
   for (auto& tp : reg.threads) {
     std::lock_guard<std::mutex> tlock(tp->mu);
-    tp->phases.clear();
-    tp->paths.clear();
+    for (auto& node : tp->nodes) node.stats = {};
   }
 }
 
@@ -124,36 +154,34 @@ ProfileReport Profiler::report(std::size_t flame_top_n) const {
     std::lock_guard<std::mutex> lock(reg.mu);
     for (const auto& tp : reg.threads) {
       std::lock_guard<std::mutex> tlock(tp->mu);
-      if (tp->phases.empty()) continue;
-      ++active_threads;
-      for (const auto& [name, stats] : tp->phases) phases[name].fold(stats);
-      for (const auto& [path, stats] : tp->paths) paths[path].fold(stats);
+      bool active = false;
+      for (const auto& node : tp->nodes) {
+        if (node.stats.calls == 0) continue;
+        active = true;
+        phases[node.name].fold(node.stats);
+        std::string path = node.name;
+        for (auto up = node.parent; up != 0; up = tp->nodes[up].parent)
+          path = tp->nodes[up].name + ";" + path;
+        paths[path].fold(node.stats);
+      }
+      if (active) ++active_threads;
     }
   }
 
-  // Hot-phase ordering: self time descending, name ascending on ties —
-  // deterministic given the data, so two reports over identical timings
-  // render identically.
+  // Hot-phase ordering: self time descending, name ascending on ties (the
+  // maps iterate by name and the sort is stable) — deterministic given the
+  // data, so two reports over identical timings render identically.
+  const auto hot_first = [](const auto& a, const auto& b) {
+    return a.stats.self_ns > b.stats.self_ns;
+  };
   ProfileReport report;
   report.threads = active_threads;
-  report.phases.reserve(phases.size());
   for (auto& [name, stats] : phases)
     report.phases.push_back(ProfileReport::Phase{name, stats});
-  std::sort(report.phases.begin(), report.phases.end(),
-            [](const ProfileReport::Phase& a, const ProfileReport::Phase& b) {
-              if (a.stats.self_ns != b.stats.self_ns)
-                return a.stats.self_ns > b.stats.self_ns;
-              return a.name < b.name;
-            });
-  report.flame.reserve(paths.size());
+  std::stable_sort(report.phases.begin(), report.phases.end(), hot_first);
   for (auto& [path, stats] : paths)
     report.flame.push_back(ProfileReport::PathRow{path, stats});
-  std::sort(report.flame.begin(), report.flame.end(),
-            [](const ProfileReport::PathRow& a, const ProfileReport::PathRow& b) {
-              if (a.stats.self_ns != b.stats.self_ns)
-                return a.stats.self_ns > b.stats.self_ns;
-              return a.path < b.path;
-            });
+  std::stable_sort(report.flame.begin(), report.flame.end(), hot_first);
   if (report.flame.size() > flame_top_n) report.flame.resize(flame_top_n);
   return report;
 }

@@ -1,20 +1,22 @@
 // Wall-clock phase profiler — the real-time counterpart of the sim-time
 // trace layer (trace.h).
 //
-// A ProfileScope marks one phase of real work (shard build, routing-plane
-// freeze, one suite, merge, serialization). Scopes nest on a thread-local
-// frame stack; closing a scope attributes its wall time to the phase both
-// inclusively (total) and exclusively (self = total minus enclosed
-// phases), and to the full stack path for a flame-style summary. Every
-// thread accumulates into its own tables; Profiler::report() folds the
-// per-thread tables into one deterministic-ordered hot-phase report
-// (self-time descending, name ascending on ties).
+// While the profiler is enabled, every obs::Span (trace.h) also opens a
+// frame here: shard build, routing-plane freeze, each suite and each layer
+// seam under it, serialization. Frames nest on a thread-local stack and
+// close by identity; closing one attributes its wall time to the phase both
+// inclusively (total) and exclusively (self: the time it was the innermost
+// open frame), and to its full stack path for a flame-style summary. Every
+// thread accumulates into its own tables; Profiler::report() folds them
+// into one deterministic-ordered hot-phase report (self-time descending,
+// name ascending on ties).
 //
-// Cost contract: when the profiler is disabled (the default), constructing
-// a ProfileScope is one relaxed atomic load and a branch — no clock read,
-// no allocation, no lock — so instrumentation sites can stay in place
-// permanently (bench_obs pins both paths). When enabled, a scope costs two
-// steady_clock reads plus one short uncontended lock at close.
+// Cost contract: when the profiler is disabled (the default), a span pays
+// one relaxed atomic load and a branch for it — no clock read, no
+// allocation, no lock — so instrumentation sites stay in place permanently
+// (bench_obs pins both paths). When enabled, a frame costs two
+// steady_clock reads and one short uncontended lock at close, and
+// allocates nothing once its stack path has been seen.
 //
 // Determinism quarantine: wall times legitimately vary run to run, so
 // nothing the profiler produces ever lands in a campaign payload — the
@@ -61,22 +63,23 @@ struct ProfileReport {
 };
 
 namespace detail {
-// Thread-local frame push/pop behind the enabled() fast path; not part of
-// the instrumentation API (use ProfileScope).
-void push_frame(std::string_view name);
-void pop_frame() noexcept;
+// Thread-local frame push/pop behind obs::Span, not part of the
+// instrumentation API. push_frame returns a nonzero token; pop_frame closes
+// that frame wherever it sits on this thread's stack (unknown tokens: no-op).
+std::uint32_t push_frame(std::string_view name);
+void pop_frame(std::uint32_t token) noexcept;
 extern std::atomic<bool> g_profiler_enabled;
 }  // namespace detail
 
 // Process-wide profiler registry. Threads register lazily on their first
-// enabled ProfileScope; their tables survive thread exit so a report can
-// be taken after a TaskPool has been torn down.
+// enabled frame; their tables survive thread exit so a report can be taken
+// after a TaskPool has been torn down.
 class Profiler {
  public:
   static Profiler& instance();
 
-  // Enabling mid-run is safe: scopes opened while disabled stay inert for
-  // their whole lifetime (and vice versa), so frames always balance.
+  // Enabling mid-run is safe: spans opened while disabled open no frame
+  // for their whole lifetime (and vice versa), so frames always balance.
   static void enable() noexcept {
     detail::g_profiler_enabled.store(true, std::memory_order_relaxed);
   }
@@ -100,32 +103,10 @@ class Profiler {
 
  private:
   Profiler() = default;
-  friend void detail::push_frame(std::string_view);
-  struct Impl;
 };
 
 // Text rendering of a report ("phase <name> calls=N total_ms=… self_ms=…"
 // plus the flame section). Telemetry by nature: never byte-compared.
 [[nodiscard]] std::string render_profile_text(const ProfileReport& report);
-
-// RAII phase marker. Inert (and near-free) while the profiler is disabled.
-class ProfileScope {
- public:
-  explicit ProfileScope(std::string_view name) {
-    if (Profiler::enabled()) {
-      active_ = true;
-      detail::push_frame(name);
-    }
-  }
-  ~ProfileScope() {
-    if (active_) detail::pop_frame();
-  }
-
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
-
- private:
-  bool active_ = false;
-};
 
 }  // namespace vpna::obs

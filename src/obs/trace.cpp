@@ -1,43 +1,35 @@
 #include "obs/trace.h"
 
-#include <chrono>
-
 #include "util/strings.h"
 
 namespace vpna::obs {
 
 namespace detail {
-thread_local TraceRecorder* t_tracer = nullptr;
+thread_local constinit TraceRecorder* t_tracer = nullptr;
 }  // namespace detail
 using detail::t_tracer;
 
-namespace {
-
-double wall_now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 TraceRecorder::TraceRecorder(TraceConfig config) : config_(config) {}
 
-std::uint32_t TraceRecorder::begin_span(std::string_view name,
-                                        std::string_view category) {
+std::uint32_t TraceRecorder::append(char phase, std::string_view name,
+                                     std::string_view category) {
   TraceEvent ev;
   ev.id = static_cast<std::uint32_t>(events_.size() + 1);
   ev.parent = stack_.empty() ? 0 : stack_.back();
   ev.depth = static_cast<std::uint32_t>(stack_.size());
-  ev.phase = 'X';
+  ev.phase = phase;
   ev.name.assign(name);
   ev.category.assign(category);
   ev.sim_ts_us = clock_ != nullptr ? clock_->now().micros() : 0;
-  ev.sim_dur_us = -1;  // open
+  ev.sim_dur_us = phase == 'X' ? -1 : 0;  // spans stay open until ended
   events_.push_back(std::move(ev));
-  stack_.push_back(events_.back().id);
-  if (config_.capture_wall) wall_starts_.push_back(wall_now_ms());
   return events_.back().id;
+}
+
+std::uint32_t TraceRecorder::begin_span(std::string_view name,
+                                        std::string_view category) {
+  stack_.push_back(append('X', name, category));
+  return stack_.back();
 }
 
 void TraceRecorder::end_span(std::uint32_t id) {
@@ -51,11 +43,6 @@ void TraceRecorder::end_span(std::uint32_t id) {
   // in practice, but tolerate out-of-order ends.
   for (std::size_t i = stack_.size(); i > 0; --i) {
     if (stack_[i - 1] != id) continue;
-    if (config_.capture_wall && i - 1 < wall_starts_.size()) {
-      ev.wall_dur_ms = wall_now_ms() - wall_starts_[i - 1];
-      wall_starts_.erase(wall_starts_.begin() +
-                         static_cast<std::ptrdiff_t>(i - 1));
-    }
     stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(i - 1));
     break;
   }
@@ -63,17 +50,7 @@ void TraceRecorder::end_span(std::uint32_t id) {
 
 std::uint32_t TraceRecorder::add_instant(std::string_view name,
                                          std::string_view category) {
-  TraceEvent ev;
-  ev.id = static_cast<std::uint32_t>(events_.size() + 1);
-  ev.parent = stack_.empty() ? 0 : stack_.back();
-  ev.depth = static_cast<std::uint32_t>(stack_.size());
-  ev.phase = 'i';
-  ev.name.assign(name);
-  ev.category.assign(category);
-  ev.sim_ts_us = clock_ != nullptr ? clock_->now().micros() : 0;
-  ev.sim_dur_us = 0;
-  events_.push_back(std::move(ev));
-  return events_.back().id;
+  return append('i', name, category);
 }
 
 void TraceRecorder::add_arg(std::uint32_t id, std::string_view key,
@@ -95,17 +72,17 @@ ScopedObservation::~ScopedObservation() {
   (void)detail::exchange_meter(prev_meter_);
 }
 
-Span::Span(std::string_view name, std::string_view category)
-    : rec_(t_tracer) {
-  if (rec_ != nullptr) id_ = rec_->begin_span(name, category);
+Span::Span(std::string_view name, std::string_view layer) : rec_(t_tracer) {
+  if (rec_ != nullptr) id_ = rec_->begin_span(name, layer);
+  if (Profiler::enabled()) frame_ = detail::push_frame(name);
 }
 
 Span& Span::operator=(Span&& o) noexcept {
   if (this != &o) {
     end();
-    rec_ = o.rec_;
+    rec_ = std::exchange(o.rec_, nullptr);
     id_ = o.id_;
-    o.rec_ = nullptr;
+    frame_ = std::exchange(o.frame_, 0);
   }
   return *this;
 }
@@ -125,9 +102,8 @@ void Span::arg(std::string_view key, double value) {
 }
 
 void Span::end() {
-  if (rec_ == nullptr) return;
-  rec_->end_span(id_);
-  rec_ = nullptr;
+  if (rec_ != nullptr) std::exchange(rec_, nullptr)->end_span(id_);
+  if (frame_ != 0) detail::pop_frame(std::exchange(frame_, 0));
 }
 
 Instant::Instant(std::string_view name, std::string_view category)

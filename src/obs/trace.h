@@ -2,7 +2,8 @@
 //
 // A TraceRecorder collects spans (RAII, nested) and point events,
 // timestamped in virtual microseconds from the util::SimClock it is bound
-// to, with an optional wall-clock dimension for real performance work.
+// to. Wall time belongs to the profiler (profiler.h), which the same
+// obs::Span feeds.
 //
 // Determinism contract: a recorder is owned by exactly one unit of
 // deterministic work (a campaign shard) and is only ever touched by the
@@ -14,17 +15,19 @@
 //
 // Instrumentation sites construct `obs::Span`/`obs::Instant` objects, which
 // resolve the recorder bound to the current thread by ScopedObservation.
-// When nothing is bound (the default), construction is a thread-local read
-// plus a branch: no allocation, no work — the netsim per-packet hot path
-// stays fast.
+// When nothing is bound and the profiler is off (the default), constructing
+// a Span is a thread-local read, a relaxed load and two branches: no
+// allocation, no work — the netsim per-packet hot path stays fast.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "util/clock.h"
 
 namespace vpna::obs {
@@ -35,10 +38,6 @@ struct TraceConfig {
   // Off by default: hop instants multiply the event volume by the mean path
   // length and are only worth it when debugging routing/middlebox behaviour.
   bool packet_hops = false;
-  // Record wall-clock durations alongside sim time. Wall times vary run to
-  // run, so canonical exports omit them unless this is set — enabling it
-  // intentionally trades byte-identity for real timing data.
-  bool capture_wall = false;
 };
 
 struct TraceArg {
@@ -55,7 +54,6 @@ struct TraceEvent {
   std::string category;
   std::int64_t sim_ts_us = 0;
   std::int64_t sim_dur_us = 0;  // instants: 0; open spans: -1 until ended
-  double wall_dur_ms = -1.0;    // only when TraceConfig::capture_wall
   std::vector<TraceArg> args;
 };
 
@@ -86,17 +84,20 @@ class TraceRecorder {
   }
 
  private:
+  // Appends one event under the innermost open span; returns its id.
+  std::uint32_t append(char phase, std::string_view name,
+                       std::string_view category);
+
   TraceConfig config_;
   const util::SimClock* clock_ = nullptr;
   std::vector<TraceEvent> events_;
-  std::vector<std::uint32_t> stack_;       // open span ids
-  std::vector<double> wall_starts_;        // parallel to stack_ (capture_wall)
+  std::vector<std::uint32_t> stack_;  // open span ids
 };
 
 namespace detail {
 // The thread-bound recorder. Exposed (as a detail) so the no-tracer checks
 // below inline into the per-packet hot path; use tracer()/ScopedObservation.
-extern thread_local TraceRecorder* t_tracer;
+extern thread_local constinit TraceRecorder* t_tracer;
 }  // namespace detail
 
 // The recorder bound to this thread by ScopedObservation, or nullptr.
@@ -105,6 +106,12 @@ extern thread_local TraceRecorder* t_tracer;
 }
 [[nodiscard]] inline bool tracing() noexcept {
   return detail::t_tracer != nullptr;
+}
+// True when a span or counter would record anything on this thread: a bound
+// recorder or metrics registry, or the enabled wall profiler.
+[[nodiscard]] inline bool observing() noexcept {
+  return detail::t_tracer != nullptr || detail::t_meter != nullptr ||
+         Profiler::enabled();
 }
 // True when per-packet hop instants were requested (implies tracing()).
 [[nodiscard]] inline bool packet_hops_enabled() noexcept {
@@ -128,13 +135,17 @@ class ScopedObservation {
   MetricsRegistry* prev_meter_;
 };
 
-// RAII span against the thread-bound recorder; a no-op shell when nothing
-// is bound. Ends at destruction (or explicitly via end()).
+// The one instrumentation scope, named for its work and its layer. It opens
+// a sim-time span when a recorder is bound to the thread and a profiler frame
+// when Profiler::enabled() at construction; end() or destruction closes
+// both, in any order relative to other spans. Moves carry both.
 class Span {
  public:
-  Span() = default;
-  Span(std::string_view name, std::string_view category);
-  Span(Span&& o) noexcept : rec_(o.rec_), id_(o.id_) { o.rec_ = nullptr; }
+  Span(std::string_view name, std::string_view layer);
+  Span(Span&& o) noexcept
+      : rec_(std::exchange(o.rec_, nullptr)),
+        id_(o.id_),
+        frame_(std::exchange(o.frame_, 0)) {}
   Span& operator=(Span&& o) noexcept;
   ~Span() { end(); }
 
@@ -146,6 +157,7 @@ class Span {
   void arg(std::string_view key, double value);
   void end();
 
+  // True while the span records into a trace, i.e. args are worth building.
   [[nodiscard]] explicit operator bool() const noexcept {
     return rec_ != nullptr;
   }
@@ -153,6 +165,7 @@ class Span {
  private:
   TraceRecorder* rec_ = nullptr;
   std::uint32_t id_ = 0;
+  std::uint32_t frame_ = 0;  // profiler frame token; 0 = none
 };
 
 // Point event against the thread-bound recorder; same no-op contract.

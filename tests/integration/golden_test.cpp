@@ -1,18 +1,23 @@
 // Golden oracle: the campaign and census payload fingerprints at the paper
 // seed, pinned per code epoch. Every execution mode of the shard executor
 // (one pooled worker, four pooled workers, supervised worker processes) and
-// the flaky fault profile must land on the same bytes. A mismatch under an
-// unchanged kCodeEpoch is a silent payload change: either a bug, or a
-// deliberate change that must bump kCodeEpoch and add a re-pinned row.
+// the flaky fault profile must land on the same bytes. The speed-test
+// payload and one traced shard's Chrome-trace and canonical metrics exports
+// are pinned too, so instrumentation changes cannot move a trace byte
+// unnoticed. A mismatch under an unchanged kCodeEpoch is a silent payload
+// change: either a bug, or a deliberate change that must bump kCodeEpoch and
+// add a re-pinned row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
 #include "analysis/report_aggregation.h"
+#include "analysis/report_writer.h"
 #include "core/parallel_campaign.h"
 #include "ecosystem/scale.h"
 #include "faults/profile.h"
+#include "obs/export.h"
 #include "store/code_epoch.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -27,11 +32,17 @@ struct GoldenPins {
   std::uint64_t campaign_payload;  // 62 providers x 3 vantage points
   std::uint64_t census_payload;    // 1024-provider scaled census
   std::uint64_t census_catalog;
+  std::uint64_t speedtest_payload;  // --speedtest, speedtest.csv included
+  std::uint64_t trace_chrome;       // one traced shard (kTracedProvider)
+  std::uint64_t trace_metrics;      // its canonical metrics text
 };
 
 constexpr GoldenPins kPins[] = {
-    {1, 0xb18430c525c24657ULL, 0x1cf6b988474a247fULL, 0x19b44b1041db4ce3ULL},
+    {1, 0xb18430c525c24657ULL, 0x1cf6b988474a247fULL, 0x19b44b1041db4ce3ULL,
+     0xe0c02b2419058d44ULL, 0x3e94b5ce50f4b79fULL, 0x8469ef0c9b7c6b7bULL},
 };
+
+constexpr const char* kTracedProvider = "NordVPN";
 
 const GoldenPins* pins_for_current_epoch() {
   for (const auto& p : kPins)
@@ -97,6 +108,33 @@ TEST_F(GoldenTest, FlakyProfileLandsOnThePinnedPayload) {
   expect_pinned(campaign_fingerprint(
                     paper_options(4, false, faults::FaultProfile::kFlaky)),
                 pins_->campaign_payload, "flaky campaign payload");
+}
+
+TEST_F(GoldenTest, SpeedTestPayloadIsPinned) {
+  auto opts = paper_options(4, false, faults::FaultProfile::kOff);
+  opts.runner.speed_test = true;
+  core::ParallelCampaign campaign(opts);
+  const auto report = campaign.run({}, kSeed);
+  EXPECT_TRUE(report.failed_providers.empty());
+  ASSERT_FALSE(analysis::render_speedtest_csv(report.providers).empty());
+  expect_pinned(util::fnv1a(analysis::serialize_campaign_payload(report)),
+                pins_->speedtest_payload, "speed-test campaign payload");
+}
+
+TEST_F(GoldenTest, TracedShardExportsArePinned) {
+  for (const std::size_t jobs : {1u, 4u}) {
+    auto opts = paper_options(jobs, false, faults::FaultProfile::kOff);
+    opts.trace.enabled = true;
+    core::ParallelCampaign campaign(opts);
+    const auto report = campaign.run({kTracedProvider}, kSeed);
+    ASSERT_EQ(report.traces.size(), 1u);
+    const std::string at = " at jobs " + std::to_string(jobs);
+    expect_pinned(util::fnv1a(obs::chrome_trace_json(report.traces)),
+                  pins_->trace_chrome, "traced shard Chrome trace" + at);
+    expect_pinned(util::fnv1a(analysis::campaign_metrics(report).render_text(
+                      /*include_volatile=*/false)),
+                  pins_->trace_metrics, "traced shard canonical metrics" + at);
+  }
 }
 
 TEST_F(GoldenTest, ScaledCensusIsPinned) {

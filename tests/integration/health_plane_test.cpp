@@ -99,6 +99,31 @@ TEST_F(HealthPlaneTest, PayloadByteIdenticalWithProfilerAndStatusEnabled) {
   EXPECT_TRUE(saw_shard_run);
 }
 
+// One scope per seam: the profile reaches the layers under the suites, and
+// no site opens a second frame on top of its own span.
+TEST_F(HealthPlaneTest, ProfileReachesTheLayerSeamsWithoutStackedScopes) {
+  obs::Profiler::enable();
+  (void)run_payload(base_options(2), 20181031);
+  obs::Profiler::disable();
+  const auto report = obs::Profiler::instance().report(/*flame_top_n=*/100000);
+  std::vector<std::string> stacked = {"shard.run;shard.run"};
+  const auto has_phase = [&](const std::string& name) {
+    for (const auto& phase : report.phases)
+      if (phase.name == name) return true;
+    return false;
+  };
+  for (const auto& phase : report.phases)
+    if (phase.name.rfind("test.", 0) == 0)
+      stacked.push_back(phase.name + ";" + phase.name);
+  EXPECT_TRUE(has_phase("net.transact"));
+  EXPECT_TRUE(has_phase("tls.handshake"));
+  EXPECT_TRUE(has_phase("dns.query"));
+  EXPECT_TRUE(has_phase("test.tls"));
+  for (const auto& row : report.flame)
+    for (const auto& dup : stacked)
+      EXPECT_EQ(row.path.find(dup), std::string::npos) << row.path;
+}
+
 TEST_F(HealthPlaneTest, StatusFileAloneEngagesTheMonitor) {
   auto opts = base_options(2);
   opts.status.file = (dir_ / "status.json").string();

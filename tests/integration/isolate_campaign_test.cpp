@@ -7,6 +7,7 @@
 // VPNA_CRASH_SHARD / VPNA_CRASH_SUPERVISOR.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -116,9 +117,17 @@ TEST(IsolateCampaign, SegfaultingEveryAttemptQuarantinesJustThatShard) {
 }
 
 TEST(IsolateCampaign, HangingWorkerIsEscalatedAndQuarantined) {
+  // Size the budget from this build's healthy wall (sanitizer builds run
+  // several times slower): a whole healthy subset, run serially, outlasts
+  // any one healthy shard, so only the hung shard can reach it.
+  double healthy_wall_s = 0.0;
+  {
+    core::ParallelCampaign healthy(subset_options(1, true));
+    healthy_wall_s = healthy.run(kSubset).wall_s;
+  }
   EnvGuard crash("VPNA_CRASH_SHARD", "2:hang:always");
   auto opts = subset_options(2, true);
-  opts.shard_timeout_s = 0.4;
+  opts.shard_timeout_s = std::max(0.4, healthy_wall_s);
   opts.term_grace_s = 0.1;
   opts.shard_attempts = 1;
   core::ParallelCampaign campaign(opts);

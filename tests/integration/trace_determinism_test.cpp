@@ -89,6 +89,29 @@ TEST(TraceDeterminism, ShardTracesAlignWithProviders) {
   }
 }
 
+// --trace-hops: per-router-hop instants ride the same canonical export and
+// stay byte-identical across worker counts.
+TEST(TraceDeterminism, PacketHopInstantsExportIdenticallyAcrossWorkerCounts) {
+  const auto hop_trace = [](std::size_t jobs) {
+    auto opts = traced_options(jobs);
+    opts.trace.packet_hops = true;
+    core::ParallelCampaign campaign(opts);
+    const auto report = campaign.run({"NordVPN"}, 20181031);
+    EXPECT_EQ(report.traces.size(), 1u);
+    return report;
+  };
+  const auto serial = hop_trace(1);
+  const auto parallel = hop_trace(4);
+  std::size_t hops = 0;
+  for (const auto& trace : serial.traces)
+    for (const auto& ev : trace.events)
+      if (ev.phase == 'i' && ev.name == "net.hop") ++hops;
+  EXPECT_GT(hops, 0u);
+  EXPECT_EQ(obs::chrome_trace_json(serial.traces),
+            obs::chrome_trace_json(parallel.traces));
+  EXPECT_EQ(obs::trace_jsonl(serial.traces), obs::trace_jsonl(parallel.traces));
+}
+
 TEST(TraceDeterminism, InstrumentationAppendixIsCanonical) {
   const std::uint64_t seed = 99;
   core::ParallelCampaign serial(traced_options(1));

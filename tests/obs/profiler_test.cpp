@@ -1,7 +1,9 @@
-// Wall-clock profiler tests: the disabled fast path records nothing,
-// enabled scopes attribute self/total time exactly (self = total − enclosed
-// children), per-thread tables fold into one deterministic-ordered report,
-// and the text rendering carries the phase and flame rows.
+// Wall-clock profiler tests, driven through obs::Span: the disabled fast
+// path records nothing, enabled spans attribute self/total time exactly
+// (self = total − enclosed children, also when spans end out of LIFO
+// order), a span feeds the trace and the profiler at once, per-thread
+// tables fold into one deterministic-ordered report, and the text rendering
+// carries the phase and flame rows.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -9,6 +11,7 @@
 #include <thread>
 
 #include "obs/profiler.h"
+#include "obs/trace.h"
 
 namespace vpna::obs {
 namespace {
@@ -53,8 +56,8 @@ class ProfilerTest : public ::testing::Test {
 
 TEST_F(ProfilerTest, DisabledScopesRecordNothing) {
   {
-    ProfileScope outer("off.outer");
-    ProfileScope inner("off.inner");
+    Span outer("off.outer", "pt");
+    Span inner("off.inner", "pt");
   }
   const auto report = Profiler::instance().report();
   EXPECT_EQ(find_phase(report, "off.outer"), nullptr);
@@ -64,10 +67,10 @@ TEST_F(ProfilerTest, DisabledScopesRecordNothing) {
 TEST_F(ProfilerTest, SelfPlusChildrenEqualsTotalExactly) {
   Profiler::enable();
   {
-    ProfileScope outer("pt.outer");
+    Span outer("pt.outer", "pt");
     busy_wait_us(300);
     {
-      ProfileScope inner("pt.inner");
+      Span inner("pt.inner", "pt");
       busy_wait_us(300);
     }
     busy_wait_us(100);
@@ -88,11 +91,76 @@ TEST_F(ProfilerTest, SelfPlusChildrenEqualsTotalExactly) {
   EXPECT_GE(outer->stats.total_ns, inner->stats.total_ns);
 }
 
+TEST_F(ProfilerTest, OutOfOrderEndsAttributeExactlyAndBalanceTheStack) {
+  Profiler::enable();
+  {
+    Span root("pt.ooo_root", "pt");
+    busy_wait_us(100);
+    Span outer("pt.ooo_outer", "pt");
+    busy_wait_us(200);
+    Span inner("pt.ooo_inner", "pt");
+    busy_wait_us(200);
+    outer.end();  // the enclosing span ends first
+    busy_wait_us(200);
+    inner.end();
+    busy_wait_us(100);
+  }
+  const auto report = Profiler::instance().report(/*flame_top_n=*/100);
+  const auto* root = find_phase(report, "pt.ooo_root");
+  const auto* outer = find_phase(report, "pt.ooo_outer");
+  const auto* inner = find_phase(report, "pt.ooo_inner");
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(outer->stats.calls, 1u);
+  EXPECT_EQ(inner->stats.calls, 1u);
+  // Every instant is charged to exactly one frame, the innermost open one:
+  // the root's total is the three self times, with no gap or overlap.
+  EXPECT_EQ(root->stats.self_ns + outer->stats.self_ns + inner->stats.self_ns,
+            root->stats.total_ns);
+  // The inner span was innermost for its whole life, before and after its
+  // parent ended; the parent's self stops where the inner span began.
+  EXPECT_EQ(inner->stats.self_ns, inner->stats.total_ns);
+  EXPECT_GT(outer->stats.self_ns, 0);
+  EXPECT_LT(outer->stats.self_ns + inner->stats.self_ns,
+            outer->stats.total_ns + inner->stats.total_ns);
+  EXPECT_NE(find_path(report, "pt.ooo_root;pt.ooo_outer;pt.ooo_inner"),
+            nullptr);
+  // Balanced: the next span opens at the root of the stack.
+  { Span after("pt.ooo_after", "pt"); }
+  EXPECT_NE(find_path(Profiler::instance().report(100), "pt.ooo_after"),
+            nullptr);
+}
+
+TEST_F(ProfilerTest, SpanFeedsTheTraceAndTheProfilerAtOnce) {
+  util::SimClock clock;
+  TraceRecorder recorder(TraceConfig{.enabled = true});
+  recorder.bind_clock(&clock);
+  Profiler::enable();
+  {
+    ScopedObservation bind(&recorder, nullptr);
+    Span span("pt.both", "pt");
+    EXPECT_TRUE(span);
+    clock.advance_millis(5);
+    busy_wait_us(100);
+  }
+  ASSERT_EQ(recorder.events().size(), 1u);
+  EXPECT_EQ(recorder.events()[0].name, "pt.both");
+  EXPECT_EQ(recorder.events()[0].category, "pt");
+  EXPECT_EQ(recorder.events()[0].sim_dur_us, 5000);
+  EXPECT_EQ(recorder.open_spans(), 0u);
+  const auto report = Profiler::instance().report();
+  const auto* phase = find_phase(report, "pt.both");
+  ASSERT_NE(phase, nullptr);
+  EXPECT_EQ(phase->stats.calls, 1u);
+  EXPECT_GT(phase->stats.total_ns, 0);
+}
+
 TEST_F(ProfilerTest, FlameRowsCarryFullStackPaths) {
   Profiler::enable();
   {
-    ProfileScope outer("pt.flame_outer");
-    ProfileScope inner("pt.flame_inner");
+    Span outer("pt.flame_outer", "pt");
+    Span inner("pt.flame_inner", "pt");
     busy_wait_us(200);
   }
   const auto report = Profiler::instance().report();
@@ -103,7 +171,7 @@ TEST_F(ProfilerTest, FlameRowsCarryFullStackPaths) {
 TEST_F(ProfilerTest, FlameTopNTruncates) {
   Profiler::enable();
   for (int i = 0; i < 8; ++i) {
-    ProfileScope scope("pt.topn_" + std::to_string(i));
+    Span scope("pt.topn_" + std::to_string(i), "pt");
     busy_wait_us(50);
   }
   const auto full = Profiler::instance().report(/*flame_top_n=*/100);
@@ -117,11 +185,11 @@ TEST_F(ProfilerTest, FlameTopNTruncates) {
 TEST_F(ProfilerTest, PhasesOrderedBySelfTimeDescending) {
   Profiler::enable();
   {
-    ProfileScope slow("pt.order_slow");
+    Span slow("pt.order_slow", "pt");
     busy_wait_us(2000);
   }
   {
-    ProfileScope fast("pt.order_fast");
+    Span fast("pt.order_fast", "pt");
     busy_wait_us(100);
   }
   const auto report = Profiler::instance().report();
@@ -142,7 +210,7 @@ TEST_F(ProfilerTest, PhasesOrderedBySelfTimeDescending) {
 TEST_F(ProfilerTest, FoldsAcrossThreads) {
   Profiler::enable();
   const auto work = [] {
-    ProfileScope scope("pt.threads");
+    Span scope("pt.threads", "pt");
     busy_wait_us(200);
   };
   std::thread a(work), b(work);
@@ -159,7 +227,7 @@ TEST_F(ProfilerTest, FoldsAcrossThreads) {
 TEST_F(ProfilerTest, ResetClearsAccumulatedTables) {
   Profiler::enable();
   {
-    ProfileScope scope("pt.reset_me");
+    Span scope("pt.reset_me", "pt");
     busy_wait_us(100);
   }
   ASSERT_NE(find_phase(Profiler::instance().report(), "pt.reset_me"), nullptr);
@@ -171,14 +239,14 @@ TEST_F(ProfilerTest, ScopeOpenedWhileDisabledStaysInert) {
   // Enabling mid-scope must not unbalance the frame stack: the scope was
   // constructed inert and stays inert for its whole lifetime.
   {
-    ProfileScope scope("pt.inert");
+    Span scope("pt.inert", "pt");
     Profiler::enable();
     busy_wait_us(100);
   }
   EXPECT_EQ(find_phase(Profiler::instance().report(), "pt.inert"), nullptr);
   // And the stack is balanced: a fresh scope records exactly one call.
   {
-    ProfileScope scope("pt.after_inert");
+    Span scope("pt.after_inert", "pt");
     busy_wait_us(100);
   }
   const auto report = Profiler::instance().report();
@@ -190,8 +258,8 @@ TEST_F(ProfilerTest, ScopeOpenedWhileDisabledStaysInert) {
 TEST_F(ProfilerTest, RenderCarriesPhaseAndFlameLines) {
   Profiler::enable();
   {
-    ProfileScope outer("pt.render_outer");
-    ProfileScope inner("pt.render_inner");
+    Span outer("pt.render_outer", "pt");
+    Span inner("pt.render_inner", "pt");
     busy_wait_us(100);
   }
   const auto text = render_profile_text(Profiler::instance().report());
