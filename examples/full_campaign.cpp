@@ -29,7 +29,9 @@
 // the completed-shard median, and pool counters — poll it with `watch cat`
 // or a dashboard. --watchdog MULT additionally flags any shard running
 // longer than MULT × the median completed-shard wall time (structured
-// records in the status file and the run manifest; never kills the shard).
+// records in the status file and the run manifest). In-process it only
+// flags; under --isolate it is the hang budget: the flagged worker is
+// sent SIGTERM, then SIGKILL, and its shard charged a crashed attempt.
 // --profile enables the wall-clock phase profiler and writes the folded
 // hot-phase report (self/total per phase plus a flame summary) to FILE.
 // All three are wall-clock telemetry: they never change campaign payloads.
@@ -69,9 +71,10 @@
 // packet hop — detailed, and much larger output. Traced runs cannot
 // --isolate (a ShardTrace does not stream over the worker protocol).
 //
-// --isolate runs every shard in a supervised worker process (this binary
-// re-exec'd with the hidden --vpna-worker flag): a shard that segfaults,
-// is OOM-killed, or hangs is contained — retried on a fresh process, then
+// --isolate runs every shard in a supervised worker process forked from
+// this one (the same workers the library, its tests and the benchmark
+// use): a shard that segfaults, is OOM-killed, or hangs past the
+// --watchdog budget is contained — retried on a fresh process, then
 // crash-quarantined while the rest of the campaign completes. Payloads are
 // byte-identical to in-process runs. Isolated runs also append a durable
 // campaign.journal in the output dir (one fdatasync'd line per finished
@@ -102,10 +105,7 @@
 #include "analysis/report_aggregation.h"
 #include "analysis/report_writer.h"
 #include "core/parallel_campaign.h"
-#include "core/report_codec.h"
-#include "core/worker_protocol.h"
-#include "ecosystem/evaluated.h"
-#include "ecosystem/testbed.h"
+#include "ecosystem/scale.h"
 #include "faults/profile.h"
 #include "obs/export.h"
 #include "obs/profiler.h"
@@ -142,33 +142,6 @@ void install_interrupt_handlers() {
   ::sigaction(SIGTERM, &sa, nullptr);
 }
 
-// The hidden --vpna-worker mode: speak the worker protocol on stdio and
-// run shards this process is told to. The worker parses the same command
-// line as the supervisor that exec'd it, so both sides derive identical
-// shard tables — the index on the command pipe is the only coordination.
-int run_worker_base(const core::CampaignOptions& opts, std::uint64_t seed) {
-  std::vector<std::string> selection;
-  for (const auto& ep : ecosystem::evaluated_providers())
-    selection.push_back(ep.spec.name);
-  const auto plane = ecosystem::shared_backbone_plane();
-  const core::RunnerOptions runner = opts.runner;
-  return core::shard_worker_loop(
-      0, 1, [&](std::uint32_t index, std::uint32_t) {
-        return core::encode_provider_report(core::run_provider_shard(
-            selection.at(index), seed, runner, plane));
-      });
-}
-
-int run_worker_scaled(const ecosystem::ScaledCatalog& catalog,
-                      const core::ScaledCampaignOptions& opts) {
-  const auto plane = ecosystem::shared_backbone_plane();
-  return core::shard_worker_loop(
-      0, 1, [&](std::uint32_t index, std::uint32_t) {
-        return core::encode_shard_census(
-            core::run_scaled_census_shard(catalog, index, opts, plane));
-      });
-}
-
 void print_cache_summary(const core::CacheSummary& cache,
                          const store::CacheConfig& config) {
   std::printf("  cache (%s, %s): %zu hit, %zu miss, %zu corrupt, "
@@ -194,21 +167,14 @@ void explain_cache(const std::vector<core::ShardCacheRecord>& records) {
 int run_scaled(const std::filesystem::path& out_dir, std::size_t scale,
                std::uint32_t subscribers, std::size_t jobs,
                const store::CacheConfig& cache, bool explain, bool isolate,
-               int shard_attempts, bool worker_mode,
-               const std::vector<std::string>& worker_argv) {
+               int shard_attempts) {
   core::ScaledCampaignOptions opts;
   opts.jobs = jobs;
   opts.cache = cache;
   opts.isolate = isolate;
   opts.shard_attempts = shard_attempts;
-  opts.worker_argv = worker_argv;
   opts.interrupt = &g_interrupt;
 
-  if (worker_mode) {
-    const auto catalog =
-        ecosystem::generate_scaled_catalog(scale, subscribers, 20181031);
-    return run_worker_scaled(catalog, opts);
-  }
   std::printf(
       "generating scaled catalog: %zu providers, ~%u subscribers each...\n",
       scale, subscribers);
@@ -284,7 +250,6 @@ int main(int argc, char** argv) {
   bool explain = false;
   bool isolate = false;
   bool resume = false;
-  bool worker_mode = false;
   int shard_attempts = core::CampaignOptions{}.shard_attempts;
   faults::FaultProfile fault_profile = faults::FaultProfile::kOff;
   for (int i = 1; i < argc; ++i) {
@@ -342,32 +307,23 @@ int main(int argc, char** argv) {
       const long retries = std::strtol(argv[++i], nullptr, 10);
       if (retries < 0) return usage();
       shard_attempts = static_cast<int>(retries) + 1;
-    } else if (std::strcmp(argv[i], "--vpna-worker") == 0) {
-      worker_mode = true;
     } else if (argv[i][0] == '-') {
       return usage();
     } else {
       out_dir = argv[i];
     }
   }
-  if (!worker_mode) std::filesystem::create_directories(out_dir);
+  std::filesystem::create_directories(out_dir);
   // --cache-dir alone opens the store read-write; an explicit --cache mode
   // always wins (so `--cache-dir D --cache ro` is a read-only consult).
   if (!cache.dir.empty() && !cache_mode_set)
     cache.mode = store::CacheMode::kReadWrite;
   // --resume replays an --isolate journal; it only makes sense isolated.
   if (resume) isolate = true;
-  // Exec-mode workers re-parse this exact command line (so supervisor and
-  // worker derive identical shard tables); only the hidden flag is added.
-  std::vector<std::string> worker_argv;
-  if (isolate && !worker_mode) {
-    for (int i = 0; i < argc; ++i) worker_argv.emplace_back(argv[i]);
-    worker_argv.emplace_back("--vpna-worker");
-  }
 
   if (scale > 0)
     return run_scaled(out_dir, scale, subscribers, jobs, cache, explain,
-                      isolate, shard_attempts, worker_mode, worker_argv);
+                      isolate, shard_attempts);
 
   core::CampaignOptions opts;
   opts.runner.vantage_points_per_provider = 3;
@@ -383,19 +339,14 @@ int main(int argc, char** argv) {
   opts.status.file = status_path.string();
   opts.status.watchdog_multiple = watchdog_multiple;
   opts.cache = cache;
-  // Process isolation: exec-mode workers, a durable journal next to the
+  // Process isolation: forked workers, a durable journal next to the
   // artefacts, and cooperative interrupt handling.
   opts.isolate = isolate;
-  opts.worker_argv = worker_argv;
   opts.resume = resume;
   if (isolate) {
     opts.journal_path = (out_dir / "campaign.journal").string();
     opts.interrupt = &g_interrupt;
   }
-
-  // Hidden worker mode: options are fully assembled, so the shard table
-  // this process derives matches the supervisor's byte for byte.
-  if (worker_mode) return run_worker_base(opts, 20181031);
 
   if (isolate && opts.trace.enabled) {
     std::fprintf(stderr,
@@ -508,11 +459,9 @@ int main(int argc, char** argv) {
     std::printf("  FAILED SHARDS: %zu\n", engine.failed_shards);
   if (result.execution_isolated)
     std::printf("  isolation: %zu worker spawn(s), %zu crash(es), "
-                "%zu kill(s), %zu timeout(s); %zu shard(s) resumed "
-                "from journal\n",
+                "%zu kill(s); %zu shard(s) resumed from journal\n",
                 result.process_spawns, result.process_crashes,
-                result.process_kills, result.process_timeouts,
-                result.resumed_shards);
+                result.process_kills, result.resumed_shards);
   if (cache.enabled())
     print_cache_summary(core::summarize_cache(result.cache_records), cache);
   if (explain) explain_cache(result.cache_records);

@@ -41,7 +41,6 @@ RunManifest build_run_manifest(const core::CampaignOptions& options,
   m.process_spawns = report.process_spawns;
   m.process_crashes = report.process_crashes;
   m.process_kills = report.process_kills;
-  m.process_timeouts = report.process_timeouts;
   m.processes = report.processes;
 
   m.cache_mode = std::string(store::cache_mode_name(options.cache.mode));
@@ -134,7 +133,6 @@ std::string render_manifest_json(const RunManifest& m) {
   out += util::format("    \"process_spawns\": %zu,\n", m.process_spawns);
   out += util::format("    \"process_crashes\": %zu,\n", m.process_crashes);
   out += util::format("    \"process_kills\": %zu,\n", m.process_kills);
-  out += util::format("    \"process_timeouts\": %zu,\n", m.process_timeouts);
   out += "    \"processes\": [";
   for (std::size_t i = 0; i < m.processes.size(); ++i) {
     const auto& p = m.processes[i];

@@ -55,7 +55,6 @@ struct RunManifest {
   std::size_t process_spawns = 0;
   std::size_t process_crashes = 0;
   std::size_t process_kills = 0;
-  std::size_t process_timeouts = 0;
   std::vector<obs::ProcessStatus> processes;
 
   // --- cache: artifact-store provenance ---------------------------------

@@ -144,7 +144,7 @@ std::string current_error() {
 }
 
 // VPNA_CRASH_SHARD=<i>:throw[:always] makes shard i's compute hook throw:
-// the in-process backend sees a thrown task, a fork-mode worker sends an
+// the in-process backend sees a thrown task, an isolated worker sends an
 // error frame. The worker-only modes (segv/exit/hang) are ignored here.
 std::optional<CrashDirective> injected_throw() {
   const char* spec = std::getenv("VPNA_CRASH_SHARD");
@@ -308,7 +308,7 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind, const ExecOptions& opts) {
     SupervisorOptions sup = opts.supervisor;
     sup.jobs = run.jobs;
     sup.attempts = attempts;
-    // Runs in the worker (fork mode). The frame payload is the canonical
+    // Runs in the forked worker. The frame payload is the canonical
     // encoding — the bytes a cache artifact holds.
     ShardSupervisor supervisor(sup, kind.names,
                                [&](std::uint32_t index, std::uint32_t attempt) {
@@ -493,11 +493,7 @@ CampaignReport ParallelCampaign::run(const std::vector<std::string>& names,
   exec.attempts = options_.shard_attempts;
   exec.graceful = graceful;
   exec.isolate = options_.isolate;
-  exec.supervisor.shard_timeout_s = options_.shard_timeout_s;
-  exec.supervisor.term_grace_s = options_.term_grace_s;
   exec.supervisor.watchdog_multiple = options_.status.watchdog_multiple;
-  exec.supervisor.watchdog_min_completed = options_.status.watchdog_min_completed;
-  exec.supervisor.worker_argv = options_.worker_argv;
   exec.supervisor.interrupt = options_.interrupt;
   exec.cache = options_.cache;
   // Traced runs bypass: a ShardTrace is not part of the cached artifact,
@@ -537,7 +533,6 @@ CampaignReport ParallelCampaign::run(const std::vector<std::string>& names,
   report.process_spawns = run.supervisor.spawns;
   report.process_crashes = run.supervisor.crashes;
   report.process_kills = run.supervisor.kills;
-  report.process_timeouts = run.supervisor.timeouts;
   report.processes = std::move(run.supervisor.processes);
   report.watchdog_alerts = board ? board->alerts() : run.supervisor.alerts;
   report.wall_s =
@@ -656,8 +651,6 @@ ScaledCampaignReport run_scaled_campaign(
   exec.jobs = options.jobs;
   exec.attempts = options.shard_attempts;
   exec.isolate = options.isolate;
-  exec.supervisor.term_grace_s = options.term_grace_s;
-  exec.supervisor.worker_argv = options.worker_argv;
   exec.supervisor.interrupt = options.interrupt;
   exec.cache = options.cache;
 

@@ -35,11 +35,6 @@ struct CampaignOptions {
   // reports an error is re-run on a fresh process. Shards are pure, so a
   // re-run is identical.
   int shard_attempts = 3;
-  // Isolated backend only: hard per-attempt wall budget of a worker
-  // process (0 = none). Past it the supervisor escalates SIGTERM →
-  // SIGKILL and charges the shard a crashed attempt. In-process shards
-  // cannot be pre-empted and have no timeout.
-  double shard_timeout_s = 0.0;
   // Observability: when trace.enabled, every shard runs under its own
   // TraceRecorder + MetricsRegistry (bound to the shard's sim clock) and
   // the per-shard observations come back in CampaignReport::traces. Trace
@@ -50,7 +45,10 @@ struct CampaignOptions {
   // rewritten atomically on every monitor tick, and a watchdog that flags
   // shards running far past the completed-shard median. Pure wall-clock
   // telemetry — never touches the deterministic payload (the health-plane
-  // identity test byte-compares payloads with this on and off).
+  // identity test byte-compares payloads with this on and off). Under
+  // `isolate` the watchdog is also the one hang budget: a flagged worker
+  // is escalated SIGTERM → SIGKILL and its shard charged a crashed attempt
+  // (in-process shards cannot be pre-empted, so there it only alerts).
   obs::StatusOptions status;
   // Content-addressed shard cache (store::ArtifactStore). Off by default;
   // when enabled, each shard consults the store before building its world
@@ -63,8 +61,8 @@ struct CampaignOptions {
   store::CacheConfig cache;
 
   // --- process isolation (`--isolate`) --------------------------------------
-  // Run every shard in a supervised worker process instead of a pool
-  // thread: reports stream back as checksummed frames, and a worker that
+  // Run every shard in a supervised worker process, forked from this one,
+  // instead of a pool thread: reports stream back as checksummed frames, and a worker that
   // segfaults, is OOM-killed, or hangs is contained — its shard retries on
   // a fresh process and, exhausted, quarantines while the campaign
   // completes. The payload stays byte-identical to the in-process engine
@@ -72,12 +70,6 @@ struct CampaignOptions {
   // byte-compares them). Incompatible with tracing (a ShardTrace cannot
   // stream over the frame protocol): isolate + trace.enabled throws.
   bool isolate = false;
-  // SIGTERM→SIGKILL grace for hang escalation and shutdown.
-  double term_grace_s = 2.0;
-  // Exec-mode worker command line (a process that speaks the worker
-  // protocol on its stdio, e.g. `full_campaign ... --vpna-worker`). Empty
-  // = fork mode: workers fork from this process, no exec.
-  std::vector<std::string> worker_argv;
   // Durable append-only journal (store::CampaignJournal). Empty = none.
   std::string journal_path;
   // Replay journaled-done shards whose artifacts still fetch + decode
@@ -175,7 +167,6 @@ struct CampaignReport {
   std::size_t process_spawns = 0;
   std::size_t process_crashes = 0;
   std::size_t process_kills = 0;
-  std::size_t process_timeouts = 0;
   std::vector<obs::ProcessStatus> processes;  // final per-slot snapshot
   double wall_s = 0.0;
 };
@@ -238,8 +229,6 @@ struct ScaledCampaignOptions {
   // that exhausts its attempts keeps a zeroed census record, listed in
   // crashed_providers, so the catalog-order payload still completes.
   bool isolate = false;
-  double term_grace_s = 2.0;
-  std::vector<std::string> worker_argv;  // empty = fork-mode workers
   const volatile std::sig_atomic_t* interrupt = nullptr;
 };
 
@@ -286,9 +275,8 @@ struct ScaledCampaignReport {
     const ScaledCampaignOptions& options = {});
 
 // One scaled shard's census, computed in isolation: builds the provider's
-// shard world, censuses it, and tears it down. This is the worker-process
-// entry point for isolated scaled campaigns (`--scale --isolate`); pure,
-// so it agrees byte for byte with the in-process engine.
+// shard world, censuses it, and tears it down. Pure, so it agrees byte for
+// byte with the census the campaign engine computes for shard `index`.
 [[nodiscard]] ScaledShardCensus run_scaled_census_shard(
     const ecosystem::ScaledCatalog& catalog, std::size_t index,
     const ScaledCampaignOptions& options,

@@ -4,6 +4,7 @@
 
 #include "core/parallel_campaign.h"
 #include "faults/profile.h"
+#include "util/le_bytes.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -18,18 +19,9 @@ class Writer {
   explicit Writer(std::string& out) : out_(out) {}
 
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i)
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  void u16(std::uint16_t v) { util::put_le(out_, v); }
+  void u32(std::uint32_t v) { util::put_le(out_, v); }
+  void u64(std::uint64_t v) { util::put_le(out_, v); }
   // Two's-complement via u32/u64 so negative values round-trip exactly.
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
@@ -68,31 +60,9 @@ class Reader {
     *v = static_cast<std::uint8_t>(bytes_[off_++]);
     return true;
   }
-  bool u16(std::uint16_t* v) {
-    if (bytes_.size() - off_ < 2) return false;
-    *v = 0;
-    for (int i = 1; i >= 0; --i)
-      *v = static_cast<std::uint16_t>((*v << 8) |
-                                      static_cast<std::uint8_t>(bytes_[off_ + i]));
-    off_ += 2;
-    return true;
-  }
-  bool u32(std::uint32_t* v) {
-    if (bytes_.size() - off_ < 4) return false;
-    *v = 0;
-    for (int i = 3; i >= 0; --i)
-      *v = (*v << 8) | static_cast<std::uint8_t>(bytes_[off_ + i]);
-    off_ += 4;
-    return true;
-  }
-  bool u64(std::uint64_t* v) {
-    if (bytes_.size() - off_ < 8) return false;
-    *v = 0;
-    for (int i = 7; i >= 0; --i)
-      *v = (*v << 8) | static_cast<std::uint8_t>(bytes_[off_ + i]);
-    off_ += 8;
-    return true;
-  }
+  bool u16(std::uint16_t* v) { return fixed(v); }
+  bool u32(std::uint32_t* v) { return fixed(v); }
+  bool u64(std::uint64_t* v) { return fixed(v); }
   bool i32(std::int32_t* v) {
     std::uint32_t raw = 0;
     if (!u32(&raw)) return false;
@@ -155,6 +125,14 @@ class Reader {
   }
 
  private:
+  template <typename T>
+  bool fixed(T* v) {
+    if (bytes_.size() - off_ < sizeof(T)) return false;
+    *v = util::get_le<T>(bytes_.data() + off_);
+    off_ += sizeof(T);
+    return true;
+  }
+
   std::string_view bytes_;
   std::size_t off_ = 0;
 };

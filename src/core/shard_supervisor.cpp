@@ -17,6 +17,16 @@ namespace vpna::core {
 
 namespace {
 
+// Exponential backoff between a shard's failed attempt and its re-run:
+// initial × 2^(attempt-1), capped. Wall-clock telemetry only — the shard's
+// recompute is deterministic regardless of when it happens.
+constexpr double kBackoffInitialMs = 50.0;
+constexpr double kBackoffMaxMs = 2000.0;
+// Grace between SIGTERM and SIGKILL, in an escalation and at shutdown.
+// Workers run with SIGTERM at its default, so the KILL is the backstop
+// for a worker stuck where SIGTERM cannot reach it.
+constexpr double kTermGraceS = 2.0;
+
 double mono_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -143,9 +153,9 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
   };
 
   const auto backoff_s = [&](int attempt) {
-    double ms = options_.backoff_initial_ms;
+    double ms = kBackoffInitialMs;
     for (int i = 1; i < attempt; ++i) ms *= 2.0;
-    return std::min(ms, options_.backoff_max_ms) / 1000.0;
+    return std::min(ms, kBackoffMaxMs) / 1000.0;
   };
 
   const auto finish_shard = [&](std::size_t index,
@@ -180,14 +190,10 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
 
   const auto spawn_into = [&](Slot& slot) -> bool {
     try {
-      if (!options_.worker_argv.empty()) {
-        slot.proc = util::Subprocess::spawn(options_.worker_argv);
-      } else {
-        const ChildRun& fn = child_run_;
-        slot.proc = util::Subprocess::fork_child([&fn](int rfd, int wfd) {
-          return shard_worker_loop(rfd, wfd, fn);
-        });
-      }
+      const ChildRun& fn = child_run_;
+      slot.proc = util::Subprocess::fork_child([&fn](int rfd, int wfd) {
+        return shard_worker_loop(rfd, wfd, fn);
+      });
     } catch (...) {
       ++spawn_failures;
       return false;
@@ -269,9 +275,6 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
       slot.has_inflight = false;
       attempt_failed(slot.inflight_index, slot.inflight_attempt, true,
                      std::move(why));
-    } else if (st.exited && st.code == 127) {
-      // execvp failed inside the child — count toward the launcher guard.
-      ++spawn_failures;
     }
     slot.live = false;
     slot.proc = util::Subprocess{};
@@ -320,7 +323,7 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
       slot.term_sent = true;
       slot.term_at = now;
       ++result.kills;
-    } else if (now - slot.term_at >= options_.term_grace_s) {
+    } else if (now - slot.term_at >= kTermGraceS) {
       slot.proc.signal(SIGKILL);
     }
   };
@@ -397,22 +400,16 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
       }
     }
 
-    // 4. Hang escalation: hard timeout, then the median-multiple watchdog
-    // (alert first, TERM on the next pass, KILL after the grace).
+    // 4. Hang escalation by the median-multiple watchdog: alert first,
+    // TERM on the next pass, KILL after the grace.
     now = mono_s();
     const double med = median_wall();
     for (std::size_t s = 0; s < slots.size(); ++s) {
       auto& slot = slots[s];
       if (!slot.live || !slot.has_inflight) continue;
       const double elapsed = now - slot.inflight_start;
-      if (options_.shard_timeout_s > 0.0 &&
-          elapsed > options_.shard_timeout_s) {
-        if (!slot.term_sent) ++result.timeouts;
-        escalate(slot, now);
-        continue;
-      }
       if (options_.watchdog_multiple > 0.0 && med > 0.0 &&
-          completed_walls.size() >= options_.watchdog_min_completed &&
+          completed_walls.size() >= obs::kWatchdogMinCompleted &&
           elapsed > options_.watchdog_multiple * med) {
         if (!slot.alerted) {
           slot.alerted = true;
@@ -462,7 +459,7 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
     for (auto& slot : slots)
       if (slot.live) slot.proc.close_stdin();
   }
-  const double deadline = mono_s() + std::max(options_.term_grace_s, 0.1);
+  const double deadline = mono_s() + kTermGraceS;
   for (;;) {
     bool any_live = false;
     for (auto& slot : slots) {

@@ -12,15 +12,16 @@
 //                    backoff on a fresh process, up to a retry budget,
 //                    then reported as crashed (the campaign quarantines it
 //                    and completes);
-//   hang           → the hard per-shard timeout, or the PR 7 median-
-//                    multiple watchdog, escalates: structured alert →
-//                    SIGTERM → grace → SIGKILL, then the retry path above;
+//   hang           → the median-multiple watchdog escalates: structured
+//                    alert → SIGTERM → grace → SIGKILL, then the retry
+//                    path above;
 //   exception      → the worker catches it and reports an error frame (the
 //                    process survives and takes more work); exhausted
 //                    error retries surface like in-process exhaustion.
 //
-// The supervisor itself is single-threaded — one poll(2) loop over worker
-// pipes — which keeps fork() safe in library (fork-without-exec) mode and
+// Workers are forked from this process (util::Subprocess::fork_child) and
+// run `child_run` directly. The supervisor itself is single-threaded — one
+// poll(2) loop over worker pipes — which keeps fork() without exec safe and
 // makes every state transition deterministic given the same sequence of
 // worker events. Completed shards invoke `on_terminal` immediately, which
 // is where the campaign appends its journal record and files the artifact:
@@ -50,26 +51,11 @@ struct SupervisorOptions {
   // Total attempts per shard (crash or error frame alike); the campaign's
   // shard_attempts.
   int attempts = 3;
-  // Exponential backoff between a shard's failed attempt and its re-run:
-  // initial × 2^(attempt-1), capped. Wall-clock telemetry only — the
-  // shard's recompute is deterministic regardless of when it happens.
-  double backoff_initial_ms = 50.0;
-  double backoff_max_ms = 2000.0;
-  // Hard per-attempt wall budget (0 = none). Exceeding it starts the
-  // TERM→KILL escalation.
-  double shard_timeout_s = 0.0;
-  // Grace between SIGTERM and SIGKILL during any escalation.
-  double term_grace_s = 2.0;
-  // Median-multiple watchdog (PR 7 semantics for the alert; isolate mode
-  // escalates past the alert into TERM→KILL, because here a stuck shard
-  // *can* be killed without taking the campaign down).
+  // Median-multiple watchdog (0 = off): the one hang budget. The alert
+  // has the in-process semantics (obs::StatusBoard::watchdog_scan); here
+  // the supervisor escalates past it into TERM→KILL, because a stuck
+  // worker *can* be killed without taking the campaign down.
   double watchdog_multiple = 0.0;
-  std::size_t watchdog_min_completed = 3;
-  // Exec-mode worker command line; the supervisor appends nothing — the
-  // command must start a process that runs shard_worker_loop on its
-  // stdio (e.g. `full_campaign ... --vpna-worker`). Empty = fork mode:
-  // workers are forked from this process and run `child_run` directly.
-  std::vector<std::string> worker_argv;
   // Cooperative interrupt (SIGINT/SIGTERM handler flag). When it becomes
   // non-zero the supervisor stops dispatching, TERM→KILLs workers, marks
   // unfinished shards kSkipped, and returns with interrupted=true.
@@ -101,17 +87,15 @@ struct SupervisorResult {
   // supervisor pushes into the StatusBoard each tick).
   std::vector<obs::ProcessStatus> processes;
   std::size_t spawns = 0;
-  std::size_t crashes = 0;   // process deaths with a shard in flight
-  std::size_t kills = 0;     // timeout/watchdog escalations
-  std::size_t timeouts = 0;  // attempts that hit the hard budget
+  std::size_t crashes = 0;  // process deaths with a shard in flight
+  std::size_t kills = 0;    // watchdog escalations
   bool interrupted = false;
 };
 
 class ShardSupervisor {
  public:
-  // `run(index, attempt)` executes in the CHILD (fork mode) and must
-  // return the shard's canonical payload bytes; exceptions become error
-  // frames. Ignored in exec mode (the exec'd binary brings its own).
+  // `run(index, attempt)` executes in the forked CHILD and must return the
+  // shard's canonical payload bytes; exceptions become error frames.
   using ChildRun = std::function<std::string(std::uint32_t, std::uint32_t)>;
   // Invoked in the SUPERVISOR the moment a shard reaches a terminal
   // outcome: the campaign's terminal-outcome handler (result, artifact,

@@ -7,6 +7,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include "util/le_bytes.h"
 #include "util/rng.h"
 #include "util/subprocess.h"
 
@@ -21,40 +22,18 @@ constexpr std::size_t kTrailerSize = 8;                 // payload checksum
 // is garbage, not a giant frame — poison instead of buffering gigabytes.
 constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
-void put_u32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void put_u64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
 }  // namespace
 
 std::string encode_shard_frame(const ShardFrame& frame) {
   std::string out;
   out.reserve(kHeaderSize + frame.payload.size() + kTrailerSize);
-  put_u32(&out, kWorkerFrameMagic);
-  put_u32(&out, frame.index);
-  put_u32(&out, frame.attempt);
+  util::put_le<std::uint32_t>(out, kWorkerFrameMagic);
+  util::put_le<std::uint32_t>(out, frame.index);
+  util::put_le<std::uint32_t>(out, frame.attempt);
   out.push_back(static_cast<char>(frame.status));
-  put_u64(&out, frame.payload.size());
+  util::put_le<std::uint64_t>(out, frame.payload.size());
   out += frame.payload;
-  put_u64(&out, util::fnv1a(frame.payload));
+  util::put_le<std::uint64_t>(out, util::fnv1a(frame.payload));
   return out;
 }
 
@@ -66,12 +45,12 @@ FrameReader::Result FrameReader::next(ShardFrame* out) {
   if (corrupt_) return Result::kCorrupt;
   if (buffer_.size() < kHeaderSize) return Result::kNeedMore;
   const char* p = buffer_.data();
-  if (get_u32(p) != kWorkerFrameMagic) {
+  if (util::get_le<std::uint32_t>(p) != kWorkerFrameMagic) {
     corrupt_ = true;
     return Result::kCorrupt;
   }
   const std::uint8_t status_byte = static_cast<unsigned char>(p[12]);
-  const std::uint64_t length = get_u64(p + 13);
+  const std::uint64_t length = util::get_le<std::uint64_t>(p + 13);
   if (status_byte > 1 || length > kMaxFramePayload) {
     corrupt_ = true;
     return Result::kCorrupt;
@@ -80,12 +59,13 @@ FrameReader::Result FrameReader::next(ShardFrame* out) {
   if (buffer_.size() < total) return Result::kNeedMore;
   const std::string_view payload(p + kHeaderSize,
                                  static_cast<std::size_t>(length));
-  if (get_u64(p + kHeaderSize + length) != util::fnv1a(payload)) {
+  if (util::get_le<std::uint64_t>(p + kHeaderSize + length) !=
+      util::fnv1a(payload)) {
     corrupt_ = true;
     return Result::kCorrupt;
   }
-  out->index = get_u32(p + 4);
-  out->attempt = get_u32(p + 8);
+  out->index = util::get_le<std::uint32_t>(p + 4);
+  out->attempt = util::get_le<std::uint32_t>(p + 8);
   out->status = static_cast<ShardFrameStatus>(status_byte);
   out->payload.assign(payload);
   buffer_.erase(0, total);

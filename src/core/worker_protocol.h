@@ -22,9 +22,10 @@
 // write leaves a prefix of a frame behind, which the supervisor's
 // FrameReader reports as incomplete at EOF — the in-flight shard is
 // retried on a fresh process and the torn bytes are discarded, never
-// decoded. A corrupted stream (bad magic or checksum — e.g. stray stdout
-// from shard code in an exec-mode worker) is sticky-poisoned: the
-// supervisor kills that worker and re-runs its in-flight shard.
+// decoded. A corrupted stream (bad magic or checksum — e.g. bytes written
+// to the result pipe by anything but the frame encoder) is sticky-
+// poisoned: the supervisor kills that worker and re-runs its in-flight
+// shard.
 //
 // Deterministic crash injection (tests, CI lanes): the worker loop honours
 //   VPNA_CRASH_SHARD=<index>[:segv|exit|hang|throw][:always]
@@ -36,7 +37,7 @@
 // succeeds — the containment path is testable without flaky timing.
 // `throw` is not a worker mode: the campaign's shard executor reads it and
 // makes the shard's compute hook throw, which an in-process run sees as a
-// thrown task and a fork-mode worker reports as an error frame.
+// thrown task and a worker reports as an error frame.
 #pragma once
 
 #include <cstdint>

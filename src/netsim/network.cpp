@@ -304,32 +304,6 @@ void Network::unindex_attachment(std::size_t slot) {
   att.indexed_addrs.clear();
 }
 
-void Network::reindex_addresses() {
-  // Full rebuild: the fallback (and the debug-check oracle) for the
-  // incremental index maintained by index/unindex_attachment.
-  addr_to_attachment_.clear();
-  host_index_.clear();
-  host_index_.reserve(attachments_.size());
-  addr_to_attachment_.reserve(2 * attachments_.size());
-  for (std::size_t i = 0; i < attachments_.size(); ++i) {
-    auto& att = attachments_[i];
-    att.indexed_addrs.clear();
-    if (att.host == nullptr) continue;
-    host_index_.emplace(att.host, i);
-    for (const auto& iface : att.host->interfaces()) {
-      if (iface.name == "lo") continue;
-      if (iface.addr4) {
-        addr_to_attachment_[*iface.addr4].push_back(i);
-        att.indexed_addrs.push_back(*iface.addr4);
-      }
-      if (iface.addr6) {
-        addr_to_attachment_[*iface.addr6].push_back(i);
-        att.indexed_addrs.push_back(*iface.addr6);
-      }
-    }
-  }
-}
-
 void Network::debug_check_address_index() const {
 #ifndef NDEBUG
   std::unordered_map<IpAddr, std::vector<std::size_t>> expected;

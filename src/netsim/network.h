@@ -250,7 +250,6 @@ class Network {
   };
 
   [[nodiscard]] const Attachment* attachment_of(const Host& host) const;
-  void reindex_addresses();
   // Incremental index maintenance for one attachment slot.
   void index_attachment(std::size_t slot);
   void unindex_attachment(std::size_t slot);

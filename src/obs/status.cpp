@@ -109,13 +109,11 @@ double StatusBoard::median_completed_locked() const {
   return (lo + hi) / 2.0;
 }
 
-std::vector<WatchdogAlert> StatusBoard::watchdog_scan(
-    double multiple, std::size_t min_completed) {
+std::vector<WatchdogAlert> StatusBoard::watchdog_scan(double multiple) {
   std::vector<WatchdogAlert> fresh;
   if (multiple <= 0.0) return fresh;
   std::lock_guard<std::mutex> lock(mu_);
-  if (completed_walls_.size() < std::max<std::size_t>(min_completed, 1))
-    return fresh;
+  if (completed_walls_.size() < kWatchdogMinCompleted) return fresh;
   const double median = median_completed_locked();
   if (median <= 0.0) return fresh;
   const double t = now();
@@ -296,7 +294,7 @@ void StatusMonitor::loop() {
 
 void StatusMonitor::tick() {
   if (opts_.watchdog_multiple > 0.0)
-    board_.watchdog_scan(opts_.watchdog_multiple, opts_.watchdog_min_completed);
+    board_.watchdog_scan(opts_.watchdog_multiple);
   board_.set_workers(workers_());
   if (!opts_.file.empty())
     write_file_atomic(opts_.file, render_status_json(board_.snapshot()));

@@ -32,6 +32,10 @@
 
 namespace vpna::obs {
 
+// Completed shards required before the watchdog trusts their median wall
+// time (both the in-process monitor and the isolated supervisor).
+inline constexpr std::size_t kWatchdogMinCompleted = 3;
+
 // Campaign status/watchdog configuration (CampaignOptions::status).
 struct StatusOptions {
   // Status-file path; empty = no file written.
@@ -41,8 +45,6 @@ struct StatusOptions {
   // Watchdog threshold: flag running shards exceeding this multiple of the
   // running median completed-shard wall time. 0 disables the watchdog.
   double watchdog_multiple = 0.0;
-  // Completed shards required before the median is trusted.
-  std::size_t watchdog_min_completed = 3;
 
   // True when the engine should stand up the board + monitor thread at
   // all; default options keep the whole plane off.
@@ -157,10 +159,10 @@ class StatusBoard {
   // alert still belongs in this board's status stream).
   void add_alert(WatchdogAlert alert);
 
-  // Runs one watchdog pass; returns only the alerts newly raised by this
-  // scan (each shard alerts at most once per attempt).
-  std::vector<WatchdogAlert> watchdog_scan(double multiple,
-                                           std::size_t min_completed);
+  // Runs one watchdog pass (no-op until kWatchdogMinCompleted shards have
+  // completed); returns only the alerts newly raised by this scan (each
+  // shard alerts at most once per attempt).
+  std::vector<WatchdogAlert> watchdog_scan(double multiple);
 
   [[nodiscard]] StatusSnapshot snapshot() const;
   [[nodiscard]] std::vector<WatchdogAlert> alerts() const;

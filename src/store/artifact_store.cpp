@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include "util/le_bytes.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -30,30 +31,6 @@ namespace {
 // canonical key and reports corruption instead of serving foreign bytes.
 constexpr char kMagic[8] = {'V', 'P', 'N', 'A', 'S', 'T', 'O', '1'};
 constexpr std::uint32_t kArtifactHeaderVersion = 1;
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-[[nodiscard]] std::uint32_t read_u32(const char* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i)
-    v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
-
-[[nodiscard]] std::uint64_t read_u64(const char* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
 
 [[nodiscard]] FetchResult corrupt(std::string detail) {
   FetchResult r;
@@ -168,11 +145,13 @@ FetchResult ArtifactStore::fetch(const ShardKey& key) const {
   if (std::string_view(bytes.data(), sizeof kMagic) !=
       std::string_view(kMagic, sizeof kMagic))
     return fail("bad magic");
-  const std::uint32_t header_version = read_u32(bytes.data() + sizeof kMagic);
+  const auto header_version =
+      util::get_le<std::uint32_t>(bytes.data() + sizeof kMagic);
   if (header_version != kArtifactHeaderVersion)
     return fail(util::format("header version %u (want %u)", header_version,
                              kArtifactHeaderVersion));
-  const std::uint32_t key_len = read_u32(bytes.data() + sizeof kMagic + 4);
+  const auto key_len =
+      util::get_le<std::uint32_t>(bytes.data() + sizeof kMagic + 4);
   std::size_t off = kFixedHeader;
   if (bytes.size() - off < key_len) return fail("truncated key echo");
   const std::string_view key_echo(bytes.data() + off, key_len);
@@ -180,8 +159,8 @@ FetchResult ArtifactStore::fetch(const ShardKey& key) const {
   if (key_echo != want_key) return fail("key echo mismatch (hash collision?)");
   off += key_len;
   if (bytes.size() - off < 16) return fail("truncated payload header");
-  const std::uint64_t payload_len = read_u64(bytes.data() + off);
-  const std::uint64_t checksum = read_u64(bytes.data() + off + 8);
+  const auto payload_len = util::get_le<std::uint64_t>(bytes.data() + off);
+  const auto checksum = util::get_le<std::uint64_t>(bytes.data() + off + 8);
   off += 16;
   if (bytes.size() - off != payload_len)
     return fail(util::format(
@@ -210,11 +189,11 @@ bool ArtifactStore::put(const ShardKey& key, std::string_view payload) const {
   const std::string canon = key.canonical();
   bytes.reserve(sizeof kMagic + 24 + canon.size() + payload.size());
   bytes.append(kMagic, sizeof kMagic);
-  append_u32(bytes, kArtifactHeaderVersion);
-  append_u32(bytes, static_cast<std::uint32_t>(canon.size()));
+  util::put_le<std::uint32_t>(bytes, kArtifactHeaderVersion);
+  util::put_le(bytes, static_cast<std::uint32_t>(canon.size()));
   bytes += canon;
-  append_u64(bytes, payload.size());
-  append_u64(bytes, util::fnv1a(payload));
+  util::put_le<std::uint64_t>(bytes, payload.size());
+  util::put_le<std::uint64_t>(bytes, util::fnv1a(payload));
   bytes.append(payload.data(), payload.size());
 
   // Unique temp name per writer — pid *and* a process-wide counter, so no

@@ -31,6 +31,15 @@ enum EventKind : std::uint64_t {
   kRto = 5,         // stalled-window rescue timer
   kSample = 6,      // timeline sampling
 };
+// Congestion controller constants (windows in packets of packet_bytes).
+constexpr double kInitCwndPackets = 2;
+constexpr double kMinCwndPackets = 2;
+// Hard window ceiling: bounds event volume even on a lossless,
+// uncapacitated path where nothing ever pushes back on the window.
+constexpr double kMaxCwndPackets = 1024;
+constexpr double kEcnBeta = 0.8;   // multiplicative decrease on an ECN echo
+constexpr double kLossBeta = 0.5;  // multiplicative decrease on detected loss
+
 constexpr std::uint64_t tag_of(std::uint64_t index, EventKind kind) noexcept {
   return (index << 3) | kind;
 }
@@ -131,8 +140,7 @@ class Plane final : public netsim::EventActor {
         flow->probe.src_port = spec.src->next_ephemeral_port();
         if (const auto src = spec.src->primary_addr(spec.dst.family()))
           flow->probe.src = *src;
-        flow->cwnd = static_cast<double>(spec.config.init_cwnd_packets) *
-                     flow->mss();
+        flow->cwnd = kInitCwndPackets * flow->mss();
         flow->start = loop_.now();
         flow->inject_end =
             loop_.now() + SimTime::from_seconds(spec.config.duration_s);
@@ -262,8 +270,7 @@ class Plane final : public netsim::EventActor {
       // restart from the floor. No retransmission — this is a media
       // stream; the next frames matter, the lost ones do not.
       flow.bytes_in_flight = 0.0;
-      flow.cwnd = static_cast<double>(flow.spec->config.min_cwnd_packets) *
-                  flow.mss();
+      flow.cwnd = kMinCwndPackets * flow.mss();
       flow.ssthresh = std::max(flow.cwnd, flow.ssthresh * 0.5);
       ++flow.stats.cwnd_decreases;
       ++flow.stats.rto_resets;
@@ -288,9 +295,7 @@ class Plane final : public netsim::EventActor {
     const double guard_ms = std::max(flow.srtt_ms, 10.0);
     if (loop_.now().millis() - flow.last_decrease_ms < guard_ms) return;
     flow.last_decrease_ms = loop_.now().millis();
-    const double floor_bytes =
-        static_cast<double>(flow.spec->config.min_cwnd_packets) * flow.mss();
-    flow.cwnd = std::max(floor_bytes, flow.cwnd * beta);
+    flow.cwnd = std::max(kMinCwndPackets * flow.mss(), flow.cwnd * beta);
     flow.ssthresh = flow.cwnd;
     ++flow.stats.cwnd_decreases;
   }
@@ -305,7 +310,7 @@ class Plane final : public netsim::EventActor {
       s.loss_detected += gap;
       flow.bytes_in_flight = std::max(
           0.0, flow.bytes_in_flight - static_cast<double>(gap) * flow.mss());
-      maybe_decrease(flow, flow.spec->config.loss_beta);
+      maybe_decrease(flow, kLossBeta);
     }
     if (p.seq >= flow.next_ack_expected) flow.next_ack_expected = p.seq + 1;
     flow.bytes_in_flight =
@@ -331,15 +336,13 @@ class Plane final : public netsim::EventActor {
     if (p.ecn) {
       ++s.ecn_marks;
       obs::count("traffic.ecn_echo");
-      maybe_decrease(flow, flow.spec->config.ecn_beta);
+      maybe_decrease(flow, kEcnBeta);
     } else if (flow.cwnd < flow.ssthresh) {
       flow.cwnd += flow.mss();  // slow start
     } else {
       flow.cwnd += flow.mss() * flow.mss() / flow.cwnd;  // additive increase
     }
-    flow.cwnd = std::min(
-        flow.cwnd,
-        static_cast<double>(flow.spec->config.max_cwnd_packets) * flow.mss());
+    flow.cwnd = std::min(flow.cwnd, kMaxCwndPackets * flow.mss());
     release(index);
     try_send(flow);
   }

@@ -47,14 +47,6 @@ struct StreamConfig {
   // Source media rate; 0 = full-buffer (speed-test mode: the source queue
   // is never empty and the controller probes for the path capacity).
   double source_bitrate_bps = 0.0;
-  // Congestion controller knobs.
-  std::uint32_t init_cwnd_packets = 2;
-  std::uint32_t min_cwnd_packets = 2;
-  // Hard window ceiling: bounds event volume even on a lossless,
-  // uncapacitated path where nothing ever pushes back on the window.
-  std::uint32_t max_cwnd_packets = 1024;
-  double ecn_beta = 0.8;   // multiplicative decrease on an ECN echo
-  double loss_beta = 0.5;  // multiplicative decrease on detected loss
   // Timeline sampling period for StreamStats::timeline (0 disables).
   double sample_interval_ms = 100.0;
 };

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <vector>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -136,53 +137,6 @@ void Subprocess::reset() noexcept {
   pid_ = -1;
 }
 
-Subprocess Subprocess::spawn(const std::vector<std::string>& argv) {
-  if (argv.empty()) throw std::invalid_argument("Subprocess::spawn: empty argv");
-  const PipePair to_child = make_pipe();    // parent writes, child reads
-  const PipePair from_child = make_pipe();  // child writes, parent reads
-
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (const auto& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
-  cargv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(to_child.read_fd);
-    ::close(to_child.write_fd);
-    ::close(from_child.read_fd);
-    ::close(from_child.write_fd);
-    throw std::runtime_error(std::string("fork: ") + std::strerror(errno));
-  }
-  if (pid == 0) {
-    // Child: wire the pipes onto stdio, drop every other tracked fd, exec.
-    ::dup2(to_child.read_fd, STDIN_FILENO);
-    ::dup2(from_child.write_fd, STDOUT_FILENO);
-    ::close(to_child.read_fd);
-    ::close(to_child.write_fd);
-    ::close(from_child.read_fd);
-    ::close(from_child.write_fd);
-    close_registered_fds_in_child();
-    ::execvp(cargv[0], cargv.data());
-    // exec failed: 127 per shell convention. Write nothing to stdout — the
-    // supervisor treats an empty stream + exit 127 as a spawn failure.
-    ::_exit(127);
-  }
-
-  ::close(to_child.read_fd);
-  ::close(from_child.write_fd);
-  Subprocess p;
-  p.pid_ = pid;
-  p.stdin_fd_ = to_child.write_fd;
-  p.stdout_fd_ = from_child.read_fd;
-  set_cloexec(p.stdin_fd_);
-  set_cloexec(p.stdout_fd_);
-  set_nonblocking(p.stdout_fd_);
-  register_parent_fd(p.stdin_fd_);
-  register_parent_fd(p.stdout_fd_);
-  return p;
-}
-
 Subprocess Subprocess::fork_child(
     const std::function<int(int, int)>& child_main) {
   const PipePair to_child = make_pipe();
@@ -200,6 +154,10 @@ Subprocess Subprocess::fork_child(
     ::close(to_child.write_fd);
     ::close(from_child.read_fd);
     close_registered_fds_in_child();
+    // A forked child inherits the parent's handlers; a worker must die on
+    // the supervisor's SIGTERM, not set the parent's interrupt flag.
+    ::signal(SIGINT, SIG_DFL);
+    ::signal(SIGTERM, SIG_DFL);
     int code = 125;
     try {
       code = child_main(to_child.read_fd, from_child.write_fd);
@@ -294,14 +252,6 @@ bool write_all(int fd, std::string_view data) {
     return false;
   }
   return true;
-}
-
-std::string current_exe_path() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return {};
-  buf[n] = '\0';
-  return buf;
 }
 
 }  // namespace vpna::util

@@ -1,25 +1,23 @@
 // POSIX child-process lifecycle for the process-isolated campaign engine:
-// spawn (fork/exec or fork-with-callback), piped stdio, non-blocking
+// fork-with-callback workers, piped command/result channels, non-blocking
 // polling, waitpid reaping, and a TERM→KILL escalation helper.
 //
-// Two spawn modes share one lifecycle:
-//  - spawn(argv): classic pipe/fork/execvp. The child's fd 0 reads the
-//    command pipe and fd 1 writes the result pipe; stderr is inherited.
-//    This is the supervisor's re-exec path (`full_campaign --vpna-worker`):
-//    the worker gets a fresh heap, fresh ASLR, and no shared state at all.
-//  - fork_child(fn): fork only — the child runs `fn()` and _exits with its
-//    return value. The pipes are passed as plain fds (no dup2 onto stdio,
-//    so stray printf in shard code cannot corrupt the frame stream). Used
-//    by library-level isolation (tests, benches) where re-exec would need
-//    a worker binary. The child inherits the parent's heap copy-on-write,
-//    which is exactly the point: it can crash, leak, or hang without the
-//    supervisor's heap noticing.
+// There is one way to start a worker: fork_child(fn). The child runs
+// `fn()` and _exits with its return value. The pipes are passed as plain
+// fds (no dup2 onto stdio, so stray printf in shard code cannot corrupt
+// the frame stream). The child inherits the parent's heap copy-on-write,
+// which is exactly the point: it can crash, leak, or hang without the
+// supervisor's heap noticing. Nothing is re-exec'd, so the library, the
+// CLI, the tests and the benchmark all run the same worker path.
+//
+// Signals: the child restores the default SIGINT/SIGTERM disposition
+// before running `fn`, so a parent's cooperative-interrupt handler never
+// shields a hung worker from the supervisor's SIGTERM.
 //
 // Fd hygiene: every parent-side pipe fd is registered in a process-wide
 // table and closed in freshly-forked children, so a surviving worker never
 // holds a dead sibling's pipe open (which would suppress the EOF the
-// supervisor uses to detect the death). Exec-mode children get the same
-// guarantee from CLOEXEC.
+// supervisor uses to detect the death).
 //
 // Destruction policy: a still-running child is SIGKILLed and reaped — a
 // supervisor unwinding from an exception must never leak an orphan that
@@ -30,7 +28,7 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include <sys/types.h>
 
@@ -57,15 +55,12 @@ class Subprocess {
   Subprocess(const Subprocess&) = delete;
   Subprocess& operator=(const Subprocess&) = delete;
 
-  // Fork + execvp(argv[0], argv). Child fd 0 = command pipe (read), fd 1 =
-  // result pipe (write), fd 2 inherited. Throws std::runtime_error when
-  // pipe/fork fails; an exec failure surfaces as exit code 127.
-  [[nodiscard]] static Subprocess spawn(const std::vector<std::string>& argv);
-
-  // Fork only: the child runs `child_main(read_fd, write_fd)` — its ends
-  // of the command/result pipes — and _exits with its return value (static
-  // destructors and atexit handlers are skipped; the child talks through
-  // the pipe, not through teardown). An escaped exception _exits 125.
+  // Forks a child that runs `child_main(read_fd, write_fd)` — its ends of
+  // the command/result pipes — with SIGINT/SIGTERM at their defaults, and
+  // _exits with its return value (static destructors and atexit handlers
+  // are skipped; the child talks through the pipe, not through teardown).
+  // An escaped exception _exits 125. Throws std::runtime_error when
+  // pipe/fork fails.
   [[nodiscard]] static Subprocess fork_child(
       const std::function<int(int read_fd, int write_fd)>& child_main);
 
@@ -112,8 +107,5 @@ bool read_available(int fd, std::string* out);
 // Writes all of `data` to `fd`, retrying on EINTR/short writes. Returns
 // false on EPIPE or other errors (the peer died mid-command).
 bool write_all(int fd, std::string_view data);
-
-// /proc/self/exe (fallback: empty string) — the re-exec worker path.
-[[nodiscard]] std::string current_exe_path();
 
 }  // namespace vpna::util

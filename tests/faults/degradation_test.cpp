@@ -113,7 +113,7 @@ TEST(DegradationAppendix, RendersQuarantineAndGiveUpLines) {
 // --- end-to-end quarantine via the campaign engine ------------------------
 
 // Both shard-executor backends, from one table: every case below runs on
-// each. The isolated backend uses fork-mode workers.
+// each. The isolated backend runs forked worker processes.
 struct Backend {
   const char* name;
   bool isolate;
@@ -139,7 +139,6 @@ core::CampaignOptions exhausted_shard_options(faults::FaultProfile profile,
   opts.jobs = 2;
   opts.shard_attempts = 2;
   opts.isolate = backend.isolate;
-  opts.term_grace_s = 0.3;
   return opts;
 }
 

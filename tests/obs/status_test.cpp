@@ -120,10 +120,10 @@ TEST(StatusBoard, WatchdogCatchesArtificiallyStalledShard) {
   }
   // 3 completed, median 1s; the stalled shard has been running 3s — below
   // a 4x threshold, so no alert yet.
-  EXPECT_TRUE(board.watchdog_scan(4.0, 3).empty());
+  EXPECT_TRUE(board.watchdog_scan(4.0).empty());
 
   clock.advance(2.0);  // now 5s elapsed > 4 × 1s median
-  const auto fresh = board.watchdog_scan(4.0, 3);
+  const auto fresh = board.watchdog_scan(4.0);
   ASSERT_EQ(fresh.size(), 1u);
   EXPECT_EQ(fresh[0].shard, "provider-4");
   EXPECT_EQ(fresh[0].worker, 1);
@@ -134,13 +134,13 @@ TEST(StatusBoard, WatchdogCatchesArtificiallyStalledShard) {
   // One alert per attempt: rescanning later raises nothing new, but the
   // record stays on the board.
   clock.advance(10.0);
-  EXPECT_TRUE(board.watchdog_scan(4.0, 3).empty());
+  EXPECT_TRUE(board.watchdog_scan(4.0).empty());
   EXPECT_EQ(board.alerts().size(), 1u);
 
   // A fresh attempt (pool retry) resets the shard's watchdog budget.
   board.shard_started(4, 0);
   clock.advance(50.0);
-  EXPECT_EQ(board.watchdog_scan(4.0, 3).size(), 1u);
+  EXPECT_EQ(board.watchdog_scan(4.0).size(), 1u);
   EXPECT_EQ(board.alerts().size(), 2u);
 }
 
@@ -153,9 +153,9 @@ TEST(StatusBoard, WatchdogWaitsForMinCompleted) {
   clock.advance(0.1);
   board.shard_finished(0, StatusBoard::Outcome::kDone);
   clock.advance(100.0);
-  // Only 1 completed shard: below min_completed=3, the median is not yet
+  // Only 1 completed shard: below kWatchdogMinCompleted (3), the median is not yet
   // trusted and nothing is flagged no matter how stalled.
-  EXPECT_TRUE(board.watchdog_scan(4.0, 3).empty());
+  EXPECT_TRUE(board.watchdog_scan(4.0).empty());
   EXPECT_TRUE(board.alerts().empty());
 }
 

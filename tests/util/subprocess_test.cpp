@@ -1,7 +1,7 @@
-// POSIX child-process lifecycle behind the isolated campaign engine: both
-// spawn modes (fork/exec and fork-with-callback), pipe plumbing, EOF
-// semantics, non-blocking reaping, and the kill paths a supervisor leans
-// on when a worker stops cooperating.
+// POSIX child-process lifecycle behind the isolated campaign engine:
+// forked workers, pipe plumbing, EOF semantics, signal dispositions,
+// non-blocking reaping, and the kill paths a supervisor leans on when a
+// worker stops cooperating.
 #include "util/subprocess.h"
 
 #include <gtest/gtest.h>
@@ -138,25 +138,33 @@ TEST(Subprocess, DestructorNeverLeaksAHangingChild) {
   EXPECT_EQ(errno, ECHILD);
 }
 
-TEST(Subprocess, SpawnRunsABinaryWithPipedStdio) {
-  // `cat` copies the command pipe (fd 0) to the result pipe (fd 1): a
-  // faithful stand-in for a worker that echoes frames on its stdio.
-  auto child = util::Subprocess::spawn({"/bin/cat"});
-  ASSERT_TRUE(child.valid());
-  ASSERT_TRUE(util::write_all(child.stdin_fd(), "through-exec\n"));
-  child.close_stdin();
-  std::string out;
-  while (util::read_available(child.stdout_fd(), &out)) ::usleep(1000);
-  EXPECT_EQ(out, "through-exec\n");
-  EXPECT_TRUE(child.wait().success());
-}
-
-TEST(Subprocess, SpawnExecFailureSurfacesAsExit127) {
-  auto child =
-      util::Subprocess::spawn({"/nonexistent/vpna-no-such-binary"});
-  const auto status = child.wait();
-  EXPECT_TRUE(status.exited);
-  EXPECT_EQ(status.code, 127);
+TEST(Subprocess, ForkedChildDiesOnSigtermDespiteParentHandler) {
+  // A driver that handles SIGTERM cooperatively (full_campaign --isolate)
+  // forks its workers; the inherited handler must not shield a hung
+  // worker from the supervisor's escalation SIGTERM.
+  struct sigaction handler {};
+  struct sigaction previous {};
+  handler.sa_handler = [](int) {};
+  ::sigemptyset(&handler.sa_mask);
+  ASSERT_EQ(::sigaction(SIGTERM, &handler, &previous), 0);
+  auto child = util::Subprocess::fork_child([](int, int write_fd) {
+    util::write_all(write_fd, "ready");  // past the child's setup
+    for (;;) ::usleep(10000);
+    return 0;
+  });
+  ::sigaction(SIGTERM, &previous, nullptr);
+  std::string ready;
+  while (ready.empty() && util::read_available(child.stdout_fd(), &ready))
+    ::usleep(1000);
+  ASSERT_EQ(ready, "ready");
+  child.signal(SIGTERM);
+  // Bounded wait: a child that survived the signal must fail the test,
+  // not hang it.
+  for (int i = 0; i < 500 && child.running(); ++i) ::usleep(10000);
+  child.kill_now();
+  ASSERT_TRUE(child.status().has_value());
+  EXPECT_TRUE(child.status()->signaled);
+  EXPECT_EQ(child.status()->signal, SIGTERM);
 }
 
 TEST(Subprocess, MoveTransfersOwnership) {
@@ -177,12 +185,6 @@ TEST(Subprocess, ReadAvailableReportsEofOnce) {
   std::string out;
   while (util::read_available(child.stdout_fd(), &out)) ::usleep(1000);
   EXPECT_EQ(out, "tail");  // data before EOF is never lost
-}
-
-TEST(Subprocess, CurrentExePathPointsAtThisTest) {
-  const std::string path = util::current_exe_path();
-  ASSERT_FALSE(path.empty());
-  EXPECT_NE(path.find("test_util"), std::string::npos);
 }
 
 }  // namespace
