@@ -13,7 +13,7 @@ std::optional<std::string> city_from_hop_hostname(std::string_view hostname) {
   if (labels.size() < 3) return std::nullopt;
   if (labels[0] != "edge" && labels[0] != "core1") return std::nullopt;
   if (labels[1].empty()) return std::nullopt;
-  return labels[1];
+  return std::string(labels[1]);
 }
 
 TracerouteLocation locate_by_traceroute(inet::World& world,

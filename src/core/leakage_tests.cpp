@@ -18,7 +18,7 @@ int count_clear_on_eth0(const netsim::Host& client, std::size_t since_index,
     const auto& rec = records[i];
     if (rec.interface_name != "eth0") continue;
     if (rec.direction != netsim::Direction::kOut) continue;
-    if (rec.packet.payload.starts_with("TUN1|")) continue;  // encapsulated
+    if (rec.encapsulated) continue;
     if (pred(rec.packet)) ++n;
   }
   return n;
@@ -53,7 +53,7 @@ DnsLeakResult run_dns_leak_test(inet::World& world, netsim::Host& client) {
   }
 
   out.plaintext_dns_on_physical_interface =
-      count_clear_on_eth0(client, mark, [](const netsim::Packet& p) {
+      count_clear_on_eth0(client, mark, [](const netsim::PacketHeader& p) {
         return p.proto == netsim::Proto::kUdp &&
                p.dst_port == netsim::kPortDns;
       });
@@ -90,8 +90,10 @@ Ipv6LeakResult run_ipv6_leak_test(inet::World& world, netsim::Host& client) {
     }
   }
 
-  out.v6_packets_on_physical_interface = count_clear_on_eth0(
-      client, mark, [](const netsim::Packet& p) { return p.dst.is_v6(); });
+  out.v6_packets_on_physical_interface =
+      count_clear_on_eth0(client, mark, [](const netsim::PacketHeader& p) {
+        return p.dst.is_v6();
+      });
   return out;
 }
 

@@ -93,14 +93,14 @@ std::optional<DnsResponse> DnsResponse::decode(std::string_view payload) {
   if (!parse_u16(parts[3], rcode) || rcode > 3) return std::nullopt;
   r.rcode = static_cast<Rcode>(rcode);
   if (!parts[4].empty()) {
-    for (const auto& s : util::split(parts[4], ',')) {
+    for (const auto s : util::split(parts[4], ',')) {
       const auto a = netsim::IpAddr::parse(s);
       if (!a) return std::nullopt;
       r.addresses.push_back(*a);
     }
   }
   if (!parts[5].empty())
-    for (auto& s : util::split(parts[5], ',')) r.texts.push_back(std::move(s));
+    for (const auto s : util::split(parts[5], ',')) r.texts.emplace_back(s);
   return r;
 }
 

@@ -11,18 +11,18 @@ void ZoneRegistry::set_authority(std::string zone, netsim::IpAddr server) {
 
 std::optional<netsim::IpAddr> ZoneRegistry::authority_for(
     std::string_view name) const {
+  // A zone contains the name iff it equals the name or one of the name's
+  // suffixes that start after a '.'. Walk those from longest to shortest:
+  // the first registered one is the longest match.
   const std::string n = canonical_name(name);
-  const std::string* best_zone = nullptr;
-  const netsim::IpAddr* best_server = nullptr;
-  for (const auto& [zone, server] : zones_) {
-    if (!in_zone(n, zone)) continue;
-    if (best_zone == nullptr || zone.size() > best_zone->size()) {
-      best_zone = &zone;
-      best_server = &server;
-    }
+  std::string_view suffix = n;
+  while (true) {
+    if (const auto it = zones_.find(suffix); it != zones_.end())
+      return it->second;
+    const std::size_t dot = suffix.find('.');
+    if (dot == std::string_view::npos) return std::nullopt;
+    suffix.remove_prefix(dot + 1);
   }
-  if (best_server == nullptr) return std::nullopt;
-  return *best_server;
 }
 
 void AuthoritativeService::add_record(std::string name, ZoneRecord record) {

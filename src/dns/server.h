@@ -38,16 +38,16 @@ class ZoneRegistry {
  public:
   void set_authority(std::string zone, netsim::IpAddr server);
 
-  // Longest-suffix zone match for a name.
+  // Longest-suffix zone match for a name: the zone `name` is in (see
+  // in_zone) with the most characters.
   [[nodiscard]] std::optional<netsim::IpAddr> authority_for(
       std::string_view name) const;
 
-  [[nodiscard]] const std::map<std::string, netsim::IpAddr>& zones() const {
-    return zones_;
-  }
+  using ZoneMap = std::map<std::string, netsim::IpAddr, std::less<>>;
+  [[nodiscard]] const ZoneMap& zones() const { return zones_; }
 
  private:
-  std::map<std::string, netsim::IpAddr> zones_;
+  ZoneMap zones_;
 };
 
 struct QueryLogEntry {

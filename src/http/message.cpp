@@ -1,5 +1,6 @@
 #include "http/message.h"
 
+#include <cctype>
 #include <charconv>
 
 #include "util/strings.h"
@@ -9,38 +10,53 @@ namespace vpna::http {
 namespace {
 
 bool iequals(std::string_view a, std::string_view b) {
-  return util::to_lower(a) == util::to_lower(b);
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::tolower(static_cast<unsigned char>(a[i])) !=
+        std::tolower(static_cast<unsigned char>(b[i])))
+      return false;
+  return true;
 }
 
-// Splits "Name: value" lines until the blank line; returns false on framing
-// errors. `lines_consumed` points just past the blank separator.
-bool parse_headers(const std::vector<std::string>& lines, std::size_t start,
-                   std::vector<Header>& headers, std::size_t& body_start) {
-  for (std::size_t i = start; i < lines.size(); ++i) {
-    if (lines[i].empty()) {
-      body_start = i + 1;
-      return true;
-    }
-    const std::size_t colon = lines[i].find(':');
-    if (colon == std::string::npos) return false;
-    std::string name = lines[i].substr(0, colon);
-    std::string value = lines[i].substr(colon + 1);
+// A message is a head (start line, then header lines) and a body: the body
+// is everything after the first blank line. A message that ends in a
+// newline without a blank line has an empty body; any other message without
+// a blank line is malformed.
+struct Sections {
+  std::vector<std::string_view> head_lines;
+  std::string_view body;
+};
+
+std::optional<Sections> split_sections(std::string_view payload) {
+  std::string_view head;
+  std::string_view body;
+  if (const auto sep = payload.find("\n\n"); sep != std::string_view::npos) {
+    head = payload.substr(0, sep);
+    body = payload.substr(sep + 2);
+  } else if (payload.ends_with('\n')) {
+    head = payload.substr(0, payload.size() - 1);
+  } else {
+    return std::nullopt;
+  }
+  return Sections{util::split(head, '\n'), body};
+}
+
+// Parses the "Name: value" lines after the start line; returns false on a
+// line without a colon.
+bool parse_headers(const std::vector<std::string_view>& head_lines,
+                   std::vector<Header>& headers) {
+  for (std::size_t i = 1; i < head_lines.size(); ++i) {
+    const auto line = head_lines[i];
+    const std::size_t colon = line.find(':');
+    if (colon == std::string_view::npos) return false;
+    auto value = line.substr(colon + 1);
     // Strip exactly one leading space if present (preserving any other
     // spacing quirks, which the proxy-detection test depends on).
-    if (!value.empty() && value.front() == ' ') value.erase(0, 1);
-    headers.emplace_back(std::move(name), std::move(value));
+    if (!value.empty() && value.front() == ' ') value.remove_prefix(1);
+    headers.emplace_back(std::string(line.substr(0, colon)),
+                         std::string(value));
   }
-  return false;  // no blank separator
-}
-
-std::string join_body(const std::vector<std::string>& lines,
-                      std::size_t body_start) {
-  std::string body;
-  for (std::size_t i = body_start; i < lines.size(); ++i) {
-    if (i > body_start) body += '\n';
-    body += lines[i];
-  }
-  return body;
+  return true;
 }
 
 }  // namespace
@@ -90,25 +106,25 @@ std::string HttpRequest::encode() const {
 }
 
 std::optional<HttpRequest> HttpRequest::decode(std::string_view payload) {
-  const auto lines = util::split(payload, '\n');
-  if (lines.empty()) return std::nullopt;
+  const auto sections = split_sections(payload);
+  if (!sections) return std::nullopt;
+  const auto& lines = sections->head_lines;
   const auto req_parts = util::split(lines[0], ' ');
   if (req_parts.size() != 3 || req_parts[2] != "HTTP/1.1") return std::nullopt;
   HttpRequest r;
-  r.method = req_parts[0];
-  r.path = req_parts[1];
+  r.method = std::string(req_parts[0]);
+  r.path = std::string(req_parts[1]);
 
   std::vector<Header> all;
-  std::size_t body_start = 0;
-  if (!parse_headers(lines, 1, all, body_start)) return std::nullopt;
+  if (!parse_headers(lines, all)) return std::nullopt;
   for (auto& h : all) {
     if (iequals(h.first, "Host") && r.host.empty())
-      r.host = h.second;
+      r.host = std::move(h.second);
     else
       r.headers.push_back(std::move(h));
   }
   if (r.host.empty()) return std::nullopt;
-  r.body = join_body(lines, body_start);
+  r.body = std::string(sections->body);
   return r;
 }
 
@@ -137,24 +153,27 @@ std::string HttpResponse::encode() const {
 }
 
 std::optional<HttpResponse> HttpResponse::decode(std::string_view payload) {
-  const auto lines = util::split(payload, '\n');
-  if (lines.empty() || !util::starts_with(lines[0], "HTTP/1.1 "))
-    return std::nullopt;
-  HttpResponse r;
-  const auto status_line = util::split(lines[0], ' ');
-  if (status_line.size() < 2) return std::nullopt;
+  const auto sections = split_sections(payload);
+  if (!sections) return std::nullopt;
+  constexpr std::string_view kVersion = "HTTP/1.1 ";
+  const auto status_line = sections->head_lines[0];
+  if (!util::starts_with(status_line, kVersion)) return std::nullopt;
+  // "HTTP/1.1 <status>[ <reason>]": the reason is the rest of the line,
+  // spaces and all.
+  const auto rest = status_line.substr(kVersion.size());
+  const std::size_t space = rest.find(' ');
+  const auto st = rest.substr(0, space);
   int status = 0;
-  const auto& st = status_line[1];
   auto [p, ec] = std::from_chars(st.data(), st.data() + st.size(), status);
   if (ec != std::errc{} || p != st.data() + st.size()) return std::nullopt;
+  HttpResponse r;
   r.status = status;
-  r.reason = status_line.size() > 2
-                 ? util::join({status_line.begin() + 2, status_line.end()}, " ")
-                 : std::string(reason_for_status(status));
+  r.reason = std::string(space == std::string_view::npos
+                             ? reason_for_status(status)
+                             : rest.substr(space + 1));
 
-  std::size_t body_start = 0;
-  if (!parse_headers(lines, 1, r.headers, body_start)) return std::nullopt;
-  r.body = join_body(lines, body_start);
+  if (!parse_headers(sections->head_lines, r.headers)) return std::nullopt;
+  r.body = std::string(sections->body);
   return r;
 }
 

@@ -1,7 +1,8 @@
 // Packet capture: a per-interface ring of timestamped, direction-tagged
 // packet records, standing in for the libpcap captures the paper's test
 // suite records on the hardware interface. The leakage tests scan these
-// buffers for traffic that should have traversed the tunnel.
+// buffers for traffic that should have traversed the tunnel; they read
+// headers only, so a record keeps no payload bytes.
 #pragma once
 
 #include <functional>
@@ -15,11 +16,25 @@ namespace vpna::netsim {
 
 enum class Direction : std::uint8_t { kOut, kIn };
 
+// The header fields of a captured packet. The payload bytes are not kept.
+struct PacketHeader {
+  IpAddr src;
+  IpAddr dst;
+  Proto proto = Proto::kUdp;
+  std::uint16_t src_port = 0;
+  std::uint16_t dst_port = 0;
+  int ttl = 64;
+};
+
+// One captured packet, as tcpdump with a short snaplen records it: the
+// header, the payload's size and whether the payload is a tunnel frame.
 struct CaptureRecord {
   util::SimTime time;
   Direction direction = Direction::kOut;
   std::string interface_name;
-  Packet packet;
+  PacketHeader packet;
+  std::size_t payload_size = 0;
+  bool encapsulated = false;  // is_tunnel_frame(payload)
 };
 
 // Append-only capture buffer. One per host; records carry the interface

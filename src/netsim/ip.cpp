@@ -2,10 +2,8 @@
 
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
-#include <vector>
-
-#include "util/strings.h"
 
 namespace vpna::netsim {
 
@@ -51,18 +49,26 @@ std::uint32_t IpAddr::v4_value() const {
 
 namespace {
 
+// "a.b.c.d": four decimal fields of 1-3 digits, each at most 255. Parsed in
+// place; no field is copied out.
 std::optional<IpAddr> parse_v4(std::string_view text) {
-  const auto parts = util::split(text, '.');
-  if (parts.size() != 4) return std::nullopt;
+  if (text.empty()) return std::nullopt;
   std::array<std::uint8_t, 4> oct{};
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (parts[i].empty() || parts[i].size() > 3) return std::nullopt;
+  const char* field = text.data();
+  const char* const end = field + text.size();
+  for (std::size_t i = 0; i < oct.size(); ++i) {
+    const char* stop = end;
+    if (i + 1 < oct.size()) {
+      stop = static_cast<const char*>(
+          std::memchr(field, '.', static_cast<std::size_t>(end - field)));
+      if (stop == nullptr) return std::nullopt;
+    }
+    if (stop == field || stop - field > 3) return std::nullopt;
     unsigned value = 0;
-    const auto* first = parts[i].data();
-    const auto* last = first + parts[i].size();
-    auto [p, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc{} || p != last || value > 255) return std::nullopt;
+    auto [p, ec] = std::from_chars(field, stop, value);
+    if (ec != std::errc{} || p != stop || value > 255) return std::nullopt;
     oct[i] = static_cast<std::uint8_t>(value);
+    if (stop != end) field = stop + 1;
   }
   return IpAddr::v4(oct[0], oct[1], oct[2], oct[3]);
 }
@@ -76,34 +82,47 @@ std::optional<std::uint16_t> parse_group(std::string_view g) {
   return static_cast<std::uint16_t>(value);
 }
 
+// Up to eight 16-bit groups, as they appear on one side of a "::".
+struct Groups {
+  std::array<std::uint16_t, 8> value{};
+  std::size_t count = 0;
+};
+
+// Parses colon-separated hex groups; false on a malformed group or on more
+// groups than an address holds. An empty side has no groups.
+bool parse_groups(std::string_view side, Groups& out) {
+  if (side.empty()) return true;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t colon = side.find(':', start);
+    const auto g = parse_group(side.substr(start, colon - start));
+    if (!g || out.count == out.value.size()) return false;
+    out.value[out.count++] = *g;
+    if (colon == std::string_view::npos) return true;
+    start = colon + 1;
+  }
+}
+
 std::optional<IpAddr> parse_v6(std::string_view text) {
   // Handles "::" compression; does not handle embedded IPv4 tails, which the
   // simulator never produces.
   const std::size_t dcolon = text.find("::");
-  std::vector<std::uint16_t> head, tail;
-  auto parse_side = [](std::string_view side,
-                       std::vector<std::uint16_t>& out) -> bool {
-    if (side.empty()) return true;
-    for (const auto& g : util::split(side, ':')) {
-      const auto v = parse_group(g);
-      if (!v) return false;
-      out.push_back(*v);
-    }
-    return true;
-  };
+  Groups head;
   if (dcolon == std::string_view::npos) {
-    if (!parse_side(text, head) || head.size() != 8) return std::nullopt;
-  } else {
-    if (text.find("::", dcolon + 1) != std::string_view::npos)
-      return std::nullopt;  // at most one "::"
-    if (!parse_side(text.substr(0, dcolon), head)) return std::nullopt;
-    if (!parse_side(text.substr(dcolon + 2), tail)) return std::nullopt;
-    if (head.size() + tail.size() >= 8) return std::nullopt;
+    if (!parse_groups(text, head) || head.count != 8) return std::nullopt;
+    return IpAddr::v6_groups(head.value);
   }
+  if (text.find("::", dcolon + 1) != std::string_view::npos)
+    return std::nullopt;  // at most one "::"
+  Groups tail;
+  if (!parse_groups(text.substr(0, dcolon), head)) return std::nullopt;
+  if (!parse_groups(text.substr(dcolon + 2), tail)) return std::nullopt;
+  if (head.count + tail.count >= 8) return std::nullopt;
+  // The "::" stands for the zero groups between head and tail.
   std::array<std::uint16_t, 8> groups{};
-  for (std::size_t i = 0; i < head.size(); ++i) groups[i] = head[i];
-  for (std::size_t i = 0; i < tail.size(); ++i)
-    groups[8 - tail.size() + i] = tail[i];
+  for (std::size_t i = 0; i < head.count; ++i) groups[i] = head.value[i];
+  for (std::size_t i = 0; i < tail.count; ++i)
+    groups[8 - tail.count + i] = tail.value[i];
   return IpAddr::v6_groups(groups);
 }
 

@@ -1,7 +1,9 @@
 #include "netsim/packet.h"
 
-#include <charconv>
+#include <array>
+#include <cstring>
 
+#include "util/le_bytes.h"
 #include "util/strings.h"
 
 namespace vpna::netsim {
@@ -29,48 +31,80 @@ std::string Packet::summary() const {
                       ttl, payload.size());
 }
 
+namespace {
+
+// Byte offsets of the fields after the magic; see the layout in packet.h.
+constexpr std::size_t kAddrSize = 17;  // family byte + 16 address bytes
+constexpr std::size_t kSrcAt = kTunnelMagic.size();
+constexpr std::size_t kDstAt = kSrcAt + kAddrSize;
+constexpr std::size_t kProtoAt = kDstAt + kAddrSize;
+constexpr std::size_t kSrcPortAt = kProtoAt + 1;
+constexpr std::size_t kDstPortAt = kSrcPortAt + 2;
+constexpr std::size_t kTtlAt = kDstPortAt + 2;
+constexpr std::size_t kLenAt = kTtlAt + 4;
+static_assert(kLenAt + 4 == kTunnelHeaderSize);
+
+void put_addr(std::string& out, const IpAddr& a) {
+  out.push_back(static_cast<char>(a.family()));
+  const auto& b = a.bytes();
+  out.append(reinterpret_cast<const char*>(b.data()), b.size());
+}
+
+std::optional<IpAddr> get_addr(const char* p) {
+  std::array<std::uint8_t, 16> b{};
+  std::memcpy(b.data(), p + 1, b.size());
+  switch (static_cast<IpFamily>(static_cast<std::uint8_t>(p[0]))) {
+    case IpFamily::kV4:
+      for (std::size_t i = 4; i < b.size(); ++i)
+        if (b[i] != 0) return std::nullopt;
+      return IpAddr::v4(b[0], b[1], b[2], b[3]);
+    case IpFamily::kV6:
+      return IpAddr::v6(b);
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 std::string encode_inner(const Packet& inner) {
-  // "TUN1|src|dst|proto|sport|dport|ttl|payload_len|payload"
-  std::string head = util::format(
-      "TUN1|%s|%s|%u|%u|%u|%d|%zu|", inner.src.str().c_str(),
-      inner.dst.str().c_str(), static_cast<unsigned>(inner.proto),
-      inner.src_port, inner.dst_port, inner.ttl, inner.payload.size());
-  return head + inner.payload;
+  std::string out;
+  out.reserve(kTunnelHeaderSize + inner.payload.size());
+  out.append(kTunnelMagic);
+  put_addr(out, inner.src);
+  put_addr(out, inner.dst);
+  out.push_back(static_cast<char>(inner.proto));
+  util::put_le<std::uint16_t>(out, inner.src_port);
+  util::put_le<std::uint16_t>(out, inner.dst_port);
+  util::put_le<std::uint32_t>(out, static_cast<std::uint32_t>(inner.ttl));
+  util::put_le<std::uint32_t>(out,
+                              static_cast<std::uint32_t>(inner.payload.size()));
+  out += inner.payload;
+  return out;
 }
 
 std::optional<Packet> decode_inner(std::string_view payload) {
-  if (!util::starts_with(payload, "TUN1|")) return std::nullopt;
-  // Split off the first 8 fields; the payload may itself contain '|'.
-  std::string_view rest = payload.substr(5);
-  std::array<std::string_view, 7> fields{};
-  for (auto& f : fields) {
-    const auto pos = rest.find('|');
-    if (pos == std::string_view::npos) return std::nullopt;
-    f = rest.substr(0, pos);
-    rest = rest.substr(pos + 1);
-  }
-  Packet p;
-  const auto src = IpAddr::parse(fields[0]);
-  const auto dst = IpAddr::parse(fields[1]);
+  if (payload.size() < kTunnelHeaderSize || !is_tunnel_frame(payload))
+    return std::nullopt;
+  const char* h = payload.data();
+  const auto src = get_addr(h + kSrcAt);
+  const auto dst = get_addr(h + kDstAt);
   if (!src || !dst) return std::nullopt;
+  const auto proto = static_cast<std::uint8_t>(h[kProtoAt]);
+  if (proto > static_cast<std::uint8_t>(Proto::kIcmpTimeExceeded))
+    return std::nullopt;
+  // A negative ttl wraps to a value far above 255.
+  const auto ttl = util::get_le<std::uint32_t>(h + kTtlAt);
+  if (ttl > 255) return std::nullopt;
+  const auto len = util::get_le<std::uint32_t>(h + kLenAt);
+  if (len != payload.size() - kTunnelHeaderSize) return std::nullopt;
+  Packet p;
   p.src = *src;
   p.dst = *dst;
-
-  auto parse_uint = [](std::string_view s, unsigned long& out) {
-    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-    return ec == std::errc{} && ptr == s.data() + s.size();
-  };
-  unsigned long proto = 0, sport = 0, dport = 0, ttl = 0, len = 0;
-  if (!parse_uint(fields[2], proto) || proto > 4) return std::nullopt;
-  if (!parse_uint(fields[3], sport) || sport > 0xffff) return std::nullopt;
-  if (!parse_uint(fields[4], dport) || dport > 0xffff) return std::nullopt;
-  if (!parse_uint(fields[5], ttl) || ttl > 255) return std::nullopt;
-  if (!parse_uint(fields[6], len) || len != rest.size()) return std::nullopt;
   p.proto = static_cast<Proto>(proto);
-  p.src_port = static_cast<std::uint16_t>(sport);
-  p.dst_port = static_cast<std::uint16_t>(dport);
+  p.src_port = util::get_le<std::uint16_t>(h + kSrcPortAt);
+  p.dst_port = util::get_le<std::uint16_t>(h + kDstPortAt);
   p.ttl = static_cast<int>(ttl);
-  p.payload = std::string(rest);
+  p.payload.assign(payload.substr(kTunnelHeaderSize));
   return p;
 }
 

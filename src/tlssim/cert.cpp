@@ -31,9 +31,9 @@ std::optional<Certificate> Certificate::decode(std::string_view text) {
   const auto parts = util::split(inner, ';');
   if (parts.size() != 4) return std::nullopt;
   Certificate c;
-  c.subject = parts[0];
-  c.issuer = parts[1];
-  c.key_fingerprint = parts[2];
+  c.subject = std::string(parts[0]);
+  c.issuer = std::string(parts[1]);
+  c.key_fingerprint = std::string(parts[2]);
   c.expired = parts[3] == "1";
   return c;
 }

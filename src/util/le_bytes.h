@@ -1,7 +1,7 @@
 // Fixed-width little-endian integers: the one encoding under every byte
 // format the repo writes — the shard report codec (core/report_codec), the
-// worker result frames (core/worker_protocol) and the artifact header
-// (store/artifact_store). Byte order is spelled out with shifts, so each
+// worker result frames (core/worker_protocol), the artifact header
+// (store/artifact_store) and the tunnel frame header (netsim/packet). Byte order is spelled out with shifts, so each
 // format is identical on any host.
 #pragma once
 

@@ -6,16 +6,16 @@
 
 namespace vpna::util {
 
-std::vector<std::string> split(std::string_view s, char delim) {
-  std::vector<std::string> out;
+std::vector<std::string_view> split(std::string_view s, char delim) {
+  std::vector<std::string_view> out;
   std::size_t start = 0;
   while (true) {
     const std::size_t pos = s.find(delim, start);
     if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
+      out.push_back(s.substr(start));
       return out;
     }
-    out.emplace_back(s.substr(start, pos - start));
+    out.push_back(s.substr(start, pos - start));
     start = pos + 1;
   }
 }

@@ -8,8 +8,10 @@
 
 namespace vpna::util {
 
-// Splits on a single-character delimiter; keeps empty fields.
-[[nodiscard]] std::vector<std::string> split(std::string_view s, char delim);
+// Splits on a single-character delimiter; keeps empty fields. The fields
+// view `s`, so they must not outlive the string it points into.
+[[nodiscard]] std::vector<std::string_view> split(std::string_view s,
+                                                  char delim);
 
 // Joins with a separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,

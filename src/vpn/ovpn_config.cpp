@@ -35,12 +35,12 @@ std::optional<OvpnConfig> OvpnConfig::parse(std::string_view text) {
       continue;
     }
     const auto tokens = util::split(line, ' ');
-    const auto& directive = tokens[0];
+    const auto directive = tokens[0];
     if (directive == "remote" && tokens.size() >= 2) {
-      config.remote_host = tokens[1];
+      config.remote_host = std::string(tokens[1]);
       if (tokens.size() >= 3) {
         unsigned port = 0;
-        const auto& p = tokens[2];
+        const auto p = tokens[2];
         auto [ptr, ec] = std::from_chars(p.data(), p.data() + p.size(), port);
         if (ec == std::errc{} && ptr == p.data() + p.size() && port > 0 &&
             port <= 0xffff)
@@ -48,7 +48,7 @@ std::optional<OvpnConfig> OvpnConfig::parse(std::string_view text) {
       }
       saw_remote = true;
     } else if (directive == "proto" && tokens.size() >= 2) {
-      config.proto = tokens[1];
+      config.proto = std::string(tokens[1]);
     } else if (directive == "redirect-gateway") {
       config.redirect_gateway = true;
     } else if (directive == "dhcp-option" && tokens.size() >= 3 &&

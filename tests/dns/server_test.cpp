@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dns/client.h"
+#include "util/rng.h"
 
 namespace vpna::dns {
 namespace {
@@ -175,6 +176,94 @@ TEST_F(DnsFixture, QueryLogTimestampsAdvance) {
               "two.rdns.probe.net", RrType::kA);
   ASSERT_EQ(authority_->query_log().size(), 2u);
   EXPECT_LT(authority_->query_log()[0].time, authority_->query_log()[1].time);
+}
+
+// The reference semantics of ZoneRegistry::authority_for: scan every zone,
+// keep the longest one the canonical name falls in.
+std::optional<netsim::IpAddr> linear_authority(const ZoneRegistry& registry,
+                                               std::string_view name) {
+  const std::string n = canonical_name(name);
+  std::size_t best_len = 0;
+  std::optional<netsim::IpAddr> best;
+  for (const auto& [zone, server] : registry.zones()) {
+    if (!in_zone(n, zone)) continue;
+    if (!best || zone.size() > best_len) {
+      best_len = zone.size();
+      best = server;
+    }
+  }
+  return best;
+}
+
+TEST(ZoneRegistryLookup, MatchesLinearScanOnEdgeCases) {
+  ZoneRegistry registry;
+  registry.set_authority("example.com", netsim::IpAddr::v4(1, 0, 0, 1));
+  registry.set_authority("sub.example.com", netsim::IpAddr::v4(1, 0, 0, 2));
+  registry.set_authority("a.sub.example.com", netsim::IpAddr::v4(1, 0, 0, 3));
+  registry.set_authority("Probe.NET.", netsim::IpAddr::v4(1, 0, 0, 4));
+  registry.set_authority("org", netsim::IpAddr::v4(1, 0, 0, 5));
+  const struct {
+    const char* name;
+    const char* want;  // nullptr: no zone
+  } cases[] = {
+      {"example.com", "1.0.0.1"},          // equal to a zone
+      {"www.example.com", "1.0.0.1"},
+      {"sub.example.com", "1.0.0.2"},      // nested zone, equal
+      {"x.sub.example.com", "1.0.0.2"},
+      {"b.a.sub.example.com", "1.0.0.3"},  // innermost of three
+      {"badexample.com", nullptr},         // suffix, not a label boundary
+      {"xsub.example.com", "1.0.0.1"},
+      {"WWW.Example.COM.", "1.0.0.1"},     // mixed case, trailing dot
+      {"probe.net", "1.0.0.4"},            // zone registered mixed case
+      {"rdns.PROBE.net.", "1.0.0.4"},
+      {"wikipedia.org", "1.0.0.5"},
+      {"org", "1.0.0.5"},
+      {"example.net", nullptr},
+      {"com", nullptr},
+      {"", nullptr},
+      {".", nullptr},
+  };
+  for (const auto& c : cases) {
+    const auto got = registry.authority_for(c.name);
+    EXPECT_EQ(got, linear_authority(registry, c.name)) << c.name;
+    if (c.want == nullptr) {
+      EXPECT_FALSE(got.has_value()) << c.name;
+    } else {
+      ASSERT_TRUE(got.has_value()) << c.name;
+      EXPECT_EQ(got->str(), c.want) << c.name;
+    }
+  }
+}
+
+TEST(ZoneRegistryLookup, MatchesLinearScanOnRandomNames) {
+  // Few, short labels so names often collide with zones, nest inside
+  // several of them, or share a non-label suffix ("xcom" vs "com").
+  const std::vector<std::string> labels = {"a", "b", "com", "xcom", "Ex",
+                                           "ex", "NET", "b-a", ""};
+  util::Rng rng(20181031);
+  auto random_name = [&](int max_labels) {
+    std::string n;
+    const auto count = rng.uniform_int(1, max_labels);
+    for (std::int64_t i = 0; i < count; ++i) {
+      if (i != 0) n += '.';
+      n += labels[rng.index(labels.size())];
+    }
+    if (rng.chance(0.2)) n += '.';
+    return n;
+  };
+  for (int round = 0; round < 50; ++round) {
+    ZoneRegistry registry;
+    const auto zone_count = rng.uniform_int(0, 12);
+    for (std::int64_t z = 0; z < zone_count; ++z)
+      registry.set_authority(random_name(3),
+                             netsim::IpAddr::v4(10, 0, 0,
+                                                static_cast<std::uint8_t>(z)));
+    for (int q = 0; q < 200; ++q) {
+      const auto name = random_name(5);
+      EXPECT_EQ(registry.authority_for(name), linear_authority(registry, name))
+          << "round " << round << " name '" << name << "'";
+    }
+  }
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST(CaptureBuffer, DumpRendersRecords) {
   cap.record(util::SimTime::from_millis(1234), Direction::kOut, "eth0",
              dns_packet());
   auto tunneled = dns_packet();
-  tunneled.payload = "TUN1|encapsulated";
+  tunneled.payload = encode_inner(dns_packet());
   cap.record(util::SimTime::from_millis(1235), Direction::kIn, "eth0",
              tunneled);
   const auto text = cap.dump();
@@ -82,6 +82,31 @@ TEST(CaptureBuffer, DumpRendersRecords) {
   EXPECT_NE(text.find("8.8.8.8:53"), std::string::npos);
   EXPECT_NE(text.find("[tunnel]"), std::string::npos);
   EXPECT_NE(text.find("1.234s"), std::string::npos);
+}
+
+TEST(CaptureBuffer, RecordKeepsHeaderAndPayloadSize) {
+  CaptureBuffer cap;
+  const auto dns = dns_packet();
+  auto tunneled = dns_packet();
+  tunneled.ttl = 9;
+  tunneled.payload = encode_inner(dns);
+  cap.record({}, Direction::kOut, "tun0", dns);
+  cap.record({}, Direction::kOut, "eth0", tunneled);
+  ASSERT_EQ(cap.size(), 2u);
+  const auto& clear = cap.records()[0];
+  EXPECT_EQ(clear.packet.src, dns.src);
+  EXPECT_EQ(clear.packet.dst, dns.dst);
+  EXPECT_EQ(clear.packet.proto, Proto::kUdp);
+  EXPECT_EQ(clear.packet.dst_port, 53);
+  EXPECT_EQ(clear.payload_size, dns.payload.size());
+  EXPECT_FALSE(clear.encapsulated);
+  const auto& frame = cap.records()[1];
+  EXPECT_EQ(frame.packet.ttl, 9);
+  EXPECT_EQ(frame.payload_size, tunneled.payload.size());
+  EXPECT_TRUE(frame.encapsulated);
+  EXPECT_NE(cap.dump().find(
+                "len=" + std::to_string(tunneled.payload.size()) + " [tunnel]"),
+            std::string::npos);
 }
 
 TEST(CaptureBuffer, DumpTruncatesAtMaxLines) {

@@ -105,6 +105,112 @@ TEST(Cidr, ParseRejectsMalformed) {
   EXPECT_FALSE(Cidr::parse("notanip/8"));
 }
 
+// Accept/reject table for the address parsers. `want` is the canonical
+// text of the parsed value, or nullptr for a rejected input. The rows pin
+// the exact input sets (leading zeros accepted, signs and whitespace
+// rejected), so a parser rewrite cannot widen or narrow them unnoticed.
+struct ParseCase {
+  const char* text;
+  const char* want;
+};
+
+TEST(IpAddr, ParseAcceptRejectTable) {
+  const ParseCase cases[] = {
+      {"1.2.3.4", "1.2.3.4"},
+      {"01.2.3.4", "1.2.3.4"},
+      {"001.002.003.004", "1.2.3.4"},
+      {"255.255.255.255", "255.255.255.255"},
+      {"0.0.0.0", "0.0.0.0"},
+      {"1.2.3", nullptr},
+      {"1.2.3.4.", nullptr},
+      {".1.2.3.4", nullptr},
+      {"1.2.3.4.5", nullptr},
+      {"+1.2.3.4", nullptr},
+      {"-1.2.3.4", nullptr},
+      {" 1.2.3.4", nullptr},
+      {"1.2.3.4 ", nullptr},
+      {"256.0.0.1", nullptr},
+      {"1.2.3.0004", nullptr},
+      {"1..2.3", nullptr},
+      {"1.2.3.x", nullptr},
+      {"", nullptr},
+      {".", nullptr},
+      {"::", "::"},
+      {"::1", "::1"},
+      {"1::", "1::"},
+      {"FFFF::1", "ffff::1"},
+      {"0:0:0:0:0:0:0:0", "::"},
+      {"1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8"},
+      {"1:2:3:4:5:6:7::", "1:2:3:4:5:6:7:0"},
+      {"::2:3:4:5:6:7:8", "0:2:3:4:5:6:7:8"},
+      {"2001:0db8:0000::0001", "2001:db8::1"},
+      {"1::2::3", nullptr},
+      {"1:::2", nullptr},
+      {":::", nullptr},
+      {"1:2:3:4:5:6:7:8:9", nullptr},
+      {"1:2:3:4:5:6:7:8::", nullptr},
+      {"::1:2:3:4:5:6:7:8", nullptr},
+      {"1:2:3:4:5:6:7", nullptr},
+      {":1::2", nullptr},
+      {"1::2:", nullptr},
+      {"12345::1", nullptr},
+      {"0x1::1", nullptr},
+      {"+1::1", nullptr},
+      {"gggg::1", nullptr},
+      {"::1.2.3.4", nullptr},
+      {"1.2.3.4:80", nullptr},
+      {" ::1", nullptr},
+  };
+  for (const auto& c : cases) {
+    const auto a = IpAddr::parse(c.text);
+    if (c.want == nullptr) {
+      EXPECT_FALSE(a.has_value()) << '"' << c.text << '"';
+    } else {
+      ASSERT_TRUE(a.has_value()) << '"' << c.text << '"';
+      EXPECT_EQ(a->str(), c.want) << '"' << c.text << '"';
+    }
+  }
+}
+
+TEST(Cidr, ParseAcceptRejectTable) {
+  const ParseCase cases[] = {
+      {"10.0.0.0/8", "10.0.0.0/8"},
+      {"10.0.0.1/8", "10.0.0.0/8"},
+      {"10.0.0.0/08", "10.0.0.0/8"},
+      {"01.2.3.4/32", "1.2.3.4/32"},
+      {"0.0.0.0/0", "0.0.0.0/0"},
+      {"::/0", "::/0"},
+      {"2001:db8::1/32", "2001:db8::/32"},
+      {"2001:db8::/128", "2001:db8::/128"},
+      {"10.0.0.0", nullptr},
+      {"10.0.0.0/", nullptr},
+      {"/8", nullptr},
+      {"10.0.0.0/33", nullptr},
+      {"10.0.0.0/-1", nullptr},
+      {"10.0.0.0/+8", nullptr},
+      {"10.0.0.0/ 8", nullptr},
+      {"10.0.0.0/8 ", nullptr},
+      {"10.0.0.0/8/8", nullptr},
+      {"1.2.3/24", nullptr},
+      {"1.2.3.4./24", nullptr},
+      {"256.0.0.1/8", nullptr},
+      {"1..2.3/8", nullptr},
+      {"2001:db8::/129", nullptr},
+      {"1::2::3/64", nullptr},
+      {"1:2:3:4:5:6:7:8:9/64", nullptr},
+      {"", nullptr},
+  };
+  for (const auto& c : cases) {
+    const auto cidr = Cidr::parse(c.text);
+    if (c.want == nullptr) {
+      EXPECT_FALSE(cidr.has_value()) << '"' << c.text << '"';
+    } else {
+      ASSERT_TRUE(cidr.has_value()) << '"' << c.text << '"';
+      EXPECT_EQ(cidr->str(), c.want) << '"' << c.text << '"';
+    }
+  }
+}
+
 TEST(Cidr, HostAt) {
   const auto c = Cidr::parse("10.0.0.0/24");
   ASSERT_TRUE(c.has_value());

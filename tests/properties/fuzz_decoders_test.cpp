@@ -82,6 +82,12 @@ TEST_P(FuzzDecoders, MutatedValidFramesNeverCrash) {
   p.dst = netsim::IpAddr::v4(8, 8, 8, 8);
   p.payload = "DNSQ|1|0|example.com";
   const std::string tunnel_frame = netsim::encode_inner(p);
+  netsim::Packet p6 = p;
+  p6.src = *netsim::IpAddr::parse("2001:db8::2");
+  p6.dst = *netsim::IpAddr::parse("2a0e:100::53");
+  p6.proto = netsim::Proto::kTcp;
+  p6.ttl = 255;
+  const std::string tunnel6_frame = netsim::encode_inner(p6);
 
   dns::DnsResponse resp;
   resp.id = 3;
@@ -104,6 +110,7 @@ TEST_P(FuzzDecoders, MutatedValidFramesNeverCrash) {
 
   for (int i = 0; i < 100; ++i) {
     feed(mutate(rng, tunnel_frame));
+    feed(mutate(rng, tunnel6_frame));
     feed(mutate(rng, dns_frame));
     feed(mutate(rng, http_frame));
     feed(mutate(rng, cert_frame));

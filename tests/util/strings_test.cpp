@@ -19,6 +19,14 @@ TEST(Split, KeepsEmptyFields) {
   EXPECT_EQ(v[3], "");
 }
 
+TEST(Split, FieldsViewTheInput) {
+  const std::string text = "key=value";
+  const auto v = split(text, '=');
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[0].data(), text.data());
+  EXPECT_EQ(v[1].data(), text.data() + 4);
+}
+
 TEST(Split, SingleField) {
   const auto v = split("abc", ',');
   ASSERT_EQ(v.size(), 1u);
@@ -28,7 +36,9 @@ TEST(Split, SingleField) {
 TEST(Join, RoundTripsWithSplit) {
   const std::vector<std::string> parts = {"x", "y", "z"};
   EXPECT_EQ(join(parts, "-"), "x-y-z");
-  EXPECT_EQ(split(join(parts, ","), ','), parts);
+  const auto joined = join(parts, ",");
+  const std::vector<std::string_view> fields(parts.begin(), parts.end());
+  EXPECT_EQ(split(joined, ','), fields);
 }
 
 TEST(Join, EmptyVector) { EXPECT_EQ(join({}, ","), ""); }

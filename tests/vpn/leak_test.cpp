@@ -31,7 +31,7 @@ class LeakFixture : public ::testing::Test {
       if (rec.direction == netsim::Direction::kOut &&
           rec.packet.proto == netsim::Proto::kUdp &&
           rec.packet.dst_port == netsim::kPortDns &&
-          !rec.packet.payload.starts_with("TUN1|"))
+          !rec.encapsulated)
         ++n;
     }
     return n;
@@ -41,7 +41,7 @@ class LeakFixture : public ::testing::Test {
     int n = 0;
     for (const auto& rec : client_host_.capture().on_interface("eth0")) {
       if (rec.direction == netsim::Direction::kOut &&
-          rec.packet.dst.is_v6() && !rec.packet.payload.starts_with("TUN1|"))
+          rec.packet.dst.is_v6() && !rec.encapsulated)
         ++n;
     }
     return n;
