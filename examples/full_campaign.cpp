@@ -36,19 +36,28 @@
 // hot-phase report (self/total per phase plus a flame summary) to FILE.
 // All three are wall-clock telemetry: they never change campaign payloads.
 //
-// Every run also writes run_manifest.json to the output dir: the
-// deterministic cache key of the computation (catalog fingerprint, shard
-// seeds, fault/capacity profile, payload fingerprint) plus build and
+// Every run also writes run_manifest.json (scale_manifest.json under
+// --scale) to the output dir: the deterministic cache key of the
+// computation (catalog fingerprint, shard seeds or census options, fault/
+// capacity profile, payload fingerprint) plus execution, cache, build and
 // telemetry provenance.
 //
-// --scale N switches to the Internet-scale census path: a synthetic
-// catalog of N providers is generated from the 62 evaluated providers'
-// empirical distributions (seeded; deterministic), each provider gets its
-// own shard world, built by a worker only while it runs that shard, and
-// the run writes scale_census.csv plus a payload fingerprint —
-// byte-identical at any --jobs. --subscribers sets the modeled mean
-// subscriber count per provider (default 1000; subscribers are counts,
-// only a capped handful of eyeball clients materialize per shard).
+// --scale N chooses the catalog and nothing else: a synthetic catalog of
+// N providers, generated (seeded) from the evaluated providers' empirical
+// distributions, replaces the 62, and each shard censuses its provider's
+// shard world instead of running the suites. The run takes the same
+// executor, flags and exit codes as the paper campaign and writes
+// scale_census.csv (byte-identical at any --jobs, cache mode, isolation or
+// resume point). --subscribers sets the modeled mean subscriber count per
+// provider (default 1000; only a capped handful of eyeball clients
+// materialize per shard). Which flags apply to which catalog:
+//   both          --jobs --status-file --watchdog --profile --cache-dir
+//                 --cache --explain-cache --isolate --resume
+//                 --max-shard-retries
+//   paper only    --faults (other than off) --speedtest --trace --metrics
+//                 --trace-hops
+//   census only   --subscribers
+// A flag given to a catalog it does not apply to exits 2 with the reason.
 //
 // --cache-dir DIR points the content-addressed artifact store at DIR and
 // (unless --cache overrides it) opens it read-write: each provider shard
@@ -83,14 +92,17 @@
 // --cache-dir store and recomputes only the rest — the final payload is
 // byte-identical to an uninterrupted run. --max-shard-retries N bounds the
 // re-runs a crashed/erroring shard gets, in or out of process (default 2;
-// sets CampaignOptions::shard_attempts = N + 1). SIGINT/SIGTERM are
+// sets ExecutionOptions::shard_attempts = N + 1). SIGINT/SIGTERM are
 // handled cooperatively under --isolate: workers are reaped, the final
-// status JSON and a partial run_manifest.json are flushed, exit code 130.
+// status JSON and a partial manifest are flushed, exit code 130. A
+// --resume whose journal describes a different campaign is refused with
+// exit code 2.
 //
 // Exit-code taxonomy:
 //   0   completed; payload trustworthy (incl. graceful fault degradation)
 //   1   hard shard failure (no fault profile; shard exhausted attempts)
-//   2   usage error
+//   2   usage error (incl. a flag the chosen catalog cannot apply, and a
+//       refused --resume)
 //   3   completed, but >=1 shard crash-quarantined under --isolate
 //   130 interrupted (SIGINT/SIGTERM)
 #include <csignal>
@@ -100,6 +112,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 
 #include "analysis/manifest.h"
 #include "analysis/report_aggregation.h"
@@ -142,120 +155,160 @@ void install_interrupt_handlers() {
   ::sigaction(SIGTERM, &sa, nullptr);
 }
 
-void print_cache_summary(const core::CacheSummary& cache,
-                         const store::CacheConfig& config) {
-  std::printf("  cache (%s, %s): %zu hit, %zu miss, %zu corrupt, "
-              "%zu bypassed; %zu stored; %.1f KiB read, %.1f KiB written\n",
-              std::string(store::cache_mode_name(config.mode)).c_str(),
-              config.dir.c_str(), cache.hits, cache.misses, cache.corrupt,
-              cache.bypassed, cache.stored, cache.bytes_read / 1024.0,
-              cache.bytes_written / 1024.0);
-}
-
-void explain_cache(const std::vector<core::ShardCacheRecord>& records) {
-  for (const auto& r : records)
-    std::printf("  cache %-8s %s  %s%s (%llu bytes)\n",
-                std::string(core::cache_outcome_name(r.outcome)).c_str(),
-                r.key_id.c_str(), r.provider.c_str(),
-                r.stored ? "  [stored]" : "",
-                static_cast<unsigned long long>(r.bytes));
-}
-
-// The --scale path: generate the synthetic catalog, run the scaled census
-// campaign, write scale_census.csv + scale_manifest.json, and print the
-// fingerprints a caller needs to compare runs.
-int run_scaled(const std::filesystem::path& out_dir, std::size_t scale,
-               std::uint32_t subscribers, std::size_t jobs,
-               const store::CacheConfig& cache, bool explain, bool isolate,
-               int shard_attempts) {
-  core::ScaledCampaignOptions opts;
-  opts.jobs = jobs;
-  opts.cache = cache;
-  opts.isolate = isolate;
-  opts.shard_attempts = shard_attempts;
-  opts.interrupt = &g_interrupt;
-
-  std::printf(
-      "generating scaled catalog: %zu providers, ~%u subscribers each...\n",
-      scale, subscribers);
-  const auto catalog =
-      ecosystem::generate_scaled_catalog(scale, subscribers, 20181031);
-  std::printf("  %zu vantage points, %llu modeled subscribers, "
-              "catalog fingerprint %016llx\n",
-              catalog.total_vantage_points(),
-              static_cast<unsigned long long>(catalog.total_subscribers()),
-              static_cast<unsigned long long>(catalog.fingerprint()));
-
-  if (opts.isolate) install_interrupt_handlers();
-  std::printf("running scaled census (jobs=%zu%s)...\n", jobs,
-              opts.isolate ? ", isolated workers" : "");
-  const auto report = core::run_scaled_campaign(catalog, opts);
-
+// The paper catalog's payload: the artefacts the paper published, plus the
+// traced outputs when asked for.
+void write_paper_payload(const std::filesystem::path& out_dir,
+                         const core::CampaignReport& result,
+                         const std::filesystem::path& trace_path,
+                         const std::filesystem::path& metrics_path,
+                         bool speed_test) {
+  const auto& reports = result.providers;
+  std::ofstream(out_dir / "campaign.csv")
+      << analysis::render_campaign_csv(reports);
   {
-    std::ofstream csv(out_dir / "scale_census.csv");
-    csv << report.payload;
+    std::ofstream guide(out_dir / "scorecard.md");
+    guide << analysis::render_scorecard(reports);
+    for (const auto& report : reports)
+      guide << "\n" << analysis::render_provider_markdown(report);
+    // Traced runs get the deterministic metrics appendix (the appendix is
+    // canonical, so scorecard.md stays byte-identical at any --jobs).
+    guide << analysis::render_instrumentation_appendix(result);
+    // Fault-profile runs additionally record structured degradation
+    // (empty string — no bytes — when nothing degraded).
+    guide << analysis::render_degradation_appendix(result);
   }
-  {
-    std::ofstream manifest(out_dir / "scale_manifest.json");
-    manifest << analysis::render_scaled_manifest_json(report, opts);
-  }
-  std::uint64_t hosts = 0;
-  for (const auto& s : report.shards) hosts += s.hosts;
-  std::printf("\nscaled census complete in %.1fs (wall clock)\n",
-              report.wall_s);
-  std::printf("  shards: %zu   hosts: %llu   payload fingerprint: %016llx\n",
-              report.shards.size(), static_cast<unsigned long long>(hosts),
-              static_cast<unsigned long long>(report.payload_fingerprint));
-  std::printf("  host arena: %.1f MiB reserved, %.1f MiB used   "
-              "peak RSS: %.1f MiB\n",
-              report.arena_reserved_bytes / (1024.0 * 1024.0),
-              report.arena_used_bytes / (1024.0 * 1024.0),
-              report.peak_rss_kb / 1024.0);
-  if (cache.enabled())
-    print_cache_summary(core::summarize_cache(report.cache_records), cache);
-  if (explain) explain_cache(report.cache_records);
   std::printf("wrote %s and %s\n",
-              (out_dir / "scale_census.csv").string().c_str(),
-              (out_dir / "scale_manifest.json").string().c_str());
-  if (report.interrupted) {
-    std::fprintf(stderr, "interrupted: scaled census stopped early\n");
-    return 130;
+              (out_dir / "scorecard.md").string().c_str(),
+              (out_dir / "campaign.csv").string().c_str());
+  if (speed_test) {
+    std::ofstream(out_dir / "speedtest.csv")
+        << analysis::render_speedtest_csv(reports);
+    std::printf("wrote %s\n", (out_dir / "speedtest.csv").string().c_str());
   }
-  if (!report.crashed_providers.empty()) {
+  if (!trace_path.empty()) {
+    std::ofstream(trace_path) << obs::chrome_trace_json(result.traces);
+    std::printf("wrote %s (open in https://ui.perfetto.dev)\n",
+                trace_path.string().c_str());
+  }
+  if (!metrics_path.empty()) {
+    std::ofstream(metrics_path)
+        << analysis::campaign_metrics(result).render_text(
+               /*include_volatile=*/true);
+    std::printf("wrote %s\n", metrics_path.string().c_str());
+  }
+}
+
+// The paper campaign's console summary: the headline numbers and, on
+// stderr, what degraded under a fault profile.
+void print_paper_summary(const core::CampaignReport& result,
+                         const analysis::CampaignEngineSummary& engine,
+                         faults::FaultProfile fault_profile) {
+  const auto& reports = result.providers;
+  const auto leakage = analysis::aggregate_leakage(reports);
+  const auto manipulation = analysis::aggregate_manipulation(reports);
+  int grade_counts[5] = {};
+  for (const auto& report : reports)
+    ++grade_counts[static_cast<int>(analysis::grade_provider(report))];
+  std::printf("  tunnel-failure leakers: %zu of %d\n",
+              leakage.tunnel_failure_leakers.size(),
+              leakage.tunnel_failure_applicable);
+  std::printf("  DNS leakers: %zu   IPv6 leakers: %zu\n",
+              leakage.dns_leakers.size(), leakage.ipv6_leakers.size());
+  std::printf("  transparent proxies: %zu   injectors: %zu\n",
+              manipulation.transparent_proxies.size(),
+              manipulation.content_injectors.size());
+  std::printf("  grades: A=%d B=%d C=%d D=%d F=%d\n", grade_counts[0],
+              grade_counts[1], grade_counts[2], grade_counts[3],
+              grade_counts[4]);
+  // A degraded-but-complete run still exits 0; scripts watching stderr
+  // see what gave up and why.
+  if (engine.degraded_providers > 0) {
     std::fprintf(stderr,
-                 "crash quarantine: %zu census shard(s) crashed every "
-                 "isolated attempt (zeroed records merged)\n",
-                 report.crashed_providers.size());
-    return 3;
+                 "degraded run: %zu provider(s) degraded "
+                 "(%zu quarantined shard(s), %zu degraded vantage point(s)) "
+                 "under --faults %s\n",
+                 engine.degraded_providers, engine.quarantined_shards,
+                 engine.degraded_vantage_points,
+                 std::string(faults::profile_name(fault_profile)).c_str());
+    for (const auto& name : result.degraded_providers)
+      std::fprintf(stderr, "  degraded: %s\n", name.c_str());
   }
-  return 0;
+}
+
+// What every campaign reports about its execution, whichever catalog ran.
+void print_execution_summary(const core::ExecutionReport& result,
+                             const analysis::CampaignEngineSummary& engine,
+                             const core::ExecutionOptions& exec,
+                             bool explain) {
+  // Pool counters exist only in-process; worker processes have their own.
+  if (!result.execution_isolated)
+    std::printf("  engine: %zu workers, %llu shard runs, %llu steals, "
+                "%llu retries, %.0f%% efficiency\n",
+                engine.jobs, static_cast<unsigned long long>(engine.tasks_run),
+                static_cast<unsigned long long>(engine.steals),
+                static_cast<unsigned long long>(engine.retries),
+                100.0 * engine.parallel_efficiency());
+  else
+    std::printf("  isolation: %zu worker spawn(s), %zu crash(es), "
+                "%zu kill(s); %zu shard(s) resumed from journal\n",
+                result.process_spawns, result.process_crashes,
+                result.process_kills, result.resumed_shards);
+  if (exec.cache.enabled()) {
+    const auto cache = core::summarize_cache(result.cache_records);
+    std::printf("  cache (%s, %s): %zu hit, %zu miss, %zu corrupt, "
+                "%zu bypassed; %zu stored; %.1f KiB read, %.1f KiB written\n",
+                std::string(store::cache_mode_name(exec.cache.mode)).c_str(),
+                exec.cache.dir.c_str(), cache.hits, cache.misses,
+                cache.corrupt, cache.bypassed, cache.stored,
+                cache.bytes_read / 1024.0, cache.bytes_written / 1024.0);
+  }
+  if (explain)
+    for (const auto& r : result.cache_records)
+      std::printf("  cache %-8s %s  %s%s (%llu bytes)\n",
+                  std::string(core::cache_outcome_name(r.outcome)).c_str(),
+                  r.key_id.c_str(), r.provider.c_str(),
+                  r.stored ? "  [stored]" : "",
+                  static_cast<unsigned long long>(r.bytes));
+  // A hard failure (every attempt threw, no fault profile to degrade into)
+  // exits 1. Crash quarantine is an engine-health event, not a shard
+  // outcome: the rest merged cleanly, but the run exits 3.
+  for (const auto& name : result.failed_providers)
+    std::fprintf(stderr, "hard failure: %s threw on all %d attempt(s)\n",
+                 name.c_str(), exec.shard_attempts);
+  for (const auto& name : result.crash_quarantined_providers)
+    std::fprintf(stderr,
+                 "crash quarantine: %s lost its worker (crash, hang or "
+                 "undecodable result) on all %d attempt(s)\n",
+                 name.c_str(), exec.shard_attempts);
+  if (!result.watchdog_alerts.empty()) {
+    std::fprintf(stderr, "watchdog: %zu shard(s) ran past the median:\n",
+                 result.watchdog_alerts.size());
+    for (const auto& alert : result.watchdog_alerts)
+      std::fprintf(stderr, "  %s: %.1fs elapsed vs %.1fs median (%.1fx)\n",
+                   alert.shard.c_str(), alert.elapsed_s, alert.median_s,
+                   alert.ratio());
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::filesystem::path out_dir = ".";
-  std::size_t jobs = 1;
+  core::ExecutionOptions exec;
   std::filesystem::path trace_path;
   std::filesystem::path metrics_path;
   bool trace_hops = false;
   bool speed_test = false;
-  std::filesystem::path status_path;
   std::filesystem::path profile_path;
-  double watchdog_multiple = 0.0;
   std::size_t scale = 0;
-  std::uint32_t subscribers = 1000;
-  store::CacheConfig cache;
+  std::uint32_t subscribers = 0;  // 0 = not given
   bool cache_mode_set = false;
   bool explain = false;
-  bool isolate = false;
-  bool resume = false;
-  int shard_attempts = core::CampaignOptions{}.shard_attempts;
   faults::FaultProfile fault_profile = faults::FaultProfile::kOff;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0) {
       if (i + 1 >= argc) return usage();
-      jobs = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      exec.jobs = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--scale") == 0) {
       if (i + 1 >= argc) return usage();
       scale = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
@@ -264,6 +317,7 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return usage();
       subscribers =
           static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (subscribers == 0) return usage();
     } else if (std::strcmp(argv[i], "--faults") == 0) {
       if (i + 1 >= argc) return usage();
       const auto parsed = faults::parse_profile(argv[++i]);
@@ -281,250 +335,207 @@ int main(int argc, char** argv) {
       speed_test = true;
     } else if (std::strcmp(argv[i], "--status-file") == 0) {
       if (i + 1 >= argc) return usage();
-      status_path = argv[++i];
+      exec.status.file = argv[++i];
     } else if (std::strcmp(argv[i], "--watchdog") == 0) {
       if (i + 1 >= argc) return usage();
-      watchdog_multiple = std::strtod(argv[++i], nullptr);
-      if (watchdog_multiple <= 0.0) return usage();
+      exec.status.watchdog_multiple = std::strtod(argv[++i], nullptr);
+      if (exec.status.watchdog_multiple <= 0.0) return usage();
     } else if (std::strcmp(argv[i], "--profile") == 0) {
       if (i + 1 >= argc) return usage();
       profile_path = argv[++i];
     } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
       if (i + 1 >= argc) return usage();
-      cache.dir = argv[++i];
+      exec.cache.dir = argv[++i];
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       if (i + 1 >= argc) return usage();
-      if (!store::parse_cache_mode(argv[++i], &cache.mode)) return usage();
+      if (!store::parse_cache_mode(argv[++i], &exec.cache.mode)) return usage();
       cache_mode_set = true;
     } else if (std::strcmp(argv[i], "--explain-cache") == 0) {
       explain = true;
     } else if (std::strcmp(argv[i], "--isolate") == 0) {
-      isolate = true;
+      exec.isolate = true;
     } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
+      exec.resume = true;
     } else if (std::strcmp(argv[i], "--max-shard-retries") == 0) {
       if (i + 1 >= argc) return usage();
       const long retries = std::strtol(argv[++i], nullptr, 10);
       if (retries < 0) return usage();
-      shard_attempts = static_cast<int>(retries) + 1;
+      exec.shard_attempts = static_cast<int>(retries) + 1;
     } else if (argv[i][0] == '-') {
       return usage();
     } else {
       out_dir = argv[i];
     }
   }
-  std::filesystem::create_directories(out_dir);
-  // --cache-dir alone opens the store read-write; an explicit --cache mode
-  // always wins (so `--cache-dir D --cache ro` is a read-only consult).
-  if (!cache.dir.empty() && !cache_mode_set)
-    cache.mode = store::CacheMode::kReadWrite;
-  // --resume replays an --isolate journal; it only makes sense isolated.
-  if (resume) isolate = true;
 
-  if (scale > 0)
-    return run_scaled(out_dir, scale, subscribers, jobs, cache, explain,
-                      isolate, shard_attempts);
-
-  core::CampaignOptions opts;
-  opts.runner.vantage_points_per_provider = 3;
-  opts.runner.fault_profile = fault_profile;
-  opts.runner.speed_test = speed_test;
-  opts.jobs = jobs;
-  opts.shard_attempts = shard_attempts;
-  // Any observability output requires the shards to run traced.
-  opts.trace.enabled =
+  // Every flag either applies to the chosen catalog or is refused.
+  const bool census = scale > 0;
+  const bool traced =
       !trace_path.empty() || !metrics_path.empty() || trace_hops;
-  opts.trace.packet_hops = trace_hops;
-  // Health plane: wall-clock telemetry only, payloads unchanged.
-  opts.status.file = status_path.string();
-  opts.status.watchdog_multiple = watchdog_multiple;
-  opts.cache = cache;
-  // Process isolation: forked workers, a durable journal next to the
-  // artefacts, and cooperative interrupt handling.
-  opts.isolate = isolate;
-  opts.resume = resume;
-  if (isolate) {
-    opts.journal_path = (out_dir / "campaign.journal").string();
-    opts.interrupt = &g_interrupt;
+  const char* paper_only = fault_profile != faults::FaultProfile::kOff
+                               ? "--faults"
+                           : speed_test             ? "--speedtest"
+                           : !trace_path.empty()    ? "--trace"
+                           : !metrics_path.empty()  ? "--metrics"
+                           : trace_hops             ? "--trace-hops"
+                                                    : nullptr;
+  if (census && paper_only != nullptr) {
+    std::fprintf(stderr,
+                 "error: %s applies only to the paper catalog; a --scale "
+                 "census builds shard worlds and runs no test suites\n",
+                 paper_only);
+    return 2;
   }
-
-  if (isolate && opts.trace.enabled) {
+  if (!census && subscribers != 0) {
+    std::fprintf(stderr,
+                 "error: --subscribers applies only to a --scale census\n");
+    return 2;
+  }
+  // --resume replays an --isolate journal; it only makes sense isolated.
+  if (exec.resume) exec.isolate = true;
+  if (exec.isolate && traced) {
     std::fprintf(stderr,
                  "error: --isolate cannot run traced (--trace/--metrics/"
                  "--trace-hops): a ShardTrace does not stream over the "
                  "worker protocol\n");
     return 2;
   }
-  if (cache.enabled() && opts.trace.enabled)
+
+  std::filesystem::create_directories(out_dir);
+  // --cache-dir alone opens the store read-write; an explicit --cache mode
+  // always wins (so `--cache-dir D --cache ro` is a read-only consult).
+  if (!exec.cache.dir.empty() && !cache_mode_set)
+    exec.cache.mode = store::CacheMode::kReadWrite;
+  // Process isolation: forked workers, a durable journal next to the
+  // artefacts, and cooperative interrupt handling.
+  if (exec.isolate) {
+    exec.journal_path = (out_dir / "campaign.journal").string();
+    exec.interrupt = &g_interrupt;
+    install_interrupt_handlers();
+  }
+  if (exec.cache.enabled() && traced)
     std::fprintf(stderr,
                  "note: traced runs bypass the artifact cache "
                  "(a ShardTrace is not part of the cached artifact)\n");
-  if (resume && !cache.enabled())
+  if (exec.resume && !exec.cache.enabled())
     std::fprintf(stderr,
                  "note: --resume without --cache-dir has no artifacts to "
                  "replay; journaled shards recompute\n");
   if (!profile_path.empty()) obs::Profiler::enable();
-  if (isolate) install_interrupt_handlers();
 
-  std::printf("running the full 62-provider campaign (jobs=%zu, faults=%s%s%s)...\n",
-              jobs, std::string(faults::profile_name(fault_profile)).c_str(),
-              isolate ? ", isolated workers" : "",
-              resume ? ", resuming" : "");
-  core::ParallelCampaign campaign(opts);
-  const auto result = campaign.run();
-  const auto& reports = result.providers;
+  // The one campaign path: --scale picks the catalog (and with it the
+  // payload writer); execution, telemetry and exit codes are shared.
+  core::CampaignOptions paper_opts;
+  static_cast<core::ExecutionOptions&>(paper_opts) = exec;
+  paper_opts.runner.vantage_points_per_provider = 3;
+  paper_opts.runner.fault_profile = fault_profile;
+  paper_opts.runner.speed_test = speed_test;
+  // Any observability output requires the shards to run traced.
+  paper_opts.trace.enabled = traced;
+  paper_opts.trace.packet_hops = trace_hops;
+  core::ScaledCampaignOptions census_opts;
+  static_cast<core::ExecutionOptions&>(census_opts) = exec;
+  std::optional<ecosystem::ScaledCatalog> catalog;
+  if (census) {
+    if (subscribers == 0) subscribers = 1000;
+    std::printf(
+        "generating scaled catalog: %zu providers, ~%u subscribers each...\n",
+        scale, subscribers);
+    catalog = ecosystem::generate_scaled_catalog(scale, subscribers,
+                                                 census_opts.seed);
+    std::printf("  %zu vantage points, %llu modeled subscribers, "
+                "catalog fingerprint %016llx\n",
+                catalog->total_vantage_points(),
+                static_cast<unsigned long long>(catalog->total_subscribers()),
+                static_cast<unsigned long long>(catalog->fingerprint()));
+  }
+  std::printf("running the %s (jobs=%zu, faults=%s%s%s)...\n",
+              census ? "scaled census" : "full 62-provider campaign",
+              exec.jobs,
+              std::string(faults::profile_name(fault_profile)).c_str(),
+              exec.isolate ? ", isolated workers" : "",
+              exec.resume ? ", resuming" : "");
 
-  // Interrupted (SIGINT/SIGTERM under --isolate): the supervisor already
-  // reaped its workers and flushed the final status JSON; flush a partial
-  // run_manifest.json so the interruption is on the record, then exit 130.
-  // The payload is incomplete, so none of the payload artefacts is written
-  // — a later --resume run regenerates everything from the journal.
-  if (result.interrupted) {
-    const auto payload = analysis::serialize_campaign_payload(result);
-    {
-      std::ofstream manifest(out_dir / "run_manifest.json");
-      manifest << analysis::render_manifest_json(
-          analysis::build_run_manifest(opts, result, payload));
+  core::CampaignReport paper;
+  core::ScaledCampaignReport scaled;
+  try {
+    if (census)
+      scaled = core::run_scaled_campaign(*catalog, census_opts);
+    else
+      paper = core::ParallelCampaign(paper_opts).run();
+  } catch (const std::runtime_error& e) {
+    // A refused --resume: the journal in the output dir belongs to a
+    // different campaign.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  const core::ExecutionReport& result =
+      census ? static_cast<const core::ExecutionReport&>(scaled) : paper;
+
+  // Artefacts. An interrupted run's payload is incomplete, so only its
+  // (partial) manifest is written — a later --resume regenerates the rest
+  // from the journal. The serialize scope closes before the profile report
+  // is taken, so the phase shows up in the profile file.
+  std::optional<obs::Span> serialize_span(std::in_place, "campaign.serialize",
+                                          "campaign");
+  if (!result.interrupted) {
+    if (census) {
+      std::ofstream(out_dir / "scale_census.csv") << scaled.payload;
+      std::printf("wrote %s\n",
+                  (out_dir / "scale_census.csv").string().c_str());
+    } else {
+      write_paper_payload(out_dir, paper, trace_path, metrics_path,
+                          speed_test);
     }
+  }
+  const auto manifest_path =
+      out_dir / (census ? "scale_manifest.json" : "run_manifest.json");
+  // The manifest fingerprints the canonical payload bytes — the same
+  // serialization the determinism suites compare.
+  std::ofstream(manifest_path)
+      << (census ? analysis::render_scaled_manifest_json(scaled, census_opts)
+                 : analysis::render_manifest_json(analysis::build_run_manifest(
+                       paper_opts, paper,
+                       analysis::serialize_campaign_payload(paper))));
+  std::printf("wrote %s\n", manifest_path.string().c_str());
+  serialize_span.reset();
+  if (!profile_path.empty()) {
+    std::ofstream(profile_path)
+        << obs::render_profile_text(obs::Profiler::instance().report());
+    std::printf("wrote %s (wall-clock profile)\n",
+                profile_path.string().c_str());
+  }
+  if (result.interrupted) {
     std::fprintf(stderr,
                  "interrupted: campaign stopped early; wrote partial %s "
                  "(re-run with --resume to finish)\n",
-                 (out_dir / "run_manifest.json").string().c_str());
+                 manifest_path.string().c_str());
     return 130;
   }
 
-  // Artefacts. The serialize scope closes before the profile report is
-  // taken, so the phase shows up in the profile file.
-  std::optional<obs::Span> serialize_span(std::in_place, "campaign.serialize",
-                                          "campaign");
-  {
-    std::ofstream csv(out_dir / "campaign.csv");
-    csv << analysis::render_campaign_csv(reports);
-  }
-  {
-    std::ofstream guide(out_dir / "scorecard.md");
-    guide << analysis::render_scorecard(reports);
-    for (const auto& report : reports)
-      guide << "\n" << analysis::render_provider_markdown(report);
-    // Traced runs get the deterministic metrics appendix (the appendix is
-    // canonical, so scorecard.md stays byte-identical at any --jobs).
-    guide << analysis::render_instrumentation_appendix(result);
-    // Fault-profile runs additionally record structured degradation
-    // (empty string — no bytes — when nothing degraded).
-    guide << analysis::render_degradation_appendix(result);
-  }
-  if (speed_test) {
-    std::ofstream csv(out_dir / "speedtest.csv");
-    csv << analysis::render_speedtest_csv(reports);
-  }
-  if (!trace_path.empty()) {
-    std::ofstream trace(trace_path);
-    trace << obs::chrome_trace_json(result.traces);
-  }
-  if (!metrics_path.empty()) {
-    std::ofstream metrics(metrics_path);
-    metrics << analysis::campaign_metrics(result).render_text(
-        /*include_volatile=*/true);
-  }
-  {
-    // The manifest fingerprints the canonical payload bytes — the same
-    // serialization the determinism suite compares.
-    const auto payload = analysis::serialize_campaign_payload(result);
-    std::ofstream manifest(out_dir / "run_manifest.json");
-    manifest << analysis::render_manifest_json(
-        analysis::build_run_manifest(opts, result, payload));
-  }
-  serialize_span.reset();
-  if (!profile_path.empty()) {
-    std::ofstream profile(profile_path);
-    profile << obs::render_profile_text(obs::Profiler::instance().report());
-  }
-
   // Console summary.
-  const auto leakage = analysis::aggregate_leakage(reports);
-  const auto manipulation = analysis::aggregate_manipulation(reports);
-  const auto engine = analysis::summarize_campaign(result);
-  int grade_counts[5] = {};
-  for (const auto& report : reports)
-    ++grade_counts[static_cast<int>(analysis::grade_provider(report))];
-
+  const auto engine = census ? analysis::summarize_execution(scaled)
+                             : analysis::summarize_campaign(paper);
   std::printf("\ncampaign complete in %.1fs (wall clock)\n", result.wall_s);
-  std::printf("  engine: %zu workers, %llu shard runs, %llu steals, "
-              "%llu retries, %.0f%% efficiency\n",
-              engine.jobs, static_cast<unsigned long long>(engine.tasks_run),
-              static_cast<unsigned long long>(engine.steals),
-              static_cast<unsigned long long>(engine.retries),
-              100.0 * engine.parallel_efficiency());
-  if (engine.failed_shards > 0)
-    std::printf("  FAILED SHARDS: %zu\n", engine.failed_shards);
-  if (result.execution_isolated)
-    std::printf("  isolation: %zu worker spawn(s), %zu crash(es), "
-                "%zu kill(s); %zu shard(s) resumed from journal\n",
-                result.process_spawns, result.process_crashes,
-                result.process_kills, result.resumed_shards);
-  if (cache.enabled())
-    print_cache_summary(core::summarize_cache(result.cache_records), cache);
-  if (explain) explain_cache(result.cache_records);
-  // Degradation summary goes to stderr: a degraded-but-complete run still
-  // exits 0, and scripts watching stderr see what gave up and why.
-  if (engine.degraded_providers > 0) {
-    std::fprintf(stderr,
-                 "degraded run: %zu provider(s) degraded "
-                 "(%zu quarantined shard(s), %zu degraded vantage point(s)) "
-                 "under --faults %s\n",
-                 engine.degraded_providers, engine.quarantined_shards,
-                 engine.degraded_vantage_points,
-                 std::string(faults::profile_name(fault_profile)).c_str());
-    for (const auto& name : result.degraded_providers)
-      std::fprintf(stderr, "  degraded: %s\n", name.c_str());
-  }
-  // Crash quarantine is an engine-health event (worker death, not a shard
-  // outcome): report it on stderr and fail the run with exit code 3 even
-  // though the rest of the campaign merged cleanly.
-  if (!result.crash_quarantined_providers.empty()) {
-    std::fprintf(stderr,
-                 "crash quarantine: %zu provider shard(s) exhausted their "
-                 "%d retr%s on crashed workers:\n",
-                 result.crash_quarantined_providers.size(), shard_attempts - 1,
-                 shard_attempts == 2 ? "y" : "ies");
-    for (const auto& name : result.crash_quarantined_providers)
-      std::fprintf(stderr, "  crash-quarantined: %s\n", name.c_str());
-  }
-  std::printf("  tunnel-failure leakers: %zu of %d\n",
-              leakage.tunnel_failure_leakers.size(),
-              leakage.tunnel_failure_applicable);
-  std::printf("  DNS leakers: %zu   IPv6 leakers: %zu\n",
-              leakage.dns_leakers.size(), leakage.ipv6_leakers.size());
-  std::printf("  transparent proxies: %zu   injectors: %zu\n",
-              manipulation.transparent_proxies.size(),
-              manipulation.content_injectors.size());
-  std::printf("  grades: A=%d B=%d C=%d D=%d F=%d\n", grade_counts[0],
-              grade_counts[1], grade_counts[2], grade_counts[3],
-              grade_counts[4]);
-  std::printf("wrote %s and %s\n",
-              (out_dir / "scorecard.md").string().c_str(),
-              (out_dir / "campaign.csv").string().c_str());
-  if (speed_test)
-    std::printf("wrote %s\n", (out_dir / "speedtest.csv").string().c_str());
-  if (!trace_path.empty())
-    std::printf("wrote %s (open in https://ui.perfetto.dev)\n",
-                trace_path.string().c_str());
-  if (!metrics_path.empty())
-    std::printf("wrote %s\n", metrics_path.string().c_str());
-  std::printf("wrote %s\n", (out_dir / "run_manifest.json").string().c_str());
-  if (!profile_path.empty())
-    std::printf("wrote %s (wall-clock profile)\n",
-                profile_path.string().c_str());
-  if (!result.watchdog_alerts.empty()) {
-    std::fprintf(stderr, "watchdog: %zu shard(s) ran past the median:\n",
-                 result.watchdog_alerts.size());
-    for (const auto& alert : result.watchdog_alerts)
-      std::fprintf(stderr, "  %s: %.1fs elapsed vs %.1fs median (%.1fx)\n",
-                   alert.shard.c_str(), alert.elapsed_s, alert.median_s,
-                   alert.ratio());
+  print_execution_summary(result, engine, exec, explain);
+  if (census) {
+    std::uint64_t hosts = 0;
+    for (const auto& shard : scaled.shards) hosts += shard.hosts;
+    std::printf("  shards: %zu   hosts: %llu   payload fingerprint: %016llx\n",
+                scaled.shards.size(), static_cast<unsigned long long>(hosts),
+                static_cast<unsigned long long>(scaled.payload_fingerprint));
+    // Arena bytes count only worlds built in this process: an isolated
+    // run built them in its workers, so it prints no made-up zero.
+    if (!scaled.execution_isolated)
+      std::printf("  host arena: %.1f MiB reserved, %.1f MiB used\n",
+                  scaled.arena_reserved_bytes / (1024.0 * 1024.0),
+                  scaled.arena_used_bytes / (1024.0 * 1024.0));
+    std::printf("  driver peak RSS: %.1f MiB\n", scaled.peak_rss_kb / 1024.0);
+  } else {
+    print_paper_summary(paper, engine, fault_profile);
   }
   // Exit-code contract: only hard shard failures (payload incomplete with
-  // no structured outcome) fail the invocation; degraded-but-complete
-  // fault-profile runs exit 0.
+  // no structured outcome) and crash quarantine fail the invocation;
+  // degraded-but-complete fault-profile runs exit 0.
   return analysis::campaign_exit_code(engine);
 }

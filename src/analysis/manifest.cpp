@@ -12,25 +12,17 @@
 
 namespace vpna::analysis {
 
-RunManifest build_run_manifest(const core::CampaignOptions& options,
-                               const core::CampaignReport& report,
-                               std::string_view payload) {
-  RunManifest m;
-  m.catalog_fingerprint = ecosystem::catalog_fingerprint();
-  m.campaign_seed = report.seed;
-  m.shard_seeds.reserve(report.providers.size());
-  for (const auto& provider : report.providers)
-    m.shard_seeds.emplace_back(
-        provider.provider,
-        ecosystem::shard_seed(report.seed, provider.provider));
-  m.fault_profile = std::string(
-      faults::profile_name(options.runner.fault_profile));
-  m.link_capacities = options.runner.speed_test;
-  m.payload_fingerprint = util::fnv1a(payload);
+namespace {
 
+// Every section but `key`, from what any campaign's execution shares:
+// its ExecutionOptions, its ExecutionReport and the engine rollup.
+RunManifest execution_manifest(const core::ExecutionOptions& options,
+                               const core::ExecutionReport& report,
+                               const CampaignEngineSummary& engine,
+                               std::uint64_t options_fingerprint) {
+  RunManifest m;
   m.jobs = report.jobs;
   m.shard_attempts = options.shard_attempts;
-  m.trace_enabled = options.trace.enabled;
 
   m.execution_mode = report.execution_isolated ? "isolated" : "in-process";
   m.journal_path = options.journal_path;
@@ -46,7 +38,7 @@ RunManifest build_run_manifest(const core::CampaignOptions& options,
   m.cache_mode = std::string(store::cache_mode_name(options.cache.mode));
   m.cache_dir = options.cache.dir;
   m.code_epoch = store::kCodeEpoch;
-  m.runner_options_fp = core::runner_options_fingerprint(options.runner);
+  m.runner_options_fp = options_fingerprint;
   m.cache = core::summarize_cache(report.cache_records);
   m.shard_cache.reserve(report.cache_records.size());
   for (const auto& r : report.cache_records) {
@@ -70,7 +62,6 @@ RunManifest build_run_manifest(const core::CampaignOptions& options,
   m.build_type = "debug";
 #endif
 
-  const auto engine = summarize_campaign(report);
   m.wall_s = report.wall_s;
   m.busy_wall_s = engine.busy_wall_s;
   m.tasks_run = engine.tasks_run;
@@ -79,35 +70,13 @@ RunManifest build_run_manifest(const core::CampaignOptions& options,
   m.failed_shards = engine.failed_shards;
   m.quarantined_shards = engine.quarantined_shards;
   m.degraded_vantage_points = engine.degraded_vantage_points;
-  m.degraded_providers = report.degraded_providers;
   m.watchdog_alerts = report.watchdog_alerts;
   return m;
 }
 
-std::string render_manifest_json(const RunManifest& m) {
-  std::string out = "{\n";
-  out += "  \"key\": {\n";
-  out += util::format("    \"catalog_fingerprint\": \"%016llx\",\n",
-                      static_cast<unsigned long long>(m.catalog_fingerprint));
-  out += util::format("    \"campaign_seed\": %llu,\n",
-                      static_cast<unsigned long long>(m.campaign_seed));
-  out += util::format("    \"fault_profile\": \"%s\",\n",
-                      obs::json_escape(m.fault_profile).c_str());
-  out += util::format("    \"link_capacities\": %s,\n",
-                      m.link_capacities ? "true" : "false");
-  out += util::format("    \"payload_fingerprint\": \"%016llx\",\n",
-                      static_cast<unsigned long long>(m.payload_fingerprint));
-  out += "    \"shard_seeds\": [";
-  for (std::size_t i = 0; i < m.shard_seeds.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += util::format("      {\"provider\": \"%s\", \"seed\": \"%016llx\"}",
-                        obs::json_escape(m.shard_seeds[i].first).c_str(),
-                        static_cast<unsigned long long>(m.shard_seeds[i].second));
-  }
-  out += m.shard_seeds.empty() ? "]\n" : "\n    ]\n";
-  out += "  },\n";
-
-  out += "  \"run\": {\n";
+// The `run`, `execution`, `cache`, `build` and `telemetry` sections.
+std::string render_execution_sections(const RunManifest& m) {
+  std::string out = "  \"run\": {\n";
   out += util::format("    \"jobs\": %zu,\n", m.jobs);
   out += util::format("    \"shard_attempts\": %d,\n", m.shard_attempts);
   out += util::format("    \"trace_enabled\": %s\n",
@@ -220,10 +189,58 @@ std::string render_manifest_json(const RunManifest& m) {
   return out;
 }
 
+}  // namespace
+
+RunManifest build_run_manifest(const core::CampaignOptions& options,
+                               const core::CampaignReport& report,
+                               std::string_view payload) {
+  RunManifest m = execution_manifest(
+      options, report, summarize_campaign(report),
+      core::runner_options_fingerprint(options.runner));
+  m.catalog_fingerprint = ecosystem::catalog_fingerprint();
+  m.campaign_seed = report.seed;
+  m.shard_seeds.reserve(report.providers.size());
+  for (const auto& provider : report.providers)
+    m.shard_seeds.emplace_back(
+        provider.provider,
+        ecosystem::shard_seed(report.seed, provider.provider));
+  m.fault_profile = std::string(
+      faults::profile_name(options.runner.fault_profile));
+  m.link_capacities = options.runner.speed_test;
+  m.payload_fingerprint = util::fnv1a(payload);
+  m.trace_enabled = options.trace.enabled;
+  m.degraded_providers = report.degraded_providers;
+  return m;
+}
+
+std::string render_manifest_json(const RunManifest& m) {
+  std::string out = "{\n";
+  out += "  \"key\": {\n";
+  out += util::format("    \"catalog_fingerprint\": \"%016llx\",\n",
+                      static_cast<unsigned long long>(m.catalog_fingerprint));
+  out += util::format("    \"campaign_seed\": %llu,\n",
+                      static_cast<unsigned long long>(m.campaign_seed));
+  out += util::format("    \"fault_profile\": \"%s\",\n",
+                      obs::json_escape(m.fault_profile).c_str());
+  out += util::format("    \"link_capacities\": %s,\n",
+                      m.link_capacities ? "true" : "false");
+  out += util::format("    \"payload_fingerprint\": \"%016llx\",\n",
+                      static_cast<unsigned long long>(m.payload_fingerprint));
+  out += "    \"shard_seeds\": [";
+  for (std::size_t i = 0; i < m.shard_seeds.size(); ++i) {
+    out += i == 0 ? "\n" : ",\n";
+    out += util::format("      {\"provider\": \"%s\", \"seed\": \"%016llx\"}",
+                        obs::json_escape(m.shard_seeds[i].first).c_str(),
+                        static_cast<unsigned long long>(m.shard_seeds[i].second));
+  }
+  out += m.shard_seeds.empty() ? "]\n" : "\n    ]\n";
+  out += "  },\n";
+  return out + render_execution_sections(m);
+}
+
 std::string render_scaled_manifest_json(
     const core::ScaledCampaignReport& report,
     const core::ScaledCampaignOptions& options) {
-  const auto cache = core::summarize_cache(report.cache_records);
   std::string out = "{\n";
   out += "  \"key\": {\n";
   out += util::format("    \"catalog_fingerprint\": \"%016llx\",\n",
@@ -234,49 +251,9 @@ std::string render_scaled_manifest_json(
   out += util::format("    \"payload_fingerprint\": \"%016llx\"\n",
                       static_cast<unsigned long long>(report.payload_fingerprint));
   out += "  },\n";
-  out += "  \"run\": {\n";
-  out += util::format("    \"jobs\": %zu,\n", report.jobs);
-  out += util::format("    \"shards\": %zu,\n", report.shards.size());
-  out += util::format("    \"mode\": \"%s\",\n",
-                      report.execution_isolated ? "isolated" : "in-process");
-  out += util::format("    \"interrupted\": %s,\n",
-                      report.interrupted ? "true" : "false");
-  out += "    \"crashed_providers\": [";
-  for (std::size_t i = 0; i < report.crashed_providers.size(); ++i) {
-    out += i == 0 ? "" : ", ";
-    out += util::format("\"%s\"",
-                        obs::json_escape(report.crashed_providers[i]).c_str());
-  }
-  out += "],\n";
-  out += util::format("    \"process_spawns\": %zu,\n", report.process_spawns);
-  out += util::format("    \"process_crashes\": %zu\n", report.process_crashes);
-  out += "  },\n";
-  out += "  \"cache\": {\n";
-  out += util::format("    \"mode\": \"%s\",\n",
-                      store::cache_mode_name(options.cache.mode).data());
-  out += util::format("    \"code_epoch\": %u,\n", store::kCodeEpoch);
-  out += util::format("    \"hits\": %zu,\n", cache.hits);
-  out += util::format("    \"misses\": %zu,\n", cache.misses);
-  out += util::format("    \"corrupt\": %zu,\n", cache.corrupt);
-  out += util::format("    \"bypassed\": %zu,\n", cache.bypassed);
-  out += util::format("    \"stored\": %zu,\n", cache.stored);
-  out += "    \"shard_cache\": [";
-  for (std::size_t i = 0; i < report.cache_records.size(); ++i) {
-    const auto& r = report.cache_records[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += util::format(
-        "      {\"provider\": \"%s\", \"key\": \"%s\", \"outcome\": \"%s\", "
-        "\"stored\": %s, \"bytes\": %llu}",
-        obs::json_escape(r.provider).c_str(),
-        obs::json_escape(r.key_id).c_str(),
-        std::string(core::cache_outcome_name(r.outcome)).c_str(),
-        r.stored ? "true" : "false",
-        static_cast<unsigned long long>(r.bytes));
-  }
-  out += report.cache_records.empty() ? "]\n" : "\n    ]\n";
-  out += "  }\n";
-  out += "}\n";
-  return out;
+  return out + render_execution_sections(execution_manifest(
+                   options, report, summarize_execution(report),
+                   core::scaled_options_fingerprint(options)));
 }
 
 }  // namespace vpna::analysis

@@ -104,9 +104,11 @@ struct RunManifest {
 [[nodiscard]] std::string render_manifest_json(const RunManifest& manifest);
 
 // Scaled-run manifest (full_campaign --scale writes it as
-// scale_manifest.json): catalog/payload fingerprints plus the census
-// cache's per-shard provenance — what the dirty-shard CI lane greps to
-// prove a one-provider catalog delta recomputed exactly one shard.
+// scale_manifest.json): the census key (catalog/payload fingerprints, seed,
+// max_clients), then the same run, execution, cache, build and telemetry
+// sections as render_manifest_json. The cache section's per-shard
+// provenance is what the dirty-shard CI lane greps to prove a one-provider
+// catalog delta recomputed exactly one shard.
 [[nodiscard]] std::string render_scaled_manifest_json(
     const core::ScaledCampaignReport& report,
     const core::ScaledCampaignOptions& options);

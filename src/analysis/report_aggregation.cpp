@@ -76,14 +76,26 @@ ManipulationSummary aggregate_manipulation(
   return out;
 }
 
-CampaignEngineSummary summarize_campaign(const core::CampaignReport& report) {
+CampaignEngineSummary summarize_execution(const core::ExecutionReport& report) {
   CampaignEngineSummary out;
-  out.providers = report.providers.size();
   out.failed_shards = report.failed_providers.size();
   out.crash_quarantined_shards = report.crash_quarantined_providers.size();
   out.interrupted = report.interrupted;
   out.jobs = report.jobs;
   out.wall_s = report.wall_s;
+  for (const auto& w : report.workers) {
+    out.tasks_run += w.tasks_run;
+    out.steals += w.steals;
+    out.retries += w.retries;
+    out.busy_wall_s += w.busy_wall_s;
+    out.busy_cpu_s += w.busy_cpu_s;
+  }
+  return out;
+}
+
+CampaignEngineSummary summarize_campaign(const core::CampaignReport& report) {
+  CampaignEngineSummary out = summarize_execution(report);
+  out.providers = report.providers.size();
   for (const auto& provider : report.providers) {
     out.vantage_points_tested += provider.vantage_points.size();
     if (provider.quarantined) ++out.quarantined_shards;
@@ -96,13 +108,6 @@ CampaignEngineSummary summarize_campaign(const core::CampaignReport& report) {
         break;
       }
     }
-  }
-  for (const auto& w : report.workers) {
-    out.tasks_run += w.tasks_run;
-    out.steals += w.steals;
-    out.retries += w.retries;
-    out.busy_wall_s += w.busy_wall_s;
-    out.busy_cpu_s += w.busy_cpu_s;
   }
   return out;
 }

@@ -90,6 +90,11 @@ struct CampaignEngineSummary {
   }
 };
 
+// The execution half of the rollup (shard outcomes, pool counters, wall
+// clock) — all a scaled census has; summarize_campaign adds the payload
+// stats of a paper campaign.
+[[nodiscard]] CampaignEngineSummary summarize_execution(
+    const core::ExecutionReport& report);
 [[nodiscard]] CampaignEngineSummary summarize_campaign(
     const core::CampaignReport& report);
 

@@ -107,30 +107,19 @@ struct ShardKind {
   std::function<R(std::size_t, ShardEnd)> placeholder;
 };
 
+// The shard-kind bits of one execution; everything else is the caller's
+// ExecutionOptions.
 struct ExecOptions {
-  std::size_t jobs = 1;  // 0 = hardware concurrency
-  int attempts = 1;      // total attempts per shard, either backend
   bool graceful = true;  // exhausted failures quarantine, not hard-fail
-  bool isolate = false;
-  SupervisorOptions supervisor;  // isolated only; jobs/attempts filled in
-  store::CacheConfig cache;
   bool cache_bypass = false;  // keys and records, but no consult or put
-  obs::StatusBoard* status = nullptr;
-  obs::StatusOptions status_opts;
-  std::string journal_path;  // empty = no journal
-  bool resume = false;
-  store::JournalHeader journal_header;
+  store::JournalHeader journal_header;  // shards and cache_dir filled in
 };
 
 template <typename R>
 struct ShardRun {
   std::vector<R> results;  // canonical order; placeholders where not done
   std::vector<ShardEnd> ends;
-  std::vector<ShardCacheRecord> cache_records;  // empty when the cache is off
-  std::vector<util::WorkerCounters> workers;    // in-process backend
-  SupervisorResult supervisor;                  // isolated backend
-  std::size_t jobs = 1;
-  std::size_t resumed = 0;
+  ExecutionReport exec;  // everything but wall_s, which the caller times
 };
 
 std::string current_error() {
@@ -154,27 +143,29 @@ std::optional<CrashDirective> injected_throw() {
 }
 
 template <typename R>
-ShardRun<R> execute_shards(const ShardKind<R>& kind, const ExecOptions& opts) {
+ShardRun<R> execute_shards(const ShardKind<R>& kind,
+                           const ExecutionOptions& opts,
+                           const ExecOptions& shard_opts) {
   const std::size_t n = kind.names.size();
-  const int attempts = std::max(opts.attempts, 1);
-  obs::StatusBoard* status = opts.status;
+  const int attempts = std::max(opts.shard_attempts, 1);
   ShardRun<R> run;
   run.results.resize(n);
   run.ends.assign(n, ShardEnd::kSkipped);
+  auto& exec = run.exec;
 
   // Content-addressed cache: one key per shard, derived up front.
   std::optional<store::ArtifactStore> store;
   std::vector<store::ShardKey> keys;
   if (opts.cache.enabled()) {
     store.emplace(opts.cache);
-    run.cache_records.resize(n);
+    exec.cache_records.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       keys.push_back(kind.key(i));
-      run.cache_records[i].provider = kind.names[i];
-      run.cache_records[i].key_id = keys[i].id();
+      exec.cache_records[i].provider = kind.names[i];
+      exec.cache_records[i].key_id = keys[i].id();
     }
   }
-  const bool consult = store.has_value() && !opts.cache_bypass;
+  const bool consult = store.has_value() && !shard_opts.cache_bypass;
   const bool write_back = consult && store->config().writable();
 
   // Journal: a resume marks the shards journaled done under the same key
@@ -188,19 +179,27 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind, const ExecOptions& opts) {
         opts.resume &&
         store::CampaignJournal::load(opts.journal_path, &old, &entries);
     if (resumed && old.campaign_fingerprint !=
-                       opts.journal_header.campaign_fingerprint)
+                       shard_opts.journal_header.campaign_fingerprint)
       throw std::runtime_error(
-          "ParallelCampaign: --resume refused — the journal describes a "
-          "different campaign configuration (seed, code epoch, options, "
-          "or provider selection changed)");
+          "--resume refused: the journal describes a different campaign "
+          "configuration (seed, code epoch, options, catalog or provider "
+          "selection changed)");
     for (const auto& e : entries)
       if (resumed && consult && e.outcome == "done" && e.index < n &&
           e.provider == kind.names[e.index] &&
           (e.key_id.empty() || e.key_id == keys[e.index].id()))
         replayable[e.index] = 1;
-    journal = store::CampaignJournal::open(opts.journal_path,
-                                           opts.journal_header, !resumed);
+    auto header = shard_opts.journal_header;
+    header.shards = n;
+    header.cache_dir = opts.cache.dir;
+    journal = store::CampaignJournal::open(opts.journal_path, header, !resumed);
   }
+
+  // Health plane: a StatusBoard receives shard heartbeats from whichever
+  // backend runs. Telemetry only — shard results cannot observe it.
+  std::optional<obs::StatusBoard> board;
+  if (opts.status.engaged()) board.emplace();
+  obs::StatusBoard* status = board ? &*board : nullptr;
 
   // The terminal-outcome handler, called exactly once per shard and
   // serialized here (pool workers race to it; the supervisor's poll loop
@@ -215,9 +214,9 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind, const ExecOptions& opts) {
     const bool replayed = end == ShardEnd::kCached && replayable[i] != 0;
     run.ends[i] = end;
     run.results[i] = ok ? std::move(*value) : kind.placeholder(i, end);
-    if (replayed) ++run.resumed;
-    if (!run.cache_records.empty()) {
-      auto& record = run.cache_records[i];
+    if (replayed) ++exec.resumed_shards;
+    if (!exec.cache_records.empty()) {
+      auto& record = exec.cache_records[i];
       if (end == ShardEnd::kComputed && write_back) {
         obs::Span span("campaign.cache", "campaign");
         if (store->put(keys[i], bytes)) {
@@ -233,7 +232,8 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind, const ExecOptions& opts) {
     }
     if (end == ShardEnd::kSkipped) return;
     const bool quarantined =
-        end == ShardEnd::kCrashed || (end == ShardEnd::kFailed && opts.graceful);
+        end == ShardEnd::kCrashed ||
+        (end == ShardEnd::kFailed && shard_opts.graceful);
     if (status != nullptr)
       status->shard_finished(i, ok            ? obs::StatusBoard::Outcome::kDone
                                 : quarantined ? obs::StatusBoard::Outcome::kQuarantined
@@ -253,7 +253,7 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind, const ExecOptions& opts) {
   // Consults the store for shard i; a decodable hit settles it uncomputed.
   const auto replay = [&](std::size_t i) {
     if (!consult) return false;
-    auto& record = run.cache_records[i];
+    auto& record = exec.cache_records[i];
     store::FetchResult fetched;
     R value;
     bool hit = false;
@@ -291,9 +291,10 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind, const ExecOptions& opts) {
     return kind.compute(i);
   };
 
-  run.jobs = opts.jobs == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                            : opts.jobs;
-  if (status != nullptr) status->begin(kind.names, run.jobs);
+  exec.jobs = opts.jobs == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                             : opts.jobs;
+  exec.execution_isolated = opts.isolate;
+  if (status != nullptr) status->begin(kind.names, exec.jobs);
 
   if (opts.isolate) {
     // Cache consults, artifact puts and journal appends stay in this
@@ -305,19 +306,17 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind, const ExecOptions& opts) {
       if (consult && status != nullptr) status->shard_started(i, -1);
       if (!replay(i)) todo.push_back(i);
     }
-    SupervisorOptions sup = opts.supervisor;
-    sup.jobs = run.jobs;
-    sup.attempts = attempts;
+    ExecutionOptions sup = opts;
+    sup.jobs = exec.jobs;
     // Runs in the forked worker. The frame payload is the canonical
     // encoding — the bytes a cache artifact holds.
-    ShardSupervisor supervisor(sup, kind.names,
+    ShardSupervisor supervisor(std::move(sup), kind.names,
                                [&](std::uint32_t index, std::uint32_t attempt) {
                                  return kind.encode(compute(
                                      index, static_cast<int>(attempt)));
                                });
-    run.supervisor = supervisor.run(
-        todo, status, opts.status_opts,
-        [&](std::size_t i, const SupervisedShard& s) {
+    auto result = supervisor.run(
+        todo, status, [&](std::size_t i, const SupervisedShard& s) {
           R value;
           if (s.outcome == SupervisedShard::Outcome::kError)
             settle(i, ShardEnd::kFailed, s.attempts, nullptr, {}, s.error);
@@ -330,64 +329,76 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind, const ExecOptions& opts) {
                    "result frame did not decode");
         });
     for (std::size_t i : todo)
-      if (run.supervisor.shards[i].outcome == SupervisedShard::Outcome::kSkipped)
+      if (result.shards[i].outcome == SupervisedShard::Outcome::kSkipped)
         settle(i, ShardEnd::kSkipped, 0);
-    run.supervisor.shards.clear();
-    return run;
+    exec.interrupted = result.interrupted;
+    exec.process_spawns = result.spawns;
+    exec.process_crashes = result.crashes;
+    exec.process_kills = result.kills;
+    exec.processes = std::move(result.processes);
+  } else {
+    // jobs == 1 runs the same tasks on the calling thread: a one-worker
+    // pool adds only a thread whose malloc arena outlives the run
+    // (measured: +65% peak RSS on a cached replay).
+    std::optional<util::TaskPool> pool;
+    if (exec.jobs > 1) pool.emplace(exec.jobs);
+    util::WorkerCounters caller;
+    // Declared after the pool so it joins (and takes its final counter
+    // snapshot) before the pool is torn down.
+    std::optional<obs::StatusMonitor> monitor;
+    if (status != nullptr)
+      monitor.emplace(*status, opts.status, [&pool] {
+        std::vector<obs::WorkerStatus> rows;
+        if (pool)
+          for (const auto& c : pool->counters())
+            rows.push_back({c.tasks_run, c.steals, c.retries, c.busy_wall_s});
+        return rows;
+      });
+    // Attempts started per shard. The pool re-runs a thrown task on the
+    // worker that ran it, so each slot has a single writer.
+    std::vector<int> tries(n, 0);
+    util::TaskOptions task_opts;
+    task_opts.max_attempts = attempts;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto task = [&, i] {
+        // Heartbeats bracket every attempt: started restarts the shard's
+        // watchdog clock, a thrown attempt parks it back in pending.
+        if (status != nullptr)
+          status->shard_started(i, util::TaskPool::current_worker_index());
+        if (tries[i] == 0 && replay(i)) return;
+        const int attempt = ++tries[i];
+        R value;
+        std::string bytes;
+        try {
+          value = compute(i, attempt);
+          if (write_back) bytes = kind.encode(value);
+        } catch (...) {
+          if (attempt < attempts) {
+            if (status != nullptr) status->shard_attempt_failed(i);
+          } else {
+            settle(i, ShardEnd::kFailed, attempt, nullptr, {},
+                   current_error());
+          }
+          throw;  // the pool retries, or drops the exhausted exception
+        }
+        settle(i, ShardEnd::kComputed, attempt, &value, bytes);
+      };
+      if (pool)
+        (void)pool->submit(task, task_opts);
+      else
+        util::TaskPool::run_inline(task, task_opts, caller);
+    }
+    if (pool) pool->wait_idle();
+    exec.workers = pool ? pool->counters() : std::vector{caller};
   }
 
-  // jobs == 1 runs the same tasks on the calling thread: a one-worker pool
-  // adds only a thread whose malloc arena outlives the run (measured: +65%
-  // peak RSS on a cached replay).
-  std::optional<util::TaskPool> pool;
-  if (run.jobs > 1) pool.emplace(run.jobs);
-  util::WorkerCounters caller;
-  // Declared after the pool so it joins (and takes its final counter
-  // snapshot) before the pool is torn down.
-  std::optional<obs::StatusMonitor> monitor;
-  if (status != nullptr)
-    monitor.emplace(*status, opts.status_opts, [&pool] {
-      std::vector<obs::WorkerStatus> rows;
-      if (pool)
-        for (const auto& c : pool->counters())
-          rows.push_back({c.tasks_run, c.steals, c.retries, c.busy_wall_s});
-      return rows;
-    });
-  // Attempts started per shard. The pool re-runs a thrown task on the
-  // worker that ran it, so each slot has a single writer.
-  std::vector<int> tries(n, 0);
-  util::TaskOptions task_opts;
-  task_opts.max_attempts = attempts;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto task = [&, i] {
-      // Heartbeats bracket every attempt: started restarts the shard's
-      // watchdog clock, a thrown attempt parks it back in pending.
-      if (status != nullptr)
-        status->shard_started(i, util::TaskPool::current_worker_index());
-      if (tries[i] == 0 && replay(i)) return;
-      const int attempt = ++tries[i];
-      R value;
-      std::string bytes;
-      try {
-        value = compute(i, attempt);
-        if (write_back) bytes = kind.encode(value);
-      } catch (...) {
-        if (attempt < attempts) {
-          if (status != nullptr) status->shard_attempt_failed(i);
-        } else {
-          settle(i, ShardEnd::kFailed, attempt, nullptr, {}, current_error());
-        }
-        throw;  // the pool retries, or drops the exhausted exception
-      }
-      settle(i, ShardEnd::kComputed, attempt, &value, bytes);
-    };
-    if (pool)
-      (void)pool->submit(task, task_opts);
-    else
-      util::TaskPool::run_inline(task, task_opts, caller);
+    if (run.ends[i] == ShardEnd::kFailed && !shard_opts.graceful)
+      exec.failed_providers.push_back(kind.names[i]);
+    if (run.ends[i] == ShardEnd::kCrashed)
+      exec.crash_quarantined_providers.push_back(kind.names[i]);
   }
-  if (pool) pool->wait_idle();
-  run.workers = pool ? pool->counters() : std::vector{caller};
+  if (board) exec.watchdog_alerts = board->alerts();
   return run;
 }
 
@@ -483,58 +494,27 @@ CampaignReport ParallelCampaign::run(const std::vector<std::string>& names,
     return s;
   };
 
-  // Health plane: a StatusBoard receives shard heartbeats from whichever
-  // backend runs. Telemetry only — shard results cannot observe it.
-  std::optional<obs::StatusBoard> board;
-  if (options_.status.engaged()) board.emplace();
-
   ExecOptions exec;
-  exec.jobs = options_.jobs;
-  exec.attempts = options_.shard_attempts;
   exec.graceful = graceful;
-  exec.isolate = options_.isolate;
-  exec.supervisor.watchdog_multiple = options_.status.watchdog_multiple;
-  exec.supervisor.interrupt = options_.interrupt;
-  exec.cache = options_.cache;
   // Traced runs bypass: a ShardTrace is not part of the cached artifact,
   // so a hit could not reproduce one.
   exec.cache_bypass = traced;
-  exec.status = board ? &*board : nullptr;
-  exec.status_opts = options_.status;
-  exec.journal_path = options_.journal_path;
-  exec.resume = options_.resume;
   exec.journal_header.campaign_fingerprint =
       campaign_execution_fingerprint(selection, seed, options_.runner);
   exec.journal_header.seed = seed;
-  exec.journal_header.shards = selection.size();
-  exec.journal_header.cache_dir = options_.cache.dir;
 
-  auto run = execute_shards(kind, exec);
+  auto run = execute_shards(kind, options_, exec);
 
   CampaignReport report;
+  static_cast<ExecutionReport&>(report) = std::move(run.exec);
   report.seed = seed;
-  report.jobs = run.jobs;
-  report.execution_isolated = options_.isolate;
   for (std::size_t i = 0; i < selection.size(); ++i) {
     report.providers.push_back(std::move(run.results[i].report));
     if (traced) report.traces.push_back(std::move(run.results[i].trace));
-    if (run.ends[i] == ShardEnd::kFailed && !graceful)
-      report.failed_providers.push_back(selection[i]);
-    if (run.ends[i] == ShardEnd::kCrashed)
-      report.crash_quarantined_providers.push_back(selection[i]);
     // Canonical order, never scheduling: part of the deterministic payload.
     if (report.providers.back().degraded())
       report.degraded_providers.push_back(selection[i]);
   }
-  report.workers = std::move(run.workers);
-  report.cache_records = std::move(run.cache_records);
-  report.resumed_shards = run.resumed;
-  report.interrupted = run.supervisor.interrupted;
-  report.process_spawns = run.supervisor.spawns;
-  report.process_crashes = run.supervisor.crashes;
-  report.process_kills = run.supervisor.kills;
-  report.processes = std::move(run.supervisor.processes);
-  report.watchdog_alerts = board ? board->alerts() : run.supervisor.alerts;
   report.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -598,6 +578,11 @@ ScaledShardCensus run_scaled_census_shard(
   return census_shard(catalog, index, options, std::move(plane));
 }
 
+std::uint64_t scaled_options_fingerprint(const ScaledCampaignOptions& options) {
+  return util::fnv1a(util::format("vpna-scaled-options-v1\x1f%u\x1f",
+                                  options.max_clients));
+}
+
 store::ShardKey scaled_shard_key(const ecosystem::ScaledCatalog& catalog,
                                  const std::string& name,
                                  const ScaledCampaignOptions& options) {
@@ -610,8 +595,7 @@ store::ShardKey scaled_shard_key(const ecosystem::ScaledCatalog& catalog,
   // key shape stays identical to the base campaign's.
   key.fault_profile = std::string(faults::profile_name(faults::FaultProfile::kOff));
   key.link_capacities = false;
-  key.runner_options_fingerprint = util::fnv1a(util::format(
-      "vpna-scaled-options-v1\x1f%u\x1f", options.max_clients));
+  key.runner_options_fingerprint = scaled_options_fingerprint(options);
   return key;
 }
 
@@ -647,30 +631,30 @@ ScaledCampaignReport run_scaled_campaign(
     return census;
   };
 
+  // The census has no fault profile to degrade into: a shard that throws
+  // every attempt is a hard failure. The journal binds to the catalog,
+  // the seed and the census-shaping options.
   ExecOptions exec;
-  exec.jobs = options.jobs;
-  exec.attempts = options.shard_attempts;
-  exec.isolate = options.isolate;
-  exec.supervisor.interrupt = options.interrupt;
-  exec.cache = options.cache;
+  exec.graceful = false;
+  exec.journal_header.campaign_fingerprint = util::fnv1a(util::format(
+      "vpna-census-exec-v1\x1f%llu\x1f%llu\x1f%u\x1f%u\x1f",
+      static_cast<unsigned long long>(catalog.fingerprint()),
+      static_cast<unsigned long long>(options.seed), options.max_clients,
+      store::kCodeEpoch));
+  exec.journal_header.seed = options.seed;
 
-  auto run = execute_shards(kind, exec);
+  auto run = execute_shards(kind, options, exec);
 
   ScaledCampaignReport report;
+  static_cast<ExecutionReport&>(report) = std::move(run.exec);
   report.seed = options.seed;
-  report.jobs = run.jobs;
   report.catalog_fingerprint = catalog.fingerprint();
   report.shards = std::move(run.results);
   for (std::size_t i = 0; i < report.shards.size(); ++i)
     if (run.ends[i] == ShardEnd::kFailed || run.ends[i] == ShardEnd::kCrashed)
       report.crashed_providers.push_back(kind.names[i]);
-  report.cache_records = std::move(run.cache_records);
   report.arena_reserved_bytes = arena[0].load();
   report.arena_used_bytes = arena[1].load();
-  report.execution_isolated = options.isolate;
-  report.interrupted = run.supervisor.interrupted;
-  report.process_spawns = run.supervisor.spawns;
-  report.process_crashes = run.supervisor.crashes;
 
   // Canonical payload serialization (catalog order; telemetry excluded).
   report.payload = "provider,vantage_points,hosts,clients,subscribers,addr_fp\n";

@@ -103,7 +103,7 @@ std::string_view supervised_outcome_name(
   return "pending";
 }
 
-ShardSupervisor::ShardSupervisor(SupervisorOptions options,
+ShardSupervisor::ShardSupervisor(ExecutionOptions options,
                                  std::vector<std::string> names,
                                  ChildRun child_run)
     : options_(std::move(options)),
@@ -112,7 +112,6 @@ ShardSupervisor::ShardSupervisor(SupervisorOptions options,
 
 SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
                                       obs::StatusBoard* status,
-                                      const obs::StatusOptions& status_opts,
                                       const TerminalHook& on_terminal) {
   SupervisorResult result;
   result.shards.resize(names_.size());
@@ -141,7 +140,7 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
 
   std::vector<double> completed_walls;
   const double interval_s =
-      std::max(status_opts.interval_ms, 1.0) / 1000.0;
+      std::max(options_.status.interval_ms, 1.0) / 1000.0;
   double last_tick = 0.0;
 
   const auto median_wall = [&]() -> double {
@@ -177,7 +176,7 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
 
   const auto attempt_failed = [&](std::size_t index, int attempt,
                                   bool is_crash, std::string why) {
-    if (attempt < options_.attempts) {
+    if (attempt < options_.shard_attempts) {
       pending.push_back({index, attempt + 1, mono_s() + backoff_s(attempt)});
       if (status != nullptr) status->shard_attempt_failed(index);
       return;
@@ -352,8 +351,8 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
     if (!force && now - last_tick < interval_s) return;
     last_tick = now;
     status->set_processes(snapshot_processes());
-    if (!status_opts.file.empty())
-      obs::write_file_atomic(status_opts.file,
+    if (!options_.status.file.empty())
+      obs::write_file_atomic(options_.status.file,
                              obs::render_status_json(status->snapshot()));
   };
 
@@ -408,9 +407,9 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
       auto& slot = slots[s];
       if (!slot.live || !slot.has_inflight) continue;
       const double elapsed = now - slot.inflight_start;
-      if (options_.watchdog_multiple > 0.0 && med > 0.0 &&
+      if (options_.status.watchdog_multiple > 0.0 && med > 0.0 &&
           completed_walls.size() >= obs::kWatchdogMinCompleted &&
-          elapsed > options_.watchdog_multiple * med) {
+          elapsed > options_.status.watchdog_multiple * med) {
         if (!slot.alerted) {
           slot.alerted = true;
           obs::WatchdogAlert alert;
@@ -418,7 +417,6 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
           alert.worker = static_cast<int>(s);
           alert.elapsed_s = elapsed;
           alert.median_s = med;
-          result.alerts.push_back(alert);
           if (status != nullptr) status->add_alert(alert);
         } else {
           escalate(slot, now);

@@ -35,32 +35,16 @@
 // crash mid-campaign.
 #pragma once
 
-#include <csignal>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/execution.h"
 #include "obs/status.h"
 
 namespace vpna::core {
-
-struct SupervisorOptions {
-  std::size_t jobs = 1;
-  // Total attempts per shard (crash or error frame alike); the campaign's
-  // shard_attempts.
-  int attempts = 3;
-  // Median-multiple watchdog (0 = off): the one hang budget. The alert
-  // has the in-process semantics (obs::StatusBoard::watchdog_scan); here
-  // the supervisor escalates past it into TERM→KILL, because a stuck
-  // worker *can* be killed without taking the campaign down.
-  double watchdog_multiple = 0.0;
-  // Cooperative interrupt (SIGINT/SIGTERM handler flag). When it becomes
-  // non-zero the supervisor stops dispatching, TERM→KILLs workers, marks
-  // unfinished shards kSkipped, and returns with interrupted=true.
-  const volatile std::sig_atomic_t* interrupt = nullptr;
-};
 
 // Terminal state of one supervised shard.
 struct SupervisedShard {
@@ -82,7 +66,6 @@ struct SupervisedShard {
 
 struct SupervisorResult {
   std::vector<SupervisedShard> shards;  // indexed by global shard index
-  std::vector<obs::WatchdogAlert> alerts;
   // Final per-slot process telemetry (obs::ProcessStatus is also what the
   // supervisor pushes into the StatusBoard each tick).
   std::vector<obs::ProcessStatus> processes;
@@ -102,19 +85,27 @@ class ShardSupervisor {
   // journal, status shard_finished). Never invoked for kSkipped.
   using TerminalHook = std::function<void(std::size_t, const SupervisedShard&)>;
 
-  ShardSupervisor(SupervisorOptions options, std::vector<std::string> names,
+  // Reads `jobs` (worker processes, already resolved: 0 means 1),
+  // `shard_attempts` (crash or error frame alike), `status` and
+  // `interrupt`. The watchdog alert has the in-process semantics
+  // (obs::StatusBoard::watchdog_scan); here the supervisor escalates past
+  // it into TERM→KILL, because a stuck worker *can* be killed without
+  // taking the campaign down; alerts land in the `status` board, which the
+  // executor stands up whenever the watchdog is armed. When `interrupt`
+  // becomes non-zero the supervisor stops dispatching, TERM→KILLs workers,
+  // marks unfinished shards kSkipped, and returns with interrupted=true.
+  ShardSupervisor(ExecutionOptions options, std::vector<std::string> names,
                   ChildRun child_run);
 
   // Runs the shards listed in `indices` (each < names.size()). `status`
   // may be null; when given, heartbeats and per-process info flow into it
-  // and `status_opts.file` is rewritten atomically every interval.
+  // and `options.status.file` is rewritten atomically every interval.
   SupervisorResult run(const std::vector<std::size_t>& indices,
                        obs::StatusBoard* status,
-                       const obs::StatusOptions& status_opts,
                        const TerminalHook& on_terminal = nullptr);
 
  private:
-  SupervisorOptions options_;
+  ExecutionOptions options_;
   std::vector<std::string> names_;
   ChildRun child_run_;
 };

@@ -6,6 +6,7 @@
 
 #include "ecosystem/capacity.h"
 #include "geo/cities.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "vpn/deploy.h"
@@ -152,6 +153,7 @@ Testbed build_scaled_shard(const ScaledCatalog& catalog, std::string_view name,
                            const ScaledShardOptions& options) {
   const auto* target = catalog.provider(name);
   if (target == nullptr) return {};
+  obs::Span build_span("shard.build", "ecosystem");
 
   // Catalog-order selection of {target} ∪ {reseller partner}, mirroring
   // build_provider_shard.

@@ -123,11 +123,15 @@ FetchResult ArtifactStore::fetch(const ShardKey& key) const {
   if (!config_.enabled()) return result;  // kMiss
 
   const std::string path = path_for(key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return result;  // kMiss: no artifact under this key
-
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  // One sized read: a per-character stream copy cost as much as the whole
+  // decode on a warm replay.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const auto size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size < 0) return result;  // kMiss: no artifact under this key
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
   in.close();
 
   const auto fail = [&](std::string detail) {

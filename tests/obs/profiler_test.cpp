@@ -3,13 +3,16 @@
 // (self = total − enclosed children, also when spans end out of LIFO
 // order), a span feeds the trace and the profiler at once, per-thread
 // tables fold into one deterministic-ordered report, and the text rendering
-// carries the phase and flame rows.
+// carries the phase and flame rows. A scaled census shard's world build
+// is profiled as `shard.build`, like a paper shard's.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <string>
 #include <thread>
 
+#include "core/parallel_campaign.h"
+#include "ecosystem/scale.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
@@ -267,6 +270,21 @@ TEST_F(ProfilerTest, RenderCarriesPhaseAndFlameLines) {
   EXPECT_NE(text.find("path pt.render_outer;pt.render_inner"),
             std::string::npos);
   EXPECT_NE(text.find("# wall-clock profile"), std::string::npos);
+}
+
+// A census shard's world build shows up under the same phase name as a
+// paper shard's, so a --scale profile says where build time goes.
+TEST_F(ProfilerTest, CensusShardBuildIsAPhase) {
+  const auto catalog = ecosystem::generate_scaled_catalog(4, 50, 20181031);
+  Profiler::enable();
+  const auto census =
+      core::run_scaled_census_shard(catalog, 0, core::ScaledCampaignOptions{});
+  EXPECT_GT(census.hosts, 0u);
+  const auto report = Profiler::instance().report();
+  const auto* phase = find_phase(report, "shard.build");
+  ASSERT_NE(phase, nullptr);
+  EXPECT_EQ(phase->stats.calls, 1u);
+  EXPECT_GT(phase->stats.total_ns, 0);
 }
 
 }  // namespace
