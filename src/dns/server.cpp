@@ -34,6 +34,20 @@ void AuthoritativeService::add_wildcard_zone(std::string zone,
   wildcard_zones_[canonical_name(zone)] = std::move(record);
 }
 
+const ZoneRecord* AuthoritativeService::find_record(
+    std::string_view name) const {
+  if (const auto it = records_.find(name); it != records_.end())
+    return &it->second;
+  if (shared_records_ != nullptr) {
+    if (const auto it = shared_records_->find(name);
+        it != shared_records_->end())
+      return &it->second;
+  }
+  for (const auto& [zone, rec] : wildcard_zones_)
+    if (in_zone(name, zone)) return &rec;
+  return nullptr;
+}
+
 std::optional<std::string> AuthoritativeService::handle(
     netsim::ServiceContext& ctx) {
   const auto query = DnsQuery::decode(ctx.request.payload);
@@ -54,18 +68,7 @@ std::optional<std::string> AuthoritativeService::handle(
   resp.type = query->type;
   resp.name = query->name;
 
-  const ZoneRecord* record = nullptr;
-  if (const auto it = records_.find(query->name); it != records_.end()) {
-    record = &it->second;
-  } else {
-    for (const auto& [zone, rec] : wildcard_zones_) {
-      if (in_zone(query->name, zone)) {
-        record = &rec;
-        break;
-      }
-    }
-  }
-
+  const ZoneRecord* record = find_record(query->name);
   if (record == nullptr) {
     resp.rcode = Rcode::kNxDomain;
     return resp.encode();

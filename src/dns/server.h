@@ -59,6 +59,15 @@ struct QueryLogEntry {
 
 class AuthoritativeService final : public netsim::Service {
  public:
+  // Canonical name -> records.
+  using RecordMap = std::map<std::string, ZoneRecord, std::less<>>;
+
+  AuthoritativeService() = default;
+  // Also serves `shared_records` — a read-only table several services may
+  // share — beneath any records added here.
+  explicit AuthoritativeService(std::shared_ptr<const RecordMap> shared_records)
+      : shared_records_(std::move(shared_records)) {}
+
   // `wildcard_zones`: zones for which any name resolves to the zone's apex
   // records (used by the tagged-hostname logging domain).
   void add_record(std::string name, ZoneRecord record);
@@ -72,8 +81,11 @@ class AuthoritativeService final : public netsim::Service {
   void clear_log() noexcept { query_log_.clear(); }
 
  private:
-  std::map<std::string, ZoneRecord> records_;
-  std::map<std::string, ZoneRecord> wildcard_zones_;
+  [[nodiscard]] const ZoneRecord* find_record(std::string_view name) const;
+
+  RecordMap records_;
+  std::shared_ptr<const RecordMap> shared_records_;
+  RecordMap wildcard_zones_;
   std::vector<QueryLogEntry> query_log_;
 };
 

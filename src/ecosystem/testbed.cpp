@@ -29,9 +29,12 @@ void alias_shared_vantage_points(vpn::DeployedProvider& target,
 
 Testbed build(const std::vector<const EvaluatedProvider*>& selection,
               std::uint64_t seed,
-              std::shared_ptr<const netsim::RoutingPlane> plane) {
+              std::shared_ptr<const netsim::RoutingPlane> plane,
+              std::shared_ptr<const inet::WorldBase> base =
+                  inet::WorldBase::shared()) {
   Testbed tb;
-  tb.world = std::make_unique<inet::World>(seed, std::move(plane));
+  tb.world =
+      std::make_unique<inet::World>(seed, std::move(plane), std::move(base));
   tb.providers.reserve(selection.size());
 
   for (const auto* ep : selection) {
@@ -88,7 +91,8 @@ std::uint64_t shard_seed(std::uint64_t campaign_seed,
 Testbed build_provider_shard(std::string_view name, std::uint64_t campaign_seed,
                              std::shared_ptr<const netsim::RoutingPlane> plane,
                              faults::FaultProfile profile,
-                             bool link_capacities) {
+                             bool link_capacities,
+                             std::shared_ptr<const inet::WorldBase> base) {
   const auto* target = evaluated_provider(name);
   if (target == nullptr) return {};
   obs::Span build_span("shard.build", "ecosystem");
@@ -103,7 +107,7 @@ Testbed build_provider_shard(std::string_view name, std::uint64_t campaign_seed,
       selection.push_back(&ep);
   }
   const auto seed = shard_seed(campaign_seed, target->spec.name);
-  auto tb = build(selection, seed, std::move(plane));
+  auto tb = build(selection, seed, std::move(plane), std::move(base));
   apply_fault_profile(tb, profile, seed);
   if (link_capacities) apply_link_capacities(tb, seed);
   return tb;
@@ -133,15 +137,7 @@ void apply_fault_profile(Testbed& tb, faults::FaultProfile profile,
 }
 
 std::shared_ptr<const netsim::RoutingPlane> shared_backbone_plane() {
-  // Built once per process from a throwaway world. The core topology is a
-  // deterministic function of the city/datacenter catalogs (not the seed),
-  // so this plane matches every World the process will ever construct —
-  // adopt_routing_plane() verifies that by fingerprint.
-  static const std::shared_ptr<const netsim::RoutingPlane> plane = [] {
-    inet::World scout(0);
-    return scout.network().routing_plane();
-  }();
-  return plane;
+  return inet::WorldBase::shared()->routing_plane();
 }
 
 }  // namespace vpna::ecosystem

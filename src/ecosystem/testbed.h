@@ -74,11 +74,14 @@ struct Testbed {
 // (ecosystem::apply_link_capacities, seeded from the shard seed) so the
 // speed-test suite can run; false — the default — leaves every link
 // capacity-less and the shard byte-identical to a pre-traffic-plane build.
+// `base` is the world base the shard builds on; any base is equivalent (it
+// is a pure function of the catalogs), so only tests pass their own.
 [[nodiscard]] Testbed build_provider_shard(
     std::string_view name, std::uint64_t campaign_seed,
     std::shared_ptr<const netsim::RoutingPlane> plane = nullptr,
     faults::FaultProfile profile = faults::FaultProfile::kOff,
-    bool link_capacities = false);
+    bool link_capacities = false,
+    std::shared_ptr<const inet::WorldBase> base = inet::WorldBase::shared());
 
 // Generates the profile's FaultPlan for `tb` — targets sampled from the
 // deployed world: every vantage-point address, the public/ISP resolvers,
@@ -90,11 +93,11 @@ void apply_fault_profile(Testbed& tb, faults::FaultProfile profile,
                          std::uint64_t seed);
 
 // The all-pairs routing plane of the backbone + datacenter core every
-// World builds, computed once per process (from a throwaway world) and
-// shared from then on. Worlds constructed with this plane skip their own
-// all-pairs sweep; the fingerprint check in adopt_routing_plane() guards
-// the contract. Thread-safe (static initialization); the plane itself is
-// immutable.
+// World builds: the process-wide world base's plane (inet::WorldBase),
+// computed once per process and shared from then on. Worlds constructed
+// with this plane skip their own all-pairs sweep; the fingerprint check in
+// adopt_routing_plane() guards the contract. Thread-safe (static
+// initialization); the plane itself is immutable.
 [[nodiscard]] std::shared_ptr<const netsim::RoutingPlane>
 shared_backbone_plane();
 

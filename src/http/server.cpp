@@ -10,11 +10,11 @@ bool Site::blocks(const netsim::IpAddr& client) const {
   return false;
 }
 
-void WebServerService::add_site(std::shared_ptr<Site> site) {
+void WebServerService::add_site(std::shared_ptr<const Site> site) {
   sites_[site->hostname] = std::move(site);
 }
 
-std::shared_ptr<Site> WebServerService::find_site(
+std::shared_ptr<const Site> WebServerService::find_site(
     std::string_view hostname) const {
   const auto it = sites_.find(hostname);
   return it == sites_.end() ? nullptr : it->second;

@@ -46,14 +46,15 @@ class WebServerService final : public netsim::Service {
  public:
   explicit WebServerService(bool https) : https_(https) {}
 
-  void add_site(std::shared_ptr<Site> site);
-  [[nodiscard]] std::shared_ptr<Site> find_site(std::string_view hostname) const;
+  void add_site(std::shared_ptr<const Site> site);
+  [[nodiscard]] std::shared_ptr<const Site> find_site(
+      std::string_view hostname) const;
 
   std::optional<std::string> handle(netsim::ServiceContext& ctx) override;
 
  private:
   bool https_;
-  std::map<std::string, std::shared_ptr<Site>, std::less<>> sites_;
+  std::map<std::string, std::shared_ptr<const Site>, std::less<>> sites_;
 };
 
 // A reflection endpoint: answers any request with a body containing the

@@ -43,6 +43,10 @@ class SiteDirectory {
   void set_category(std::string hostname, SiteCategory category);
   [[nodiscard]] std::optional<SiteCategory> category_of(
       std::string_view hostname) const;
+  [[nodiscard]] const std::map<std::string, SiteCategory, std::less<>>&
+  categories() const noexcept {
+    return categories_;
+  }
 
  private:
   std::map<std::string, SiteCategory, std::less<>> categories_;

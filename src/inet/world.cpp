@@ -5,127 +5,27 @@
 
 #include "dns/client.h"
 #include "http/client.h"
-#include "http/url.h"
 #include "util/strings.h"
 
 namespace vpna::inet {
 
-namespace {
-
-// Backbone hub cities: fully meshed with each other; every other city links
-// to its two nearest hubs plus its three nearest neighbours.
-constexpr std::array<std::string_view, 10> kHubs = {
-    "New York", "Los Angeles", "London",   "Frankfurt",  "Singapore",
-    "Tokyo",    "Sao Paulo",   "Dubai",    "Sydney",     "Johannesburg"};
-
-struct DcSpec {
-  std::string_view id;
-  std::string_view provider;
-  std::string_view city;
-  std::string_view pool;  // CIDR text
-  std::uint32_t asn;
-  bool known_vpn_hosting;
-};
-
-// Hosting datacenters. The first eight reproduce the address blocks, ASNs
-// and registration countries of the paper's Table 5 (blocks shared by three
-// or more VPN providers); the remainder give the ecosystem its geographic
-// spread. Provider names are synthetic stand-ins for the hosting companies
-// the paper mentions (Digital Ocean, LeaseWeb, SoftLayer, ...).
-constexpr std::array<DcSpec, 47> kDatacenters = {{
-    // --- Table 5 blocks -----------------------------------------------------
-    {"gigacloud-osl", "GigaCloud AS", "Oslo", "82.102.27.0/24", 9009, true},
-    {"rootbox-lux", "RootBox Sarl", "Luxembourg", "94.242.192.0/18", 5577, true},
-    {"oceancompute-blr", "OceanCompute Ltd", "Bangalore", "139.59.0.0/18", 14061, true},
-    {"stratalayer-mex", "StrataLayer Inc", "Mexico City", "169.57.0.0/17", 36351, true},
-    {"privatetier-zrh", "PrivateTier GmbH", "Zurich", "179.43.128.0/18", 51852, true},
-    {"greenhost-dub", "GreenHost IE", "Dublin", "185.108.128.0/22", 30900, true},
-    {"gigaline-kul", "GigaLine MY", "Kuala Lumpur", "202.176.4.0/24", 55720, true},
-    {"leaplayer-sin", "LeapLayer Pte", "Singapore", "209.58.176.0/21", 59253, true},
-    // --- North America --------------------------------------------------------
-    {"oceancompute-nyc", "OceanCompute Ltd", "New York", "45.0.0.0/19", 14061, true},
-    {"rentweb-sea", "RentWeb BV", "Seattle", "45.0.32.0/19", 60781, true},
-    {"rentweb-mia", "RentWeb BV", "Miami", "45.0.64.0/19", 60781, true},
-    {"nodespark-lax", "NodeSpark LLC", "Los Angeles", "45.0.96.0/19", 20473, true},
-    {"nodespark-chi", "NodeSpark LLC", "Chicago", "45.0.128.0/19", 20473, false},
-    {"stratalayer-dal", "StrataLayer Inc", "Dallas", "45.0.160.0/19", 36351, true},
-    {"stratalayer-ash", "StrataLayer Inc", "Ashburn", "45.0.192.0/19", 36351, false},
-    {"edgeprime-sjc", "EdgePrime Co", "San Jose", "45.0.224.0/19", 13335, false},
-    {"nodespark-atl", "NodeSpark LLC", "Atlanta", "45.1.0.0/19", 20473, false},
-    {"maple-tor", "MapleHost", "Toronto", "45.1.32.0/19", 53667, true},
-    {"maple-mtl", "MapleHost", "Montreal", "45.1.64.0/19", 53667, true},
-    // --- Europe -----------------------------------------------------------------
-    {"hosteu-lon", "HostEU Ltd", "London", "45.1.96.0/19", 16276, true},
-    {"hosteu-man", "HostEU Ltd", "Manchester", "45.1.128.0/19", 16276, false},
-    {"hosteu-ams", "HostEU Ltd", "Amsterdam", "45.1.160.0/19", 60781, true},
-    // Two small Dutch access ISPs with court-ordered file-sharing blocks;
-    // the big Amsterdam hosting floor (hosteu-ams) is NOT censored, so only
-    // providers buying capacity from these ISPs show NL redirects (Table 4
-    // reports exactly one VPN behind each NL block page).
-    {"upclink-ams", "UpcLink BV", "Amsterdam", "45.4.96.0/19", 6830, true},
-    {"ziggonet-ams", "ZiggoNet BV", "Amsterdam", "45.4.224.0/19", 9143, true},
-    {"hosteu-fra", "HostEU Ltd", "Frankfurt", "45.1.192.0/19", 24940, true},
-    {"hosteu-ber", "HostEU Ltd", "Berlin", "45.1.224.0/19", 24940, false},
-    {"hosteu-par", "HostEU Ltd", "Paris", "45.2.0.0/19", 16276, true},
-    {"czhost-prg", "CzechHost sro", "Prague", "45.2.32.0/19", 197019, true},
-    {"nordichost-sto", "NordicHost AB", "Stockholm", "45.2.64.0/19", 42708, true},
-    {"balt-rig", "BaltServ SIA", "Riga", "45.2.96.0/19", 52048, true},
-    {"rom-buh", "DaciaNet SRL", "Bucharest", "45.2.128.0/19", 9050, true},
-    {"medhost-mil", "MedHost Srl", "Milan", "45.2.160.0/19", 49367, false},
-    {"iber-mad", "IberServ SL", "Madrid", "45.2.192.0/19", 12479, false},
-    // --- Russia (one datacenter per access ISP; each has its own censor) ------
-    {"ttk-mow", "TTK Hosting", "Moscow", "45.3.0.0/19", 20485, true},
-    {"hzt-mow", "HoztNode", "Moscow", "45.3.32.0/19", 29226, true},
-    {"beeline-mow", "Beeline DC", "Moscow", "45.3.64.0/19", 3216, false},
-    {"rt-led", "Rostelecom DC", "St Petersburg", "45.3.96.0/19", 12389, true},
-    {"mts-led", "MTS Hosting", "St Petersburg", "45.3.128.0/19", 8359, false},
-    {"dtln-nsk", "DataLine NSK", "Novosibirsk", "45.3.160.0/19", 9123, true},
-    // --- Censoring & regional ---------------------------------------------------
-    {"anatolia-ist", "AnatoliaNet", "Istanbul", "45.3.192.0/19", 34984, true},
-    {"anatolia-ank", "AnatoliaNet", "Ankara", "45.3.224.0/19", 34984, false},
-    {"hanriver-sel", "HanRiver IDC", "Seoul", "45.4.0.0/19", 9318, true},
-    {"siam-bkk", "SiamColo", "Bangkok", "45.4.32.0/19", 131090, true},
-    {"sakura-tyo", "SakuraDC", "Tokyo", "45.4.64.0/19", 9370, true},
-    {"harbour-hkg", "HarbourCloud", "Hong Kong", "45.4.128.0/19", 9381, true},
-    {"aus-syd", "AusgridHost", "Sydney", "45.4.160.0/19", 38195, true},
-    {"sam-gru", "SulAmerica DC", "Sao Paulo", "45.4.192.0/19", 28573, true},
-}};
-
-// Synthetic IPv6 pool per datacenter index.
-netsim::Cidr v6_pool_for(std::size_t dc_index) {
-  std::array<std::uint16_t, 8> groups{};
-  groups[0] = 0x2a0e;
-  groups[1] = static_cast<std::uint16_t>(0x0100 + dc_index);
-  return netsim::Cidr(netsim::IpAddr::v6_groups(groups), 32);
-}
-
-geo::City require_city(std::string_view name) {
-  const auto c = geo::city_by_name(name);
-  if (!c) throw std::logic_error("unknown city: " + std::string(name));
-  return *c;
-}
-
-}  // namespace
-
 World::World(std::uint64_t seed,
-             std::shared_ptr<const netsim::RoutingPlane> shared_plane)
-    : seed_(seed),
+             std::shared_ptr<const netsim::RoutingPlane> shared_plane,
+             std::shared_ptr<const WorldBase> base)
+    : base_(std::move(base)),
+      seed_(seed),
       rng_(seed),
       network_(std::make_unique<netsim::Network>(clock_, util::Rng(seed).fork("network-jitter"))),
-      geo_registry_(std::make_shared<geo::AllocationRegistry>()),
-      zones_(std::make_shared<dns::ZoneRegistry>()),
-      site_directory_(std::make_shared<SiteDirectory>()) {
-  build_backbone();
-  build_datacenters();
+      geo_registry_(std::make_shared<geo::AllocationRegistry>()) {
+  if (base_ == nullptr) throw std::invalid_argument("World: null base");
+  build_fabric();
   // The router fabric is complete: later routers (private facilities) are
   // single-link leaves, so the core can freeze here and path resolution
   // runs on the routing plane — adopted when a compatible one was handed
   // in, computed locally otherwise.
   network_->freeze_topology();
   if (shared_plane != nullptr) network_->adopt_routing_plane(std::move(shared_plane));
-  build_dns();
-  build_web();
-  build_anchors();
+  build_hosts();
   build_censors();
 
   db_maxmind_ = std::make_unique<geo::GeoIpDatabase>(
@@ -149,55 +49,17 @@ void World::reserve_hosts(std::size_t extra_hosts) {
   host_arena_.reserve(extra_hosts * 2 * sizeof(netsim::Host));
 }
 
-void World::build_backbone() {
-  const auto all = geo::cities();
-  city_routers_.reserve(all.size());
-  for (const auto& c : all)
-    city_routers_.push_back(network_->add_router(std::string(c.name)));
+void World::build_fabric() {
+  // Router ids follow the base's order: city i is router i.
+  for (const auto& name : base_->router_names()) (void)network_->add_router(name);
+  for (const auto& link : base_->links())
+    network_->add_link(link.a, link.b, link.latency_ms);
 
-  // Hub mesh.
-  std::vector<std::size_t> hub_idx;
-  for (const auto hub : kHubs) {
-    for (std::size_t i = 0; i < all.size(); ++i)
-      if (all[i].name == hub) hub_idx.push_back(i);
-  }
-  for (std::size_t i = 0; i < hub_idx.size(); ++i) {
-    for (std::size_t j = i + 1; j < hub_idx.size(); ++j) {
-      const auto& a = all[hub_idx[i]];
-      const auto& b = all[hub_idx[j]];
-      network_->add_link(city_routers_[hub_idx[i]], city_routers_[hub_idx[j]],
-                         geo::link_latency_ms(a.location, b.location));
-    }
-  }
-
-  // Every non-hub city: link to 3 nearest cities and 2 nearest hubs.
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    std::vector<std::pair<double, std::size_t>> by_dist;
-    for (std::size_t j = 0; j < all.size(); ++j) {
-      if (j == i) continue;
-      by_dist.emplace_back(
-          geo::haversine_km(all[i].location, all[j].location), j);
-    }
-    std::sort(by_dist.begin(), by_dist.end());
-    int added = 0;
-    for (const auto& [km, j] : by_dist) {
-      if (added >= 3) break;
-      network_->add_link(city_routers_[i], city_routers_[j],
-                         geo::link_latency_ms(all[i].location, all[j].location));
-      ++added;
-    }
-    std::vector<std::pair<double, std::size_t>> hubs_by_dist;
-    for (const auto h : hub_idx) {
-      if (h == i) continue;
-      hubs_by_dist.emplace_back(
-          geo::haversine_km(all[i].location, all[h].location), h);
-    }
-    std::sort(hubs_by_dist.begin(), hubs_by_dist.end());
-    for (std::size_t k = 0; k < hubs_by_dist.size() && k < 2; ++k) {
-      const auto h = hubs_by_dist[k].second;
-      network_->add_link(city_routers_[i], city_routers_[h],
-                         geo::link_latency_ms(all[i].location, all[h].location));
-    }
+  datacenters_ = base_->datacenters();
+  for (const auto& dc : datacenters_) {
+    whois_.add(WhoisRecord{dc.pool4, dc.hosting_provider,
+                           std::string(dc.city.country_code), dc.asn});
+    register_geo(dc.pool4, dc.city, dc.city);
   }
 }
 
@@ -247,36 +109,8 @@ std::optional<std::string> World::reverse_dns(
 netsim::RouterId World::router_for_city(std::string_view city) const {
   const auto all = geo::cities();
   for (std::size_t i = 0; i < all.size(); ++i)
-    if (all[i].name == city) return city_routers_[i];
+    if (all[i].name == city) return static_cast<netsim::RouterId>(i);
   throw std::logic_error("router_for_city: unknown city " + std::string(city));
-}
-
-void World::build_datacenters() {
-  datacenters_.reserve(kDatacenters.size());
-  for (std::size_t i = 0; i < kDatacenters.size(); ++i) {
-    const auto& spec = kDatacenters[i];
-    Datacenter dc;
-    dc.id = std::string(spec.id);
-    dc.hosting_provider = std::string(spec.provider);
-    dc.city = require_city(spec.city);
-    const auto pool = netsim::Cidr::parse(spec.pool);
-    if (!pool) throw std::logic_error("bad pool " + std::string(spec.pool));
-    dc.pool4 = *pool;
-    dc.pool6 = v6_pool_for(i);
-    dc.asn = spec.asn;
-    dc.registered_country = std::string(dc.city.country_code);
-    dc.known_vpn_hosting = spec.known_vpn_hosting;
-
-    // Each datacenter sits behind its own edge router so per-ISP
-    // middleboxes (Russian censors) can differ within one city.
-    dc.router = network_->add_router("dc:" + dc.id);
-    network_->add_link(dc.router, router_for_city(spec.city), 0.2);
-
-    whois_.add(WhoisRecord{dc.pool4, dc.hosting_provider,
-                           std::string(dc.city.country_code), dc.asn});
-    register_geo(dc.pool4, dc.city, dc.city);
-    datacenters_.push_back(std::move(dc));
-  }
 }
 
 std::vector<Datacenter*> World::datacenters_in(std::string_view country_code) {
@@ -317,7 +151,7 @@ Datacenter& World::private_datacenter(std::string_view tenant,
       netsim::IpAddr::v4(146, static_cast<std::uint8_t>(index >> 8),
                          static_cast<std::uint8_t>(index & 0xff), 0),
       24);
-  dc.pool6 = v6_pool_for(100 + index);
+  dc.pool6 = datacenter_v6_pool(100 + index);
   dc.asn = 200000 + index % 4000;  // 32-bit private-use ASN range
   dc.registered_country = std::string(dc.city.country_code);
   dc.known_vpn_hosting = true;
@@ -330,12 +164,6 @@ Datacenter& World::private_datacenter(std::string_view tenant,
   datacenters_.push_back(std::move(dc));
   private_dc_ids_[key] = datacenters_.back().id;
   return datacenters_.back();
-}
-
-netsim::IpAddr World::allocate_from(Datacenter& dc) {
-  const auto addr = dc.pool4.host_at(dc.next_host);
-  ++dc.next_host;
-  return addr;
 }
 
 namespace {
@@ -361,19 +189,8 @@ netsim::Host& World::spawn_server(Datacenter& dc, std::string name,
                                   bool with_v6, std::string_view tenant) {
   auto& host = new_host(std::move(name));
   const bool sliced = !tenant.empty() && dc.pool4.prefix_len() < 22;
-  const auto addr4 =
-      sliced ? allocate_tenant_slice(dc, tenant) : allocate_from(dc);
-  std::optional<netsim::IpAddr> addr6;
-  if (with_v6 && dc.pool6) {
-    // Derive the v6 suffix from the v4 address so the pairing is unique
-    // regardless of which allocation policy produced the v4 address.
-    auto bytes = dc.pool6->network().bytes();
-    const auto v4 = addr4.v4_value();
-    bytes[13] = static_cast<std::uint8_t>(v4 >> 16);
-    bytes[14] = static_cast<std::uint8_t>(v4 >> 8);
-    bytes[15] = static_cast<std::uint8_t>(v4);
-    addr6 = netsim::IpAddr::v6(bytes);
-  }
+  const auto addr4 = sliced ? allocate_tenant_slice(dc, tenant) : dc.allocate();
+  const auto addr6 = with_v6 ? dc.v6_for(addr4) : std::nullopt;
   host.add_interface("eth0", addr4, addr6);
   host.routes().add(netsim::Route{netsim::Cidr(netsim::IpAddr::v4(0, 0, 0, 0), 0),
                                   "eth0", std::nullopt, 0});
@@ -389,6 +206,10 @@ netsim::Host& World::spawn_server(Datacenter& dc, std::string name,
 }
 
 netsim::Host& World::spawn_client(std::string_view city, std::string name) {
+  // Past 71.80.255.255 the octet casts below would wrap onto the ISP
+  // resolver's 71.80.0.1 and attach silently as anycast.
+  if (next_client_ip_ > 0xffff)
+    throw std::logic_error("residential pool exhausted");
   auto& host = new_host(std::move(name));
   const auto addr4 = netsim::IpAddr::v4(71, 80,
                                         static_cast<std::uint8_t>(next_client_ip_ >> 8),
@@ -404,7 +225,7 @@ netsim::Host& World::spawn_client(std::string_view city, std::string name) {
                                   "eth0", std::nullopt, 10});
   host.routes().add(netsim::Route{netsim::Cidr(netsim::IpAddr::v6({}), 0),
                                   "eth0", std::nullopt, 10});
-  host.dns_servers().push_back(isp_resolver_);
+  host.dns_servers().push_back(isp_resolver());
   network_->attach_host(host, router_for_city(city), 4.0);
   return host;
 }
@@ -423,344 +244,137 @@ void World::register_geo(const netsim::Cidr& block, const geo::City& true_city,
   geo_registry_->add(a);
 }
 
-void World::build_dns() {
-  google_dns_ = netsim::IpAddr::v4(8, 8, 8, 8);
-  quad9_dns_ = netsim::IpAddr::v4(9, 9, 9, 9);
-  isp_resolver_ = netsim::IpAddr::v4(71, 80, 0, 1);
-
-  // Authoritative server for every simulated website zone.
-  auto* ash = datacenter_by_id("stratalayer-ash");
-  auto& web_auth_host = spawn_server(*ash, "ns1.webauth");
-  web_authority_ = std::make_shared<dns::AuthoritativeService>();
-  web_auth_host.bind_service(netsim::Proto::kUdp, netsim::kPortDns,
-                             web_authority_);
-  web_authority_addr_ = *web_auth_host.primary_addr(netsim::IpFamily::kV4);
-
-  // Logging authority for the tagged probe zone (recursive-origin test).
-  auto* chi = datacenter_by_id("nodespark-chi");
-  auto& probe_host = spawn_server(*chi, "ns1.probe-infra");
-  probe_authority_ = std::make_shared<dns::AuthoritativeService>();
-  dns::ZoneRecord probe_apex;
-  probe_apex.a = {*probe_host.primary_addr(netsim::IpFamily::kV4)};
-  probe_apex.txt = {"probe-zone"};
-  probe_authority_->add_wildcard_zone(std::string(probe_dns_zone()), probe_apex);
-  probe_host.bind_service(netsim::Proto::kUdp, netsim::kPortDns,
-                          probe_authority_);
-  zones_->set_authority(std::string(probe_dns_zone()),
-                        *probe_host.primary_addr(netsim::IpFamily::kV4));
-
-  // Anycast public resolvers.
-  const auto deploy_anycast_resolver = [&](const netsim::IpAddr& addr,
-                                           std::string_view label,
-                                           std::span<const std::string_view> sites) {
-    for (const auto city : sites) {
-      auto& h = new_host(util::format("%.*s-%.*s",
-                                      static_cast<int>(label.size()), label.data(),
-                                      static_cast<int>(city.size()), city.data()));
-      h.add_interface("eth0", addr, std::nullopt);
-      h.routes().add(netsim::Route{
-          netsim::Cidr(netsim::IpAddr::v4(0, 0, 0, 0), 0), "eth0", std::nullopt, 0});
-      h.bind_service(netsim::Proto::kUdp, netsim::kPortDns,
-                     std::make_shared<dns::RecursiveResolverService>(zones_));
-      h.capture().set_enabled(false);
-      network_->attach_host(h, router_for_city(city), 0.3);
-    }
-  };
-  constexpr std::array<std::string_view, 8> kGoogleSites = {
-      "New York", "Los Angeles", "Frankfurt", "London",
-      "Singapore", "Tokyo",      "Sao Paulo", "Sydney"};
-  constexpr std::array<std::string_view, 5> kQuad9Sites = {
-      "Ashburn", "Amsterdam", "Zurich", "Hong Kong", "Toronto"};
-  deploy_anycast_resolver(google_dns_, "gdns", kGoogleSites);
-  deploy_anycast_resolver(quad9_dns_, "quad9", kQuad9Sites);
-
-  // The residential ISP's resolver (what an un-tunnelled client uses).
-  {
-    auto& h = new_host("isp-resolver");
-    h.add_interface("eth0", isp_resolver_, std::nullopt);
-    h.routes().add(netsim::Route{
-        netsim::Cidr(netsim::IpAddr::v4(0, 0, 0, 0), 0), "eth0", std::nullopt, 0});
-    h.bind_service(netsim::Proto::kUdp, netsim::kPortDns,
-                   std::make_shared<dns::RecursiveResolverService>(zones_));
-    h.capture().set_enabled(false);
-    network_->attach_host(h, router_for_city("Chicago"), 1.0);
-  }
-
-  // Root server instances (ping targets for infrastructure inference).
-  struct RootSpec {
-    char letter;
-    netsim::IpAddr addr;
-    std::array<std::string_view, 5> sites;
-  };
-  const std::array<RootSpec, 5> kRoots = {{
-      {'D', netsim::IpAddr::v4(199, 7, 91, 13),
-       {"New York", "London", "Tokyo", "Sydney", "Frankfurt"}},
-      {'E', netsim::IpAddr::v4(192, 203, 230, 10),
-       {"Los Angeles", "Singapore", "Amsterdam", "Miami", "Seoul"}},
-      {'F', netsim::IpAddr::v4(192, 5, 5, 241),
-       {"San Jose", "Paris", "Hong Kong", "Sao Paulo", "Johannesburg"}},
-      {'J', netsim::IpAddr::v4(192, 58, 128, 30),
-       {"Ashburn", "Stockholm", "Mumbai", "Toronto", "Dubai"}},
-      {'L', netsim::IpAddr::v4(199, 7, 83, 42),
-       {"Chicago", "Zurich", "Osaka", "Buenos Aires", "Warsaw"}},
-  }};
-  for (const auto& spec : kRoots) {
-    for (const auto city : spec.sites) {
-      auto& h = new_host(util::format("%c-root-%.*s", spec.letter,
-                                      static_cast<int>(city.size()), city.data()));
-      h.add_interface("eth0", spec.addr, std::nullopt);
-      h.capture().set_enabled(false);
-      network_->attach_host(h, router_for_city(city), 0.3);
-    }
-    roots_.push_back(RootServer{spec.letter, spec.addr});
-  }
-}
-
-void World::publish_dns(const std::string& hostname, const netsim::IpAddr& a,
-                        std::optional<netsim::IpAddr> aaaa) {
-  dns::ZoneRecord rec;
-  rec.a = {a};
-  if (aaaa) rec.aaaa = {*aaaa};
-  web_authority_->add_record(hostname, rec);
-  zones_->set_authority(http::registered_domain(hostname), web_authority_addr_);
-}
-
-void World::build_web() {
+void World::build_hosts() {
+  using Role = InfraHost::Role;
   ca_store_.trust("SimTrust Root CA");
   ca_store_.trust("GlobalCert Root");
-
-  // Web hosting uses datacenters near the site's declared hosting city,
-  // falling back to Ashburn.
-  const auto dc_for_city = [&](std::string_view city) -> Datacenter& {
-    for (auto& dc : datacenters_)
-      if (dc.city.name == city && !dc.known_vpn_hosting) return dc;
-    for (auto& dc : datacenters_)
-      if (dc.city.name == city) return dc;
-    return *datacenter_by_id("stratalayer-ash");
-  };
-
-  const auto deploy_site = [&](const SiteSpec& spec) {
-    auto& dc = dc_for_city(spec.hosting_city);
-    auto& host = spawn_server(
-        dc, "www." + std::string(spec.hostname), /*with_v6=*/true);
-    const auto addr4 = *host.primary_addr(netsim::IpFamily::kV4);
-    const auto addr6 = host.primary_addr(netsim::IpFamily::kV6);
-
-    auto site = std::make_shared<http::Site>();
-    site->hostname = std::string(spec.hostname);
-    site->https_available = spec.https_available;
-    site->upgrades_to_https = spec.upgrades_to_https;
-    site->blocks_with_empty_200 = spec.blocks_with_empty_200;
-    site->pages["/"] = http::make_basic_page(spec.hostname, spec.hostname,
-                                             spec.resource_count);
-    for (int i = 0; i < spec.resource_count; ++i) {
-      http::Page res;
-      res.html = util::format("// resource %d of %s", i,
-                              std::string(spec.hostname).c_str());
-      site->pages[util::format("/static/res%d.js", i)] = res;
+  sites_.reserve(base_->sites().size());
+  for (const auto& spec : base_->hosts()) {
+    auto& host = new_host(spec.name);
+    host.add_interface("eth0", spec.addr4, spec.addr6);
+    if (spec.routed) {
+      host.routes().add(netsim::Route{
+          netsim::Cidr(netsim::IpAddr::v4(0, 0, 0, 0), 0), "eth0", std::nullopt, 0});
+      if (spec.addr6) {
+        host.routes().add(netsim::Route{
+            netsim::Cidr(netsim::IpAddr::v6({}), 0), "eth0", std::nullopt, 0});
+      }
     }
-
-    auto web80 = std::make_shared<http::WebServerService>(false);
-    web80->add_site(site);
-    host.bind_service(netsim::Proto::kTcp, netsim::kPortHttp, web80);
-
-    if (spec.https_available) {
-      auto web443 = std::make_shared<http::WebServerService>(true);
-      web443->add_site(site);
-      auto term = std::make_shared<tlssim::TlsTerminator>(web443);
-      term->set_chain(std::string(spec.hostname),
-                      tlssim::issue_chain(spec.hostname, "SimTrust Root CA",
-                                          cert_serial_++));
-      host.bind_service(netsim::Proto::kTcp, netsim::kPortHttps, term);
-      terminators_.push_back(term);
-    }
-
-    publish_dns(std::string(spec.hostname), addr4, addr6);
-    site_directory_->set_category(std::string(spec.hostname), spec.category);
-    all_sites_.push_back(site);
-    if (spec.blocks_vpn_ranges) vpn_blocking_sites_.push_back(site);
-  };
-
-  for (const auto& spec : dom_test_sites()) deploy_site(spec);
-  for (const auto& spec : tls_scan_sites()) deploy_site(spec);
-
-  // Honeysites: static content, infra category, never censored.
-  const auto deploy_honeysite = [&](std::string_view hostname, bool with_ads) {
-    auto& dc = *datacenter_by_id("nodespark-chi");
-    auto& host = spawn_server(dc, "www." + std::string(hostname));
-    auto site = std::make_shared<http::Site>();
-    site->hostname = std::string(hostname);
-    site->https_available = false;
-    site->pages["/"] = http::make_honeysite_page(hostname, with_ads);
-    auto web80 = std::make_shared<http::WebServerService>(false);
-    web80->add_site(site);
-    host.bind_service(netsim::Proto::kTcp, netsim::kPortHttp, web80);
-    publish_dns(std::string(hostname),
-                *host.primary_addr(netsim::IpFamily::kV4));
-    site_directory_->set_category(std::string(hostname),
-                                  SiteCategory::kInfrastructure);
-    all_sites_.push_back(site);
-  };
-  deploy_honeysite(honeysite_plain(), false);
-  deploy_honeysite(honeysite_ads(), true);
-
-  // The ad network referenced by the honeysite's ad slot must exist, so the
-  // loader's fetch of the (invalid-publisher) ad script gets a benign 200.
-  {
-    auto& dc = *datacenter_by_id("edgeprime-sjc");
-    auto& host = spawn_server(dc, "ads.adnet-one.com");
-    auto site = std::make_shared<http::Site>();
-    site->hostname = "ads.adnet-one.com";
-    http::Page noop;
-    noop.html = "// invalid publisher; slot intentionally unfilled";
-    site->pages["/serve.js?pub=invalid-0000"] = noop;
-    auto web80 = std::make_shared<http::WebServerService>(false);
-    web80->add_site(site);
-    host.bind_service(netsim::Proto::kTcp, netsim::kPortHttp, web80);
-    publish_dns("ads.adnet-one.com", *host.primary_addr(netsim::IpFamily::kV4));
-    site_directory_->set_category("ads.adnet-one.com",
-                                  SiteCategory::kInfrastructure);
-    all_sites_.push_back(site);
-  }
-
-  // Header reflection endpoint.
-  {
-    auto& dc = *datacenter_by_id("stratalayer-ash");
-    auto& host = spawn_server(dc, std::string(header_echo_host()));
-    host.bind_service(netsim::Proto::kTcp, netsim::kPortHttp,
-                      std::make_shared<http::HeaderEchoService>());
-    publish_dns(std::string(header_echo_host()),
-                *host.primary_addr(netsim::IpFamily::kV4));
-    site_directory_->set_category(std::string(header_echo_host()),
-                                  SiteCategory::kInfrastructure);
-  }
-
-  // Geolocation API endpoint: answers with its belief about the requester's
-  // address, via the google-like database (bound lazily because the
-  // databases are constructed after build_web runs).
-  {
-    auto& dc = *datacenter_by_id("edgeprime-sjc");
-    auto& host = spawn_server(dc, std::string(geo_api_host()));
-    auto service = std::make_shared<netsim::LambdaService>(
-        [this](netsim::ServiceContext& ctx) -> std::optional<std::string> {
-          const auto req = http::HttpRequest::decode(ctx.request.payload);
-          http::HttpResponse resp;
-          if (!req) {
-            resp.status = 400;
-            resp.reason = "Bad Request";
-            return resp.encode();
-          }
-          resp.status = 200;
-          resp.reason = "OK";
-          resp.set_header("Content-Type", "application/json");
-          const auto rec = db_google_->lookup(ctx.request.src);
-          if (rec) {
-            resp.body = util::format(
-                "{\"country\":\"%s\",\"city\":\"%s\",\"lat\":%.2f,\"lon\":%.2f}",
-                rec->country_code.c_str(), rec->city.c_str(),
-                rec->location.lat_deg, rec->location.lon_deg);
-          } else {
-            resp.body = "{\"error\":\"not found\"}";
-          }
-          return resp.encode();
-        });
-    host.bind_service(netsim::Proto::kTcp, netsim::kPortHttp, service);
-    publish_dns(std::string(geo_api_host()),
-                *host.primary_addr(netsim::IpFamily::kV4));
-    site_directory_->set_category(std::string(geo_api_host()),
-                                  SiteCategory::kInfrastructure);
-  }
-
-  // STUN-style reflector: answers a binding request with the source
-  // address it observed — the building block of the WebRTC leak audit.
-  {
-    auto& dc = *datacenter_by_id("stratalayer-ash");
-    auto& host = spawn_server(dc, std::string(stun_host()));
-    host.bind_service(
-        netsim::Proto::kUdp, kPortStun,
-        std::make_shared<netsim::LambdaService>(
-            [](netsim::ServiceContext& ctx) -> std::optional<std::string> {
-              if (ctx.request.payload != "STUN-BINDING") return std::nullopt;
-              return "MAPPED|" + ctx.request.src.str();
-            }));
-    publish_dns(std::string(stun_host()),
-                *host.primary_addr(netsim::IpFamily::kV4));
-    site_directory_->set_category(std::string(stun_host()),
-                                  SiteCategory::kInfrastructure);
-  }
-
-  // National block pages referenced by the censors (Table 4 targets).
-  struct BlockPage {
-    std::string_view host_or_ip;
-    std::string_view dc_id;
-    bool is_literal;
-  };
-  const std::array<BlockPage, 11> kBlockPages = {{
-      {"195.175.254.2", "anatolia-ist", true},
-      {"www.warning.or.kr", "hanriver-sel", false},
-      {"fz139.ttk.ru", "ttk-mow", false},
-      {"zapret.hoztnode.net", "hzt-mow", false},
-      {"warning.rt.ru", "rt-led", false},
-      {"blocked.mts.ru", "mts-led", false},
-      {"block.dtln.ru", "dtln-nsk", false},
-      {"blackhole.beeline.ru", "beeline-mow", false},
-      {"www.ziggo.nl", "hosteu-ams", false},
-      {"213.46.185.10", "upclink-ams", true},
-      {"103.77.116.101", "siam-bkk", true},
-  }};
-  for (const auto& bp : kBlockPages) {
-    auto& dc = *datacenter_by_id(bp.dc_id);
-    auto& host = new_host("blockpage." + std::string(bp.host_or_ip));
-    netsim::IpAddr addr;
-    if (bp.is_literal) {
-      addr = *netsim::IpAddr::parse(bp.host_or_ip);
-    } else {
-      addr = allocate_from(dc);
-    }
-    host.add_interface("eth0", addr, std::nullopt);
-    host.routes().add(netsim::Route{
-        netsim::Cidr(netsim::IpAddr::v4(0, 0, 0, 0), 0), "eth0", std::nullopt, 0});
+    // Infrastructure hosts do not run packet capture (memory stays bounded
+    // over a full campaign); tests that need a server-side view re-enable it.
     host.capture().set_enabled(false);
-    network_->attach_host(host, dc.router, 0.25);
+    network_->attach_host(host, spec.router, spec.access_latency_ms);
 
-    auto site = std::make_shared<http::Site>();
-    site->hostname = std::string(bp.host_or_ip);
-    http::Page page;
-    page.html = util::format(
-        "<html><body><h1>Access to this resource is restricted</h1>"
-        "<p>Served by %s</p></body></html>",
-        std::string(bp.host_or_ip).c_str());
-    site->pages["/"] = page;
-    auto web = std::make_shared<http::WebServerService>(false);
-    web->add_site(site);
-    host.bind_service(netsim::Proto::kTcp, netsim::kPortHttp, web);
-    // ziggo.nl's block page is served over HTTPS.
-    if (bp.host_or_ip == "www.ziggo.nl") {
-      auto web443 = std::make_shared<http::WebServerService>(true);
-      web443->add_site(site);
-      auto term = std::make_shared<tlssim::TlsTerminator>(web443);
-      term->set_chain(std::string(bp.host_or_ip),
-                      tlssim::issue_chain(bp.host_or_ip, "GlobalCert Root",
-                                          cert_serial_++));
-      host.bind_service(netsim::Proto::kTcp, netsim::kPortHttps, term);
-      terminators_.push_back(term);
+    switch (spec.role) {
+      case Role::kWebAuthority:
+        host.bind_service(netsim::Proto::kUdp, netsim::kPortDns,
+                          std::make_shared<dns::AuthoritativeService>(
+                              base_->web_records()));
+        break;
+      case Role::kProbeAuthority: {
+        probe_authority_ = std::make_shared<dns::AuthoritativeService>();
+        dns::ZoneRecord probe_apex;
+        probe_apex.a = {spec.addr4};
+        probe_apex.txt = {"probe-zone"};
+        probe_authority_->add_wildcard_zone(std::string(probe_dns_zone()),
+                                            probe_apex);
+        host.bind_service(netsim::Proto::kUdp, netsim::kPortDns,
+                          probe_authority_);
+        break;
+      }
+      case Role::kResolver:
+        host.bind_service(
+            netsim::Proto::kUdp, netsim::kPortDns,
+            std::make_shared<dns::RecursiveResolverService>(base_->zones()));
+        break;
+      case Role::kSite: {
+        const auto& hosted = base_->sites()[spec.site];
+        std::shared_ptr<const http::Site> site = hosted.site;
+        if (hosted.blocks_vpn_ranges) {
+          // The one piece of content a world writes (blocklist_vpn_range):
+          // served from this world's own copy.
+          auto own = std::make_shared<http::Site>(*hosted.site);
+          vpn_blocking_sites_.push_back(own);
+          site = std::move(own);
+        }
+        auto web80 = std::make_shared<http::WebServerService>(false);
+        web80->add_site(site);
+        host.bind_service(netsim::Proto::kTcp, netsim::kPortHttp, web80);
+        if (hosted.chain) {
+          auto web443 = std::make_shared<http::WebServerService>(true);
+          web443->add_site(site);
+          auto term = std::make_shared<tlssim::TlsTerminator>(web443);
+          term->set_chain(site->hostname, hosted.chain);
+          host.bind_service(netsim::Proto::kTcp, netsim::kPortHttps, term);
+          terminators_.push_back(std::move(term));
+        }
+        sites_.push_back(std::move(site));
+        break;
+      }
+      case Role::kHeaderEcho:
+        host.bind_service(netsim::Proto::kTcp, netsim::kPortHttp,
+                          std::make_shared<http::HeaderEchoService>());
+        break;
+      case Role::kGeoApi:
+        // Answers with its belief about the requester's address, via the
+        // google-like database (constructed after the hosts, hence the
+        // lookup through `this` at request time).
+        host.bind_service(
+            netsim::Proto::kTcp, netsim::kPortHttp,
+            std::make_shared<netsim::LambdaService>(
+                [this](netsim::ServiceContext& ctx) -> std::optional<std::string> {
+                  const auto req = http::HttpRequest::decode(ctx.request.payload);
+                  http::HttpResponse resp;
+                  if (!req) {
+                    resp.status = 400;
+                    resp.reason = "Bad Request";
+                    return resp.encode();
+                  }
+                  resp.status = 200;
+                  resp.reason = "OK";
+                  resp.set_header("Content-Type", "application/json");
+                  const auto rec = db_google_->lookup(ctx.request.src);
+                  if (rec) {
+                    resp.body = util::format(
+                        "{\"country\":\"%s\",\"city\":\"%s\",\"lat\":%.2f,\"lon\":%.2f}",
+                        rec->country_code.c_str(), rec->city.c_str(),
+                        rec->location.lat_deg, rec->location.lon_deg);
+                  } else {
+                    resp.body = "{\"error\":\"not found\"}";
+                  }
+                  return resp.encode();
+                }));
+        break;
+      case Role::kStun:
+        // Answers a binding request with the source address it observed —
+        // the building block of the WebRTC leak audit.
+        host.bind_service(
+            netsim::Proto::kUdp, kPortStun,
+            std::make_shared<netsim::LambdaService>(
+                [](netsim::ServiceContext& ctx) -> std::optional<std::string> {
+                  if (ctx.request.payload != "STUN-BINDING") return std::nullopt;
+                  return "MAPPED|" + ctx.request.src.str();
+                }));
+        break;
+      case Role::kRoot:
+      case Role::kAnchor:
+        break;
     }
-    if (!bp.is_literal) publish_dns(std::string(bp.host_or_ip), addr);
-    site_directory_->set_category(std::string(bp.host_or_ip),
-                                  SiteCategory::kInfrastructure);
-    all_sites_.push_back(site);
   }
+}
+
+std::shared_ptr<const http::Site> World::site(std::string_view hostname) const {
+  for (const auto& site : sites_)
+    if (site->hostname == hostname) return site;
+  return nullptr;
 }
 
 const http::Page* World::page_for(std::string_view hostname,
                                   std::string_view path) const {
-  for (const auto& site : all_sites_) {
-    if (site->hostname != hostname) continue;
-    const auto it = site->pages.find(std::string(path));
-    if (it == site->pages.end()) return nullptr;
-    return &it->second;
-  }
-  return nullptr;
+  const auto served = site(hostname);
+  if (served == nullptr) return nullptr;
+  const auto it = served->pages.find(std::string(path));
+  return it == served->pages.end() ? nullptr : &it->second;
 }
 
 std::optional<std::string> World::true_cert_fingerprint(
@@ -778,21 +392,6 @@ void World::blocklist_vpn_range(const netsim::Cidr& block) {
     site->blocked_ranges.push_back(block);
 }
 
-void World::build_anchors() {
-  // 50 anchors spread across the city table (every other city).
-  const auto all = geo::cities();
-  std::uint8_t next = 10;
-  for (std::size_t i = 0; i < all.size() && anchors_.size() < 50; i += 2) {
-    const auto& c = all[i];
-    auto& h = new_host("anchor-" + std::string(c.name));
-    const auto addr = netsim::IpAddr::v4(193, 0, 14, next++);
-    h.add_interface("eth0", addr, std::nullopt);
-    h.capture().set_enabled(false);
-    network_->attach_host(h, city_routers_[i], 0.4);
-    anchors_.push_back(Anchor{std::string(c.name), c, addr});
-  }
-}
-
 std::vector<std::string> World::self_check() {
   std::vector<std::string> problems;
   auto& probe = spawn_client("Chicago", "self-check-probe");
@@ -807,11 +406,11 @@ std::vector<std::string> World::self_check() {
   }
 
   // Anchors and root letters answer pings.
-  for (const auto& anchor : anchors_) {
+  for (const auto& anchor : anchors()) {
     if (!network_->ping(probe, anchor.addr))
       problems.push_back("anchor unreachable: " + anchor.name);
   }
-  for (const auto& root : roots_) {
+  for (const auto& root : root_servers()) {
     if (!network_->ping(probe, root.addr))
       problems.push_back(std::string("root unreachable: ") + root.letter);
   }
@@ -883,7 +482,7 @@ void World::build_censors() {
     policy.blocked_categories = spec.categories;
     policy.blocked_hosts = spec.hosts;
     auto censor =
-        std::make_shared<CensorMiddlebox>(std::move(policy), site_directory_);
+        std::make_shared<CensorMiddlebox>(std::move(policy), site_directory());
     network_->set_middlebox(dc->router, censor);
     censors_.push_back(std::move(censor));
   }

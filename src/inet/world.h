@@ -19,6 +19,7 @@
 #include "inet/censor.h"
 #include "inet/sites.h"
 #include "inet/whois.h"
+#include "inet/world_base.h"
 #include "netsim/network.h"
 #include "tlssim/cert.h"
 #include "tlssim/handshake.h"
@@ -28,50 +29,21 @@
 
 namespace vpna::inet {
 
-// A hosting location: a provider's presence in one city, with an IPv4 pool
-// (and optional IPv6) from which server addresses are allocated.
-struct Datacenter {
-  std::string id;                // "oceancompute-blr"
-  std::string hosting_provider;  // "OceanCompute Ltd"
-  geo::City city;
-  netsim::Cidr pool4;
-  std::optional<netsim::Cidr> pool6;
-  std::uint32_t asn = 0;
-  std::string registered_country;  // WHOIS country (usually == city country)
-  netsim::RouterId router = 0;
-  std::uint32_t next_host = 10;  // next free offset within pool4
-  // True for pools widely known as VPN/hosting space (streaming sites
-  // block these ranges).
-  bool known_vpn_hosting = false;
-  // Tenant isolation: in facilities with large pools each customer rents
-  // its own /24 slice, so distinct tenants do not share blocks. Small
-  // pools (/22 and tighter — the budget hosts of Table 5) have no room
-  // for slices and allocate from shared space.
-  std::map<std::string, std::pair<std::uint32_t, std::uint32_t>> tenant_slices;
-  std::uint32_t next_slice = 1;  // /24 index within the pool (0 = infra)
-};
-
-struct Anchor {
-  std::string name;
-  geo::City city;
-  netsim::IpAddr addr;
-};
-
-struct RootServer {
-  char letter;  // 'D', 'E', 'F', 'J', 'L'
-  netsim::IpAddr addr;
-};
-
 class World {
  public:
+  // Every world builds on `base` — the seed-independent fabric, host layout
+  // and web content (see world_base.h) — and owns everything else.
   // `shared_plane`, when given, must have been produced by another World's
-  // network (any seed: the backbone + datacenter core is seed-independent)
-  // and is adopted instead of recomputing all-pairs routes — this is how
-  // campaign shards skip the per-shard Dijkstra sweep. Pass nullptr to
-  // build the plane locally on first path query.
+  // network (any seed: the backbone + datacenter core is seed-independent;
+  // WorldBase::routing_plane() is such a plane) and is adopted instead of
+  // recomputing all-pairs routes — this is how campaign shards skip the
+  // per-shard Dijkstra sweep; a plane whose fingerprint does not match
+  // throws std::logic_error. Pass nullptr to build the plane locally on
+  // first path query.
   explicit World(std::uint64_t seed,
                  std::shared_ptr<const netsim::RoutingPlane> shared_plane =
-                     nullptr);
+                     nullptr,
+                 std::shared_ptr<const WorldBase> base = WorldBase::shared());
 
   World(const World&) = delete;
   World& operator=(const World&) = delete;
@@ -113,6 +85,8 @@ class World {
 
   // Creates an eyeball client behind a residential access network in a
   // city, with IPv4+IPv6, default routes and the ISP's resolver configured.
+  // The residential pool (71.80.0.10 - 71.80.255.255) holds 65,526
+  // clients; spawning past it throws std::logic_error.
   netsim::Host& spawn_client(std::string_view city, std::string name);
 
   // Capacity hint: a caller that knows how many hosts it is about to spawn
@@ -146,27 +120,31 @@ class World {
   [[nodiscard]] const geo::GeoIpDatabase& db_google() const { return *db_google_; }
 
   // --- DNS -------------------------------------------------------------------
-  [[nodiscard]] netsim::IpAddr google_dns() const { return google_dns_; }
-  [[nodiscard]] netsim::IpAddr quad9_dns() const { return quad9_dns_; }
-  [[nodiscard]] netsim::IpAddr isp_resolver() const { return isp_resolver_; }
-  [[nodiscard]] std::span<const RootServer> root_servers() const {
-    return roots_;
+  [[nodiscard]] netsim::IpAddr google_dns() const { return base_->google_dns(); }
+  [[nodiscard]] netsim::IpAddr quad9_dns() const { return base_->quad9_dns(); }
+  [[nodiscard]] netsim::IpAddr isp_resolver() const {
+    return base_->isp_resolver();
   }
-  [[nodiscard]] std::shared_ptr<dns::ZoneRegistry> zones() { return zones_; }
+  [[nodiscard]] std::span<const RootServer> root_servers() const {
+    return base_->root_servers();
+  }
+  [[nodiscard]] std::shared_ptr<const dns::ZoneRegistry> zones() const {
+    return base_->zones();
+  }
   // The logging authoritative server under probe_dns_zone().
   [[nodiscard]] dns::AuthoritativeService& probe_authority() {
     return *probe_authority_;
   }
-  // Adds records for a new hostname into the simulated DNS (server hosts
-  // call this when they come up).
-  void publish_dns(const std::string& hostname, const netsim::IpAddr& a,
-                   std::optional<netsim::IpAddr> aaaa = std::nullopt);
 
   // --- web -------------------------------------------------------------------
   [[nodiscard]] tlssim::CaStore& ca_store() noexcept { return ca_store_; }
   [[nodiscard]] std::shared_ptr<const SiteDirectory> site_directory() const {
-    return site_directory_;
+    return base_->site_directory();
   }
+  // The content this world serves for a hostname: the base's shared site,
+  // or this world's own copy of a site that blocks VPN ranges.
+  [[nodiscard]] std::shared_ptr<const http::Site> site(
+      std::string_view hostname) const;
   // Ground-truth content: the page originally published for a hostname.
   [[nodiscard]] const http::Page* page_for(std::string_view hostname,
                                            std::string_view path = "/") const;
@@ -179,7 +157,9 @@ class World {
   void blocklist_vpn_range(const netsim::Cidr& block);
 
   // --- measurement endpoints ---------------------------------------------------
-  [[nodiscard]] std::span<const Anchor> anchors() const { return anchors_; }
+  [[nodiscard]] std::span<const Anchor> anchors() const {
+    return base_->anchors();
+  }
 
   // Verifies the world's structural invariants (every test site resolvable
   // and serving, anchors and roots pingable, probe zone logging, censors
@@ -194,6 +174,8 @@ class World {
   [[nodiscard]] std::optional<std::string> reverse_dns(
       const netsim::IpAddr& router_addr) const;
 
+  [[nodiscard]] const WorldBase& base() const noexcept { return *base_; }
+
   // --- censors ------------------------------------------------------------------
   [[nodiscard]] const std::vector<std::shared_ptr<CensorMiddlebox>>& censors()
       const {
@@ -201,16 +183,13 @@ class World {
   }
 
  private:
-  void build_backbone();
-  void build_datacenters();
-  void build_dns();
-  void build_web();
-  void build_anchors();
+  void build_fabric();
+  void build_hosts();
   void build_censors();
 
   netsim::Host& new_host(std::string name);
-  netsim::IpAddr allocate_from(Datacenter& dc);
 
+  std::shared_ptr<const WorldBase> base_;
   std::uint64_t seed_;
   util::SimClock clock_;
   util::Rng rng_;
@@ -225,7 +204,6 @@ class World {
   // the previous member order.
   util::Arena host_arena_;
   std::size_t host_count_ = 0;
-  std::vector<netsim::RouterId> city_routers_;  // parallel to geo::cities()
 
   std::vector<Datacenter> datacenters_;
   WhoisDb whois_;
@@ -234,25 +212,16 @@ class World {
   std::unique_ptr<geo::GeoIpDatabase> db_ip2location_;
   std::unique_ptr<geo::GeoIpDatabase> db_google_;
 
-  std::shared_ptr<dns::ZoneRegistry> zones_;
-  netsim::IpAddr google_dns_;
-  netsim::IpAddr quad9_dns_;
-  netsim::IpAddr isp_resolver_;
-  std::vector<RootServer> roots_;
-  std::shared_ptr<dns::AuthoritativeService> web_authority_;  // all site zones
-  netsim::IpAddr web_authority_addr_;
   std::shared_ptr<dns::AuthoritativeService> probe_authority_;
 
   tlssim::CaStore ca_store_;
-  std::shared_ptr<SiteDirectory> site_directory_;
-  // Sites and TLS terminators by hosting host, for truth lookups.
-  std::vector<std::shared_ptr<http::Site>> all_sites_;
-  std::vector<std::shared_ptr<tlssim::TlsTerminator>> terminators_;
+  // Served sites, parallel to base_->sites(); the VPN-blocking ones are
+  // this world's copies, also listed in vpn_blocking_sites_.
+  std::vector<std::shared_ptr<const http::Site>> sites_;
   std::vector<std::shared_ptr<http::Site>> vpn_blocking_sites_;
+  std::vector<std::shared_ptr<tlssim::TlsTerminator>> terminators_;
 
-  std::vector<Anchor> anchors_;
   std::vector<std::shared_ptr<CensorMiddlebox>> censors_;
-  std::uint64_t cert_serial_ = 1;
   std::uint32_t next_client_ip_ = 10;  // within the residential pool
   std::uint32_t next_private_pool_ = 0;  // /24 index in 146.0.0.0/8
   // Private facilities are appended to datacenters_, which may reallocate;

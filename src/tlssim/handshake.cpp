@@ -60,16 +60,22 @@ HandshakeResult tls_handshake(netsim::Network& net, netsim::Host& client,
 }
 
 void TlsTerminator::set_chain(std::string hostname, CertChain chain) {
+  set_chain(std::move(hostname),
+            std::make_shared<const CertChain>(std::move(chain)));
+}
+
+void TlsTerminator::set_chain(std::string hostname,
+                              std::shared_ptr<const CertChain> chain) {
   chains_[std::move(hostname)] = std::move(chain);
 }
 
 const CertChain* TlsTerminator::chain_for(std::string_view hostname) const {
   if (const auto it = chains_.find(hostname); it != chains_.end())
-    return &it->second;
+    return it->second.get();
   // Fall back to a wildcard entry covering the host, if installed.
   for (const auto& [name, chain] : chains_) {
-    if (!chain.certs.empty() && chain.certs.front().matches_host(hostname))
-      return &chain;
+    if (!chain->certs.empty() && chain->certs.front().matches_host(hostname))
+      return chain.get();
   }
   return nullptr;
 }

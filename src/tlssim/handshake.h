@@ -53,15 +53,17 @@ class TlsTerminator final : public netsim::Service {
   explicit TlsTerminator(std::shared_ptr<netsim::Service> app)
       : app_(std::move(app)) {}
 
-  // Installs the chain presented for an SNI name.
+  // Installs the chain presented for an SNI name. The shared form lets
+  // terminators that present the same chain hold one read-only copy.
   void set_chain(std::string hostname, CertChain chain);
+  void set_chain(std::string hostname, std::shared_ptr<const CertChain> chain);
   [[nodiscard]] const CertChain* chain_for(std::string_view hostname) const;
 
   std::optional<std::string> handle(netsim::ServiceContext& ctx) override;
 
  private:
   std::shared_ptr<netsim::Service> app_;
-  std::map<std::string, CertChain, std::less<>> chains_;
+  std::map<std::string, std::shared_ptr<const CertChain>, std::less<>> chains_;
 };
 
 }  // namespace vpna::tlssim

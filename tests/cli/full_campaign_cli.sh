@@ -59,6 +59,12 @@ has prof.txt "shard.build"
 # In-process census worlds are built here, so their arena is reported.
 has out.txt "host arena:"
 
+# The seed-independent world base is built once per process, before any
+# shard: one world.base frame against one shard.build per shard.
+row census-profile 0 "$BIN" out --scale 8 --profile prof.txt
+has prof.txt "phase world.base calls=1 "
+has prof.txt "phase shard.build calls=8 "
+
 # An isolated census journals every shard; the arena line is omitted
 # (worlds are built in the workers), never printed as zero.
 row census-isolate 0 "$BIN" out --scale 8 --isolate --cache-dir store

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <future>
+
 #include "dns/client.h"
 #include "http/client.h"
+#include "util/task_pool.h"
 
 namespace vpna::inet {
 namespace {
@@ -282,6 +286,109 @@ TEST(World, DeterministicAcrossInstances) {
   const auto r2 = w2.network().ping(c2, w2.google_dns());
   ASSERT_TRUE(r1 && r2);
   EXPECT_DOUBLE_EQ(*r1, *r2);
+}
+
+TEST(World, ResidentialPoolExhaustionThrows) {
+  // The pool is 71.80.0.10 - 71.80.255.255; one more client would wrap onto
+  // the ISP resolver's 71.80.0.1 and attach silently as anycast.
+  World w(65);
+  std::size_t spawned = 0;
+  try {
+    for (; spawned < 70000; ++spawned) {
+      const auto addr = w.spawn_client("Chicago", "eyeball")
+                            .primary_addr(netsim::IpFamily::kV4);
+      ASSERT_TRUE(addr.has_value());
+      ASSERT_NE(*addr, w.isp_resolver()) << "client " << spawned + 1;
+    }
+    FAIL() << "the residential pool never ran out";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "residential pool exhausted");
+  }
+  EXPECT_EQ(spawned, 65526u);
+  EXPECT_THROW(w.spawn_client("Chicago", "one-more"), std::logic_error);
+}
+
+TEST(World, SharedSiteContentIsCopyOnWrite) {
+  // Two worlds with different seeds share one base: ordinary sites are the
+  // same objects, VPN-blocking sites are per-world copies, so a blocklist
+  // written in one world never reaches the other.
+  World a(101);
+  World b(202);
+  ASSERT_EQ(&a.base(), &b.base());
+  const auto& sites = a.base().sites();
+  const auto plain = std::find_if(sites.begin(), sites.end(), [](const auto& s) {
+    return !s.blocks_vpn_ranges;
+  });
+  ASSERT_NE(plain, sites.end());
+  EXPECT_EQ(a.site(plain->site->hostname), plain->site);
+  EXPECT_EQ(b.site(plain->site->hostname), plain->site);
+
+  // tls-portal-0.com blocks VPN ranges (index 0 % 11 == 0).
+  const std::string streaming = "tls-portal-0.com";
+  ASSERT_NE(a.site(streaming), nullptr);
+  EXPECT_NE(a.site(streaming), b.site(streaming));
+
+  const auto egress_in = [](World& w) -> netsim::Host& {
+    auto& egress = w.spawn_server(*w.datacenter_by_id("rentweb-sea"), "egress");
+    egress.dns_servers().push_back(w.google_dns());
+    return egress;
+  };
+  auto& egress_a = egress_in(a);
+  auto& egress_b = egress_in(b);
+  const auto addr = *egress_a.primary_addr(netsim::IpFamily::kV4);
+  // Same layout, so B's egress sits in the very range A blocks.
+  ASSERT_EQ(*egress_b.primary_addr(netsim::IpFamily::kV4), addr);
+  a.blocklist_vpn_range(netsim::Cidr(addr, 24));
+  http::HttpClient ca(a.network(), egress_a);
+  http::HttpClient cb(b.network(), egress_b);
+  EXPECT_EQ(ca.fetch("http://" + streaming + "/").status, 403);
+  EXPECT_EQ(cb.fetch("http://" + streaming + "/").status, 200);
+}
+
+TEST(World, FreshBaseMatchesProcessBase) {
+  const auto fresh = WorldBase::build();
+  const auto shared = WorldBase::shared();
+  ASSERT_NE(fresh, shared);
+  EXPECT_EQ(fresh->fingerprint(), shared->fingerprint());
+  EXPECT_EQ(fresh->routing_plane()->fingerprint(),
+            shared->routing_plane()->fingerprint());
+  // A world on the fresh base adopts the process base's plane.
+  World w(9, shared->routing_plane(), fresh);
+  EXPECT_EQ(&w.base(), fresh.get());
+}
+
+TEST(World, ForeignPlaneIsRejected) {
+  util::SimClock clock;
+  netsim::Network other(clock, util::Rng(1));
+  other.add_link(other.add_router("a"), other.add_router("b"), 1.0);
+  other.freeze_topology();
+  EXPECT_THROW(World(3, other.routing_plane()), std::logic_error);
+}
+
+TEST(World, ConcurrentConstructionSharesOneBase) {
+  // Eight worlds built and exercised at once, from a cold start when this
+  // test runs in its own process: the base's one-time build, the shared
+  // zone/record/site tables and the per-world blocking copies all race here.
+  util::TaskPool pool(4);
+  std::vector<std::future<std::pair<const WorldBase*, int>>> results;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    results.push_back(pool.submit([seed] {
+      World w(seed);
+      auto& egress =
+          w.spawn_server(*w.datacenter_by_id("rentweb-sea"), "egress");
+      egress.dns_servers().push_back(w.google_dns());
+      w.blocklist_vpn_range(
+          netsim::Cidr(*egress.primary_addr(netsim::IpFamily::kV4), 24));
+      http::HttpClient c(w.network(), egress);
+      const int blocked = c.fetch("http://tls-portal-0.com/").status;
+      return std::pair{&w.base(), blocked};
+    }));
+  }
+  for (auto& r : results) {
+    const auto [base, status] = r.get();
+    EXPECT_EQ(base, WorldBase::shared().get());
+    EXPECT_EQ(status, 403);
+  }
 }
 
 }  // namespace

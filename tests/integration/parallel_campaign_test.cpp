@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "analysis/report_aggregation.h"
+#include "core/report_codec.h"
+#include "core/runner.h"
 #include "ecosystem/testbed.h"
 
 namespace vpna {
@@ -134,6 +136,25 @@ TEST(ParallelCampaign, ShardAdoptsSharedPlaneByFingerprint) {
     EXPECT_EQ(with.vantage_points[i].connected,
               without.vantage_points[i].connected);
   }
+
+  // The world base is as pure as the plane: a fresh, non-singleton base
+  // fingerprints like the process base, and a shard built on it encodes
+  // byte-identically to one built on the process base.
+  const auto fresh = inet::WorldBase::build();
+  ASSERT_NE(fresh, inet::WorldBase::shared());
+  EXPECT_EQ(fresh->fingerprint(), inet::WorldBase::shared()->fingerprint());
+  const auto encoded = [&](std::shared_ptr<const inet::WorldBase> base) {
+    auto tb = ecosystem::build_provider_shard(
+        "Seed4.me", 42, base->routing_plane(), faults::FaultProfile::kOff,
+        false, base);
+    core::TestRunner runner(tb, opts);
+    runner.collect_ground_truth();
+    return core::encode_provider_report(
+        runner.run_provider(*tb.provider("Seed4.me")));
+  };
+  const auto on_fresh = encoded(fresh);
+  EXPECT_EQ(on_fresh, encoded(inet::WorldBase::shared()));
+  EXPECT_EQ(on_fresh, core::encode_provider_report(with));
 }
 
 }  // namespace
