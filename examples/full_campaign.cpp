@@ -26,10 +26,11 @@
 //
 // --status-file periodically (and atomically) rewrites FILE with a live
 // progress JSON: percent complete, per-worker current shard, an ETA from
-// the completed-shard median, and pool counters — poll it with `watch cat`
-// or a dashboard. --watchdog MULT additionally flags any shard running
-// longer than MULT × the median completed-shard wall time (structured
-// records in the status file and the run manifest). In-process it only
+// the median wall of the shards computed this run (cache and journal
+// replays excluded), and pool counters — poll it with `watch cat` or a
+// dashboard. --watchdog MULT additionally flags any shard running longer
+// than MULT × that median (structured records in the status file and the
+// run manifest). In-process it only
 // flags; under --isolate it is the hang budget: the flagged worker is
 // sent SIGTERM, then SIGKILL, and its shard charged a crashed attempt.
 // --profile enables the wall-clock phase profiler and writes the folded

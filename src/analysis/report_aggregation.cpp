@@ -83,10 +83,10 @@ CampaignEngineSummary summarize_execution(const core::ExecutionReport& report) {
   out.interrupted = report.interrupted;
   out.jobs = report.jobs;
   out.wall_s = report.wall_s;
+  out.retries = report.retries;
   for (const auto& w : report.workers) {
     out.tasks_run += w.tasks_run;
     out.steals += w.steals;
-    out.retries += w.retries;
     out.busy_wall_s += w.busy_wall_s;
     out.busy_cpu_s += w.busy_cpu_s;
   }

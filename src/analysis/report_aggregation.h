@@ -78,7 +78,7 @@ struct CampaignEngineSummary {
   std::size_t jobs = 0;
   std::uint64_t tasks_run = 0;
   std::uint64_t steals = 0;
-  std::uint64_t retries = 0;
+  std::uint64_t retries = 0;  // ExecutionReport::retries, either backend
   double busy_wall_s = 0.0;
   double busy_cpu_s = 0.0;
   double wall_s = 0.0;

@@ -185,13 +185,12 @@ obs::MetricsRegistry campaign_metrics(const core::CampaignReport& report) {
     for (const auto& w : report.workers) {
       total.tasks_run += w.tasks_run;
       total.steals += w.steals;
-      total.retries += w.retries;
       total.busy_wall_s += w.busy_wall_s;
       total.busy_cpu_s += w.busy_cpu_s;
     }
     fold_counter("pool.tasks_run", total.tasks_run);
     fold_counter("pool.steals", total.steals);
-    fold_counter("pool.retries", total.retries);
+    fold_counter("pool.retries", report.retries);
     fold_gauge("pool.jobs", static_cast<double>(report.jobs));
     fold_gauge("pool.busy_wall_s", total.busy_wall_s);
     fold_gauge("pool.busy_cpu_s", total.busy_cpu_s);

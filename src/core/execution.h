@@ -42,11 +42,12 @@ struct ExecutionOptions {
   // byte-identical to the in-process engine.
   bool isolate = false;
   // Health plane: progress heartbeats, an optional status-file JSON
-  // rewritten atomically every monitor tick, and a watchdog that flags
-  // shards running far past the completed-shard median. Wall-clock
-  // telemetry only. Under `isolate` the watchdog is also the one hang
-  // budget: a flagged worker is escalated SIGTERM → SIGKILL and its shard
-  // charged a crashed attempt (in-process it only alerts).
+  // rewritten atomically every obs::kStatusIntervalMs, and a watchdog that
+  // flags shards running far past the median wall of the shards computed
+  // this run. Wall-clock telemetry only. Under `isolate` the watchdog is
+  // also the one hang budget: a flagged worker is escalated SIGTERM →
+  // SIGKILL and its shard charged a crashed attempt (in-process it only
+  // alerts).
   obs::StatusOptions status;
   // Durable append-only journal (store::CampaignJournal). Empty = none.
   std::string journal_path;
@@ -108,6 +109,9 @@ struct ExecutionReport {
   std::vector<std::string> crash_quarantined_providers;
   // Pool counters of the in-process backend (empty under `isolate`).
   std::vector<util::WorkerCounters> workers;
+  // Attempts beyond the first, summed over every settled shard on either
+  // backend: Σ(attempts used − 1). Cache and journal replays count 0.
+  std::uint64_t retries = 0;
   // Watchdog records; empty unless `status` armed the watchdog.
   std::vector<obs::WatchdogAlert> watchdog_alerts;
   // Cache provenance in canonical catalog order; empty when disabled.

@@ -84,7 +84,8 @@ namespace {
 // the hooks in ShardKind, with two backends — an in-process TaskPool of
 // `jobs` workers (at jobs == 1 the calling thread is the one worker) and
 // the supervised worker processes of ShardSupervisor. Both feed one
-// terminal-outcome handler.
+// terminal-outcome handler and one StatusBoard, so attempts, retries, the
+// watchdog median and the status file mean the same thing on either.
 
 // How a shard's execution ended.
 enum class ShardEnd : std::uint8_t {
@@ -195,16 +196,15 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind,
     journal = store::CampaignJournal::open(opts.journal_path, header, !resumed);
   }
 
-  // Health plane: a StatusBoard receives shard heartbeats from whichever
+  // Health plane: one StatusBoard receives shard heartbeats from whichever
   // backend runs. Telemetry only — shard results cannot observe it.
-  std::optional<obs::StatusBoard> board;
-  if (opts.status.engaged()) board.emplace();
-  obs::StatusBoard* status = board ? &*board : nullptr;
+  obs::StatusBoard board;
 
   // The terminal-outcome handler, called exactly once per shard and
   // serialized here (pool workers race to it; the supervisor's poll loop
   // never does). The only place a finished shard becomes a result or
-  // placeholder, a cache artifact, a journal line and a status transition.
+  // placeholder, a cache artifact, a journal line, a status transition and
+  // its retries (attempts beyond the first).
   std::mutex settle_mu;
   const auto settle = [&](std::size_t i, ShardEnd end, int attempts_used,
                           R* value = nullptr, std::string_view bytes = {},
@@ -214,6 +214,8 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind,
     const bool replayed = end == ShardEnd::kCached && replayable[i] != 0;
     run.ends[i] = end;
     run.results[i] = ok ? std::move(*value) : kind.placeholder(i, end);
+    if (attempts_used > 1)
+      exec.retries += static_cast<std::uint64_t>(attempts_used - 1);
     if (replayed) ++exec.resumed_shards;
     if (!exec.cache_records.empty()) {
       auto& record = exec.cache_records[i];
@@ -234,10 +236,9 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind,
     const bool quarantined =
         end == ShardEnd::kCrashed ||
         (end == ShardEnd::kFailed && shard_opts.graceful);
-    if (status != nullptr)
-      status->shard_finished(i, ok            ? obs::StatusBoard::Outcome::kDone
-                                : quarantined ? obs::StatusBoard::Outcome::kQuarantined
-                                              : obs::StatusBoard::Outcome::kFailed);
+    board.shard_finished(i, ok            ? obs::StatusBoard::Outcome::kDone
+                            : quarantined ? obs::StatusBoard::Outcome::kQuarantined
+                                          : obs::StatusBoard::Outcome::kFailed);
     // A journal replay is already on the record.
     if (!journal || !journal->valid() || replayed) return;
     store::JournalEntry e;
@@ -250,7 +251,9 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind,
     journal->record(e);
   };
 
-  // Consults the store for shard i; a decodable hit settles it uncomputed.
+  // Consults the store for shard i; a decodable hit settles it uncomputed,
+  // straight from pending, so its wall never reaches the board's median.
+  // Both backends call it before the shard's first heartbeat.
   const auto replay = [&](std::size_t i) {
     if (!consult) return false;
     auto& record = exec.cache_records[i];
@@ -273,10 +276,9 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind,
     record.outcome = hit       ? ShardCacheRecord::Outcome::kHit
                      : corrupt ? ShardCacheRecord::Outcome::kCorrupt
                                : ShardCacheRecord::Outcome::kMiss;
-    if (status != nullptr)
-      status->cache_event(hit       ? CacheEvent::kHit
-                          : corrupt ? CacheEvent::kCorrupt
-                                    : CacheEvent::kMiss);
+    board.cache_event(hit       ? CacheEvent::kHit
+                      : corrupt ? CacheEvent::kCorrupt
+                                : CacheEvent::kMiss);
     if (!hit) return false;
     record.bytes = fetched.payload.size();
     settle(i, ShardEnd::kCached, 0, &value);
@@ -294,18 +296,16 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind,
   exec.jobs = opts.jobs == 0 ? std::max(1u, std::thread::hardware_concurrency())
                              : opts.jobs;
   exec.execution_isolated = opts.isolate;
-  if (status != nullptr) status->begin(kind.names, exec.jobs);
+  board.begin(kind.names, exec.jobs);
 
   if (opts.isolate) {
     // Cache consults, artifact puts and journal appends stay in this
     // process; workers only compute. The supervisor is single-threaded
-    // (fork safety), so status ticks inline and settle runs on its poll
-    // loop.
+    // (fork safety), so it runs the status ticks on its poll loop and
+    // settle runs there too.
     std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (consult && status != nullptr) status->shard_started(i, -1);
+    for (std::size_t i = 0; i < n; ++i)
       if (!replay(i)) todo.push_back(i);
-    }
     ExecutionOptions sup = opts;
     sup.jobs = exec.jobs;
     // Runs in the forked worker. The frame payload is the canonical
@@ -316,7 +316,7 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind,
                                      index, static_cast<int>(attempt)));
                                });
     auto result = supervisor.run(
-        todo, status, [&](std::size_t i, const SupervisedShard& s) {
+        todo, board, [&](std::size_t i, const SupervisedShard& s) {
           R value;
           if (s.outcome == SupervisedShard::Outcome::kError)
             settle(i, ShardEnd::kFailed, s.attempts, nullptr, {}, s.error);
@@ -335,6 +335,10 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind,
     exec.process_spawns = result.spawns;
     exec.process_crashes = result.crashes;
     exec.process_kills = result.kills;
+    // The final tick: the file ends at 100% even when every shard
+    // replayed and no worker ever ran.
+    board.set_processes(result.processes);
+    (void)board.tick(opts.status);
     exec.processes = std::move(result.processes);
   } else {
     // jobs == 1 runs the same tasks on the calling thread: a one-worker
@@ -346,47 +350,40 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind,
     // Declared after the pool so it joins (and takes its final counter
     // snapshot) before the pool is torn down.
     std::optional<obs::StatusMonitor> monitor;
-    if (status != nullptr)
-      monitor.emplace(*status, opts.status, [&pool] {
-        std::vector<obs::WorkerStatus> rows;
-        if (pool)
-          for (const auto& c : pool->counters())
-            rows.push_back({c.tasks_run, c.steals, c.retries, c.busy_wall_s});
-        return rows;
+    if (opts.status.engaged())
+      monitor.emplace(board, opts.status, [&pool] {
+        return pool ? pool->counters() : std::vector<util::WorkerCounters>{};
       });
-    // Attempts started per shard. The pool re-runs a thrown task on the
-    // worker that ran it, so each slot has a single writer.
-    std::vector<int> tries(n, 0);
-    util::TaskOptions task_opts;
-    task_opts.max_attempts = attempts;
+    // One task per shard, looping its own attempts: a heartbeat restarts
+    // the shard's watchdog clock, a thrown attempt parks it back in
+    // pending, and the last attempt's outcome settles it.
     for (std::size_t i = 0; i < n; ++i) {
       const auto task = [&, i] {
-        // Heartbeats bracket every attempt: started restarts the shard's
-        // watchdog clock, a thrown attempt parks it back in pending.
-        if (status != nullptr)
-          status->shard_started(i, util::TaskPool::current_worker_index());
-        if (tries[i] == 0 && replay(i)) return;
-        const int attempt = ++tries[i];
-        R value;
-        std::string bytes;
-        try {
-          value = compute(i, attempt);
-          if (write_back) bytes = kind.encode(value);
-        } catch (...) {
-          if (attempt < attempts) {
-            if (status != nullptr) status->shard_attempt_failed(i);
-          } else {
+        if (replay(i)) return;
+        for (int attempt = 1;; ++attempt) {
+          board.shard_started(i, util::TaskPool::current_worker_index());
+          R value;
+          std::string bytes;
+          try {
+            value = compute(i, attempt);
+            if (write_back) bytes = kind.encode(value);
+          } catch (...) {
+            if (attempt < attempts) {
+              board.shard_attempt_failed(i);
+              continue;
+            }
             settle(i, ShardEnd::kFailed, attempt, nullptr, {},
                    current_error());
+            return;
           }
-          throw;  // the pool retries, or drops the exhausted exception
+          settle(i, ShardEnd::kComputed, attempt, &value, bytes);
+          return;
         }
-        settle(i, ShardEnd::kComputed, attempt, &value, bytes);
       };
       if (pool)
-        (void)pool->submit(task, task_opts);
+        (void)pool->submit(task);
       else
-        util::TaskPool::run_inline(task, task_opts, caller);
+        util::TaskPool::run_inline(task, caller);
     }
     if (pool) pool->wait_idle();
     exec.workers = pool ? pool->counters() : std::vector{caller};
@@ -398,7 +395,7 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind,
     if (run.ends[i] == ShardEnd::kCrashed)
       exec.crash_quarantined_providers.push_back(kind.names[i]);
   }
-  if (board) exec.watchdog_alerts = board->alerts();
+  exec.watchdog_alerts = board.alerts();
   return run;
 }
 

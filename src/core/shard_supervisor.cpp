@@ -80,8 +80,7 @@ struct Slot {
   bool has_inflight = false;
   std::size_t inflight_index = 0;
   int inflight_attempt = 0;
-  double inflight_start = 0.0;
-  bool alerted = false;    // watchdog alert raised for this attempt
+  bool alerted = false;    // the board's watchdog flagged this attempt
   bool term_sent = false;  // escalation state
   double term_at = 0.0;
   std::size_t spawns = 0;
@@ -111,7 +110,7 @@ ShardSupervisor::ShardSupervisor(ExecutionOptions options,
       child_run_(std::move(child_run)) {}
 
 SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
-                                      obs::StatusBoard* status,
+                                      obs::StatusBoard& board,
                                       const TerminalHook& on_terminal) {
   SupervisorResult result;
   result.shards.resize(names_.size());
@@ -138,18 +137,7 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
   std::vector<Slot> slots(jobs);
   std::size_t spawn_failures = 0;  // consecutive; a stuck launcher aborts
 
-  std::vector<double> completed_walls;
-  const double interval_s =
-      std::max(options_.status.interval_ms, 1.0) / 1000.0;
   double last_tick = 0.0;
-
-  const auto median_wall = [&]() -> double {
-    if (completed_walls.empty()) return 0.0;
-    std::vector<double> walls = completed_walls;
-    const std::size_t mid = walls.size() / 2;
-    std::nth_element(walls.begin(), walls.begin() + mid, walls.end());
-    return walls[mid];
-  };
 
   const auto backoff_s = [&](int attempt) {
     double ms = kBackoffInitialMs;
@@ -178,7 +166,7 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
                                   bool is_crash, std::string why) {
     if (attempt < options_.shard_attempts) {
       pending.push_back({index, attempt + 1, mono_s() + backoff_s(attempt)});
-      if (status != nullptr) status->shard_attempt_failed(index);
+      board.shard_attempt_failed(index);
       return;
     }
     finish_shard(index,
@@ -227,9 +215,7 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
       }
       slot.has_inflight = false;
       slot.term_sent = false;
-      const double wall = mono_s() - slot.inflight_start;
       if (frame.status == ShardFrameStatus::kOk) {
-        completed_walls.push_back(wall);
         ++slot.shards_done;
         finish_shard(frame.index, SupervisedShard::Outcome::kDone,
                      static_cast<int>(frame.attempt), std::move(frame.payload));
@@ -309,11 +295,9 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
     slot.has_inflight = true;
     slot.inflight_index = work.index;
     slot.inflight_attempt = work.attempt;
-    slot.inflight_start = mono_s();
     slot.alerted = false;
     slot.term_sent = false;
-    if (status != nullptr)
-      status->shard_started(work.index, slot_id);
+    board.shard_started(work.index, slot_id);
   };
 
   const auto escalate = [&](Slot& slot, double now) {
@@ -343,17 +327,6 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
       procs.push_back(std::move(p));
     }
     return procs;
-  };
-
-  const auto status_tick = [&](bool force) {
-    if (status == nullptr) return;
-    const double now = mono_s();
-    if (!force && now - last_tick < interval_s) return;
-    last_tick = now;
-    status->set_processes(snapshot_processes());
-    if (!options_.status.file.empty())
-      obs::write_file_atomic(options_.status.file,
-                             obs::render_status_json(status->snapshot()));
   };
 
   bool interrupted = false;
@@ -399,32 +372,20 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
       }
     }
 
-    // 4. Hang escalation by the median-multiple watchdog: alert first,
-    // TERM on the next pass, KILL after the grace.
+    // 4. Hang escalation: a slot the board's watchdog alerted on gets
+    // SIGTERM on the pass after the alert, SIGKILL after the grace. The
+    // health tick (watchdog scan + status file) runs every interval.
     now = mono_s();
-    const double med = median_wall();
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      auto& slot = slots[s];
-      if (!slot.live || !slot.has_inflight) continue;
-      const double elapsed = now - slot.inflight_start;
-      if (options_.status.watchdog_multiple > 0.0 && med > 0.0 &&
-          completed_walls.size() >= obs::kWatchdogMinCompleted &&
-          elapsed > options_.status.watchdog_multiple * med) {
-        if (!slot.alerted) {
-          slot.alerted = true;
-          obs::WatchdogAlert alert;
-          alert.shard = names_[slot.inflight_index];
-          alert.worker = static_cast<int>(s);
-          alert.elapsed_s = elapsed;
-          alert.median_s = med;
-          if (status != nullptr) status->add_alert(alert);
-        } else {
-          escalate(slot, now);
-        }
-      }
+    for (auto& slot : slots)
+      if (slot.live && slot.has_inflight && slot.alerted) escalate(slot, now);
+    if (now - last_tick >= obs::kStatusIntervalMs / 1000.0) {
+      last_tick = now;
+      board.set_processes(snapshot_processes());
+      // The board runs a shard only between its dispatch (worker = slot)
+      // and its outcome, so an alert names a slot's in-flight attempt.
+      for (const auto& alert : board.tick(options_.status))
+        slots.at(static_cast<std::size_t>(alert.worker)).alerted = true;
     }
-
-    status_tick(false);
 
     // 5. Sleep on the worker pipes (50ms cap keeps escalation ticking).
     std::vector<struct pollfd> fds;
@@ -491,7 +452,6 @@ SupervisorResult ShardSupervisor::run(const std::vector<std::size_t>& indices,
   }
 
   result.processes = snapshot_processes();
-  status_tick(true);
   ::sigaction(SIGPIPE, &old_pipe, nullptr);
   return result;
 }

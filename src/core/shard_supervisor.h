@@ -12,9 +12,9 @@
 //                    backoff on a fresh process, up to a retry budget,
 //                    then reported as crashed (the campaign quarantines it
 //                    and completes);
-//   hang           → the median-multiple watchdog escalates: structured
-//                    alert → SIGTERM → grace → SIGKILL, then the retry
-//                    path above;
+//   hang           → the StatusBoard's median-multiple watchdog alerts,
+//                    and the supervisor escalates: SIGTERM → grace →
+//                    SIGKILL, then the retry path above;
 //   exception      → the worker catches it and reports an error frame (the
 //                    process survives and takes more work); exhausted
 //                    error retries surface like in-process exhaustion.
@@ -87,21 +87,22 @@ class ShardSupervisor {
 
   // Reads `jobs` (worker processes, already resolved: 0 means 1),
   // `shard_attempts` (crash or error frame alike), `status` and
-  // `interrupt`. The watchdog alert has the in-process semantics
-  // (obs::StatusBoard::watchdog_scan); here the supervisor escalates past
-  // it into TERM→KILL, because a stuck worker *can* be killed without
-  // taking the campaign down; alerts land in the `status` board, which the
-  // executor stands up whenever the watchdog is armed. When `interrupt`
-  // becomes non-zero the supervisor stops dispatching, TERM→KILLs workers,
-  // marks unfinished shards kSkipped, and returns with interrupted=true.
+  // `interrupt`. Hangs are judged by the board's watchdog
+  // (obs::StatusBoard::watchdog_scan), exactly as in-process; here the
+  // supervisor escalates each alerted slot into TERM→KILL, because a stuck
+  // worker *can* be killed without taking the campaign down. When
+  // `interrupt` becomes non-zero the supervisor stops dispatching,
+  // TERM→KILLs workers, marks unfinished shards kSkipped, and returns with
+  // interrupted=true.
   ShardSupervisor(ExecutionOptions options, std::vector<std::string> names,
                   ChildRun child_run);
 
-  // Runs the shards listed in `indices` (each < names.size()). `status`
-  // may be null; when given, heartbeats and per-process info flow into it
-  // and `options.status.file` is rewritten atomically every interval.
+  // Runs the shards listed in `indices` (each < names.size()). Heartbeats
+  // and per-process info flow into `board`, and every
+  // obs::kStatusIntervalMs the poll loop runs its tick() (watchdog scan,
+  // status-file rewrite).
   SupervisorResult run(const std::vector<std::size_t>& indices,
-                       obs::StatusBoard* status,
+                       obs::StatusBoard& board,
                        const TerminalHook& on_terminal = nullptr);
 
  private:

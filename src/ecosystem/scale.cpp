@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 
-#include "ecosystem/capacity.h"
 #include "geo/cities.h"
 #include "obs/trace.h"
 #include "util/rng.h"
@@ -185,28 +184,7 @@ Testbed build_scaled_shard(const ScaledCatalog& catalog, std::string_view name,
   for (const auto* ep : selection)
     tb.providers.push_back(vpn::deploy_provider(*tb.world, ep->spec));
 
-  // Reseller aliasing second pass, exactly as the base-testbed build does.
-  for (const auto* ep : selection) {
-    if (ep->shares_infrastructure_with.empty()) continue;
-    vpn::DeployedProvider* alias_target = nullptr;
-    const vpn::DeployedProvider* partner = nullptr;
-    for (auto& p : tb.providers) {
-      if (p.spec.name == ep->spec.name) alias_target = &p;
-      if (p.spec.name == ep->shares_infrastructure_with) partner = &p;
-    }
-    if (alias_target != nullptr && partner != nullptr) {
-      const std::size_t count = std::min(ep->shared_vantage_ids.size(),
-                                         partner->vantage_points.size());
-      for (std::size_t k = 0; k < count; ++k) {
-        vpn::DeployedVantagePoint alias = partner->vantage_points[k];
-        alias.spec.id = ep->shared_vantage_ids[k];
-        alias_target->vantage_points.push_back(std::move(alias));
-        alias_target->spec.vantage_points.push_back(
-            alias_target->vantage_points.back().spec);
-      }
-    }
-  }
-
+  alias_reseller_vantage_points(tb, selection);
   tb.client = &tb.world->spawn_client("Chicago", "measurement-vm");
 
   // Capped subscriber materialization: eyeball clients in cities sampled
@@ -220,8 +198,6 @@ Testbed build_scaled_shard(const ScaledCatalog& catalog, std::string_view name,
                                  util::format("subscriber-%u", k + 1));
   }
 
-  apply_fault_profile(tb, options.profile, seed);
-  if (options.link_capacities) apply_link_capacities(tb, seed);
   return tb;
 }
 

@@ -63,8 +63,6 @@ struct ScaledCatalog {
     std::uint64_t seed);
 
 struct ScaledShardOptions {
-  faults::FaultProfile profile = faults::FaultProfile::kOff;
-  bool link_capacities = false;
   // Materialization cap: at most this many eyeball clients are spawned per
   // shard regardless of the provider's modeled subscriber count. The
   // remaining subscribers stay modeled (counts in the census), which is

@@ -11,22 +11,6 @@ namespace vpna::ecosystem {
 
 namespace {
 
-// Aliases `count` of the partner's vantage points into `target` so both
-// providers list the same server addresses (reseller infrastructure).
-void alias_shared_vantage_points(vpn::DeployedProvider& target,
-                                 const vpn::DeployedProvider& partner,
-                                 const std::vector<std::string>& shared_ids) {
-  const std::size_t count =
-      std::min(shared_ids.size(), partner.vantage_points.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto& src = partner.vantage_points[i];
-    vpn::DeployedVantagePoint alias = src;
-    alias.spec.id = shared_ids[i];
-    target.vantage_points.push_back(std::move(alias));
-    target.spec.vantage_points.push_back(alias.spec);
-  }
-}
-
 Testbed build(const std::vector<const EvaluatedProvider*>& selection,
               std::uint64_t seed,
               std::shared_ptr<const netsim::RoutingPlane> plane,
@@ -42,7 +26,15 @@ Testbed build(const std::vector<const EvaluatedProvider*>& selection,
     tb.providers.push_back(std::move(deployed));
   }
 
-  // Second pass: reseller aliasing (requires partners deployed).
+  alias_reseller_vantage_points(tb, selection);
+  tb.client = &tb.world->spawn_client("Chicago", "measurement-vm");
+  return tb;
+}
+
+}  // namespace
+
+void alias_reseller_vantage_points(
+    Testbed& tb, const std::vector<const EvaluatedProvider*>& selection) {
   for (const auto* ep : selection) {
     if (ep->shares_infrastructure_with.empty()) continue;
     vpn::DeployedProvider* target = nullptr;
@@ -51,15 +43,17 @@ Testbed build(const std::vector<const EvaluatedProvider*>& selection,
       if (p.spec.name == ep->spec.name) target = &p;
       if (p.spec.name == ep->shares_infrastructure_with) partner = &p;
     }
-    if (target != nullptr && partner != nullptr)
-      alias_shared_vantage_points(*target, *partner, ep->shared_vantage_ids);
+    if (target == nullptr || partner == nullptr) continue;
+    const std::size_t count = std::min(ep->shared_vantage_ids.size(),
+                                       partner->vantage_points.size());
+    for (std::size_t k = 0; k < count; ++k) {
+      vpn::DeployedVantagePoint alias = partner->vantage_points[k];
+      alias.spec.id = ep->shared_vantage_ids[k];
+      target->vantage_points.push_back(std::move(alias));
+      target->spec.vantage_points.push_back(target->vantage_points.back().spec);
+    }
   }
-
-  tb.client = &tb.world->spawn_client("Chicago", "measurement-vm");
-  return tb;
 }
-
-}  // namespace
 
 Testbed build_testbed(std::uint64_t seed,
                       std::shared_ptr<const netsim::RoutingPlane> plane) {

@@ -58,6 +58,14 @@ struct Testbed {
     const std::vector<std::string>& names, std::uint64_t seed = 20181031,
     std::shared_ptr<const netsim::RoutingPlane> plane = nullptr);
 
+// The second deploy pass, once every provider in `selection` is deployed
+// in `tb`: a provider that resells a partner's infrastructure lists the
+// partner's first vantage points again under its own shared ids, the same
+// hosts and addresses (exact-IP overlap in the census). Providers whose
+// partner is not in `tb` are left as they are.
+void alias_reseller_vantage_points(
+    Testbed& tb, const std::vector<const EvaluatedProvider*>& selection);
+
 // Stable per-provider shard seed for parallel campaigns: derived only from
 // the campaign seed and the provider name, never from worker id, worker
 // count or scheduling order — the root of the engine's determinism

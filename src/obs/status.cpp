@@ -25,13 +25,8 @@ StatusBoard::StatusBoard(std::function<double()> now)
 void StatusBoard::begin(const std::vector<std::string>& shards,
                         std::size_t jobs) {
   std::lock_guard<std::mutex> lock(mu_);
-  slots_.clear();
-  slots_.reserve(shards.size());
-  for (const auto& name : shards) {
-    Slot slot;
-    slot.name = name;
-    slots_.push_back(std::move(slot));
-  }
+  names_ = &shards;
+  slots_.assign(shards.size(), Slot{});
   completed_walls_.clear();
   alerts_.clear();
   workers_.clear();
@@ -83,7 +78,7 @@ void StatusBoard::shard_finished(std::size_t index, Outcome outcome) {
   }
 }
 
-void StatusBoard::set_workers(std::vector<WorkerStatus> workers) {
+void StatusBoard::set_workers(std::vector<util::WorkerCounters> workers) {
   std::lock_guard<std::mutex> lock(mu_);
   workers_ = std::move(workers);
 }
@@ -91,11 +86,6 @@ void StatusBoard::set_workers(std::vector<WorkerStatus> workers) {
 void StatusBoard::set_processes(std::vector<ProcessStatus> processes) {
   std::lock_guard<std::mutex> lock(mu_);
   processes_ = std::move(processes);
-}
-
-void StatusBoard::add_alert(WatchdogAlert alert) {
-  std::lock_guard<std::mutex> lock(mu_);
-  alerts_.push_back(std::move(alert));
 }
 
 double StatusBoard::median_completed_locked() const {
@@ -117,13 +107,14 @@ std::vector<WatchdogAlert> StatusBoard::watchdog_scan(double multiple) {
   const double median = median_completed_locked();
   if (median <= 0.0) return fresh;
   const double t = now();
-  for (Slot& slot : slots_) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
     if (slot.state != State::kRunning || slot.alerted) continue;
     const double elapsed = t - slot.start_s;
     if (elapsed <= multiple * median) continue;
     slot.alerted = true;
     WatchdogAlert alert;
-    alert.shard = slot.name;
+    alert.shard = (*names_)[i];
     alert.worker = slot.worker;
     alert.elapsed_s = elapsed;
     alert.median_s = median;
@@ -140,13 +131,14 @@ StatusSnapshot StatusBoard::snapshot() const {
   const double t = now();
   snap.elapsed_s = t - begin_s_;
   snap.jobs = jobs_;
-  for (const auto& slot : slots_) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
     switch (slot.state) {
       case State::kPending: break;
       case State::kRunning: {
         ++snap.running;
         StatusSnapshot::RunningShard running;
-        running.shard = slot.name;
+        running.shard = (*names_)[i];
         running.worker = slot.worker;
         running.elapsed_s = t - slot.start_s;
         snap.in_flight.push_back(std::move(running));
@@ -225,10 +217,9 @@ std::string render_status_json(const StatusSnapshot& snap) {
     out += i == 0 ? "\n" : ",\n";
     out += util::format(
         "    {\"worker\": %zu, \"tasks_run\": %llu, \"steals\": %llu, "
-        "\"retries\": %llu, \"busy_wall_s\": %.3f}",
+        "\"busy_wall_s\": %.3f}",
         i, static_cast<unsigned long long>(w.tasks_run),
-        static_cast<unsigned long long>(w.steals),
-        static_cast<unsigned long long>(w.retries), w.busy_wall_s);
+        static_cast<unsigned long long>(w.steals), w.busy_wall_s);
   }
   out += snap.workers.empty() ? "],\n" : "\n  ],\n";
   out += "  \"processes\": [";
@@ -264,8 +255,16 @@ bool write_file_atomic(const std::string& path, const std::string& content) {
   return true;
 }
 
-StatusMonitor::StatusMonitor(StatusBoard& board, StatusOptions opts,
-                             std::function<std::vector<WorkerStatus>()> workers)
+std::vector<WatchdogAlert> StatusBoard::tick(const StatusOptions& opts) {
+  auto alerts = watchdog_scan(opts.watchdog_multiple);
+  if (!opts.file.empty())
+    write_file_atomic(opts.file, render_status_json(snapshot()));
+  return alerts;
+}
+
+StatusMonitor::StatusMonitor(
+    StatusBoard& board, StatusOptions opts,
+    std::function<std::vector<util::WorkerCounters>()> workers)
     : board_(board), opts_(std::move(opts)), workers_(std::move(workers)) {
   thread_ = std::thread([this] { loop(); });
 }
@@ -281,8 +280,8 @@ StatusMonitor::~StatusMonitor() {
 }
 
 void StatusMonitor::loop() {
-  const auto interval = std::chrono::duration<double, std::milli>(
-      opts_.interval_ms < 1.0 ? 1.0 : opts_.interval_ms);
+  const auto interval =
+      std::chrono::duration<double, std::milli>(kStatusIntervalMs);
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (cv_.wait_for(lock, interval, [this] { return stop_; })) return;
@@ -293,11 +292,8 @@ void StatusMonitor::loop() {
 }
 
 void StatusMonitor::tick() {
-  if (opts_.watchdog_multiple > 0.0)
-    board_.watchdog_scan(opts_.watchdog_multiple);
   board_.set_workers(workers_());
-  if (!opts_.file.empty())
-    write_file_atomic(opts_.file, render_status_json(board_.snapshot()));
+  (void)board_.tick(opts_);
 }
 
 }  // namespace vpna::obs

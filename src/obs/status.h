@@ -1,21 +1,26 @@
 // Live campaign status: per-shard heartbeats, progress counters, an ETA
-// derived from the completed-shard median wall time, and a watchdog that
-// flags shards running far past that median.
+// derived from the median wall time of the shards computed this run, and a
+// watchdog that flags shards running far past that median.
 //
-// A StatusBoard is published to by the campaign engine (shard started /
-// finished events, pool counter snapshots) and read by a monitor thread
-// that periodically rewrites a --status-file JSON (atomic: write to a
-// temporary, then rename) and runs the watchdog scan. Lock discipline is
-// deliberately light: one mutex, taken only on the rare shard transitions
-// and on snapshot — never on any per-packet or per-exchange path.
+// The shard executor stands up one StatusBoard per campaign, whichever
+// backend runs, and publishes to it (shard started / attempt failed /
+// finished events, pool or process snapshots). Every kStatusIntervalMs
+// one tick() runs the watchdog scan and rewrites the --status-file JSON
+// (atomic: write to a temporary, then rename): from a StatusMonitor thread
+// in-process, from the supervisor's poll loop under --isolate. Lock
+// discipline is deliberately light: one mutex, taken only on the rare shard
+// transitions and on snapshot — never on any per-packet or per-exchange
+// path.
 //
-// Watchdog semantics: once at least `min_completed` shards have finished,
-// any *running* shard whose elapsed wall time exceeds `multiple` × the
-// median completed-shard wall time is flagged — once per shard, as a
-// structured WatchdogAlert record next to the fault plane's Degradations.
-// An alert never kills or preempts the shard (the pool cannot preempt, and
-// a slow shard is usually a loaded machine, not a hang); it makes the
-// stall visible while the run is still in flight.
+// Watchdog semantics: once at least kWatchdogMinCompleted shards have
+// finished, any *running* shard whose elapsed wall time exceeds `multiple`
+// × the median completed-shard wall time is flagged — once per attempt, as
+// a structured WatchdogAlert record next to the fault plane's Degradations.
+// Only shards computed this run feed the median: a shard replayed from the
+// cache or the journal settles straight from pending. In-process an alert
+// never preempts the shard (the pool cannot, and a slow shard is usually a
+// loaded machine, not a hang); the isolated supervisor escalates it
+// SIGTERM → SIGKILL.
 //
 // Everything here is wall-clock telemetry: it varies run to run and is
 // quarantined from the deterministic campaign payload exactly like the
@@ -30,24 +35,28 @@
 #include <thread>
 #include <vector>
 
+#include "util/task_pool.h"
+
 namespace vpna::obs {
 
 // Completed shards required before the watchdog trusts their median wall
-// time (both the in-process monitor and the isolated supervisor).
+// time.
 inline constexpr std::size_t kWatchdogMinCompleted = 3;
+
+// Health-plane tick period (watchdog scan + status-file rewrite), in wall
+// milliseconds, on both backends.
+inline constexpr double kStatusIntervalMs = 200.0;
 
 // Campaign status/watchdog configuration (CampaignOptions::status).
 struct StatusOptions {
   // Status-file path; empty = no file written.
   std::string file;
-  // Monitor rewrite/scan period in wall milliseconds.
-  double interval_ms = 200.0;
   // Watchdog threshold: flag running shards exceeding this multiple of the
   // running median completed-shard wall time. 0 disables the watchdog.
   double watchdog_multiple = 0.0;
 
-  // True when the engine should stand up the board + monitor thread at
-  // all; default options keep the whole plane off.
+  // True when an in-process campaign runs its StatusMonitor thread; with
+  // default options there is nothing to tick (no file, no watchdog).
   [[nodiscard]] bool engaged() const noexcept {
     return !file.empty() || watchdog_multiple > 0.0;
   }
@@ -57,22 +66,13 @@ struct StatusOptions {
 // when the running median of completed shards was `median_s`.
 struct WatchdogAlert {
   std::string shard;
-  int worker = -1;  // pool worker running it (-1 = serial / unknown)
+  int worker = -1;  // pool worker or supervisor slot (-1 = serial)
   double elapsed_s = 0.0;
   double median_s = 0.0;
 
   [[nodiscard]] double ratio() const noexcept {
     return median_s > 0.0 ? elapsed_s / median_s : 0.0;
   }
-};
-
-// Pool counter snapshot folded into the status stream (mirrors
-// util::WorkerCounters without dragging the pool header in here).
-struct WorkerStatus {
-  std::uint64_t tasks_run = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t retries = 0;
-  double busy_wall_s = 0.0;
 };
 
 // Per-worker-process telemetry for isolated (`--isolate`) campaigns: one
@@ -111,7 +111,7 @@ struct StatusSnapshot {
   };
   std::vector<RunningShard> in_flight;  // shard-index order
   std::vector<WatchdogAlert> alerts;    // every alert raised so far
-  std::vector<WorkerStatus> workers;    // last pool snapshot pushed
+  std::vector<util::WorkerCounters> workers;  // last pool snapshot pushed
   std::vector<ProcessStatus> processes;  // isolate mode: per-slot processes
   // Artifact-cache counters (campaigns with a cache enabled; all zero
   // otherwise). Hits show up live, so a warm run's status stream makes
@@ -128,13 +128,18 @@ class StatusBoard {
   explicit StatusBoard(std::function<double()> now = nullptr);
 
   // Declares the shard list (index-addressed from then on) and the worker
-  // count, and starts the run clock. Resets any previous state.
+  // count, and starts the run clock. Resets any previous state. The board
+  // reads names from `shards` itself rather than copying them (the
+  // executor's shard kind owns the list), so `shards` must outlive the
+  // board's use of it; a temporary does not compile.
   void begin(const std::vector<std::string>& shards, std::size_t jobs);
+  void begin(std::vector<std::string>&& shards, std::size_t jobs) = delete;
 
   // Heartbeats from the engine. started() is idempotent per attempt — a
   // retried shard restarts its clock. attempt_failed() parks the shard
   // back in pending (its wall never pollutes the ETA median) until the
-  // pool re-runs it or the engine records the terminal outcome.
+  // executor re-runs it or records the terminal outcome. A shard finished
+  // from pending (a cache or journal replay) adds no wall to the median.
   void shard_started(std::size_t index, int worker);
   void shard_attempt_failed(std::size_t index);
 
@@ -146,23 +151,23 @@ class StatusBoard {
   enum class CacheEvent : std::uint8_t { kHit, kMiss, kCorrupt };
   void cache_event(CacheEvent event);
 
-  // Latest pool counters for the status stream (monitor thread pushes
-  // these each rewrite so the JSON carries per-worker retry data).
-  void set_workers(std::vector<WorkerStatus> workers);
+  // Latest pool counters for the status stream (the monitor thread pushes
+  // these each tick).
+  void set_workers(std::vector<util::WorkerCounters> workers);
 
   // Latest per-worker-process snapshot (isolate mode; the supervisor
   // pushes one entry per slot each status tick).
   void set_processes(std::vector<ProcessStatus> processes);
 
-  // Records an externally raised watchdog alert (the shard supervisor
-  // detects stalls with its own clock — escalation needs it — but the
-  // alert still belongs in this board's status stream).
-  void add_alert(WatchdogAlert alert);
-
   // Runs one watchdog pass (no-op until kWatchdogMinCompleted shards have
   // completed); returns only the alerts newly raised by this scan (each
   // shard alerts at most once per attempt).
   std::vector<WatchdogAlert> watchdog_scan(double multiple);
+
+  // One health-plane tick, the same on either backend: a watchdog scan
+  // when `opts.watchdog_multiple` arms it, then an atomic rewrite of
+  // `opts.file` when set. Returns the alerts this scan newly raised.
+  std::vector<WatchdogAlert> tick(const StatusOptions& opts);
 
   [[nodiscard]] StatusSnapshot snapshot() const;
   [[nodiscard]] std::vector<WatchdogAlert> alerts() const;
@@ -171,7 +176,6 @@ class StatusBoard {
   enum class State : std::uint8_t { kPending, kRunning, kDone,
                                     kQuarantined, kFailed };
   struct Slot {
-    std::string name;
     State state = State::kPending;
     int worker = -1;
     double start_s = 0.0;
@@ -183,10 +187,11 @@ class StatusBoard {
 
   std::function<double()> now_;
   mutable std::mutex mu_;
-  std::vector<Slot> slots_;
+  const std::vector<std::string>* names_ = nullptr;  // set by begin()
+  std::vector<Slot> slots_;  // parallel to *names_
   std::vector<double> completed_walls_;  // successful shards only
   std::vector<WatchdogAlert> alerts_;
-  std::vector<WorkerStatus> workers_;
+  std::vector<util::WorkerCounters> workers_;
   std::vector<ProcessStatus> processes_;
   std::size_t jobs_ = 0;
   double begin_s_ = 0.0;
@@ -202,15 +207,15 @@ class StatusBoard {
 // Returns false on I/O failure — the monitor treats that as non-fatal.
 bool write_file_atomic(const std::string& path, const std::string& content);
 
-// Background health monitor for in-process campaigns: every tick runs the
-// watchdog scan, pushes the worker counters `workers` returns onto the
-// board, and atomically rewrites the status file. RAII — destruction stops
-// the thread and runs one final tick, so the file ends at 100% with the
+// Background health monitor for in-process campaigns: every
+// kStatusIntervalMs it pushes the worker counters `workers` returns onto
+// the board and runs StatusBoard::tick(). RAII — destruction stops the
+// thread and runs one final tick, so the file ends at 100% with the
 // complete alert list. Purely observational: it never perturbs results.
 class StatusMonitor {
  public:
   StatusMonitor(StatusBoard& board, StatusOptions opts,
-                std::function<std::vector<WorkerStatus>()> workers);
+                std::function<std::vector<util::WorkerCounters>()> workers);
   ~StatusMonitor();
 
   StatusMonitor(const StatusMonitor&) = delete;
@@ -222,7 +227,7 @@ class StatusMonitor {
 
   StatusBoard& board_;
   StatusOptions opts_;
-  std::function<std::vector<WorkerStatus>()> workers_;
+  std::function<std::vector<util::WorkerCounters>()> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;

@@ -129,7 +129,7 @@ void TaskPool::worker_loop(std::size_t index) {
       std::this_thread::yield();
       continue;
     }
-    // Policy bookkeeping lands in a task-local delta merged under the
+    // Task bookkeeping lands in a task-local delta merged under the
     // worker's lock afterwards, so counters() never races a running task.
     WorkerCounters delta;
     const auto wall0 = std::chrono::steady_clock::now();
@@ -142,7 +142,6 @@ void TaskPool::worker_loop(std::size_t index) {
     {
       std::lock_guard<std::mutex> lock(self.mu);
       self.counters.tasks_run += delta.tasks_run;
-      self.counters.retries += delta.retries;
       self.counters.busy_wall_s += delta.busy_wall_s;
       self.counters.busy_cpu_s += delta.busy_cpu_s;
     }
@@ -174,7 +173,6 @@ WorkerCounters TaskPool::total_counters() const {
   for (const auto& c : counters()) {
     total.tasks_run += c.tasks_run;
     total.steals += c.steals;
-    total.retries += c.retries;
     total.busy_wall_s += c.busy_wall_s;
     total.busy_cpu_s += c.busy_cpu_s;
   }

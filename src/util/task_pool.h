@@ -1,10 +1,10 @@
 // Work-stealing thread pool for embarrassingly parallel campaign work.
 //
 // Each worker owns a deque; submissions are distributed round-robin and an
-// idle worker steals from the back of a victim's deque. Tasks carry an
-// optional retry policy (generalizing the runner's connect_attempts), and
-// every worker keeps lightweight counters (tasks run, steals, retries, busy
-// wall/cpu time) that campaign reports surface.
+// idle worker steals from the back of a victim's deque. Every worker keeps
+// lightweight counters (tasks run, steals, busy wall/cpu time) that
+// campaign reports surface. A task runs once: retrying is the caller's
+// policy (the shard executor loops its own attempts, see DESIGN.md §7).
 //
 // The pool schedules work; it never makes results depend on scheduling. Any
 // task set whose tasks are independent and individually deterministic yields
@@ -27,19 +27,11 @@
 
 namespace vpna::util {
 
-// Per-task execution policy.
-struct TaskOptions {
-  // Total attempts before the task's failure is surfaced (>= 1). A thrown
-  // exception consumes one attempt; the retry runs on the same worker.
-  int max_attempts = 1;
-};
-
 // Counters one worker accumulates over its lifetime. Snapshot via
 // TaskPool::counters(); totals via TaskPool::total_counters().
 struct WorkerCounters {
-  std::uint64_t tasks_run = 0;  // attempts started (retries included)
+  std::uint64_t tasks_run = 0;  // tasks run to completion or exception
   std::uint64_t steals = 0;     // tasks taken from another worker's deque
-  std::uint64_t retries = 0;    // failed attempts that were re-run
   double busy_wall_s = 0.0;     // wall time spent inside task bodies
   double busy_cpu_s = 0.0;      // thread cpu time spent inside task bodies
 };
@@ -61,37 +53,33 @@ class TaskPool {
   // index through every task signature.
   [[nodiscard]] static int current_worker_index() noexcept;
 
-  // Schedules `fn` and returns a future for its result. Retry policy comes
-  // from `opts`; the final exception propagates through the future.
+  // Schedules `fn` and returns a future for its result; an exception `fn`
+  // throws propagates through the future.
   template <typename F>
-  auto submit(F fn, TaskOptions opts = {})
-      -> std::future<std::invoke_result_t<F&>> {
+  auto submit(F fn) -> std::future<std::invoke_result_t<F&>> {
     using R = std::invoke_result_t<F&>;
     auto prom = std::make_shared<std::promise<R>>();
     auto fut = prom->get_future();
     auto body = std::make_shared<F>(std::move(fn));
-    enqueue([prom, body, opts](WorkerCounters& c) {
-      run_with_policy<R>(*prom, *body, opts, c);
-    });
+    enqueue([prom, body](WorkerCounters& c) { run_task<R>(*prom, *body, c); });
     return fut;
   }
 
-  // The zero-thread form of submit(): runs `fn` to completion on the
-  // calling thread under the same retry policy and counter accounting a
-  // worker applies. The final exception, if any, is dropped — callers
-  // observe outcomes through the task itself.
+  // The zero-thread form of submit(): runs `fn` once on the calling thread
+  // with the counter accounting a worker applies. An exception `fn` throws
+  // is dropped — callers observe outcomes through the task itself.
   template <typename F>
-  static void run_inline(F fn, TaskOptions opts, WorkerCounters& counters) {
+  static void run_inline(F fn, WorkerCounters& counters) {
     using R = std::invoke_result_t<F&>;
     std::promise<R> prom;
     const auto t0 = std::chrono::steady_clock::now();
-    run_with_policy<R>(prom, fn, opts, counters);
+    run_task<R>(prom, fn, counters);
     counters.busy_wall_s += std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
   }
 
-  // Blocks until every submitted task has finished (including retries).
+  // Blocks until every submitted task has finished.
   void wait_idle();
 
   // Per-worker counter snapshot. Values are exact once the pool is idle;
@@ -114,29 +102,19 @@ class TaskPool {
   };
 
   template <typename R, typename F>
-  static void run_with_policy(std::promise<R>& prom, F& body, TaskOptions opts,
-                              WorkerCounters& c) {
-    const int attempts = opts.max_attempts < 1 ? 1 : opts.max_attempts;
-    for (int attempt = 1; attempt <= attempts; ++attempt) {
-      ++c.tasks_run;
-      try {
-        if constexpr (std::is_void_v<R>) {
-          body();
-          prom.set_value();
-        } else {
-          prom.set_value(body());
-        }
-        return;
-      } catch (const std::future_error&) {
-        throw;  // promise already satisfied: a bug, not a task failure
-      } catch (...) {
-        if (attempt < attempts) {
-          ++c.retries;
-          continue;
-        }
-        prom.set_exception(std::current_exception());
-        return;
+  static void run_task(std::promise<R>& prom, F& body, WorkerCounters& c) {
+    ++c.tasks_run;
+    try {
+      if constexpr (std::is_void_v<R>) {
+        body();
+        prom.set_value();
+      } else {
+        prom.set_value(body());
       }
+    } catch (const std::future_error&) {
+      throw;  // promise already satisfied: a bug, not a task failure
+    } catch (...) {
+      prom.set_exception(std::current_exception());
     }
   }
 

@@ -91,6 +91,29 @@ row census-hard-failure 1 env VPNA_CRASH_SHARD=2:throw:always "$BIN" out \
 has err.txt "hard failure: svp-00002 threw on all 3 attempt(s)"
 lacks err.txt "crash"
 
+# A shard whose first attempt throws is retried to the same bytes, and the
+# manifest counts that one retry on either backend.
+row paper-throw-inprocess 0 env VPNA_CRASH_SHARD=3:throw "$BIN" out --jobs 2
+has out/run_manifest.json '"retries": 1,'
+has out.txt ", 1 retries,"
+row paper-throw-isolated 0 env VPNA_CRASH_SHARD=3:throw "$BIN" out --jobs 2 \
+    --isolate
+has out/run_manifest.json '"retries": 1,'
+cmp -s "$dir/out/campaign.csv" "$ROOT/paper-throw-inprocess/out/campaign.csv" ||
+  fail "isolated retried campaign.csv differs from the in-process one"
+
+# A partially warm store (a supervisor killed after 52 shards leaves 52
+# artifacts): the 52 replays settle without a wall, so the watchdog's
+# median is the 10 computed shards' and no healthy shard is flagged.
+row paper-warm-52 137 env VPNA_CRASH_SUPERVISOR=52:kill "$BIN" out --jobs 2 \
+    --isolate --cache-dir store
+row paper-partly-warm 0 "$BIN" out --jobs 1 --cache ro \
+    --cache-dir "$ROOT/paper-warm-52/store" --watchdog 3 \
+    --status-file status.json
+has out/run_manifest.json '"watchdog": []'
+has status.json '"hits": 52, "misses": 10'
+lacks status.json '"median_shard_s": 0.000'
+
 # A --resume against a journal from a different campaign is a usage error
 # (exit 2 with the refusal), not an abort.
 row paper-isolate 0 "$BIN" out --isolate --jobs 2

@@ -214,6 +214,9 @@ TEST(QuarantineIntegration, FirstAttemptThrowIsRetriedToTheSameBytes) {
     const auto report = campaign.run(kSubset, 99);
     EXPECT_TRUE(report.failed_providers.empty());
     EXPECT_EQ(analysis::serialize_campaign_payload(report), clean);
+    // One retry on the books, counted once whichever backend ran it.
+    EXPECT_EQ(report.retries, 1u);
+    EXPECT_EQ(analysis::summarize_campaign(report).retries, 1u);
   }
 }
 

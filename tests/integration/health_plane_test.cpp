@@ -74,7 +74,6 @@ TEST_F(HealthPlaneTest, PayloadByteIdenticalWithProfilerAndStatusEnabled) {
     auto opts = base_options(jobs);
     opts.status.file =
         (dir_ / ("status-" + std::to_string(jobs) + ".json")).string();
-    opts.status.interval_ms = 5.0;  // many rewrites during the run
     opts.status.watchdog_multiple = 3.0;
     obs::Profiler::enable();
     const std::string instrumented = run_payload(opts, seed);
@@ -127,12 +126,63 @@ TEST_F(HealthPlaneTest, ProfileReachesTheLayerSeamsWithoutStackedScopes) {
 TEST_F(HealthPlaneTest, StatusFileAloneEngagesTheMonitor) {
   auto opts = base_options(2);
   opts.status.file = (dir_ / "status.json").string();
-  opts.status.interval_ms = 5.0;
   EXPECT_TRUE(opts.status.engaged());
   core::ParallelCampaign campaign(opts);
   const auto report = campaign.run(kSubset, 3);
   EXPECT_TRUE(report.watchdog_alerts.empty());  // watchdog off by default
   EXPECT_TRUE(std::filesystem::exists(opts.status.file));
+}
+
+// A partially warm store, more hits than misses: a replayed shard settles
+// straight from pending, so only the shards computed this run feed the
+// median — the status file's median_shard_s is a real shard wall, and the
+// armed watchdog flags no healthy shard. In-process at jobs 1 and isolated
+// at jobs 2, since both backends share one board.
+TEST_F(HealthPlaneTest, ReplayedShardsNeverFeedTheMedian) {
+  const std::uint64_t seed = 20181031;
+  const std::vector<std::string> all = {
+      "NordVPN", "ExpressVPN", "Seed4.me",   "Anonine",  "Boxpn",
+      "Freedome VPN", "TunnelBear", "IPVanish", "HideMyAss", "AceVPN"};
+  const std::vector<std::string> warm(all.begin(), all.begin() + 6);
+  store::CacheConfig cache;
+  cache.dir = (dir_ / "store").string();
+  cache.mode = store::CacheMode::kReadWrite;
+  {
+    auto opts = base_options(4);
+    opts.cache = cache;
+    core::ParallelCampaign campaign(opts);
+    (void)campaign.run(warm, seed);
+  }
+  // Read-only, so both runs below see the same 6 hits and 4 misses.
+  cache.mode = store::CacheMode::kReadOnly;
+
+  for (const bool isolate : {false, true}) {
+    SCOPED_TRACE(isolate ? "isolated jobs 2" : "in-process jobs 1");
+    auto opts = base_options(isolate ? 2 : 1);
+    opts.isolate = isolate;
+    opts.cache = cache;
+    opts.status.file =
+        (dir_ / (isolate ? "status-iso.json" : "status.json")).string();
+    opts.status.watchdog_multiple = 10.0;
+    core::ParallelCampaign campaign(opts);
+    const auto report = campaign.run(all, seed);
+    const auto summary = core::summarize_cache(report.cache_records);
+    ASSERT_EQ(summary.hits, warm.size());
+    ASSERT_EQ(summary.misses, all.size() - warm.size());
+    EXPECT_TRUE(report.watchdog_alerts.empty());
+
+    std::ifstream in(opts.status.file);
+    ASSERT_TRUE(in.good());
+    std::stringstream content;
+    content << in.rdbuf();
+    const std::string json = content.str();
+    const std::string key = "\"median_shard_s\": ";
+    const auto at = json.find(key);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_GT(std::stod(json.substr(at + key.size())), 0.0) << json;
+    EXPECT_NE(json.find("\"watchdog\": []"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"percent\": 100.0"), std::string::npos) << json;
+  }
 }
 
 TEST_F(HealthPlaneTest, ManifestKeySectionIsDeterministic) {

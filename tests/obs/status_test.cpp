@@ -1,8 +1,8 @@
 // StatusBoard tests, driven by an injected fake clock so the progress,
 // ETA, and watchdog math is exact and the "artificially stalled shard"
 // scenario is deterministic. Also covers the status-file JSON rendering,
-// the atomic file rewrite, and the pool-counter → status-stream surface
-// (a timed-out task's counter shows up in the JSON).
+// the atomic file rewrite, the pool-counter → status-stream surface, and
+// the shared StatusBoard::tick() that both campaign backends run.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -11,6 +11,8 @@
 #include <memory>
 #include <sstream>
 #include <thread>
+
+#include <unistd.h>
 
 #include "obs/status.h"
 #include "util/task_pool.h"
@@ -39,7 +41,8 @@ std::vector<std::string> shard_names(std::size_t n) {
 TEST(StatusBoard, ProgressCountsAndPercent) {
   FakeClock clock;
   StatusBoard board(clock.fn());
-  board.begin(shard_names(4), 2);
+  const auto names = shard_names(4);
+  board.begin(names, 2);
 
   board.shard_started(0, 0);
   board.shard_started(1, 1);
@@ -66,7 +69,8 @@ TEST(StatusBoard, ProgressCountsAndPercent) {
 TEST(StatusBoard, MedianAndEtaFromCompletedShards) {
   FakeClock clock;
   StatusBoard board(clock.fn());
-  board.begin(shard_names(5), 2);
+  const auto names = shard_names(5);
+  board.begin(names, 2);
 
   // Three completed shards with walls 1s, 2s, 3s → median 2s.
   for (std::size_t i = 0; i < 3; ++i) {
@@ -83,7 +87,8 @@ TEST(StatusBoard, MedianAndEtaFromCompletedShards) {
 TEST(StatusBoard, EvenCountMedianAveragesTheMiddlePair) {
   FakeClock clock;
   StatusBoard board(clock.fn());
-  board.begin(shard_names(4), 1);
+  const auto names = shard_names(4);
+  board.begin(names, 1);
   const double walls[] = {4.0, 1.0, 3.0, 2.0};  // unsorted on purpose
   for (std::size_t i = 0; i < 4; ++i) {
     board.shard_started(i, 0);
@@ -97,7 +102,8 @@ TEST(StatusBoard, EvenCountMedianAveragesTheMiddlePair) {
 TEST(StatusBoard, NoEtaBeforeAnyCompletion) {
   FakeClock clock;
   StatusBoard board(clock.fn());
-  board.begin(shard_names(3), 1);
+  const auto names = shard_names(3);
+  board.begin(names, 1);
   board.shard_started(0, 0);
   clock.advance(5.0);
   const auto snap = board.snapshot();
@@ -108,7 +114,8 @@ TEST(StatusBoard, NoEtaBeforeAnyCompletion) {
 TEST(StatusBoard, WatchdogCatchesArtificiallyStalledShard) {
   FakeClock clock;
   StatusBoard board(clock.fn());
-  board.begin(shard_names(5), 2);
+  const auto names = shard_names(5);
+  board.begin(names, 2);
 
   // Shard 4 starts first and then stalls while 1s-median shards complete
   // around it.
@@ -147,7 +154,8 @@ TEST(StatusBoard, WatchdogCatchesArtificiallyStalledShard) {
 TEST(StatusBoard, WatchdogWaitsForMinCompleted) {
   FakeClock clock;
   StatusBoard board(clock.fn());
-  board.begin(shard_names(3), 1);
+  const auto names = shard_names(3);
+  board.begin(names, 1);
   board.shard_started(2, 0);
   board.shard_started(0, 0);
   clock.advance(0.1);
@@ -162,7 +170,8 @@ TEST(StatusBoard, WatchdogWaitsForMinCompleted) {
 TEST(StatusBoard, FailedAttemptNeverPollutesTheMedian) {
   FakeClock clock;
   StatusBoard board(clock.fn());
-  board.begin(shard_names(2), 1);
+  const auto names = shard_names(2);
+  board.begin(names, 1);
 
   board.shard_started(0, 0);
   clock.advance(50.0);  // a long, doomed attempt
@@ -181,13 +190,14 @@ TEST(StatusBoard, FailedAttemptNeverPollutesTheMedian) {
 TEST(StatusBoard, RenderStatusJsonCarriesAllSections) {
   FakeClock clock;
   StatusBoard board(clock.fn());
-  board.begin(shard_names(2), 2);
+  const auto names = shard_names(2);
+  board.begin(names, 2);
   board.shard_started(0, 1);
   clock.advance(0.5);
 
-  std::vector<WorkerStatus> workers(2);
+  std::vector<util::WorkerCounters> workers(2);
   workers[1].tasks_run = 7;
-  workers[1].retries = 2;
+  workers[1].steals = 2;
   board.set_workers(std::move(workers));
 
   const auto json = render_status_json(board.snapshot());
@@ -198,7 +208,9 @@ TEST(StatusBoard, RenderStatusJsonCarriesAllSections) {
   EXPECT_NE(json.find("\"shard\": \"provider-0\""), std::string::npos);
   EXPECT_NE(json.find("\"watchdog\": []"), std::string::npos);
   EXPECT_NE(json.find("\"tasks_run\": 7"), std::string::npos);
-  EXPECT_NE(json.find("\"retries\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"steals\": 2"), std::string::npos);
+  // Retries are a shard count (the run manifest's), not a worker column.
+  EXPECT_EQ(json.find("\"retries\""), std::string::npos);
 }
 
 TEST(WriteFileAtomic, WritesThenReplacesWithoutLeavingTemp) {
@@ -222,11 +234,23 @@ TEST(WriteFileAtomic, FailsCleanlyOnUnwritablePath) {
 }
 
 // Isolate-mode telemetry: per-worker-process rows pushed by the shard
-// supervisor surface in the status JSON, and alerts injected via
-// add_alert land next to the board's own watchdog records.
-TEST(StatusStream, ProcessRowsAndInjectedAlertsSurfaceInStatusJson) {
-  StatusBoard board;
-  board.begin({"shard-a", "shard-b"}, 2);
+// supervisor surface in the status JSON, and StatusBoard::tick() — the
+// one tick both backends run — returns the alerts its scan raised (the
+// supervisor escalates exactly those) and writes them into the status
+// file.
+TEST(StatusStream, ProcessRowsAndTickedAlertsSurfaceInStatusFile) {
+  FakeClock clock;
+  StatusBoard board(clock.fn());
+  const std::vector<std::string> names = {"shard-a", "shard-b", "shard-c",
+                                          "shard-d"};
+  board.begin(names, 2);
+  for (std::size_t i = 0; i < 3; ++i) {
+    board.shard_started(i, 0);
+    clock.advance(3.0);
+    board.shard_finished(i, StatusBoard::Outcome::kDone);
+  }
+  board.shard_started(3, 1);
+  clock.advance(9.5);
 
   ProcessStatus p;
   p.slot = 1;
@@ -235,27 +259,39 @@ TEST(StatusStream, ProcessRowsAndInjectedAlertsSurfaceInStatusJson) {
   p.spawns = 3;
   p.shards_done = 7;
   p.crashes = 2;
-  p.shard = "shard-b";
+  p.shard = "shard-d";
   board.set_processes({p});
 
-  WatchdogAlert alert;
-  alert.shard = "shard-b";
-  alert.elapsed_s = 9.0;
-  alert.median_s = 3.0;
-  board.add_alert(alert);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vpna_status_board_tick_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  StatusOptions opts;
+  opts.file = (dir / "status.json").string();
+  opts.watchdog_multiple = 3.0;
+  const auto fresh = board.tick(opts);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(fresh[0].shard, "shard-d");
+  EXPECT_EQ(fresh[0].worker, 1);
+  EXPECT_DOUBLE_EQ(fresh[0].median_s, 3.0);
+  EXPECT_TRUE(board.tick(opts).empty());  // once per attempt
 
   const auto snapshot = board.snapshot();
   ASSERT_EQ(snapshot.processes.size(), 1u);
   EXPECT_EQ(snapshot.processes[0].pid, 4242);
   ASSERT_EQ(snapshot.alerts.size(), 1u);
-  EXPECT_EQ(snapshot.alerts[0].shard, "shard-b");
 
-  const auto json = render_status_json(snapshot);
+  std::ifstream in(opts.file);
+  std::stringstream content;
+  content << in.rdbuf();
+  const std::string json = content.str();
+  std::filesystem::remove_all(dir);
+  EXPECT_NE(json.find("\"median_s\": 3.000, \"ratio\": 3.17"),
+            std::string::npos);
   EXPECT_NE(json.find("\"processes\""), std::string::npos);
   EXPECT_NE(json.find("\"pid\": 4242"), std::string::npos);
   EXPECT_NE(json.find("\"spawns\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"crashes\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"shard\": \"shard-b\""), std::string::npos);
+  EXPECT_NE(json.find("\"crashes\": 2, \"shard\": \"shard-d\""),
+            std::string::npos);
 }
 
 TEST(StatusStream, CurrentWorkerIndexIsMinusOneOffPool) {

@@ -1,5 +1,5 @@
 // Work-stealing pool unit tests: result ordering, exception propagation,
-// retry policy, counters, and a small smoke-stress case (the
+// the inline form, counters, and a small smoke-stress case (the
 // full many-small-tasks stress lives in the slow-labelled suite).
 #include "util/task_pool.h"
 
@@ -57,67 +57,32 @@ TEST(TaskPool, ExceptionPropagatesThroughFuture) {
       std::runtime_error);
 }
 
-TEST(TaskPool, RetriesUntilAttemptSucceeds) {
-  TaskPool pool(2);
-  auto failures = std::make_shared<std::atomic<int>>(0);
-  TaskOptions opts;
-  opts.max_attempts = 3;
-  auto fut = pool.submit(
-      [failures]() -> int {
-        if (failures->fetch_add(1) < 2) throw std::runtime_error("flaky");
-        return 42;
-      },
-      opts);
-  EXPECT_EQ(fut.get(), 42);
-  EXPECT_EQ(failures->load(), 3);
-  pool.wait_idle();
-  const auto total = pool.total_counters();
-  EXPECT_EQ(total.tasks_run, 3u);  // attempts, retries included
-  EXPECT_EQ(total.retries, 2u);
-}
-
-TEST(TaskPool, ExhaustedRetriesSurfaceTheLastException) {
-  TaskPool pool(2);
-  TaskOptions opts;
-  opts.max_attempts = 3;
-  auto attempts = std::make_shared<std::atomic<int>>(0);
-  auto fut = pool.submit(
-      [attempts]() -> int {
-        attempts->fetch_add(1);
-        throw std::runtime_error("always fails");
-      },
-      opts);
-  EXPECT_THROW(fut.get(), std::runtime_error);
-  EXPECT_EQ(attempts->load(), 3);
-}
-
-TEST(TaskPool, RunInlineAppliesTheRetryPolicyOnTheCallingThread) {
+TEST(TaskPool, RunInlineRunsOnTheCallingThreadAndCounts) {
   WorkerCounters counters;
-  TaskOptions opts;
-  opts.max_attempts = 3;
   int calls = 0;
   int worker = 0;
   TaskPool::run_inline(
       [&] {
         worker = TaskPool::current_worker_index();
-        if (++calls < 3) throw std::runtime_error("flaky");
+        ++calls;
       },
-      opts, counters);
-  EXPECT_EQ(calls, 3);
+      counters);
+  EXPECT_EQ(calls, 1);  // a task runs once: retrying is the caller's policy
   EXPECT_EQ(worker, -1);  // no pool worker involved
-  EXPECT_EQ(counters.tasks_run, 3u);
-  EXPECT_EQ(counters.retries, 2u);
+  EXPECT_EQ(counters.tasks_run, 1u);
+  EXPECT_GE(counters.busy_wall_s, 0.0);
 
-  // An exhausted task's last exception is dropped, never thrown at the
-  // caller: outcomes travel through the task itself.
+  // A thrown exception is dropped, never retried: outcomes travel through
+  // the task itself.
   calls = 0;
   EXPECT_NO_THROW(TaskPool::run_inline(
       [&] {
         ++calls;
         throw std::runtime_error("always fails");
       },
-      opts, counters));
-  EXPECT_EQ(calls, 3);
+      counters));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(counters.tasks_run, 2u);
 }
 
 TEST(TaskPool, CountersAccountForEveryTask) {
@@ -186,8 +151,7 @@ TEST(TaskPool, ConcurrentCounterSnapshotsAreConsistent) {
     const auto per_worker = pool.counters();
     EXPECT_EQ(per_worker.size(), pool.worker_count());
     const auto total = pool.total_counters();
-    // tasks_run only grows and never exceeds what was submitted (no
-    // retries in this workload).
+    // tasks_run only grows and never exceeds what was submitted.
     EXPECT_LE(total.tasks_run, 500u);
     EXPECT_GE(total.busy_wall_s, 0.0);
     ++snapshots;
