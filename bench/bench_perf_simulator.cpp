@@ -1,12 +1,16 @@
 // Performance benchmarks for the simulator's hot paths: routing lookups,
 // end-to-end transactions, DNS resolution, page loads, tunnel traversal,
-// anchor sweeps, and world/testbed construction.
+// anchor sweeps, and world/testbed construction. The request-path rows also
+// report `allocs_per_iter`: heap allocations per iteration, counted by the
+// replaced operator new this binary links (util/alloc_counter).
 #include <benchmark/benchmark.h>
 
 #include "core/infrastructure_tests.h"
 #include "dns/client.h"
 #include "ecosystem/testbed.h"
 #include "http/client.h"
+#include "tlssim/handshake.h"
+#include "util/alloc_counter.h"
 #include "vpn/client.h"
 
 using namespace vpna;
@@ -29,6 +33,47 @@ PerfEnv& env() {
   return e;
 }
 
+// Counts the calling thread's allocations while the benchmark loop runs
+// and reports them per iteration.
+class AllocsPerIter {
+ public:
+  explicit AllocsPerIter(benchmark::State& state)
+      : state_(state), before_(util::thread_allocations()) {}
+  ~AllocsPerIter() {
+    state_.counters["allocs_per_iter"] = benchmark::Counter(
+        static_cast<double>(util::thread_allocations() - before_),
+        benchmark::Counter::kAvgIterations);
+  }
+
+ private:
+  benchmark::State& state_;
+  std::size_t before_;
+};
+
+// A client in Chicago with an established tunnel to a Frankfurt vantage
+// point, shared by the tunnel rows.
+struct TunnelEnv {
+  inet::World world{77};
+  netsim::Host& vm;
+  vpn::DeployedProvider provider;
+  std::unique_ptr<vpn::VpnClient> client;
+  TunnelEnv() : vm(world.spawn_client("Chicago", "tunnel-perf-vm")) {
+    vpn::ProviderSpec spec;
+    spec.name = "PerfVPN";
+    spec.vantage_points = {
+        {"de-1", "Frankfurt", "DE", "Frankfurt", "hosteu-fra"}};
+    provider = vpn::deploy_provider(world, spec);
+    client = std::make_unique<vpn::VpnClient>(world.network(), vm,
+                                              provider.spec);
+    (void)client->connect(provider.vantage_points[0].addr);
+  }
+};
+
+TunnelEnv& tunnel_env() {
+  static auto* e = new TunnelEnv;  // leaked: lives for the whole run
+  return *e;
+}
+
 void BM_RouteLookup(benchmark::State& state) {
   auto& e = env();
   const auto dst = *netsim::IpAddr::parse("45.0.192.20");
@@ -49,6 +94,7 @@ BENCHMARK(BM_PingAcrossBackbone);
 
 void BM_DnsResolution(benchmark::State& state) {
   auto& e = env();
+  AllocsPerIter allocs(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(dns::resolve_system(
         e.world.network(), e.client, "daily-courier-news.com", dns::RrType::kA));
@@ -59,6 +105,7 @@ BENCHMARK(BM_DnsResolution);
 void BM_HttpFetch(benchmark::State& state) {
   auto& e = env();
   http::HttpClient c(e.world.network(), e.client);
+  AllocsPerIter allocs(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(c.fetch("http://daily-courier-news.com/"));
     e.client.capture().clear();
@@ -87,31 +134,36 @@ BENCHMARK(BM_AnchorSweep50);
 
 void BM_TunnelRoundTrip(benchmark::State& state) {
   // One fetch through an established tunnel (encapsulation both ways).
-  static inet::World world(77);
-  static netsim::Host& vm = [] () -> netsim::Host& {
-    auto& host = world.spawn_client("Chicago", "tunnel-perf-vm");
-    return host;
-  }();
-  static vpn::DeployedProvider provider = [] {
-    vpn::ProviderSpec spec;
-    spec.name = "PerfVPN";
-    spec.vantage_points = {{"de-1", "Frankfurt", "DE", "Frankfurt", "hosteu-fra"}};
-    return vpn::deploy_provider(world, spec);
-  }();
-  static vpn::VpnClient* client = [] {
-    auto* c = new vpn::VpnClient(world.network(), vm, provider.spec);
-    (void)c->connect(provider.vantage_points[0].addr);
-    return c;  // intentionally leaked: lives for the whole benchmark run
-  }();
-  (void)client;
-
-  http::HttpClient browser(world.network(), vm);
+  auto& e = tunnel_env();
+  http::HttpClient browser(e.world.network(), e.vm);
+  AllocsPerIter allocs(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(browser.fetch("http://daily-courier-news.com/"));
-    vm.capture().clear();
+    e.vm.capture().clear();
   }
 }
 BENCHMARK(BM_TunnelRoundTrip);
+
+void BM_TunnelTlsHandshake(benchmark::State& state) {
+  // One TLS handshake through the same tunnel: ClientHello out, the
+  // site's chain back, validated against the world's trust store.
+  auto& e = tunnel_env();
+  constexpr std::string_view kSite = "tls-portal-5.com";
+  const auto lookup = dns::resolve_system(e.world.network(), e.vm, kSite,
+                                          dns::RrType::kA);
+  if (!lookup.ok() || lookup.addresses.empty()) {
+    state.SkipWithError("tls-portal-5.com did not resolve");
+    return;
+  }
+  AllocsPerIter allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tlssim::tls_handshake(
+        e.world.network(), e.vm, lookup.addresses.front(), kSite,
+        e.world.ca_store()));
+    e.vm.capture().clear();
+  }
+}
+BENCHMARK(BM_TunnelTlsHandshake);
 
 void BM_WorldConstruction(benchmark::State& state) {
   for (auto _ : state) {

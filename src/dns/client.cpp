@@ -43,7 +43,7 @@ LookupResult query(netsim::Network& net, netsim::Host& host,
     return out;
   }
 
-  const auto resp = DnsResponse::decode(result.reply);
+  auto resp = DnsResponse::decode(result.reply);
   if (!resp || resp->id != q.id) {
     out.error = transport::Error::parse();
     obs::count("dns.failures");
@@ -51,8 +51,8 @@ LookupResult query(netsim::Network& net, netsim::Host& host,
     return out;
   }
   out.rcode = resp->rcode;
-  out.addresses = resp->addresses;
-  out.texts = resp->texts;
+  out.addresses = std::move(resp->addresses);
+  out.texts = std::move(resp->texts);
   out.error = resp->rcode == Rcode::kNoError
                   ? transport::Error::none()
                   : transport::Error::upstream(

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netsim/ip.h"
@@ -39,6 +40,13 @@ struct DnsResponse {
   [[nodiscard]] std::string encode() const;
   static std::optional<DnsResponse> decode(std::string_view payload);
 };
+
+// DnsResponse::encode over borrowed fields, so a server can answer straight
+// from its record tables without first copying them into a DnsResponse.
+[[nodiscard]] std::string encode_response(
+    std::uint16_t id, RrType type, std::string_view name, Rcode rcode,
+    const std::vector<netsim::IpAddr>& addresses,
+    const std::vector<std::string>& texts);
 
 // Lowercases and strips a trailing dot; DNS names compare case-insensitively.
 [[nodiscard]] std::string canonical_name(std::string_view name);

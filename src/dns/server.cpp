@@ -5,6 +5,19 @@
 
 namespace vpna::dns {
 
+namespace {
+const std::vector<netsim::IpAddr> kNoAddresses;
+const std::vector<std::string> kNoTexts;
+
+// True if canonical_name(name) == name.
+bool is_canonical(std::string_view name) {
+  if (name.ends_with('.')) return false;
+  for (const char c : name)
+    if (c >= 'A' && c <= 'Z') return false;
+  return true;
+}
+}  // namespace
+
 void ZoneRegistry::set_authority(std::string zone, netsim::IpAddr server) {
   zones_[canonical_name(zone)] = server;
 }
@@ -13,9 +26,11 @@ std::optional<netsim::IpAddr> ZoneRegistry::authority_for(
     std::string_view name) const {
   // A zone contains the name iff it equals the name or one of the name's
   // suffixes that start after a '.'. Walk those from longest to shortest:
-  // the first registered one is the longest match.
-  const std::string n = canonical_name(name);
-  std::string_view suffix = n;
+  // the first registered one is the longest match. Resolvers pass names
+  // that are already canonical, so folding copies only when it must.
+  std::string folded;
+  std::string_view suffix = name;
+  if (!is_canonical(name)) suffix = folded = canonical_name(name);
   while (true) {
     if (const auto it = zones_.find(suffix); it != zones_.end())
       return it->second;
@@ -50,12 +65,10 @@ const ZoneRecord* AuthoritativeService::find_record(
 
 std::optional<std::string> AuthoritativeService::handle(
     netsim::ServiceContext& ctx) {
-  const auto query = DnsQuery::decode(ctx.request.payload);
+  auto query = DnsQuery::decode(ctx.request.payload);
   if (!query) return std::nullopt;
 
-  query_log_.push_back(QueryLogEntry{ctx.network.clock().now(),
-                                     ctx.request.src, query->name,
-                                     query->type});
+  const auto now = ctx.network.clock().now();
   obs::count("dns.server.authoritative_queries");
   if (obs::tracing()) {
     obs::Instant serve("dns.serve", "dns");
@@ -63,30 +76,24 @@ std::optional<std::string> AuthoritativeService::handle(
     serve.arg("authority", "authoritative");
   }
 
-  DnsResponse resp;
-  resp.id = query->id;
-  resp.type = query->type;
-  resp.name = query->name;
-
-  const ZoneRecord* record = find_record(query->name);
-  if (record == nullptr) {
-    resp.rcode = Rcode::kNxDomain;
-    return resp.encode();
+  // Answer straight from the record table: the answers are encoded, never
+  // copied into a DnsResponse.
+  const std::vector<netsim::IpAddr>* addresses = &kNoAddresses;
+  const std::vector<std::string>* texts = &kNoTexts;
+  if (const ZoneRecord* record = find_record(query->name)) {
+    switch (query->type) {
+      case RrType::kA: addresses = &record->a; break;
+      case RrType::kAaaa: addresses = &record->aaaa; break;
+      case RrType::kTxt: texts = &record->txt; break;
+    }
   }
-  switch (query->type) {
-    case RrType::kA:
-      resp.addresses = record->a;
-      break;
-    case RrType::kAaaa:
-      resp.addresses = record->aaaa;
-      break;
-    case RrType::kTxt:
-      resp.texts = record->txt;
-      break;
-  }
-  if (resp.addresses.empty() && resp.texts.empty())
-    resp.rcode = Rcode::kNxDomain;
-  return resp.encode();
+  const Rcode rcode = addresses->empty() && texts->empty() ? Rcode::kNxDomain
+                                                           : Rcode::kNoError;
+  auto reply = encode_response(query->id, query->type, query->name, rcode,
+                               *addresses, *texts);
+  query_log_.push_back(QueryLogEntry{now, ctx.request.src,
+                                     std::move(query->name), query->type});
+  return reply;
 }
 
 RecursiveResolverService::RecursiveResolverService(
@@ -99,11 +106,12 @@ std::optional<std::string> RecursiveResolverService::handle(
   if (!query) return std::nullopt;
 
   obs::count("dns.server.recursive_queries");
-
-  DnsResponse resp;
-  resp.id = query->id;
-  resp.type = query->type;
-  resp.name = query->name;
+  const auto answer = [&](Rcode rcode,
+                          const std::vector<netsim::IpAddr>& addresses,
+                          const std::vector<std::string>& texts) {
+    return encode_response(query->id, query->type, query->name, rcode,
+                           addresses, texts);
+  };
 
   if (override_) {
     if (const auto forged = override_(query->name, query->type)) {
@@ -114,34 +122,27 @@ std::optional<std::string> RecursiveResolverService::handle(
         forged_ev.arg("name", query->name);
       }
       switch (query->type) {
-        case RrType::kA: resp.addresses = forged->a; break;
-        case RrType::kAaaa: resp.addresses = forged->aaaa; break;
-        case RrType::kTxt: resp.texts = forged->txt; break;
+        case RrType::kA: return answer(Rcode::kNoError, forged->a, kNoTexts);
+        case RrType::kAaaa:
+          return answer(Rcode::kNoError, forged->aaaa, kNoTexts);
+        case RrType::kTxt:
+          return answer(Rcode::kNoError, kNoAddresses, forged->txt);
       }
-      return resp.encode();
     }
   }
 
   const auto authority = zones_->authority_for(query->name);
-  if (!authority) {
-    resp.rcode = Rcode::kNxDomain;
-    return resp.encode();
-  }
+  if (!authority) return answer(Rcode::kNxDomain, kNoAddresses, kNoTexts);
 
   // Recurse: a genuine upstream query from the resolver host, so the
   // authoritative server's log records this resolver's address.
   transport::Flow upstream(ctx.network, ctx.host, netsim::Proto::kUdp,
                            *authority, netsim::kPortDns);
   const auto result = upstream.exchange(query->encode());
-  if (!result.ok()) {
-    resp.rcode = Rcode::kServFail;
-    return resp.encode();
-  }
+  if (!result.ok()) return answer(Rcode::kServFail, kNoAddresses, kNoTexts);
   auto upstream_resp = DnsResponse::decode(result.reply);
-  if (!upstream_resp) {
-    resp.rcode = Rcode::kServFail;
-    return resp.encode();
-  }
+  if (!upstream_resp)
+    return answer(Rcode::kServFail, kNoAddresses, kNoTexts);
   upstream_resp->id = query->id;
   return upstream_resp->encode();
 }

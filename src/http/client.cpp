@@ -5,9 +5,24 @@
 
 namespace vpna::http {
 
+namespace {
+// Stable, distinctive default header set (ordering matters: in-path proxies
+// that parse and regenerate requests disturb it).
+const std::vector<Header>& default_headers() {
+  static const std::vector<Header> kHeaders = {
+      {"User-Agent", "vpna-probe/1.0 (Macintosh; like Gecko)"},
+      {"Accept", "text/html,application/xhtml+xml;q=0.9,*/*;q=0.8"},
+      {"Accept-Language", "en-US,en;q=0.5"},
+      {"X-Probe-Marker", "leave-intact-7719"},
+  };
+  return kHeaders;
+}
+}  // namespace
+
 std::optional<ExchangeRecord> HttpClient::exchange(const Url& url,
                                                    const FetchOptions& opts,
-                                                   transport::Error& error) {
+                                                   transport::Error& error,
+                                                   std::string& body) {
   // Resolve the hostname (IP literals pass through). The full candidate
   // list is kept: the record carries it for the analysis layer, and the
   // flow walks it when address fallback is enabled.
@@ -25,26 +40,13 @@ std::optional<ExchangeRecord> HttpClient::exchange(const Url& url,
       error = transport::Error::resolve(lookup.error);
       return std::nullopt;
     }
-    candidates = lookup.addresses;
+    candidates = std::move(lookup.addresses);
   }
 
-  HttpRequest req;
-  req.method = "GET";
-  req.host = url.host;
-  req.path = url.path;
-  req.headers = opts.headers;
-  if (req.headers.empty()) {
-    // Stable, distinctive default header set (ordering matters: in-path
-    // proxies that parse and regenerate requests disturb it).
-    req.headers = {
-        {"User-Agent", "vpna-probe/1.0 (Macintosh; like Gecko)"},
-        {"Accept", "text/html,application/xhtml+xml;q=0.9,*/*;q=0.8"},
-        {"Accept-Language", "en-US,en;q=0.5"},
-        {"X-Probe-Marker", "leave-intact-7719"},
-    };
-  }
   // Encode once: the same bytes go on the wire and into the record.
-  std::string request_bytes = req.encode();
+  std::string request_bytes = encode_request(
+      "GET", url.host, url.path,
+      opts.headers.empty() ? default_headers() : opts.headers, {});
 
   transport::FlowOptions fopts;
   // TCP handshake = 1 extra RTT; TLS adds 2 more.
@@ -58,7 +60,7 @@ std::optional<ExchangeRecord> HttpClient::exchange(const Url& url,
     error = result.error;
     return std::nullopt;
   }
-  const auto resp = HttpResponse::decode(result.reply);
+  auto resp = HttpResponse::decode(result.reply);
   if (!resp) {
     error = transport::Error::parse();
     return std::nullopt;
@@ -68,11 +70,11 @@ std::optional<ExchangeRecord> HttpClient::exchange(const Url& url,
   rec.url = url;
   rec.request_serialized = std::move(request_bytes);
   rec.status = resp->status;
-  rec.response_headers = resp->headers;
-  rec.body = resp->body;
+  rec.response_headers = std::move(resp->headers);
   rec.server_addr = result.remote;
   rec.candidate_addrs = std::move(candidates);
   rec.rtt_ms = result.rtt_ms;
+  body = std::move(resp->body);
   return rec;
 }
 
@@ -80,7 +82,9 @@ FetchResult HttpClient::fetch(const Url& url, const FetchOptions& opts) {
   obs::Span span("http.fetch", "http");
   if (span) span.arg("url", url.str());
   obs::count("http.fetches");
-  const auto finish = [&span](FetchResult& r) -> FetchResult& {
+  // Records the outcome; callers then return `out` by name, so the result
+  // is never copied.
+  const auto finish = [&span](const FetchResult& r) {
     if (!r.error.ok()) obs::count("http.fetch_errors");
     if (!r.exchanges.empty())
       obs::count("http.exchanges", r.exchanges.size());
@@ -91,46 +95,44 @@ FetchResult HttpClient::fetch(const Url& url, const FetchOptions& opts) {
                static_cast<std::int64_t>(
                    r.exchanges.empty() ? 0 : r.exchanges.size() - 1));
     }
-    return r;
   };
 
   FetchResult out;
   Url current = url;
+  std::string body;
   for (int hop = 0; hop <= opts.max_redirects; ++hop) {
     transport::Error error = transport::Error::not_attempted();
-    auto rec = exchange(current, opts, error);
+    auto rec = exchange(current, opts, error, body);
     if (!rec) {
       out.error = error;
-      out.final_url = current;
-      return finish(out);
+      out.final_url = std::move(current);
+      finish(out);
+      return out;
     }
-    out.exchanges.push_back(*rec);
-    const HttpResponse resp = [&] {
-      HttpResponse r;
-      r.status = rec->status;
-      r.headers = rec->response_headers;
-      r.body = rec->body;
-      return r;
-    }();
-    if (resp.is_redirect()) {
-      const auto location = resp.header("Location");
-      if (!location) {
+    const ExchangeRecord& last = out.exchanges.emplace_back(std::move(*rec));
+    if (is_redirect(last.status)) {
+      const std::string* location =
+          find_header(last.response_headers, "Location");
+      if (location == nullptr) {
         out.error = transport::Error::parse();
-        out.final_url = current;
-        return finish(out);
+        out.final_url = std::move(current);
+        finish(out);
+        return out;
       }
       current = current.resolve(*location);
       continue;
     }
     out.error = transport::Error::none();
-    out.final_url = current;
-    out.status = rec->status;
-    out.body = rec->body;
-    return finish(out);
+    out.final_url = std::move(current);
+    out.status = last.status;
+    out.body = std::move(body);
+    finish(out);
+    return out;
   }
   out.error = transport::Error::redirect_limit();
-  out.final_url = current;
-  return finish(out);
+  out.final_url = std::move(current);
+  finish(out);
+  return out;
 }
 
 FetchResult HttpClient::fetch(std::string_view url_text,

@@ -31,13 +31,13 @@ struct FetchOptions {
   bool address_fallback = false;
 };
 
-// One request/response exchange within a fetch.
+// One request/response exchange within a fetch. The response body is not
+// kept per exchange: the fetch's final body lives in FetchResult::body.
 struct ExchangeRecord {
   Url url;
   std::string request_serialized;   // exact bytes sent
   int status = 0;
   std::vector<Header> response_headers;
-  std::string body;
   netsim::IpAddr server_addr;       // address actually contacted
   // Every address the lookup offered, in resolver order (the analysis
   // layer correlates these against egress observations even though only
@@ -90,10 +90,12 @@ class HttpClient {
                            const FetchOptions& opts = {});
 
  private:
-  // One exchange without redirect handling.
+  // One exchange without redirect handling; the response body is moved
+  // into `body`.
   std::optional<ExchangeRecord> exchange(const Url& url,
                                          const FetchOptions& opts,
-                                         transport::Error& error);
+                                         transport::Error& error,
+                                         std::string& body);
 
   netsim::Network& net_;
   netsim::Host& host_;

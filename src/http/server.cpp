@@ -22,79 +22,52 @@ std::shared_ptr<const Site> WebServerService::find_site(
 
 std::optional<std::string> WebServerService::handle(
     netsim::ServiceContext& ctx) {
-  const auto req = HttpRequest::decode(ctx.request.payload);
-  if (!req) {
-    HttpResponse bad;
-    bad.status = 400;
-    bad.reason = "Bad Request";
-    return bad.encode();
-  }
+  static const std::vector<Header> kBlockedHeaders = {{"Server", "edge-gw"}};
+  static const std::vector<Header> kPageHeaders = {
+      {"Content-Type", "text/html"}, {"Server", "httpd/1.4"}};
 
-  HttpResponse resp;
+  const auto req = HttpRequestView::parse(ctx.request.payload);
+  if (!req) return encode_response(400, "Bad Request", {}, {});
+
   const auto site = find_site(req->host);
   if (site == nullptr) {
-    resp.status = 404;
-    resp.reason = "Not Found";
-    resp.body = "<html><body>no such site</body></html>";
-    return resp.encode();
+    return encode_response(404, "Not Found", {},
+                           "<html><body>no such site</body></html>");
   }
 
   // VPN-range discrimination happens before anything else: the site keys on
   // the client address it sees (the VPN egress, not the true client).
   if (site->blocks(ctx.request.src)) {
-    if (site->blocks_with_empty_200) {
-      resp.status = 200;
-      resp.reason = "OK";
-      resp.body = "";
-    } else {
-      resp.status = 403;
-      resp.reason = "Forbidden";
-      resp.body = "<html><body>Access denied</body></html>";
-    }
-    resp.set_header("Server", "edge-gw");
-    return resp.encode();
+    if (site->blocks_with_empty_200)
+      return encode_response(200, "OK", kBlockedHeaders, {});
+    return encode_response(403, "Forbidden", kBlockedHeaders,
+                           "<html><body>Access denied</body></html>");
   }
 
   // Scheme upgrade redirect.
   if (!https_ && site->upgrades_to_https && site->https_available) {
-    resp.status = 301;
-    resp.reason = "Moved Permanently";
-    resp.set_header("Location", "https://" + site->hostname + req->path);
-    return resp.encode();
+    std::string location = "https://" + site->hostname;
+    location += req->path;
+    const Header headers[] = {{"Location", std::move(location)}};
+    return encode_response(301, "Moved Permanently", headers, {});
   }
 
   const auto page_it = site->pages.find(req->path);
   if (page_it == site->pages.end()) {
-    resp.status = 404;
-    resp.reason = "Not Found";
-    resp.body = "<html><body>not found</body></html>";
-    return resp.encode();
+    return encode_response(404, "Not Found", {},
+                           "<html><body>not found</body></html>");
   }
-
-  resp.status = 200;
-  resp.reason = "OK";
-  resp.set_header("Content-Type", "text/html");
-  resp.set_header("Server", "httpd/1.4");
-  resp.body = page_it->second.html;
-  return resp.encode();
+  return encode_response(200, "OK", kPageHeaders, page_it->second.html);
 }
 
 std::optional<std::string> HeaderEchoService::handle(
     netsim::ServiceContext& ctx) {
-  const auto req = HttpRequest::decode(ctx.request.payload);
-  HttpResponse resp;
-  if (!req) {
-    resp.status = 400;
-    resp.reason = "Bad Request";
-    return resp.encode();
-  }
-  resp.status = 200;
-  resp.reason = "OK";
-  resp.set_header("Content-Type", "text/plain");
+  static const std::vector<Header> kHeaders = {{"Content-Type", "text/plain"}};
+  if (!HttpRequestView::parse(ctx.request.payload))
+    return encode_response(400, "Bad Request", {}, {});
   // The body is the byte-exact request as received; any in-path parse-and-
   // regenerate proxy shows up as a diff against what the client sent.
-  resp.body = ctx.request.payload;
-  return resp.encode();
+  return encode_response(200, "OK", kHeaders, ctx.request.payload);
 }
 
 Page make_basic_page(std::string_view hostname, std::string_view title,

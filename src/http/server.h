@@ -26,7 +26,7 @@ struct Page {
 
 struct Site {
   std::string hostname;
-  std::map<std::string, Page> pages;  // path -> page
+  std::map<std::string, Page, std::less<>> pages;  // path -> page
   bool https_available = true;
   // Redirect http:// requests to https:// (301).
   bool upgrades_to_https = false;

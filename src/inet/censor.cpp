@@ -46,7 +46,7 @@ netsim::Middlebox::Verdict CensorMiddlebox::on_transit(
       packet.dst_port != netsim::kPortHttp)
     return {};
 
-  const auto req = http::HttpRequest::decode(packet.payload);
+  const auto req = http::HttpRequestView::parse(packet.payload);
   if (!req) return {};
 
   bool blocked = policy_.blocked_hosts.contains(req->host);
@@ -57,14 +57,11 @@ netsim::Middlebox::Verdict CensorMiddlebox::on_transit(
   if (!blocked) return {};
 
   ++redirects_;
-  http::HttpResponse resp;
-  resp.status = 302;
-  resp.reason = "Found";
-  resp.set_header("Location", policy_.redirect_url);
-  resp.set_header("X-Blocked-By", policy_.operator_name);
+  const http::Header headers[] = {{"Location", policy_.redirect_url},
+                                  {"X-Blocked-By", policy_.operator_name}};
   Verdict v;
   v.action = Action::kRespond;
-  v.response_payload = resp.encode();
+  v.response_payload = http::encode_response(302, "Found", headers, {});
   return v;
 }
 

@@ -57,7 +57,7 @@ struct CensorPolicy {
   std::string country_code;
   std::string redirect_url;            // destination block page
   std::set<SiteCategory> blocked_categories;
-  std::set<std::string> blocked_hosts;  // exact hostnames blocked outright
+  std::set<std::string, std::less<>> blocked_hosts;  // exact hostnames blocked outright
 };
 
 // The middlebox: inspects transiting HTTP requests (TCP/80) and answers

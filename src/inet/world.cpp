@@ -323,7 +323,7 @@ void World::build_hosts() {
             netsim::Proto::kTcp, netsim::kPortHttp,
             std::make_shared<netsim::LambdaService>(
                 [this](netsim::ServiceContext& ctx) -> std::optional<std::string> {
-                  const auto req = http::HttpRequest::decode(ctx.request.payload);
+                  const auto req = http::HttpRequestView::parse(ctx.request.payload);
                   http::HttpResponse resp;
                   if (!req) {
                     resp.status = 400;
@@ -444,7 +444,7 @@ void World::build_censors() {
     std::string_view country;
     std::string_view redirect;
     std::set<Cat> categories;
-    std::set<std::string> hosts;
+    std::set<std::string, std::less<>> hosts;
   };
   const std::vector<CensorSpec> kSpecs = {
       {"anatolia-ist", "TIB", "TR", "http://195.175.254.2",

@@ -28,7 +28,9 @@ class Network;
 struct ServiceContext {
   Network& network;
   Host& host;          // the host the service is bound on
-  const Packet& request;
+  // The delivered packet. The handler owns its payload and may move from
+  // it; once the handler returns, the network reads only header fields.
+  Packet& request;
 };
 
 // A protocol endpoint bound to (proto, port) on a host. Returning nullopt
@@ -60,10 +62,11 @@ struct Interface {
 };
 
 // Hook invoked when a packet is routed out through an interface that has a
-// tunnel attached (the VPN client data path). The hook either returns the
-// encapsulated outer packet to send via the physical interface, or nullopt
-// to drop the packet (e.g. tunnel down and failing closed).
-using TunnelEncapHook = std::function<std::optional<Packet>(const Packet& inner)>;
+// tunnel attached (the VPN client data path). The hook consumes the inner
+// packet and either returns the encapsulated outer packet to send via the
+// physical interface, or nullopt to drop it (e.g. tunnel down and failing
+// closed).
+using TunnelEncapHook = std::function<std::optional<Packet>(Packet&& inner)>;
 
 class Host {
  public:

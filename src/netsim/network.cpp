@@ -524,7 +524,8 @@ TransactResult Network::transact_impl(Host& from, Packet& packet,
 
   // 5. Tunnel encapsulation path.
   if (from.has_tunnel_hook() && iface->name == from.tunnel_interface()) {
-    auto outer = from.tunnel_hook()(packet);
+    // The capture above was the inner packet's last reader.
+    auto outer = from.tunnel_hook()(std::move(packet));
     if (!outer) {
       TransactResult r;
       r.status = TransactStatus::kDropped;
@@ -537,7 +538,7 @@ TransactResult Network::transact_impl(Host& from, Packet& packet,
     outer_result.via_tunnel = true;
     if (!outer_result.ok()) return outer_result;
     // Decapsulate the tunnel reply back into the inner reply.
-    auto inner_reply = decode_inner(outer_result.reply);
+    auto inner_reply = decode_inner(std::move(outer_result.reply));
     if (!inner_reply) {
       outer_result.status = TransactStatus::kDropped;
       outer_result.reply.clear();

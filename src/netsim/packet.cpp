@@ -44,10 +44,10 @@ constexpr std::size_t kTtlAt = kDstPortAt + 2;
 constexpr std::size_t kLenAt = kTtlAt + 4;
 static_assert(kLenAt + 4 == kTunnelHeaderSize);
 
-void put_addr(std::string& out, const IpAddr& a) {
-  out.push_back(static_cast<char>(a.family()));
+void put_addr(char* p, const IpAddr& a) {
+  p[0] = static_cast<char>(a.family());
   const auto& b = a.bytes();
-  out.append(reinterpret_cast<const char*>(b.data()), b.size());
+  std::memcpy(p + 1, b.data(), b.size());
 }
 
 std::optional<IpAddr> get_addr(const char* p) {
@@ -66,26 +66,29 @@ std::optional<IpAddr> get_addr(const char* p) {
 
 }  // namespace
 
-std::string encode_inner(const Packet& inner) {
-  std::string out;
-  out.reserve(kTunnelHeaderSize + inner.payload.size());
-  out.append(kTunnelMagic);
-  put_addr(out, inner.src);
-  put_addr(out, inner.dst);
-  out.push_back(static_cast<char>(inner.proto));
-  util::put_le<std::uint16_t>(out, inner.src_port);
-  util::put_le<std::uint16_t>(out, inner.dst_port);
-  util::put_le<std::uint32_t>(out, static_cast<std::uint32_t>(inner.ttl));
-  util::put_le<std::uint32_t>(out,
-                              static_cast<std::uint32_t>(inner.payload.size()));
-  out += inner.payload;
-  return out;
+std::string encode_inner(Packet inner) {
+  // The header goes in front of the payload's own bytes: the frame reuses
+  // the inner packet's buffer instead of copying the payload.
+  std::string& frame = inner.payload;
+  const auto len = static_cast<std::uint32_t>(frame.size());
+  frame.insert(0, kTunnelHeaderSize, '\0');
+  char* h = frame.data();
+  std::memcpy(h, kTunnelMagic.data(), kTunnelMagic.size());
+  put_addr(h + kSrcAt, inner.src);
+  put_addr(h + kDstAt, inner.dst);
+  h[kProtoAt] = static_cast<char>(inner.proto);
+  util::store_le<std::uint16_t>(h + kSrcPortAt, inner.src_port);
+  util::store_le<std::uint16_t>(h + kDstPortAt, inner.dst_port);
+  util::store_le<std::uint32_t>(h + kTtlAt,
+                                static_cast<std::uint32_t>(inner.ttl));
+  util::store_le<std::uint32_t>(h + kLenAt, len);
+  return std::move(frame);
 }
 
-std::optional<Packet> decode_inner(std::string_view payload) {
-  if (payload.size() < kTunnelHeaderSize || !is_tunnel_frame(payload))
+std::optional<Packet> decode_inner(std::string frame) {
+  if (frame.size() < kTunnelHeaderSize || !is_tunnel_frame(frame))
     return std::nullopt;
-  const char* h = payload.data();
+  const char* h = frame.data();
   const auto src = get_addr(h + kSrcAt);
   const auto dst = get_addr(h + kDstAt);
   if (!src || !dst) return std::nullopt;
@@ -96,7 +99,7 @@ std::optional<Packet> decode_inner(std::string_view payload) {
   const auto ttl = util::get_le<std::uint32_t>(h + kTtlAt);
   if (ttl > 255) return std::nullopt;
   const auto len = util::get_le<std::uint32_t>(h + kLenAt);
-  if (len != payload.size() - kTunnelHeaderSize) return std::nullopt;
+  if (len != frame.size() - kTunnelHeaderSize) return std::nullopt;
   Packet p;
   p.src = *src;
   p.dst = *dst;
@@ -104,7 +107,9 @@ std::optional<Packet> decode_inner(std::string_view payload) {
   p.src_port = util::get_le<std::uint16_t>(h + kSrcPortAt);
   p.dst_port = util::get_le<std::uint16_t>(h + kDstPortAt);
   p.ttl = static_cast<int>(ttl);
-  p.payload.assign(payload.substr(kTunnelHeaderSize));
+  // Strip the header in place: the payload keeps the frame's buffer.
+  frame.erase(0, kTunnelHeaderSize);
+  p.payload = std::move(frame);
   return p;
 }
 

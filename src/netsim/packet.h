@@ -40,7 +40,10 @@ struct Packet {
 };
 
 // Tunnel encapsulation: encode_inner() serializes an inner packet into the
-// payload of an outer one; decode_inner() round-trips it exactly. The frame
+// payload of an outer one; decode_inner() round-trips it exactly. Both
+// consume their argument and reuse its buffer: encode_inner() writes the
+// header in front of the inner payload, decode_inner() strips it off the
+// frame, so neither copies the payload (pass an rvalue to benefit). The frame
 // stands in for the ESP/OpenVPN framing a real tunnel would use: a fixed
 // binary header, then the inner payload byte for byte.
 //
@@ -63,8 +66,12 @@ struct Packet {
 inline constexpr std::string_view kTunnelMagic{"\x7fTUN", 4};
 inline constexpr std::size_t kTunnelHeaderSize = 51;
 
-[[nodiscard]] std::string encode_inner(const Packet& inner);
-[[nodiscard]] std::optional<Packet> decode_inner(std::string_view payload);
+// Spare capacity the payload encoders (DNS, HTTP, TLS) reserve past the
+// bytes they write, so that a tunnel prepends its header in place.
+inline constexpr std::size_t kPayloadHeadroom = kTunnelHeaderSize;
+
+[[nodiscard]] std::string encode_inner(Packet inner);
+[[nodiscard]] std::optional<Packet> decode_inner(std::string frame);
 
 // True if `payload` is a tunnel frame, i.e. the packet is encapsulated
 // traffic. Text payloads (DNS, HTTP, TLS) never start with the magic's

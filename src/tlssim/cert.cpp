@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "netsim/packet.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -20,39 +21,65 @@ bool Certificate::matches_host(std::string_view hostname) const {
 }
 
 std::string Certificate::encode() const {
-  return util::format("CERT{%s;%s;%s;%d}", subject.c_str(), issuer.c_str(),
-                      key_fingerprint.c_str(), expired ? 1 : 0);
+  std::string out;
+  encode_into(out);
+  return out;
+}
+
+void Certificate::encode_into(std::string& out) const {
+  // Fields end at their first NUL, as the printf-based encoder wrote them.
+  out += "CERT{";
+  out += util::c_str_view(subject);
+  out += ';';
+  out += util::c_str_view(issuer);
+  out += ';';
+  out += util::c_str_view(key_fingerprint);
+  out += expired ? ";1}" : ";0}";
 }
 
 std::optional<Certificate> Certificate::decode(std::string_view text) {
   if (!util::starts_with(text, "CERT{") || !util::ends_with(text, "}"))
     return std::nullopt;
-  const auto inner = text.substr(5, text.size() - 6);
-  const auto parts = util::split(inner, ';');
-  if (parts.size() != 4) return std::nullopt;
+  const auto parts = util::split_exact<4>(text.substr(5, text.size() - 6), ';');
+  if (!parts) return std::nullopt;
+  const auto& [subject, issuer, fingerprint, expired] = *parts;
+  if (expired != "0" && expired != "1") return std::nullopt;
   Certificate c;
-  c.subject = std::string(parts[0]);
-  c.issuer = std::string(parts[1]);
-  c.key_fingerprint = std::string(parts[2]);
-  c.expired = parts[3] == "1";
+  c.subject = std::string(subject);
+  c.issuer = std::string(issuer);
+  c.key_fingerprint = std::string(fingerprint);
+  c.expired = expired == "1";
   return c;
 }
 
 std::string CertChain::encode() const {
-  std::vector<std::string> parts;
-  parts.reserve(certs.size());
-  for (const auto& c : certs) parts.push_back(c.encode());
-  return util::join(parts, "|");
+  std::string out;
+  encode_into(out);
+  return out;
+}
+
+void CertChain::encode_into(std::string& out) const {
+  std::size_t size = out.size() + netsim::kPayloadHeadroom;
+  for (const auto& c : certs)
+    size += 12 + c.subject.size() + c.issuer.size() + c.key_fingerprint.size();
+  out.reserve(size);
+  for (std::size_t i = 0; i < certs.size(); ++i) {
+    if (i != 0) out += '|';
+    certs[i].encode_into(out);
+  }
 }
 
 std::optional<CertChain> CertChain::decode(std::string_view text) {
   CertChain chain;
   if (text.empty()) return chain;
-  for (const auto& part : util::split(text, '|')) {
-    const auto c = Certificate::decode(part);
-    if (!c) return std::nullopt;
-    chain.certs.push_back(*c);
-  }
+  chain.certs.reserve(
+      1 + static_cast<std::size_t>(std::count(text.begin(), text.end(), '|')));
+  const bool parsed = util::for_each_field(text, '|', [&](std::string_view part) {
+    auto c = Certificate::decode(part);
+    if (c) chain.certs.push_back(std::move(*c));
+    return c.has_value();
+  });
+  if (!parsed) return std::nullopt;
   return chain;
 }
 

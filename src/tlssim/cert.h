@@ -21,7 +21,10 @@ struct Certificate {
   // Wildcard-aware hostname match ("*.example.com" covers one extra label).
   [[nodiscard]] bool matches_host(std::string_view hostname) const;
 
+  // "CERT{subject;issuer;fingerprint;0|1}". decode() rejects any other
+  // field count and an expired field other than "0" or "1".
   [[nodiscard]] std::string encode() const;
+  void encode_into(std::string& out) const;  // appends encode()
   static std::optional<Certificate> decode(std::string_view text);
 };
 
@@ -36,7 +39,9 @@ struct CertChain {
     return certs.empty() ? nullptr : &certs.back();
   }
 
+  // The certificates' encodings joined by '|'.
   [[nodiscard]] std::string encode() const;
+  void encode_into(std::string& out) const;  // appends encode()
   static std::optional<CertChain> decode(std::string_view text);
 };
 

@@ -6,16 +6,22 @@
 namespace vpna::tlssim {
 
 std::string encode_client_hello(std::string_view sni) {
-  return "TLSH|" + std::string(sni);
+  std::string out;
+  out.reserve(5 + sni.size() + netsim::kPayloadHeadroom);
+  out += "TLSH|";
+  out += sni;
+  return out;
 }
 
-std::optional<std::string> decode_client_hello(std::string_view payload) {
+std::optional<std::string_view> decode_client_hello(std::string_view payload) {
   if (!util::starts_with(payload, "TLSH|")) return std::nullopt;
-  return std::string(payload.substr(5));
+  return payload.substr(5);
 }
 
 std::string encode_server_hello(const CertChain& chain) {
-  return "TLSS|" + chain.encode();
+  std::string out = "TLSS|";
+  chain.encode_into(out);
+  return out;
 }
 
 std::optional<CertChain> decode_server_hello(std::string_view payload) {

@@ -18,8 +18,9 @@
 namespace vpna::tlssim {
 
 // Wire forms. ClientHello: "TLSH|<sni>". ServerHello: "TLSS|<chain>".
+// The decoded SNI views the payload.
 [[nodiscard]] std::string encode_client_hello(std::string_view sni);
-[[nodiscard]] std::optional<std::string> decode_client_hello(
+[[nodiscard]] std::optional<std::string_view> decode_client_hello(
     std::string_view payload);
 [[nodiscard]] std::string encode_server_hello(const CertChain& chain);
 [[nodiscard]] std::optional<CertChain> decode_server_hello(

@@ -43,16 +43,15 @@ Flow::Flow(netsim::Network& net, netsim::Host& host, netsim::Proto proto,
 }
 
 Flow::Flow(netsim::Network& net, netsim::Host& host, netsim::Proto proto,
-           std::vector<netsim::IpAddr> candidates, std::uint16_t remote_port,
-           FlowOptions opts)
+           const std::vector<netsim::IpAddr>& candidates,
+           std::uint16_t remote_port, FlowOptions opts)
     : Flow(net, host, proto,
            candidates.empty() ? netsim::IpAddr{} : candidates.front(),
            remote_port, opts) {
   empty_ = candidates.empty();
-  if (!empty_) {
-    fallbacks_ = std::move(candidates);
-    fallbacks_.erase(fallbacks_.begin());  // primary lives inline
-  }
+  // The primary lives inline; only extra candidates are copied.
+  if (candidates.size() > 1)
+    fallbacks_.assign(candidates.begin() + 1, candidates.end());
 }
 
 Flow::~Flow() {

@@ -76,8 +76,8 @@ class Flow {
   // `opts.address_fallback` each attempt walks the list until one address
   // answers at the transport level; without it only the front is used.
   Flow(netsim::Network& net, netsim::Host& host, netsim::Proto proto,
-       std::vector<netsim::IpAddr> candidates, std::uint16_t remote_port,
-       FlowOptions opts = {});
+       const std::vector<netsim::IpAddr>& candidates,
+       std::uint16_t remote_port, FlowOptions opts = {});
 
   Flow(const Flow&) = delete;
   Flow& operator=(const Flow&) = delete;

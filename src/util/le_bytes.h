@@ -20,6 +20,15 @@ void put_le(std::string& out, T v) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
+// Writes `v` as sizeof(T) little-endian bytes at `p`; the caller checks
+// bounds.
+template <typename T>
+void store_le(char* p, T v) noexcept {
+  static_assert(std::is_unsigned_v<T>);
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
 // Reads sizeof(T) little-endian bytes at `p`; the caller checks bounds.
 template <typename T>
 [[nodiscard]] T get_le(const char* p) noexcept {

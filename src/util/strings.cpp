@@ -8,16 +8,11 @@ namespace vpna::util {
 
 std::vector<std::string_view> split(std::string_view s, char delim) {
   std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
+  for_each_field(s, delim, [&](std::string_view field) {
+    out.push_back(field);
+    return true;
+  });
+  return out;
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

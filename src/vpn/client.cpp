@@ -120,17 +120,16 @@ void VpnClient::install_tunnel_state() {
   const auto assigned = assigned_;
   host_.set_tunnel_hook(
       kTunIface,
-      [server, assigned, port](const netsim::Packet& inner)
+      [server, assigned, port](netsim::Packet&& inner)
           -> std::optional<netsim::Packet> {
-        netsim::Packet rewritten = inner;
-        if (rewritten.src.is_unspecified() && rewritten.dst.is_v4())
-          rewritten.src = assigned;
+        if (inner.src.is_unspecified() && inner.dst.is_v4())
+          inner.src = assigned;
         netsim::Packet outer;
         outer.dst = server;
         outer.proto = netsim::Proto::kUdp;
         outer.src_port = 49999;
         outer.dst_port = port;
-        outer.payload = netsim::encode_inner(rewritten);
+        outer.payload = netsim::encode_inner(std::move(inner));
         return outer;
       });
 

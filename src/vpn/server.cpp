@@ -106,26 +106,36 @@ std::string inject_ad_script(const std::string& response_payload,
 }
 
 std::optional<std::string> VpnServerService::handle_internal(
-    netsim::ServiceContext& ctx, const netsim::Packet& inner) {
+    netsim::ServiceContext& ctx, netsim::Packet& inner) {
   // Only the gateway resolver lives inside the tunnel.
   if (inner.dst == tunnel_gateway_addr() && inner.proto == netsim::Proto::kUdp &&
       inner.dst_port == netsim::kPortDns) {
     // Run the resolver as if it were bound on this host; upstream queries
     // originate from the vantage point, which is what the recursive-origin
-    // test observes.
-    netsim::Packet rewritten = inner;
-    netsim::ServiceContext inner_ctx{ctx.network, ctx.host, rewritten};
+    // test observes. The resolver only reads the packet, so an unanswered
+    // query is still intact for forward().
+    netsim::ServiceContext inner_ctx{ctx.network, ctx.host, inner};
     return resolver_.handle(inner_ctx);
   }
   return std::nullopt;
 }
 
 std::optional<std::string> VpnServerService::forward(
-    netsim::ServiceContext& ctx, netsim::Packet inner) {
+    netsim::ServiceContext& ctx, netsim::Packet fwd) {
+  // The reply travels back from the inner packet's destination to its
+  // sender; take that addressing before NAT rewrites the source.
+  const netsim::Proto proto = fwd.proto;
+  const std::uint16_t dst_port = fwd.dst_port;
+  netsim::Packet reply;
+  reply.src = fwd.dst;
+  reply.dst = fwd.src;
+  reply.proto = proto;
+  reply.src_port = dst_port;
+  reply.dst_port = fwd.src_port;
+
   // NAT: the inner packet egresses with the vantage point's own address.
   const auto egress4 = ctx.host.primary_addr(netsim::IpFamily::kV4);
   const auto egress6 = ctx.host.primary_addr(netsim::IpFamily::kV6);
-  netsim::Packet fwd = inner;
   if (fwd.dst.is_v4()) {
     if (!egress4) return std::nullopt;
     fwd.src = *egress4;
@@ -137,53 +147,39 @@ std::optional<std::string> VpnServerService::forward(
 
   // TLS re-termination: answer ClientHellos ourselves with a provider CA
   // chain instead of contacting the real site.
-  if (behavior_.intercepts_tls && fwd.proto == netsim::Proto::kTcp &&
-      fwd.dst_port == netsim::kPortHttps) {
+  if (behavior_.intercepts_tls && proto == netsim::Proto::kTcp &&
+      dst_port == netsim::kPortHttps) {
     if (const auto sni = tlssim::decode_client_hello(fwd.payload)) {
       const auto chain = tlssim::issue_chain(
           *sni, provider_name_ + " Interception CA", interception_serial_++);
-      netsim::Packet reply;
-      reply.src = inner.dst;
-      reply.dst = inner.src;
-      reply.proto = inner.proto;
-      reply.src_port = inner.dst_port;
-      reply.dst_port = inner.src_port;
       reply.payload = tlssim::encode_server_hello(chain);
-      return netsim::encode_inner(reply);
+      return netsim::encode_inner(std::move(reply));
     }
   }
 
   // Transparent proxy: parse and regenerate outbound HTTP.
-  if (behavior_.transparent_proxy && fwd.proto == netsim::Proto::kTcp &&
-      fwd.dst_port == netsim::kPortHttp) {
+  if (behavior_.transparent_proxy && proto == netsim::Proto::kTcp &&
+      dst_port == netsim::kPortHttp) {
     fwd.payload = proxy_regenerate(fwd.payload);
   }
 
   // Egress flow: source pinned to the NAT slot allocated above, inner TTL
   // preserved so traceroute probes expire inside the world as they should.
-  transport::Flow flow(ctx.network, ctx.host, fwd.proto, fwd.dst,
-                       fwd.dst_port);
+  transport::Flow flow(ctx.network, ctx.host, proto, fwd.dst, dst_port);
   flow.set_src(fwd.src);
   flow.pin_src_port(fwd.src_port);
   flow.set_ttl(fwd.ttl);
-  const auto result = flow.exchange(std::move(fwd.payload));
+  auto result = flow.exchange(std::move(fwd.payload));
   // A flow that never got on the wire leaves `status` at its kOk default;
   // without this guard the switch below would read that as a successful
   // exchange and synthesize an empty reply (the silent-zero hazard).
   if (!result.error.attempted()) return std::nullopt;
 
-  netsim::Packet reply;
-  reply.src = inner.dst;
-  reply.dst = inner.src;
-  reply.src_port = inner.dst_port;
-  reply.dst_port = inner.src_port;
-
   switch (result.status) {
     case netsim::TransactStatus::kOk:
-      reply.proto = inner.proto == netsim::Proto::kIcmpEcho
-                        ? netsim::Proto::kIcmpEchoReply
-                        : inner.proto;
-      reply.payload = result.reply;
+      if (proto == netsim::Proto::kIcmpEcho)
+        reply.proto = netsim::Proto::kIcmpEchoReply;
+      reply.payload = std::move(result.reply);
       break;
     case netsim::TransactStatus::kTtlExpired:
       reply.proto = netsim::Proto::kIcmpTimeExceeded;
@@ -194,19 +190,21 @@ std::optional<std::string> VpnServerService::forward(
   }
 
   // Ad injection on HTTP responses (the paper's single observed injector).
-  if (behavior_.injects_content && inner.proto == netsim::Proto::kTcp &&
-      inner.dst_port == netsim::kPortHttp && !reply.payload.empty()) {
+  if (behavior_.injects_content && proto == netsim::Proto::kTcp &&
+      dst_port == netsim::kPortHttp && !reply.payload.empty()) {
     reply.payload = inject_ad_script(reply.payload, provider_name_);
   }
 
-  return netsim::encode_inner(reply);
+  return netsim::encode_inner(std::move(reply));
 }
 
 std::optional<std::string> VpnServerService::handle(
     netsim::ServiceContext& ctx) {
   if (ctx.request.payload == kKeepalive) return std::string(kKeepaliveAck);
 
-  auto inner = netsim::decode_inner(ctx.request.payload);
+  // The outer payload is ours to consume: decode strips the tunnel header
+  // in place and the inner packet owns the bytes from here on.
+  auto inner = netsim::decode_inner(std::move(ctx.request.payload));
   if (!inner) return std::nullopt;
 
   if (auto internal = handle_internal(ctx, *inner)) {
@@ -216,8 +214,8 @@ std::optional<std::string> VpnServerService::handle(
     reply.proto = inner->proto;
     reply.src_port = inner->dst_port;
     reply.dst_port = inner->src_port;
-    reply.payload = *internal;
-    return netsim::encode_inner(reply);
+    reply.payload = std::move(*internal);
+    return netsim::encode_inner(std::move(reply));
   }
 
   return forward(ctx, std::move(*inner));

@@ -42,11 +42,12 @@ class VpnServerService final : public netsim::Service {
  private:
   // Serves tunnel-internal destinations (the gateway resolver).
   std::optional<std::string> handle_internal(netsim::ServiceContext& ctx,
-                                             const netsim::Packet& inner);
+                                             netsim::Packet& inner);
   // Forwards an inner packet into the world with egress transforms applied,
-  // returning the inner reply packet (encoded) or nullopt.
+  // returning the inner reply packet (encoded) or nullopt. The packet's
+  // payload moves onto the egress flow.
   std::optional<std::string> forward(netsim::ServiceContext& ctx,
-                                     netsim::Packet inner);
+                                     netsim::Packet fwd);
 
   std::string provider_name_;
   ProviderBehavior behavior_;

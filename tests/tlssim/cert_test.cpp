@@ -40,6 +40,11 @@ TEST(Certificate, DecodeRejectsMalformed) {
   EXPECT_FALSE(Certificate::decode(""));
   EXPECT_FALSE(Certificate::decode("CERT{a;b}"));
   EXPECT_FALSE(Certificate::decode("NOPE{a;b;c;0}"));
+  // The expired field is "0" or "1"; anything else is malformed.
+  EXPECT_FALSE(Certificate::decode("CERT{a;b;c;7}"));
+  EXPECT_FALSE(Certificate::decode("CERT{a;b;c;}"));
+  EXPECT_TRUE(Certificate::decode("CERT{a;b;c;0}"));
+  EXPECT_TRUE(Certificate::decode("CERT{a;b;c;1}"));
 }
 
 TEST(CertChain, EncodeDecodeRoundTrip) {

@@ -33,6 +33,41 @@ TEST(Split, SingleField) {
   EXPECT_EQ(v[0], "abc");
 }
 
+TEST(SplitExact, ExactFieldCountOnly) {
+  const auto three = split_exact<3>("a||c", '|');
+  ASSERT_TRUE(three.has_value());
+  EXPECT_EQ((*three)[0], "a");
+  EXPECT_EQ((*three)[1], "");
+  EXPECT_EQ((*three)[2], "c");
+  EXPECT_FALSE(split_exact<3>("a|b", '|'));
+  EXPECT_FALSE(split_exact<3>("a|b|c|", '|'));
+  EXPECT_TRUE(split_exact<1>("", '|'));
+  EXPECT_FALSE(split_exact<2>("", '|'));
+}
+
+TEST(SplitExact, FieldsViewTheInput) {
+  const std::string text = "key=value";
+  const auto v = split_exact<2>(text, '=');
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ((*v)[0].data(), text.data());
+  EXPECT_EQ((*v)[1].data(), text.data() + 4);
+}
+
+TEST(ForEachField, VisitsEveryFieldAndStopsEarly) {
+  std::vector<std::string_view> seen;
+  EXPECT_TRUE(for_each_field("a,,c,", ',', [&](std::string_view f) {
+    seen.push_back(f);
+    return true;
+  }));
+  EXPECT_EQ(seen, split("a,,c,", ','));
+  seen.clear();
+  EXPECT_FALSE(for_each_field("a,b,c", ',', [&](std::string_view f) {
+    seen.push_back(f);
+    return f != "b";
+  }));
+  EXPECT_EQ(seen.size(), 2u);
+}
+
 TEST(Join, RoundTripsWithSplit) {
   const std::vector<std::string> parts = {"x", "y", "z"};
   EXPECT_EQ(join(parts, "-"), "x-y-z");
