@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/export.h"
 #include "util/mem.h"
 #include "util/strings.h"
 
@@ -47,13 +46,13 @@ struct JsonTrailer {
 
   void emit() const {
     std::string out = "BENCH_JSON {";
-    out += "\"bench\":\"" + obs::json_escape(bench) + "\"";
-    out += ",\"description\":\"" + obs::json_escape(description) + "\"";
+    out += "\"bench\":\"" + util::json_escape(bench) + "\"";
+    out += ",\"description\":\"" + util::json_escape(description) + "\"";
     if (!sections.empty()) {
       out += ",\"sections\":[";
       for (std::size_t i = 0; i < sections.size(); ++i) {
         if (i > 0) out += ",";
-        out += "\"" + obs::json_escape(sections[i]) + "\"";
+        out += "\"" + util::json_escape(sections[i]) + "\"";
       }
       out += "]";
     }
@@ -100,9 +99,9 @@ inline void print_header(const char* experiment_id, const char* description) {
 inline void compare(const char* metric, const std::string& paper,
                     const std::string& measured) {
   detail::JsonTrailer::instance().comparisons.push_back(
-      "{\"metric\":\"" + obs::json_escape(metric) + "\",\"paper\":\"" +
-      obs::json_escape(paper) + "\",\"measured\":\"" +
-      obs::json_escape(measured) + "\"}");
+      "{\"metric\":\"" + util::json_escape(metric) + "\",\"paper\":\"" +
+      util::json_escape(paper) + "\",\"measured\":\"" +
+      util::json_escape(measured) + "\"}");
   std::printf("%-44s paper: %-18s measured: %s\n", metric, paper.c_str(),
               measured.c_str());
 }

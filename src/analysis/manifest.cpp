@@ -5,7 +5,6 @@
 #include "ecosystem/evaluated.h"
 #include "ecosystem/testbed.h"
 #include "faults/profile.h"
-#include "obs/export.h"
 #include "store/code_epoch.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -85,9 +84,9 @@ std::string render_execution_sections(const RunManifest& m) {
 
   out += "  \"execution\": {\n";
   out += util::format("    \"mode\": \"%s\",\n",
-                      obs::json_escape(m.execution_mode).c_str());
+                      util::json_escape(m.execution_mode).c_str());
   out += util::format("    \"journal\": \"%s\",\n",
-                      obs::json_escape(m.journal_path).c_str());
+                      util::json_escape(m.journal_path).c_str());
   out += util::format("    \"resumed\": %s,\n", m.resumed ? "true" : "false");
   out += util::format("    \"interrupted\": %s,\n",
                       m.interrupted ? "true" : "false");
@@ -96,7 +95,7 @@ std::string render_execution_sections(const RunManifest& m) {
   for (std::size_t i = 0; i < m.crash_quarantined_providers.size(); ++i) {
     out += i == 0 ? "" : ", ";
     out += util::format(
-        "\"%s\"", obs::json_escape(m.crash_quarantined_providers[i]).c_str());
+        "\"%s\"", util::json_escape(m.crash_quarantined_providers[i]).c_str());
   }
   out += "],\n";
   out += util::format("    \"process_spawns\": %zu,\n", m.process_spawns);
@@ -116,9 +115,9 @@ std::string render_execution_sections(const RunManifest& m) {
 
   out += "  \"cache\": {\n";
   out += util::format("    \"mode\": \"%s\",\n",
-                      obs::json_escape(m.cache_mode).c_str());
+                      util::json_escape(m.cache_mode).c_str());
   out += util::format("    \"dir\": \"%s\",\n",
-                      obs::json_escape(m.cache_dir).c_str());
+                      util::json_escape(m.cache_dir).c_str());
   out += util::format("    \"code_epoch\": %u,\n", m.code_epoch);
   out += util::format("    \"runner_options_fingerprint\": \"%016llx\",\n",
                       static_cast<unsigned long long>(m.runner_options_fp));
@@ -139,8 +138,8 @@ std::string render_execution_sections(const RunManifest& m) {
     out += util::format(
         "      {\"provider\": \"%s\", \"key\": \"%s\", \"outcome\": \"%s\", "
         "\"stored\": %s, \"bytes\": %llu}",
-        obs::json_escape(e.provider).c_str(), obs::json_escape(e.key).c_str(),
-        obs::json_escape(e.outcome).c_str(), e.stored ? "true" : "false",
+        util::json_escape(e.provider).c_str(), util::json_escape(e.key).c_str(),
+        util::json_escape(e.outcome).c_str(), e.stored ? "true" : "false",
         static_cast<unsigned long long>(e.bytes));
   }
   out += m.shard_cache.empty() ? "]\n" : "\n    ]\n";
@@ -148,7 +147,7 @@ std::string render_execution_sections(const RunManifest& m) {
 
   out += "  \"build\": {\n";
   out += util::format("    \"compiler\": \"%s\",\n",
-                      obs::json_escape(m.compiler).c_str());
+                      util::json_escape(m.compiler).c_str());
   out += util::format("    \"build_type\": \"%s\"\n", m.build_type.c_str());
   out += "  },\n";
 
@@ -170,7 +169,7 @@ std::string render_execution_sections(const RunManifest& m) {
   for (std::size_t i = 0; i < m.degraded_providers.size(); ++i) {
     out += i == 0 ? "" : ", ";
     out += util::format("\"%s\"",
-                        obs::json_escape(m.degraded_providers[i]).c_str());
+                        util::json_escape(m.degraded_providers[i]).c_str());
   }
   out += "],\n";
   out += "    \"watchdog\": [";
@@ -180,7 +179,7 @@ std::string render_execution_sections(const RunManifest& m) {
     out += util::format(
         "      {\"shard\": \"%s\", \"worker\": %d, \"elapsed_s\": %.3f, "
         "\"median_s\": %.3f, \"ratio\": %.2f}",
-        obs::json_escape(alert.shard).c_str(), alert.worker, alert.elapsed_s,
+        util::json_escape(alert.shard).c_str(), alert.worker, alert.elapsed_s,
         alert.median_s, alert.ratio());
   }
   out += m.watchdog_alerts.empty() ? "]\n" : "\n    ]\n";
@@ -221,7 +220,7 @@ std::string render_manifest_json(const RunManifest& m) {
   out += util::format("    \"campaign_seed\": %llu,\n",
                       static_cast<unsigned long long>(m.campaign_seed));
   out += util::format("    \"fault_profile\": \"%s\",\n",
-                      obs::json_escape(m.fault_profile).c_str());
+                      util::json_escape(m.fault_profile).c_str());
   out += util::format("    \"link_capacities\": %s,\n",
                       m.link_capacities ? "true" : "false");
   out += util::format("    \"payload_fingerprint\": \"%016llx\",\n",
@@ -230,7 +229,7 @@ std::string render_manifest_json(const RunManifest& m) {
   for (std::size_t i = 0; i < m.shard_seeds.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += util::format("      {\"provider\": \"%s\", \"seed\": \"%016llx\"}",
-                        obs::json_escape(m.shard_seeds[i].first).c_str(),
+                        util::json_escape(m.shard_seeds[i].first).c_str(),
                         static_cast<unsigned long long>(m.shard_seeds[i].second));
   }
   out += m.shard_seeds.empty() ? "]\n" : "\n    ]\n";

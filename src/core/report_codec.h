@@ -7,8 +7,10 @@
 // string; decode_provider_report() is its strict inverse. The contract is
 // byte-level round-tripping: decode(encode(r)) == r field-for-field and
 // encode(decode(bytes)) == bytes — the randomized codec fuzz suite
-// enforces both, so a cached shard replayed through the canonical-order
-// merge is indistinguishable from a recomputed one.
+// enforces both, and golden pins hold the bytes and every accept/reject
+// verdict fixed, so a cached shard replayed through the canonical-order
+// merge is indistinguishable from a recomputed one. Both directions are
+// instantiated from one field list per struct (report_codec.cpp).
 //
 // Decoding is defensive, never trusting: every read is bounds-checked,
 // every enum is range-validated, trailing bytes are rejected, and the

@@ -34,33 +34,13 @@ void append_args_object(std::string& out, const TraceEvent& ev) {
   for (const auto& arg : ev.args) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(arg.key) + "\":\"" + json_escape(arg.value) +
-           "\"";
+    out += "\"" + util::json_escape(arg.key) + "\":\"" +
+           util::json_escape(arg.value) + "\"";
   }
   out += "}";
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += util::format("\\u%04x", c);
-        else
-          out += c;
-    }
-  }
-  return out;
-}
 
 std::string chrome_trace_json(const std::vector<ShardTrace>& shards) {
   std::string out = "{\"traceEvents\":[\n";
@@ -77,7 +57,7 @@ std::string chrome_trace_json(const std::vector<ShardTrace>& shards) {
     emit(util::format(
         "{\"ph\":\"M\",\"pid\":1,\"tid\":%zu,\"name\":\"thread_name\","
         "\"args\":{\"name\":\"%s\"}}",
-        i + 1, json_escape(shards[i].shard).c_str()));
+        i + 1, util::json_escape(shards[i].shard).c_str()));
   }
 
   for (const auto& ref : canonical_order(shards)) {
@@ -85,8 +65,8 @@ std::string chrome_trace_json(const std::vector<ShardTrace>& shards) {
     std::string line = util::format(
         "{\"ph\":\"%c\",\"pid\":1,\"tid\":%zu,\"name\":\"%s\","
         "\"cat\":\"%s\",\"ts\":%lld",
-        ev.phase, ref.shard + 1, json_escape(ev.name).c_str(),
-        json_escape(ev.category).c_str(),
+        ev.phase, ref.shard + 1, util::json_escape(ev.name).c_str(),
+        util::json_escape(ev.category).c_str(),
         static_cast<long long>(ev.sim_ts_us));
     if (ev.phase == 'X') {
       // Spans still open at export render with zero duration.
@@ -113,9 +93,9 @@ std::string trace_jsonl(const std::vector<ShardTrace>& shards) {
         "{\"shard\":\"%s\",\"id\":%u,\"parent\":%u,\"depth\":%u,"
         "\"ph\":\"%c\",\"name\":\"%s\",\"cat\":\"%s\",\"ts_us\":%lld,"
         "\"dur_us\":%lld,\"args\":",
-        json_escape(shards[ref.shard].shard).c_str(), ev.id, ev.parent,
-        ev.depth, ev.phase, json_escape(ev.name).c_str(),
-        json_escape(ev.category).c_str(),
+        util::json_escape(shards[ref.shard].shard).c_str(), ev.id, ev.parent,
+        ev.depth, ev.phase, util::json_escape(ev.name).c_str(),
+        util::json_escape(ev.category).c_str(),
         static_cast<long long>(ev.sim_ts_us),
         static_cast<long long>(ev.sim_dur_us < 0 ? 0 : ev.sim_dur_us));
     append_args_object(out, ev);

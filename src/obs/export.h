@@ -40,7 +40,4 @@ struct ShardTrace {
 [[nodiscard]] MetricsRegistry merged_metrics(
     const std::vector<ShardTrace>& shards);
 
-// JSON string escaping for exporters and bench emitters.
-[[nodiscard]] std::string json_escape(std::string_view raw);
-
 }  // namespace vpna::obs

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 
-#include "obs/export.h"
 #include "util/strings.h"
 
 namespace vpna::obs {
@@ -197,7 +196,7 @@ std::string render_status_json(const StatusSnapshot& snap) {
     out += i == 0 ? "\n" : ",\n";
     out += util::format(
         "    {\"shard\": \"%s\", \"worker\": %d, \"elapsed_s\": %.3f}",
-        json_escape(shard.shard).c_str(), shard.worker, shard.elapsed_s);
+        util::json_escape(shard.shard).c_str(), shard.worker, shard.elapsed_s);
   }
   out += snap.in_flight.empty() ? "],\n" : "\n  ],\n";
   out += "  \"watchdog\": [";
@@ -207,7 +206,7 @@ std::string render_status_json(const StatusSnapshot& snap) {
     out += util::format(
         "    {\"shard\": \"%s\", \"worker\": %d, \"elapsed_s\": %.3f, "
         "\"median_s\": %.3f, \"ratio\": %.2f}",
-        json_escape(alert.shard).c_str(), alert.worker, alert.elapsed_s,
+        util::json_escape(alert.shard).c_str(), alert.worker, alert.elapsed_s,
         alert.median_s, alert.ratio());
   }
   out += snap.alerts.empty() ? "],\n" : "\n  ],\n";
@@ -230,7 +229,7 @@ std::string render_status_json(const StatusSnapshot& snap) {
         "    {\"slot\": %d, \"pid\": %ld, \"alive\": %s, \"spawns\": %zu, "
         "\"shards_done\": %zu, \"crashes\": %zu, \"shard\": \"%s\"}",
         p.slot, p.pid, p.alive ? "true" : "false", p.spawns, p.shards_done,
-        p.crashes, json_escape(p.shard).c_str());
+        p.crashes, util::json_escape(p.shard).c_str());
   }
   out += snap.processes.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";

@@ -213,18 +213,17 @@ bool ArtifactStore::put(const ShardKey& key, std::string_view payload) const {
       "%s.tmp.%ld.%llu", final_path.c_str(), static_cast<long>(::getpid()),
       static_cast<unsigned long long>(
           tmp_counter.fetch_add(1, std::memory_order_relaxed)));
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp_path, ec);
-      return false;
-    }
-  }
+  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+  if (!out) return false;
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  // The final flush happens in close(): check it too, or a write the file
+  // system cut short would still be renamed into place.
+  out.close();
   std::error_code ec;
+  if (!out) {
+    std::filesystem::remove(tmp_path, ec);
+    return false;
+  }
   std::filesystem::rename(tmp_path, final_path, ec);
   if (ec) {
     std::filesystem::remove(tmp_path, ec);

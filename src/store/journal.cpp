@@ -1,6 +1,7 @@
 #include "store/journal.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,31 +17,32 @@ namespace vpna::store {
 
 namespace {
 
-// Journal strings are provider names and paths — escape just enough that
-// the writer can never produce an unparsable line.
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
+// Inverse of util::json_escape for the escapes it writes: \" \\ \n \r \t
+// and \u00XX. Journals written before it escaped \r, \t and other control
+// bytes use only the first three, so they still load.
 std::string unescape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      ++i;
-      out.push_back(s[i] == 'n' ? '\n' : s[i]);
-    } else {
+    if (s[i] != '\\' || i + 1 == s.size()) {
       out.push_back(s[i]);
+      continue;
+    }
+    const char e = s[++i];
+    unsigned code = 0;
+    if (e == 'n') {
+      out.push_back('\n');
+    } else if (e == 'r') {
+      out.push_back('\r');
+    } else if (e == 't') {
+      out.push_back('\t');
+    } else if (e == 'u' && i + 4 < s.size() &&
+               std::from_chars(s.data() + i + 1, s.data() + i + 5, code, 16)
+                       .ptr == s.data() + i + 5) {
+      out.push_back(static_cast<char>(code));
+      i += 4;
+    } else {
+      out.push_back(e);
     }
   }
   return out;
@@ -103,7 +105,7 @@ std::string render_header(const JournalHeader& h) {
       "\"seed\":%llu,\"shards\":%zu,\"cache_dir\":\"%s\"}\n",
       h.version, static_cast<unsigned long long>(h.campaign_fingerprint),
       static_cast<unsigned long long>(h.seed), h.shards,
-      escape(h.cache_dir).c_str());
+      util::json_escape(h.cache_dir).c_str());
 }
 
 bool parse_header(std::string_view line, JournalHeader* h) {
@@ -164,9 +166,10 @@ void CampaignJournal::record(const JournalEntry& entry) {
   const std::string line = util::format(
       "{\"type\":\"shard\",\"index\":%zu,\"provider\":\"%s\","
       "\"outcome\":\"%s\",\"key\":\"%s\",\"attempts\":%d,\"detail\":\"%s\"}\n",
-      entry.index, escape(entry.provider).c_str(),
-      escape(entry.outcome).c_str(), escape(entry.key_id).c_str(),
-      entry.attempts, escape(entry.detail).c_str());
+      entry.index, util::json_escape(entry.provider).c_str(),
+      util::json_escape(entry.outcome).c_str(),
+      util::json_escape(entry.key_id).c_str(),
+      entry.attempts, util::json_escape(entry.detail).c_str());
   // One write of one complete line under O_APPEND: atomic with respect to
   // any reader, and the fdatasync makes it survive a supervisor SIGKILL.
   if (::write(fd_, line.data(), line.size()) ==

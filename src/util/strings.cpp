@@ -51,6 +51,26 @@ bool contains(std::string_view s, std::string_view needle) {
   return s.find(needle) != std::string_view::npos;
 }
 
+std::string json_escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  for (const char c : raw) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20)
+          out += format("\\u%04x", c);
+        else
+          out += c;
+    }
+  }
+  return out;
+}
+
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -66,6 +66,11 @@ template <std::size_t N>
 [[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix);
 [[nodiscard]] bool contains(std::string_view s, std::string_view needle);
 
+// Escapes `raw` for use between the quotes of a JSON string: quote,
+// backslash and every byte below 0x20. The one escaper for all JSON and
+// JSONL the repo writes (exports, status, manifests, journals, benches).
+[[nodiscard]] std::string json_escape(std::string_view raw);
+
 // printf into a std::string.
 [[nodiscard]] std::string format(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

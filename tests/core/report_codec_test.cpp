@@ -318,6 +318,102 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReportCodecFuzz,
                          ::testing::Values(1ull, 20181031ull,
                                            0x9e3779b97f4a7c15ull));
 
+core::ScaledShardCensus random_census(util::Rng& rng) {
+  const auto u32 = [&rng] {
+    return static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffll));
+  };
+  core::ScaledShardCensus c;
+  c.provider = random_string(rng, 32);
+  c.vantage_points = u32();
+  c.hosts = u32();
+  c.clients = u32();
+  c.modeled_subscribers = u32();
+  c.address_fingerprint = rng.next();
+  return c;
+}
+
+// One to four byte flips, inserts, erases or truncations.
+std::string mutate(util::Rng& rng, std::string bytes) {
+  const int edits = static_cast<int>(rng.uniform_int(1, 4));
+  for (int e = 0; e < edits && !bytes.empty(); ++e) {
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        bytes[pos] = static_cast<char>(rng.uniform_int(0, 255));
+        break;
+      case 1:
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
+                     static_cast<char>(rng.uniform_int(0, 255)));
+        break;
+      case 2:
+        bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(pos));
+        break;
+      default:
+        bytes.resize(pos);
+        break;
+    }
+  }
+  return bytes;
+}
+
+// Streaming FNV-1a over length-prefixed chunks, so chunk boundaries count.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void byte(std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  void chunk(std::string_view s) {
+    for (int i = 0; i < 8; ++i)
+      byte(static_cast<std::uint8_t>(std::uint64_t{s.size()} >> (8 * i)));
+    for (const char c : s) byte(static_cast<std::uint8_t>(c));
+  }
+};
+
+// Golden wire pins for both codecs: the hash of every encoding of a seeded
+// random corpus, and the hash of (accepted?, re-encoded bytes) over mutated
+// copies of it. Any change to the bytes written or to what decoding accepts
+// moves a pin; a pin may only move together with a format-version bump.
+TEST(ReportCodec, EncodingsAndVerdictsArePinned) {
+  Fnv report_bytes, report_verdicts, census_bytes, census_verdicts;
+  int reports_accepted = 0, census_accepted = 0;
+  for (const std::uint64_t seed : {1ull, 20181031ull, 0x9e3779b97f4a7c15ull}) {
+    util::Rng rng(seed ^ 0x9111ull);
+    for (int i = 0; i < 80; ++i) {
+      const std::string valid =
+          core::encode_provider_report(random_report(rng));
+      report_bytes.chunk(valid);
+      for (int m = 0; m < 40; ++m) {
+        core::ProviderReport out;
+        const bool ok = core::decode_provider_report(mutate(rng, valid), &out);
+        report_verdicts.byte(ok ? 1 : 0);
+        reports_accepted += ok ? 1 : 0;
+        if (ok) report_verdicts.chunk(core::encode_provider_report(out));
+      }
+    }
+  }
+  util::Rng rng(0xce5505ull);
+  for (int i = 0; i < 800; ++i) {
+    const std::string valid = core::encode_shard_census(random_census(rng));
+    census_bytes.chunk(valid);
+    for (int m = 0; m < 4; ++m) {
+      core::ScaledShardCensus out;
+      const bool ok = core::decode_shard_census(mutate(rng, valid), &out);
+      census_verdicts.byte(ok ? 1 : 0);
+      census_accepted += ok ? 1 : 0;
+      if (ok) census_verdicts.chunk(core::encode_shard_census(out));
+    }
+  }
+  // Both verdicts occur often enough that the verdict pins mean something.
+  EXPECT_EQ(reports_accepted, 529);  // of 9600
+  EXPECT_EQ(census_accepted, 347);    // of 3200
+  EXPECT_EQ(report_bytes.h, 0x4c355f6a2a43e136ull);
+  EXPECT_EQ(report_verdicts.h, 0x81a58e289b344d33ull);
+  EXPECT_EQ(census_bytes.h, 0xec74b97ed0c854a0ull);
+  EXPECT_EQ(census_verdicts.h, 0x3f928090c3f56c69ull);
+}
+
 TEST(ReportCodec, VersionMismatchIsRejected) {
   core::ProviderReport report;
   report.provider = "X";
@@ -373,7 +469,14 @@ TEST(ReportCodec, RunnerOptionsFingerprintTracksPayloadAffectingOptions) {
   faults.fault_profile = faults::FaultProfile::kFlaky;
   auto speed = base;
   speed.speed_test = !base.speed_test;
-  for (const auto& changed : {vps, web, window, attempts, faults, speed})
+  auto client_model = base;
+  client_model.respect_client_model = !base.respect_client_model;
+  auto duration = base;
+  duration.speed_test_options.duration_s += 0.5;
+  auto packet = base;
+  packet.speed_test_options.packet_bytes += 100;
+  for (const auto& changed : {vps, web, window, attempts, faults, speed,
+                              client_model, duration, packet})
     EXPECT_NE(core::runner_options_fingerprint(changed), fp);
 }
 

@@ -325,10 +325,5 @@ TEST(Export, MergedMetricsFoldsAllShards) {
   EXPECT_EQ(merged_metrics(shards).counter("net.transact.ok"), 5u);
 }
 
-TEST(Export, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-  EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
-}
-
 }  // namespace
 }  // namespace vpna::obs

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <string>
+
+#include <sys/resource.h>
 
 #include "store/code_epoch.h"
 
@@ -156,6 +160,27 @@ TEST_F(ArtifactStoreTest, OverwriteReplacesAtomically) {
   // No orphaned temp files after successful puts.
   for (const auto& e : fs::directory_iterator(dir_))
     EXPECT_EQ(e.path().extension(), ".vpna") << e.path();
+}
+
+// A write the file system cuts short (here by the process's file-size
+// limit) must fail the put and leave nothing behind: the final flush is
+// checked before the rename, so a truncated file never becomes an artifact.
+TEST_F(ArtifactStoreTest, PutThatCannotFlushFailsAndLeavesNoArtifact) {
+  const auto s = make(store::CacheMode::kReadWrite);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit limited = saved;
+  limited.rlim_cur = std::min<rlim_t>(64, saved.rlim_max);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  const bool stored = s.put(test_key(), std::string(300, 'x'));
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_FALSE(stored);
+  EXPECT_EQ(s.fetch(test_key()).status, store::FetchStatus::kMiss);
+  for (const auto& e : fs::directory_iterator(dir_))
+    ADD_FAILURE() << "left behind: " << e.path();
 }
 
 TEST_F(ArtifactStoreTest, StrayTempFileDoesNotConfuseFetch) {

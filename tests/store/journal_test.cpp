@@ -173,16 +173,27 @@ TEST_F(JournalTest, ProviderNamesWithQuotesAndNewlinesRoundTrip) {
   store::JournalEntry odd = entry(3, "done");
   odd.provider = "Weird \"VPN\"\\co";
   odd.detail = "line one\nline two";
+  store::JournalEntry control = entry(4, "failed");
+  control.detail = "a\tb\rc\x01";
   {
     auto journal = store::CampaignJournal::open(path_, header(), true);
     journal->record(odd);
+    journal->record(control);
   }
   store::JournalHeader h;
   std::vector<store::JournalEntry> entries;
   ASSERT_TRUE(store::CampaignJournal::load(path_, &h, &entries));
-  ASSERT_EQ(entries.size(), 1u);
+  ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].provider, odd.provider);
   EXPECT_EQ(entries[0].detail, odd.detail);
+  EXPECT_EQ(entries[1].detail, control.detail);
+  // Every line is JSON: no raw control byte but the line-ending newline.
+  std::ifstream in(path_, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  for (const char c : bytes)
+    EXPECT_FALSE(static_cast<unsigned char>(c) < 0x20 && c != '\n')
+        << "raw control byte " << static_cast<int>(c);
 }
 
 TEST_F(JournalTest, OpenFailureReturnsNulloptNotAThrow) {

@@ -98,6 +98,12 @@ TEST(StartsEndsWith, Basics) {
   EXPECT_FALSE(contains("abcdef", "xyz"));
 }
 
+TEST(JsonEscape, HandlesSpecials) {
+  EXPECT_EQ(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+  EXPECT_EQ(json_escape("\r\t"), "\\r\\t");
+  EXPECT_EQ(json_escape(std::string_view("\x01\x1f", 2)), "\\u0001\\u001f");
+}
+
 TEST(Format, PrintfSemantics) {
   EXPECT_EQ(format("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(format("%.2f", 3.14159), "3.14");
