@@ -1,8 +1,12 @@
 #include "core/groundtruth.h"
 
 #include "dns/client.h"
+#include "ecosystem/testbed.h"
 #include "http/client.h"
+#include "obs/trace.h"
 #include "tlssim/handshake.h"
+#include "transport/policy.h"
+#include "util/rng.h"
 
 namespace vpna::core {
 
@@ -14,6 +18,20 @@ const std::string* GroundTruth::dom(std::string_view hostname) const {
 const std::string* GroundTruth::fingerprint(std::string_view hostname) const {
   const auto it = cert_fingerprints.find(std::string(hostname));
   return it == cert_fingerprints.end() ? nullptr : &it->second;
+}
+
+std::uint64_t GroundTruth::fingerprint() const {
+  std::string canon;
+  for (const auto* map : {&doms, &cert_fingerprints, &final_urls}) {
+    for (const auto& [key, value] : *map) {
+      canon += key;
+      canon.push_back('\x1f');
+      canon += value;
+      canon.push_back('\x1f');
+    }
+    canon.push_back('\x1e');
+  }
+  return util::fnv1a(canon);
 }
 
 GroundTruth collect_ground_truth(inet::World& world, netsim::Host& clean_host) {
@@ -28,8 +46,8 @@ GroundTruth collect_ground_truth(inet::World& world, netsim::Host& clean_host) {
       gt.final_urls[std::string(hostname)] = res.final_url.str();
     }
     if (collect_tls) {
-      const auto lookup = dns::resolve_system(world.network(), clean_host,
-                                              hostname, dns::RrType::kA);
+      const auto lookup = dns::resolve_browser(world.network(), clean_host,
+                                               hostname, dns::RrType::kA);
       if (lookup.ok() && !lookup.addresses.empty()) {
         const auto hs =
             tlssim::tls_handshake(world.network(), clean_host,
@@ -49,6 +67,22 @@ GroundTruth collect_ground_truth(inet::World& world, netsim::Host& clean_host) {
   record_site(inet::honeysite_plain(), false);
   record_site(inet::honeysite_ads(), false);
   return gt;
+}
+
+std::shared_ptr<const GroundTruth> shared_ground_truth() {
+  static const std::shared_ptr<const GroundTruth> truth = [] {
+    // Whichever shard touches it first must not trace or count its work,
+    // nor lend it the shard's fault-profile session policy; the profiler
+    // still records the one collection.
+    obs::ScopedObservation unobserved(nullptr, nullptr);
+    transport::ScopedSessionPolicy no_policy(nullptr);
+    obs::Span span("runner.ground_truth", "core");
+    auto tb = ecosystem::build_testbed_subset(
+        {}, 20181031, ecosystem::shared_backbone_plane());
+    return std::make_shared<const GroundTruth>(
+        collect_ground_truth(*tb.world, *tb.client));
+  }();
+  return truth;
 }
 
 }  // namespace vpna::core

@@ -4,7 +4,9 @@
 // certificate fingerprints, and the header-echo baseline.
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -22,11 +24,25 @@ struct GroundTruth {
 
   [[nodiscard]] const std::string* dom(std::string_view hostname) const;
   [[nodiscard]] const std::string* fingerprint(std::string_view hostname) const;
+
+  // FNV-1a over the three maps, in key order. A test pins it: a site or
+  // page change that moves it must bump store::kCodeEpoch, because the
+  // artifact cache key does not cover the ground truth.
+  [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
 // Fetches every DOM-test site, honeysite and TLS-scan host from
 // `clean_host` (a direct, non-VPN client) and records the pristine state.
 [[nodiscard]] GroundTruth collect_ground_truth(inet::World& world,
                                                netsim::Host& clean_host);
+
+// The process's one ground truth, as the paper collected one from one
+// clean vantage point. Collected on first use from the measurement VM of
+// a fault-free, provider-less world over inet::WorldBase::shared(), under
+// its own `runner.ground_truth` span and outside any shard's observation;
+// that world is then dropped and only the result is kept. Thread-safe;
+// never mutated once built. Drivers that fork workers touch it first so
+// the workers inherit it.
+[[nodiscard]] std::shared_ptr<const GroundTruth> shared_ground_truth();
 
 }  // namespace vpna::core

@@ -153,8 +153,8 @@ TlsTestResult run_tls_test(inet::World& world, netsim::Host& client,
 
     // Step 1: direct TLS negotiation + fingerprint comparison.
     if (https_available) {
-      const auto lookup = dns::resolve_system(world.network(), client,
-                                              hostname, dns::RrType::kA);
+      const auto lookup = dns::resolve_browser(world.network(), client,
+                                               hostname, dns::RrType::kA);
       if (lookup.ok() && !lookup.addresses.empty()) {
         const auto hs =
             tlssim::tls_handshake(world.network(), client,

@@ -106,6 +106,9 @@ struct ShardKind {
   std::function<std::string(const R&)> encode;
   std::function<bool(std::string_view, std::size_t, R*)> decode;
   std::function<R(std::size_t, ShardEnd)> placeholder;
+  // Builds the lazy process-wide state `compute` reads, so isolated workers
+  // inherit it instead of each building its own. Optional.
+  std::function<void()> before_fork;
 };
 
 // The shard-kind bits of one execution; everything else is the caller's
@@ -306,6 +309,7 @@ ShardRun<R> execute_shards(const ShardKind<R>& kind,
     std::vector<std::size_t> todo;
     for (std::size_t i = 0; i < n; ++i)
       if (!replay(i)) todo.push_back(i);
+    if (!todo.empty() && kind.before_fork) kind.before_fork();
     ExecutionOptions sup = opts;
     sup.jobs = exec.jobs;
     // Runs in the forked worker. The frame payload is the canonical
@@ -468,6 +472,7 @@ CampaignReport ParallelCampaign::run(const std::vector<std::string>& names,
   kind.encode = [](const CampaignShard& s) {
     return encode_provider_report(s.report);
   };
+  kind.before_fork = [] { (void)shared_ground_truth(); };
   kind.decode = [&](std::string_view bytes, std::size_t i, CampaignShard* s) {
     return decode_provider_report(bytes, &s->report) &&
            s->report.provider == selection[i];

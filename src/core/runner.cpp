@@ -42,12 +42,11 @@ bool ProviderReport::any_dom_modification() const {
 }
 
 TestRunner::TestRunner(ecosystem::Testbed& testbed, RunnerOptions options)
-    : testbed_(testbed), options_(options) {}
+    : testbed_(testbed),
+      options_(options),
+      truth_(std::make_shared<const GroundTruth>()) {}
 
-void TestRunner::collect_ground_truth() {
-  obs::Span span("runner.ground_truth", "core");
-  truth_ = core::collect_ground_truth(*testbed_.world, *testbed_.client);
-}
+void TestRunner::collect_ground_truth() { truth_ = shared_ground_truth(); }
 
 namespace {
 
@@ -141,10 +140,10 @@ VantagePointReport TestRunner::run_vantage_point(
   });
   if (options_.run_web_suites) {
     report.dom_collection = timed("test.dom_collection", [&] {
-      return run_dom_collection_test(world, client, truth_);
+      return run_dom_collection_test(world, client, *truth_);
     });
     report.tls =
-        timed("test.tls", [&] { return run_tls_test(world, client, truth_); });
+        timed("test.tls", [&] { return run_tls_test(world, client, *truth_); });
   }
   report.proxy = timed("test.proxy_detection", [&] {
     return run_proxy_detection_test(world, client);

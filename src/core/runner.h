@@ -123,10 +123,11 @@ class TestRunner {
  public:
   TestRunner(ecosystem::Testbed& testbed, RunnerOptions options = {});
 
-  // Collects ground truth from the clean client (call once, like the
-  // paper's periodic university-IP collection).
+  // Adopts the process's one ground truth (shared_ground_truth(),
+  // collected on first use from a clean client, like the paper's
+  // university-IP collection). Until then ground_truth() is empty.
   void collect_ground_truth();
-  [[nodiscard]] const GroundTruth& ground_truth() const { return truth_; }
+  [[nodiscard]] const GroundTruth& ground_truth() const { return *truth_; }
 
   // Runs the suite against every (selected) vantage point of a provider.
   [[nodiscard]] ProviderReport run_provider(
@@ -142,7 +143,7 @@ class TestRunner {
 
   ecosystem::Testbed& testbed_;
   RunnerOptions options_;
-  GroundTruth truth_;
+  std::shared_ptr<const GroundTruth> truth_;
   std::uint32_t next_session_ = 1;
 };
 

@@ -75,4 +75,25 @@ LookupResult resolve_system(netsim::Network& net, netsim::Host& host,
   return last;  // all servers failed (or none configured: not-attempted)
 }
 
+LookupResult resolve_browser(netsim::Network& net, netsim::Host& host,
+                             std::string_view name, RrType type,
+                             const transport::RetryPolicy& retry) {
+  auto& cache = host.host_cache();
+  const auto rr = static_cast<std::uint16_t>(type);
+  if (const auto* hit = cache.find(name, rr, net.clock().now())) {
+    obs::count("dns.host_cache_hits");
+    LookupResult out;
+    out.error = transport::Error::none();
+    out.rcode = Rcode::kNoError;
+    out.addresses = hit->addresses;
+    out.server = hit->server;
+    return out;
+  }
+  LookupResult out = resolve_system(net, host, name, type, retry);
+  if (out.ok() && !out.addresses.empty())
+    cache.put(name, {rr, out.addresses, out.server,
+                     net.clock().now() + kHostCacheLifetime});
+  return out;
+}
+
 }  // namespace vpna::dns

@@ -14,6 +14,7 @@
 #include "netsim/network.h"
 #include "transport/error.h"
 #include "transport/flow.h"
+#include "util/clock.h"
 
 namespace vpna::dns {
 
@@ -39,7 +40,24 @@ struct LookupResult {
 
 // Resolves through the host's configured DNS servers, in order, returning
 // the first answer that came back intact (mirrors the OS stub resolver).
+// Uncached: every call puts queries on the wire, which is what the leak,
+// DNS-manipulation, recursive-origin and WebRTC probes need.
 [[nodiscard]] LookupResult resolve_system(
+    netsim::Network& net, netsim::Host& host, std::string_view name,
+    RrType type, const transport::RetryPolicy& retry = {});
+
+// How long the browser keeps a system-resolver answer: Chrome's host-cache
+// lifetime for results that carry no TTL of their own.
+inline constexpr util::SimTime kHostCacheLifetime =
+    util::SimTime::from_seconds(60);
+
+// The browser's lookup: an unexpired answer in the host's HostCache is
+// returned without a packet; otherwise resolve_system, and an answer with
+// addresses is kept kHostCacheLifetime. Failures are never cached, so a
+// faulted lookup is retried on the wire next time. Page loads
+// (http::HttpClient without a resolver override), the TLS probe and
+// ground-truth collection resolve here.
+[[nodiscard]] LookupResult resolve_browser(
     netsim::Network& net, netsim::Host& host, std::string_view name,
     RrType type, const transport::RetryPolicy& retry = {});
 

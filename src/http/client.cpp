@@ -23,9 +23,10 @@ std::optional<ExchangeRecord> HttpClient::exchange(const Url& url,
                                                    const FetchOptions& opts,
                                                    transport::Error& error,
                                                    std::string& body) {
-  // Resolve the hostname (IP literals pass through). The full candidate
-  // list is kept: the record carries it for the analysis layer, and the
-  // flow walks it when address fallback is enabled.
+  // Resolve the hostname (IP literals pass through) through the host's
+  // browser cache, unless the caller named its own resolver. The full
+  // candidate list is kept: the record carries it for the analysis layer,
+  // and the flow walks it when address fallback is enabled.
   std::vector<netsim::IpAddr> candidates;
   if (const auto literal = netsim::IpAddr::parse(url.host)) {
     candidates = {*literal};
@@ -34,8 +35,8 @@ std::optional<ExchangeRecord> HttpClient::exchange(const Url& url,
         opts.resolver
             ? dns::query(net_, host_, *opts.resolver, url.host, dns::RrType::kA,
                          opts.retry)
-            : dns::resolve_system(net_, host_, url.host, dns::RrType::kA,
-                                  opts.retry);
+            : dns::resolve_browser(net_, host_, url.host, dns::RrType::kA,
+                                   opts.retry);
     if (!lookup.ok() || lookup.addresses.empty()) {
       error = transport::Error::resolve(lookup.error);
       return std::nullopt;

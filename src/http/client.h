@@ -1,8 +1,8 @@
-// Browser-style HTTP client: resolves names through the host's configured
-// DNS, opens (simulated) TCP/TLS connections, follows redirect chains, and
-// records a structured log of every request/response pair — the raw
-// material for the DOM-collection, redirect-classification and
-// TLS-downgrade tests.
+// Browser-style HTTP client: resolves names through the host's browser
+// cache over its configured DNS (dns::resolve_browser), opens (simulated)
+// TCP/TLS connections, follows redirect chains, and records a structured
+// log of every request/response pair — the raw material for the
+// DOM-collection, redirect-classification and TLS-downgrade tests.
 #pragma once
 
 #include <optional>
@@ -23,7 +23,8 @@ struct FetchOptions {
   // Extra headers attached to every request (the measurement suite sends a
   // distinctive, stable header set so proxy rewrites are observable).
   std::vector<Header> headers;
-  // Override the resolver (nullopt = host's system DNS configuration).
+  // Override the resolver (nullopt = host's system DNS configuration,
+  // through its browser host cache). An override is never cached.
   std::optional<netsim::IpAddr> resolver;
   // Transport policy. Defaults (single attempt, first address only) keep
   // the wire traffic identical to the pre-transport client.

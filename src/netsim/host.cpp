@@ -5,6 +5,19 @@
 
 namespace vpna::netsim {
 
+const HostCache::Entry* HostCache::find(std::string_view name,
+                                        std::uint16_t type,
+                                        util::SimTime now) const {
+  const auto it = entries_.find(name);
+  if (it == entries_.end()) return nullptr;
+  const Entry& entry = it->second;
+  return entry.type == type && now < entry.expires ? &entry : nullptr;
+}
+
+void HostCache::put(std::string_view name, Entry entry) {
+  entries_.insert_or_assign(std::string(name), std::move(entry));
+}
+
 Host::Host(std::string name) : name_(std::move(name)) {
   Interface lo;
   lo.name = "lo";
@@ -21,12 +34,14 @@ Interface& Host::add_interface(std::string name, std::optional<IpAddr> addr4,
   iface.addr4 = addr4;
   iface.addr6 = addr6;
   interfaces_.push_back(std::move(iface));
+  ++config_generation_;
   return interfaces_.back();
 }
 
 void Host::remove_interface(std::string_view name) {
   std::erase_if(interfaces_,
                 [&](const Interface& i) { return i.name == name; });
+  ++config_generation_;
   if (tunnel_interface_ == name) clear_tunnel_hook();
 }
 
@@ -83,11 +98,25 @@ Service* Host::find_service(Proto proto, std::uint16_t port) const {
 void Host::set_tunnel_hook(std::string tun_interface, TunnelEncapHook hook) {
   tunnel_interface_ = std::move(tun_interface);
   tunnel_hook_ = std::move(hook);
+  ++config_generation_;
 }
 
 void Host::clear_tunnel_hook() noexcept {
   tunnel_interface_.clear();
   tunnel_hook_ = nullptr;
+  ++config_generation_;
+}
+
+HostCache& Host::host_cache() {
+  if (!host_cache_) host_cache_ = std::make_unique<HostCache>();
+  HostCache& cache = *host_cache_;
+  if (cache.config_generation_ != config_generation() ||
+      cache.resolvers_ != dns_servers_) {
+    cache.entries_.clear();
+    cache.config_generation_ = config_generation();
+    cache.resolvers_ = dns_servers_;
+  }
+  return cache;
 }
 
 std::uint16_t Host::next_ephemeral_port() noexcept {

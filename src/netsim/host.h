@@ -7,15 +7,18 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netsim/capture.h"
 #include "netsim/firewall.h"
 #include "netsim/packet.h"
 #include "netsim/routing.h"
+#include "util/clock.h"
 
 namespace vpna::netsim {
 
@@ -67,6 +70,36 @@ struct Interface {
 // physical interface, or nullopt to drop it (e.g. tunnel down and failing
 // closed).
 using TunnelEncapHook = std::function<std::optional<Packet>(Packet&& inner)>;
+
+// The browser's host cache (Chrome's HostCache): addresses the system
+// resolver returned, by name, each kept until `expires` in sim time. An
+// entry answers only lookups of its own record type; a name holds one type
+// at a time (browsing asks for A only). Host::host_cache() empties it
+// before handing it out whenever the host's resolvers, routes, interfaces
+// or tunnel changed since its last use, so no caller ever flushes it.
+// dns::resolve_browser reads and writes it; nothing else does.
+class HostCache {
+ public:
+  struct Entry {
+    std::uint16_t type = 0;  // the record type answered
+    std::vector<IpAddr> addresses;
+    IpAddr server;  // the resolver that answered
+    util::SimTime expires;
+  };
+
+  // The entry for (name, type), or null when absent or expired at `now`.
+  [[nodiscard]] const Entry* find(std::string_view name, std::uint16_t type,
+                                  util::SimTime now) const;
+  void put(std::string_view name, Entry entry);
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+
+ private:
+  friend class Host;
+  std::map<std::string, Entry, std::less<>> entries_;
+  // The host configuration the entries were resolved under.
+  std::uint64_t config_generation_ = 0;
+  std::vector<IpAddr> resolvers_;
+};
 
 class Host {
  public:
@@ -135,6 +168,15 @@ class Host {
     return capture_;
   }
 
+  // --- browser host cache ----------------------------------------------------
+  // Changes whenever an interface, a route or the tunnel hook does.
+  [[nodiscard]] std::uint64_t config_generation() const noexcept {
+    return config_generation_ + routes_.generation();
+  }
+  // This host's browser cache, created on first use and emptied first if
+  // the resolver list or config_generation() moved since it was filled.
+  [[nodiscard]] HostCache& host_cache();
+
   // Next ephemeral source port (wraps within the dynamic range).
   [[nodiscard]] std::uint16_t next_ephemeral_port() noexcept;
 
@@ -161,6 +203,9 @@ class Host {
   std::string tunnel_interface_;
   TunnelEncapHook tunnel_hook_;
   CaptureBuffer capture_;
+  std::uint64_t config_generation_ = 0;
+  // Only browsing hosts ever hold one.
+  std::unique_ptr<HostCache> host_cache_;
   std::uint16_t ephemeral_ = 49152;
 };
 

@@ -31,12 +31,14 @@ void RouteTable::rebuild_index() {
 }
 
 void RouteTable::add(Route route) {
+  ++generation_;
   routes_.push_back(std::move(route));
   index_route(static_cast<std::uint32_t>(routes_.size() - 1));
 }
 
 std::size_t RouteTable::remove(const Cidr& prefix,
                                std::string_view interface_name) {
+  ++generation_;
   const auto before = routes_.size();
   std::erase_if(routes_, [&](const Route& r) {
     return r.prefix == prefix && r.interface_name == interface_name;
@@ -46,6 +48,7 @@ std::size_t RouteTable::remove(const Cidr& prefix,
 }
 
 std::size_t RouteTable::remove_interface(std::string_view interface_name) {
+  ++generation_;
   const auto before = routes_.size();
   std::erase_if(routes_, [&](const Route& r) {
     return r.interface_name == interface_name;

@@ -61,6 +61,11 @@ class RouteTable {
     return routes_;
   }
 
+  // Counts add/remove calls: any change to the table changes it.
+  [[nodiscard]] std::uint64_t generation() const noexcept {
+    return generation_;
+  }
+
   // Human-readable dump, one route per line (used by the metadata
   // collection test, mirroring `netstat -rn`).
   [[nodiscard]] std::string dump() const;
@@ -82,6 +87,7 @@ class RouteTable {
   }
 
   std::vector<Route> routes_;
+  std::uint64_t generation_ = 0;
   // Sorted descending by prefix_len so lookup probes longest-first.
   std::vector<Bucket> buckets4_;
   std::vector<Bucket> buckets6_;

@@ -158,10 +158,18 @@ ProfileReport Profiler::report(std::size_t flame_top_n) const {
       for (const auto& node : tp->nodes) {
         if (node.stats.calls == 0) continue;
         active = true;
-        phases[node.name].fold(node.stats);
+        // A frame nested in a same-name frame (a tunnelled net.transact
+        // inside its outer one) already counts in the outer total.
+        bool nested = false;
         std::string path = node.name;
-        for (auto up = node.parent; up != 0; up = tp->nodes[up].parent)
+        for (auto up = node.parent; up != 0; up = tp->nodes[up].parent) {
+          nested = nested || tp->nodes[up].name == node.name;
           path = tp->nodes[up].name + ";" + path;
+        }
+        PhaseStats& phase = phases[node.name];
+        phase.calls += node.stats.calls;
+        phase.self_ns += node.stats.self_ns;
+        if (!nested) phase.total_ns += node.stats.total_ns;
         paths[path].fold(node.stats);
       }
       if (active) ++active_threads;

@@ -35,7 +35,9 @@ namespace vpna::obs {
 // Accumulated wall time of one phase (or one stack path).
 struct PhaseStats {
   std::uint64_t calls = 0;
-  std::int64_t total_ns = 0;  // inclusive of enclosed phases
+  // Inclusive of enclosed phases. A phase row counts only its outermost
+  // frames here, so a frame nested in a same-name one is not counted twice.
+  std::int64_t total_ns = 0;
   std::int64_t self_ns = 0;   // exclusive
 
   void fold(const PhaseStats& o) noexcept {

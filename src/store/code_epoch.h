@@ -28,6 +28,6 @@
 
 namespace vpna::store {
 
-inline constexpr std::uint32_t kCodeEpoch = 1;
+inline constexpr std::uint32_t kCodeEpoch = 2;
 
 }  // namespace vpna::store

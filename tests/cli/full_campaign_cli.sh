@@ -122,6 +122,21 @@ row paper-resume-refused 2 "$BIN" "$ROOT/paper-isolate/out" --resume \
     --faults flaky
 has err.txt "--resume refused"
 
+# One ground truth per process, collected only when a shard is computed:
+# once for a cold pooled run, never for an all-hits replay, and once in the
+# supervisor of an isolated run (its forked workers inherit it).
+row paper-ground-truth-cold 0 "$BIN" out --jobs 4 --cache-dir store \
+    --profile prof.txt
+has prof.txt "phase runner.ground_truth calls=1 "
+row paper-ground-truth-warm 0 "$BIN" out --jobs 4 \
+    --cache-dir "$ROOT/paper-ground-truth-cold/store" --profile prof.txt
+has out/run_manifest.json '"hits": 62,'
+wrote prof.txt
+lacks prof.txt "runner.ground_truth"
+row paper-ground-truth-isolated 0 "$BIN" out --jobs 2 --isolate \
+    --profile prof.txt
+has prof.txt "phase runner.ground_truth calls=1 "
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures check(s) failed"
   exit 1

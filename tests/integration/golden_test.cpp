@@ -40,6 +40,11 @@ struct GoldenPins {
 constexpr GoldenPins kPins[] = {
     {1, 0xb18430c525c24657ULL, 0x1cf6b988474a247fULL, 0x19b44b1041db4ce3ULL,
      0xe0c02b2419058d44ULL, 0x3e94b5ce50f4b79fULL, 0x8469ef0c9b7c6b7bULL},
+    // One ground truth per process and the browser host cache: the payload
+    // holds; the traced shard no longer records its own ground-truth
+    // collection, and its page loads make fewer DNS queries.
+    {2, 0xb18430c525c24657ULL, 0x1cf6b988474a247fULL, 0x19b44b1041db4ce3ULL,
+     0xe0c02b2419058d44ULL, 0x70eff9a50c7ec3beULL, 0x1e35788d0c1bb84fULL},
 };
 
 constexpr const char* kTracedProvider = "NordVPN";

@@ -94,6 +94,34 @@ TEST_F(ProfilerTest, SelfPlusChildrenEqualsTotalExactly) {
   EXPECT_GE(outer->stats.total_ns, inner->stats.total_ns);
 }
 
+// A tunnelled net.transact opens a second net.transact frame inside the
+// first: the phase's total is the outer frame's duration, not the sum of
+// both, while calls and self time still count every frame.
+TEST_F(ProfilerTest, NestedSameNameFramesCountTheirTotalOnce) {
+  Profiler::enable();
+  {
+    Span outer("pt.same", "pt");
+    busy_wait_us(200);
+    {
+      Span mid("pt.between", "pt");
+      Span inner("pt.same", "pt");
+      busy_wait_us(300);
+    }
+    busy_wait_us(100);
+  }
+  const auto report = Profiler::instance().report(/*flame_top_n=*/100);
+  const auto* phase = find_phase(report, "pt.same");
+  const auto* outer = find_path(report, "pt.same");
+  const auto* inner = find_path(report, "pt.same;pt.between;pt.same");
+  ASSERT_NE(phase, nullptr);
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(phase->stats.calls, 2u);
+  EXPECT_EQ(phase->stats.total_ns, outer->stats.total_ns);
+  EXPECT_EQ(phase->stats.self_ns, outer->stats.self_ns + inner->stats.self_ns);
+  EXPECT_GT(inner->stats.total_ns, 0);
+}
+
 TEST_F(ProfilerTest, OutOfOrderEndsAttributeExactlyAndBalanceTheStack) {
   Profiler::enable();
   {
