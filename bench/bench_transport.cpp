@@ -3,8 +3,8 @@
 // Measures the cost of routing every protocol client through
 // `transport::Flow` instead of hand-rolled `Network::transact` calls —
 // flow-vs-raw exchange throughput on the same two-router topology — plus
-// the price of the (default-off) retry and address-fallback machinery when
-// it is actually engaged. The acceptance bar for the refactor is that the
+// the price of the retry and address-fallback machinery when a session
+// policy engages it. The acceptance bar for the refactor is that the
 // default single-shot Flow path stays within noise of raw transact.
 #include <chrono>
 #include <cstdio>
@@ -15,6 +15,7 @@
 #include "bench_common.h"
 #include "netsim/network.h"
 #include "transport/flow.h"
+#include "transport/policy.h"
 #include "util/rng.h"
 
 using namespace vpna;
@@ -101,10 +102,11 @@ double bench_flow(World& w) {
 double bench_flow_retry(World& w) {
   // Worst-case engaged machinery: dead primary, live fallback, 2 attempts
   // with virtual-time backoff. Twice the transactions plus policy logic.
-  transport::FlowOptions opts;
-  opts.retry.max_attempts = 2;
-  opts.retry.initial_backoff_ms = 50.0;
-  opts.address_fallback = true;
+  transport::SessionPolicy policy;
+  policy.retry.max_attempts = 2;
+  policy.retry.initial_backoff_ms = 50.0;
+  policy.address_fallback = true;
+  transport::ScopedSessionPolicy scope(&policy);
   double best = 1e18;
   for (int r = 0; r < kRounds; ++r) {
     const auto t0 = Clock::now();
@@ -112,7 +114,7 @@ double bench_flow_retry(World& w) {
       transport::Flow flow(w.net, w.client, netsim::Proto::kUdp,
                            std::vector<netsim::IpAddr>{w.dead_addr,
                                                        w.server_addr},
-                           kPort, opts);
+                           kPort);
       (void)flow.exchange("ping");
     }
     best = std::min(best, ms_since(t0));

@@ -10,8 +10,9 @@
 //                   [--isolate] [--resume] [--max-shard-retries N]
 //
 // Default output-dir is the current directory. --jobs selects the parallel
-// campaign engine's worker count (0 = hardware concurrency, 1 = serial);
-// results are byte-identical at any worker count for the same seed.
+// campaign engine's worker count (0 = hardware concurrency, 1 = serial, at
+// most 1024); results are byte-identical at any worker count for the same
+// seed.
 //
 // --faults selects a deterministic fault-injection profile (off, flaky,
 // hostile; default off). Fault schedules are seeded per shard, so payloads
@@ -102,16 +103,19 @@
 // Exit-code taxonomy:
 //   0   completed; payload trustworthy (incl. graceful fault degradation)
 //   1   hard shard failure (no fault profile; shard exhausted attempts)
-//   2   usage error (incl. a flag the chosen catalog cannot apply, and a
+//   2   usage error (incl. a numeric flag value that is not a whole,
+//       in-range number, a flag the chosen catalog cannot apply, and a
 //       refused --resume)
 //   3   completed, but >=1 shard crash-quarantined under --isolate
 //   130 interrupted (SIGINT/SIGTERM)
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 
@@ -139,6 +143,41 @@ int usage() {
                "[--cache off|rw|ro] [--explain-cache] [--isolate] "
                "[--resume] [--max-shard-retries N]\n");
   return 2;
+}
+
+// Upper bounds of the numeric flags: a larger --jobs would start that many
+// threads, a larger --scale catalog would not fit in memory.
+constexpr std::size_t kMaxJobs = 1024;
+constexpr std::size_t kMaxScale = 1'000'000;
+constexpr int kMaxShardRetries = 100;
+
+// The whole of `text` as one number of type T, or nullopt: a sign the type
+// cannot hold ("-1" for a count), trailing junk ("4x"), no digits ("abc")
+// and overflow are all refused rather than read as a prefix or wrapped.
+template <typename T>
+std::optional<T> parse_number(const char* text) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+// Reads a count flag's value into `out` when it is a whole number in
+// [lo, hi]; otherwise prints the reason, and the caller exits 2 before
+// anything is written.
+template <typename T>
+bool parse_count(const char* flag, const char* text, T lo, T hi, T& out) {
+  const auto value = parse_number<T>(text);
+  if (value && *value >= lo && *value <= hi) {
+    out = *value;
+    return true;
+  }
+  std::fprintf(stderr,
+               "error: %s takes a whole number from %s to %s, not '%s'\n",
+               flag, std::to_string(lo).c_str(), std::to_string(hi).c_str(),
+               text);
+  return false;
 }
 
 // Cooperative interrupt: the supervisor polls this flag between events,
@@ -309,16 +348,18 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0) {
       if (i + 1 >= argc) return usage();
-      exec.jobs = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!parse_count("--jobs", argv[++i], std::size_t{0}, kMaxJobs,
+                       exec.jobs))
+        return 2;
     } else if (std::strcmp(argv[i], "--scale") == 0) {
       if (i + 1 >= argc) return usage();
-      scale = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (scale == 0) return usage();
+      if (!parse_count("--scale", argv[++i], std::size_t{1}, kMaxScale, scale))
+        return 2;
     } else if (std::strcmp(argv[i], "--subscribers") == 0) {
       if (i + 1 >= argc) return usage();
-      subscribers =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (subscribers == 0) return usage();
+      if (!parse_count("--subscribers", argv[++i], std::uint32_t{1},
+                       std::numeric_limits<std::uint32_t>::max(), subscribers))
+        return 2;
     } else if (std::strcmp(argv[i], "--faults") == 0) {
       if (i + 1 >= argc) return usage();
       const auto parsed = faults::parse_profile(argv[++i]);
@@ -339,8 +380,15 @@ int main(int argc, char** argv) {
       exec.status.file = argv[++i];
     } else if (std::strcmp(argv[i], "--watchdog") == 0) {
       if (i + 1 >= argc) return usage();
-      exec.status.watchdog_multiple = std::strtod(argv[++i], nullptr);
-      if (exec.status.watchdog_multiple <= 0.0) return usage();
+      const char* text = argv[++i];
+      const auto multiple = parse_number<double>(text);
+      if (!multiple || !std::isfinite(*multiple) || *multiple <= 0.0) {
+        std::fprintf(stderr,
+                     "error: --watchdog takes a positive number, not '%s'\n",
+                     text);
+        return 2;
+      }
+      exec.status.watchdog_multiple = *multiple;
     } else if (std::strcmp(argv[i], "--profile") == 0) {
       if (i + 1 >= argc) return usage();
       profile_path = argv[++i];
@@ -359,9 +407,11 @@ int main(int argc, char** argv) {
       exec.resume = true;
     } else if (std::strcmp(argv[i], "--max-shard-retries") == 0) {
       if (i + 1 >= argc) return usage();
-      const long retries = std::strtol(argv[++i], nullptr, 10);
-      if (retries < 0) return usage();
-      exec.shard_attempts = static_cast<int>(retries) + 1;
+      int retries = 0;
+      if (!parse_count("--max-shard-retries", argv[++i], 0, kMaxShardRetries,
+                       retries))
+        return 2;
+      exec.shard_attempts = retries + 1;
     } else if (argv[i][0] == '-') {
       return usage();
     } else {

@@ -124,10 +124,10 @@ TunnelFailureResult run_tunnel_failure_test(inet::World& world,
   while (world.clock().now() < t_end) {
     vpn_client.tick();
     for (const auto& dst : probes) {
-      transport::FlowOptions fopts;
-      fopts.timeout_ms = 500.0;
+      netsim::TransactOptions topts;
+      topts.timeout_ms = 500.0;
       transport::Flow probe(world.network(), client, netsim::Proto::kIcmpEcho,
-                            dst, 0, fopts);
+                            dst, 0, topts);
       const auto res = probe.exchange({});
       ++out.probes_sent;
       if (res.ok() && !res.via_tunnel) ++out.probes_escaped_clear;

@@ -254,8 +254,8 @@ ProviderReport run_shard_body(const std::string& name,
                               const RunnerOptions& options,
                               ecosystem::Testbed& shard) {
   // Fault profiles arm transport-level resilience for the whole shard:
-  // every flow that didn't pick its own retry/fallback settings adopts the
-  // profile's. kOff installs nothing (session_policy_for returns nullptr).
+  // every flow the shard builds adopts the profile's retry/fallback policy.
+  // kOff installs nothing (session_policy_for returns nullptr).
   transport::ScopedSessionPolicy session_policy(
       faults::session_policy_for(options.fault_profile));
   // Degradation records attribute give-ups to injected faults via the

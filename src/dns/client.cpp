@@ -1,12 +1,13 @@
 #include "dns/client.h"
 
 #include "obs/trace.h"
+#include "transport/flow.h"
 
 namespace vpna::dns {
 
 LookupResult query(netsim::Network& net, netsim::Host& host,
                    const netsim::IpAddr& server, std::string_view name,
-                   RrType type, const transport::RetryPolicy& retry) {
+                   RrType type) {
   obs::Span span("dns.query", "dns");
   if (span) {
     span.arg("name", name);
@@ -21,10 +22,8 @@ LookupResult query(netsim::Network& net, netsim::Host& host,
   q.type = type;
   q.name = canonical_name(name);
 
-  transport::FlowOptions fopts;
-  fopts.retry = retry;
   transport::Flow flow(net, host, netsim::Proto::kUdp, server,
-                       netsim::kPortDns, fopts);
+                       netsim::kPortDns);
   const auto result = flow.exchange(q.encode());
   out.error = result.error;
   out.rtt_ms = result.rtt_ms;
@@ -63,11 +62,10 @@ LookupResult query(netsim::Network& net, netsim::Host& host,
 }
 
 LookupResult resolve_system(netsim::Network& net, netsim::Host& host,
-                            std::string_view name, RrType type,
-                            const transport::RetryPolicy& retry) {
+                            std::string_view name, RrType type) {
   LookupResult last;
   for (const auto& server : host.dns_servers()) {
-    last = query(net, host, server, name, type, retry);
+    last = query(net, host, server, name, type);
     // An intact answer — even NXDOMAIN — ends the walk; transport and
     // parse failures mean the next configured server might still help.
     if (last.error.answered()) return last;
@@ -76,8 +74,7 @@ LookupResult resolve_system(netsim::Network& net, netsim::Host& host,
 }
 
 LookupResult resolve_browser(netsim::Network& net, netsim::Host& host,
-                             std::string_view name, RrType type,
-                             const transport::RetryPolicy& retry) {
+                             std::string_view name, RrType type) {
   auto& cache = host.host_cache();
   const auto rr = static_cast<std::uint16_t>(type);
   if (const auto* hit = cache.find(name, rr, net.clock().now())) {
@@ -89,7 +86,7 @@ LookupResult resolve_browser(netsim::Network& net, netsim::Host& host,
     out.server = hit->server;
     return out;
   }
-  LookupResult out = resolve_system(net, host, name, type, retry);
+  LookupResult out = resolve_system(net, host, name, type);
   if (out.ok() && !out.addresses.empty())
     cache.put(name, {rr, out.addresses, out.server,
                      net.clock().now() + kHostCacheLifetime});

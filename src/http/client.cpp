@@ -2,6 +2,7 @@
 
 #include "dns/client.h"
 #include "obs/trace.h"
+#include "transport/flow.h"
 
 namespace vpna::http {
 
@@ -24,19 +25,14 @@ std::optional<ExchangeRecord> HttpClient::exchange(const Url& url,
                                                    transport::Error& error,
                                                    std::string& body) {
   // Resolve the hostname (IP literals pass through) through the host's
-  // browser cache, unless the caller named its own resolver. The full
-  // candidate list is kept: the record carries it for the analysis layer,
-  // and the flow walks it when address fallback is enabled.
+  // browser cache. The full candidate list goes to the flow, which walks
+  // it when the session policy enables address fallback.
   std::vector<netsim::IpAddr> candidates;
   if (const auto literal = netsim::IpAddr::parse(url.host)) {
     candidates = {*literal};
   } else {
     dns::LookupResult lookup =
-        opts.resolver
-            ? dns::query(net_, host_, *opts.resolver, url.host, dns::RrType::kA,
-                         opts.retry)
-            : dns::resolve_browser(net_, host_, url.host, dns::RrType::kA,
-                                   opts.retry);
+        dns::resolve_browser(net_, host_, url.host, dns::RrType::kA);
     if (!lookup.ok() || lookup.addresses.empty()) {
       error = transport::Error::resolve(lookup.error);
       return std::nullopt;
@@ -49,13 +45,11 @@ std::optional<ExchangeRecord> HttpClient::exchange(const Url& url,
       "GET", url.host, url.path,
       opts.headers.empty() ? default_headers() : opts.headers, {});
 
-  transport::FlowOptions fopts;
+  netsim::TransactOptions topts;
   // TCP handshake = 1 extra RTT; TLS adds 2 more.
-  fopts.extra_round_trips = url.scheme == "https" ? 3 : 1;
-  fopts.retry = opts.retry;
-  fopts.address_fallback = opts.address_fallback;
+  topts.extra_round_trips = url.scheme == "https" ? 3 : 1;
   transport::Flow flow(net_, host_, netsim::Proto::kTcp, candidates,
-                       url.effective_port(), fopts);
+                       url.effective_port(), topts);
   const auto result = flow.exchange(request_bytes);
   if (!result.ok()) {
     error = result.error;
@@ -73,7 +67,6 @@ std::optional<ExchangeRecord> HttpClient::exchange(const Url& url,
   rec.status = resp->status;
   rec.response_headers = std::move(resp->headers);
   rec.server_addr = result.remote;
-  rec.candidate_addrs = std::move(candidates);
   rec.rtt_ms = result.rtt_ms;
   body = std::move(resp->body);
   return rec;

@@ -14,7 +14,6 @@
 #include "netsim/host.h"
 #include "netsim/network.h"
 #include "transport/error.h"
-#include "transport/flow.h"
 
 namespace vpna::http {
 
@@ -23,13 +22,6 @@ struct FetchOptions {
   // Extra headers attached to every request (the measurement suite sends a
   // distinctive, stable header set so proxy rewrites are observable).
   std::vector<Header> headers;
-  // Override the resolver (nullopt = host's system DNS configuration,
-  // through its browser host cache). An override is never cached.
-  std::optional<netsim::IpAddr> resolver;
-  // Transport policy. Defaults (single attempt, first address only) keep
-  // the wire traffic identical to the pre-transport client.
-  transport::RetryPolicy retry;
-  bool address_fallback = false;
 };
 
 // One request/response exchange within a fetch. The response body is not
@@ -40,10 +32,6 @@ struct ExchangeRecord {
   int status = 0;
   std::vector<Header> response_headers;
   netsim::IpAddr server_addr;       // address actually contacted
-  // Every address the lookup offered, in resolver order (the analysis
-  // layer correlates these against egress observations even though only
-  // the front is contacted unless address_fallback is on).
-  std::vector<netsim::IpAddr> candidate_addrs;
   double rtt_ms = 0.0;
 };
 

@@ -85,25 +85,6 @@ std::string chrome_trace_json(const std::vector<ShardTrace>& shards) {
   return out;
 }
 
-std::string trace_jsonl(const std::vector<ShardTrace>& shards) {
-  std::string out;
-  for (const auto& ref : canonical_order(shards)) {
-    const TraceEvent& ev = *ref.ev;
-    out += util::format(
-        "{\"shard\":\"%s\",\"id\":%u,\"parent\":%u,\"depth\":%u,"
-        "\"ph\":\"%c\",\"name\":\"%s\",\"cat\":\"%s\",\"ts_us\":%lld,"
-        "\"dur_us\":%lld,\"args\":",
-        util::json_escape(shards[ref.shard].shard).c_str(), ev.id, ev.parent,
-        ev.depth, ev.phase, util::json_escape(ev.name).c_str(),
-        util::json_escape(ev.category).c_str(),
-        static_cast<long long>(ev.sim_ts_us),
-        static_cast<long long>(ev.sim_dur_us < 0 ? 0 : ev.sim_dur_us));
-    append_args_object(out, ev);
-    out += "}\n";
-  }
-  return out;
-}
-
 MetricsRegistry merged_metrics(const std::vector<ShardTrace>& shards) {
   MetricsRegistry merged;
   for (const auto& s : shards) merged.merge(s.metrics);

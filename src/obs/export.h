@@ -33,9 +33,6 @@ struct ShardTrace {
 [[nodiscard]] std::string chrome_trace_json(
     const std::vector<ShardTrace>& shards);
 
-// One JSON object per line per event — grep/jq-friendly log form.
-[[nodiscard]] std::string trace_jsonl(const std::vector<ShardTrace>& shards);
-
 // Merges every shard's metrics (canonical order) into one registry.
 [[nodiscard]] MetricsRegistry merged_metrics(
     const std::vector<ShardTrace>& shards);

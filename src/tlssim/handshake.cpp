@@ -1,6 +1,7 @@
 #include "tlssim/handshake.h"
 
 #include "obs/trace.h"
+#include "transport/flow.h"
 #include "util/strings.h"
 
 namespace vpna::tlssim {
@@ -31,8 +32,8 @@ std::optional<CertChain> decode_server_hello(std::string_view payload) {
 
 HandshakeResult tls_handshake(netsim::Network& net, netsim::Host& client,
                               const netsim::IpAddr& server,
-                              std::string_view hostname, const CaStore& store,
-                              const transport::RetryPolicy& retry) {
+                              std::string_view hostname,
+                              const CaStore& store) {
   obs::Span span("tls.handshake", "tls");
   if (span) {
     span.arg("sni", hostname);
@@ -42,11 +43,10 @@ HandshakeResult tls_handshake(netsim::Network& net, netsim::Host& client,
 
   HandshakeResult out;
 
-  transport::FlowOptions fopts;
-  fopts.extra_round_trips = 2;  // TCP SYN + TLS flights
-  fopts.retry = retry;
+  netsim::TransactOptions topts;
+  topts.extra_round_trips = 2;  // TCP SYN + TLS flights
   transport::Flow flow(net, client, netsim::Proto::kTcp, server,
-                       netsim::kPortHttps, fopts);
+                       netsim::kPortHttps, topts);
   const auto result = flow.exchange(encode_client_hello(hostname));
   out.error = result.error;
   out.rtt_ms = result.rtt_ms;

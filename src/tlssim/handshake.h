@@ -13,7 +13,6 @@
 #include "netsim/network.h"
 #include "tlssim/cert.h"
 #include "transport/error.h"
-#include "transport/flow.h"
 
 namespace vpna::tlssim {
 
@@ -40,12 +39,13 @@ struct HandshakeResult {
 };
 
 // Performs a handshake with `server` for SNI `hostname` and validates the
-// presented chain against `store`. `retry` defaults to a single attempt
-// (byte-identical to the pre-transport handshake).
-[[nodiscard]] HandshakeResult tls_handshake(
-    netsim::Network& net, netsim::Host& client, const netsim::IpAddr& server,
-    std::string_view hostname, const CaStore& store,
-    const transport::RetryPolicy& retry = {});
+// presented chain against `store`, retrying under the thread's session
+// policy.
+[[nodiscard]] HandshakeResult tls_handshake(netsim::Network& net,
+                                            netsim::Host& client,
+                                            const netsim::IpAddr& server,
+                                            std::string_view hostname,
+                                            const CaStore& store);
 
 // Server-side port-443 service: answers ClientHello with the chain for the
 // requested SNI and delegates anything else (application data) to `app`.

@@ -3,48 +3,40 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "transport/policy.h"
 
 namespace vpna::transport {
 
-double RetryPolicy::backoff_before_attempt(int attempt) const noexcept {
-  if (attempt <= 1 || initial_backoff_ms <= 0) return 0.0;
-  double wait = initial_backoff_ms;
-  for (int i = 2; i < attempt; ++i) wait *= backoff_multiplier;
-  return wait;
+namespace {
+// The thread-bound policy (installed per shard under fault profiles), or
+// the single-attempt, first-address default.
+SessionPolicy bound_policy() noexcept {
+  const SessionPolicy* policy = session_policy();
+  return policy != nullptr ? *policy : SessionPolicy{};
 }
+}  // namespace
 
 Flow::Flow(netsim::Network& net, netsim::Host& host, netsim::Proto proto,
            const netsim::IpAddr& remote, std::uint16_t remote_port,
-           FlowOptions opts)
+           netsim::TransactOptions opts)
     : net_(net),
       host_(host),
       proto_(proto),
       primary_(remote),
-      remote_(remote),
       remote_port_(remote_port),
       opts_(opts),
+      policy_(bound_policy()),
       span_("transport.flow", "transport") {
-  // Flows constructed with default retry/fallback adopt the thread-bound
-  // session policy (installed per shard under fault profiles); explicit
-  // per-call settings always win, and non-policy options are untouched.
-  if (const auto* policy = session_policy();
-      policy != nullptr && opts_.retry.max_attempts <= 1 &&
-      !opts_.address_fallback) {
-    opts_.retry = policy->retry;
-    opts_.address_fallback = policy->address_fallback;
-  }
   obs::count("transport.flows");
   if (span_) {
     span_.arg("proto", netsim::proto_name(proto_));
-    span_.arg("remote", remote_.str());
+    span_.arg("remote", primary_.str());
     span_.arg("port", static_cast<std::int64_t>(remote_port_));
   }
 }
 
 Flow::Flow(netsim::Network& net, netsim::Host& host, netsim::Proto proto,
            const std::vector<netsim::IpAddr>& candidates,
-           std::uint16_t remote_port, FlowOptions opts)
+           std::uint16_t remote_port, netsim::TransactOptions opts)
     : Flow(net, host, proto,
            candidates.empty() ? netsim::IpAddr{} : candidates.front(),
            remote_port, opts) {
@@ -74,21 +66,17 @@ FlowResult Flow::exchange(std::string payload) {
     return out;
   }
 
-  netsim::TransactOptions topts;
-  topts.timeout_ms = opts_.timeout_ms;
-  topts.extra_round_trips = opts_.extra_round_trips;
   const std::size_t n_candidates =
-      opts_.address_fallback ? candidate_count() : 1;
-  // Single-shot flows (the migrated defaults) move the payload straight
-  // into the packet; only retry/fallback configurations need to keep a
-  // reusable copy.
+      policy_.address_fallback ? candidate_count() : 1;
+  // Single-shot flows (no policy bound) move the payload straight into the
+  // packet; only retry/fallback policies need to keep a reusable copy.
   const bool single_shot =
-      opts_.retry.max_attempts <= 1 && n_candidates == 1;
+      policy_.retry.max_attempts <= 1 && n_candidates == 1;
 
-  for (int attempt = 1; attempt <= opts_.retry.max_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= policy_.retry.max_attempts; ++attempt) {
     // Backoff between attempts is simulation time, not wall time: charge
     // the wait to the clock (and this flow's RTT budget) deterministically.
-    const double backoff_ms = opts_.retry.backoff_before_attempt(attempt);
+    const double backoff_ms = policy_.retry.backoff_before_attempt(attempt);
     if (backoff_ms > 0) {
       net_.clock().advance_millis(backoff_ms);
       out.rtt_ms += backoff_ms;
@@ -97,11 +85,11 @@ FlowResult Flow::exchange(std::string payload) {
 
     for (std::size_t ci = 0; ci < n_candidates; ++ci) {
       if (ci > 0) obs::count("transport.fallback_switches");
-      remote_ = candidate(ci);
+      const netsim::IpAddr& remote = candidate(ci);
 
       netsim::Packet p;
       p.src = src_;
-      p.dst = remote_;
+      p.dst = remote;
       p.proto = proto_;
       p.dst_port = remote_port_;
       if (pinned_src_port_) {
@@ -113,13 +101,13 @@ FlowResult Flow::exchange(std::string payload) {
       if (ttl_ >= 0) p.ttl = ttl_;
       p.payload = single_shot ? std::move(payload) : payload;
 
-      auto result = net_.transact(host_, std::move(p), topts);
+      auto result = net_.transact(host_, std::move(p), opts_);
       ++attempts_;
       ++out.attempts;
       out.rtt_ms += result.rtt_ms;
       out.status = result.status;
       out.responder = result.responder;
-      out.remote = remote_;
+      out.remote = remote;
       out.via_tunnel = result.via_tunnel;
       if (result.ok()) {
         out.reply = std::move(result.reply);

@@ -8,9 +8,11 @@
 // conversation: it allocates source ports, charges retry backoff in
 // virtual time, walks multi-address candidate lists (happy-eyeballs-lite),
 // accumulates per-flow RTT/attempt counters, and reports failures in the
-// unified `transport::Error` taxonomy. With the default options (one
-// attempt, no fallback) a Flow exchange is byte-identical to the raw
-// transact it replaced: same port draws, same packets, same virtual time.
+// unified `transport::Error` taxonomy. Retry and fallback come only from
+// the thread-bound `SessionPolicy` (transport/policy.h), read once when the
+// flow is constructed. With none bound (one attempt, no fallback) a Flow
+// exchange is byte-identical to the raw transact it replaced: same port
+// draws, same packets, same virtual time.
 #pragma once
 
 #include <cstdint>
@@ -22,32 +24,9 @@
 #include "netsim/network.h"
 #include "obs/trace.h"
 #include "transport/error.h"
+#include "transport/policy.h"
 
 namespace vpna::transport {
-
-// Deterministic retry schedule, charged entirely in virtual time. The
-// defaults (one attempt, no backoff) make retrying a no-op, keeping
-// existing payloads and sim-time accounting byte-identical.
-struct RetryPolicy {
-  int max_attempts = 1;           // total tries; 1 = no retries
-  double initial_backoff_ms = 0;  // virtual-time wait before the 2nd try
-  double backoff_multiplier = 2.0;
-
-  // Backoff charged before `attempt` (1-based; attempt 1 waits nothing).
-  [[nodiscard]] double backoff_before_attempt(int attempt) const noexcept;
-};
-
-struct FlowOptions {
-  // Virtual time charged when an attempt fails to complete.
-  double timeout_ms = 1000.0;
-  // Extra RTTs charged per attempt (TCP/TLS handshake accounting).
-  int extra_round_trips = 0;
-  RetryPolicy retry;
-  // Try every candidate address in order within an attempt (the behaviour
-  // real stub resolvers and browsers exhibit). Off: only the first
-  // candidate is ever contacted, matching the pre-transport clients.
-  bool address_fallback = false;
-};
 
 // Outcome of one `Flow::exchange`.
 struct FlowResult {
@@ -68,16 +47,18 @@ struct FlowResult {
 
 class Flow {
  public:
-  // Single-destination flow.
+  // Single-destination flow. `opts` (timeout, extra round trips) is
+  // passed to every transact as is.
   Flow(netsim::Network& net, netsim::Host& host, netsim::Proto proto,
        const netsim::IpAddr& remote, std::uint16_t remote_port,
-       FlowOptions opts = {});
-  // Multi-address flow: `candidates` in resolver order. With
-  // `opts.address_fallback` each attempt walks the list until one address
-  // answers at the transport level; without it only the front is used.
+       netsim::TransactOptions opts = {});
+  // Multi-address flow: `candidates` in resolver order. Under a session
+  // policy with `address_fallback` each attempt walks the list until one
+  // address answers at the transport level; otherwise only the front is
+  // used.
   Flow(netsim::Network& net, netsim::Host& host, netsim::Proto proto,
        const std::vector<netsim::IpAddr>& candidates,
-       std::uint16_t remote_port, FlowOptions opts = {});
+       std::uint16_t remote_port, netsim::TransactOptions opts = {});
 
   Flow(const Flow&) = delete;
   Flow& operator=(const Flow&) = delete;
@@ -91,7 +72,7 @@ class Flow {
   void pin_src_port(std::uint16_t port) noexcept { pinned_src_port_ = port; }
   void set_ttl(int ttl) noexcept { ttl_ = ttl; }
 
-  // One request/reply exchange under the flow's retry/fallback policy.
+  // One request/reply exchange under the flow's session policy.
   FlowResult exchange(std::string payload);
 
   // --- per-flow accounting ---------------------------------------------------
@@ -101,12 +82,6 @@ class Flow {
   }
   [[nodiscard]] const netsim::IpAddr& candidate(std::size_t i) const noexcept {
     return i == 0 ? primary_ : fallbacks_[i - 1];
-  }
-  [[nodiscard]] const netsim::IpAddr& remote() const noexcept {
-    return remote_;
-  }
-  [[nodiscard]] std::uint16_t remote_port() const noexcept {
-    return remote_port_;
   }
   [[nodiscard]] double total_rtt_ms() const noexcept { return total_rtt_ms_; }
   [[nodiscard]] int attempts() const noexcept { return attempts_; }
@@ -122,9 +97,9 @@ class Flow {
   netsim::IpAddr primary_;
   std::vector<netsim::IpAddr> fallbacks_;
   bool empty_ = false;  // constructed with an empty candidate list
-  netsim::IpAddr remote_;  // address of the last transaction (primary until then)
   std::uint16_t remote_port_;
-  FlowOptions opts_;
+  netsim::TransactOptions opts_;
+  SessionPolicy policy_;  // the bound policy at construction, or the default
   netsim::IpAddr src_;  // unspecified = let the stack choose
   std::optional<std::uint16_t> pinned_src_port_;
   int ttl_ = -1;  // -1 = packet default

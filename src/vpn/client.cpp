@@ -197,9 +197,9 @@ void VpnClient::tick() {
   const auto port = protocol_port(spec_.protocols.empty()
                                       ? TunnelProtocol::kOpenVpn
                                       : spec_.protocols.front());
-  transport::FlowOptions fopts;
-  fopts.timeout_ms = 2000.0;  // keepalive timeout
-  transport::Flow ka(net_, host_, netsim::Proto::kUdp, server_, port, fopts);
+  netsim::TransactOptions topts;
+  topts.timeout_ms = 2000.0;  // keepalive timeout
+  transport::Flow ka(net_, host_, netsim::Proto::kUdp, server_, port, topts);
   const auto res = ka.exchange(std::string(VpnServerService::kKeepalive));
 
   if (res.ok() && res.reply == VpnServerService::kKeepaliveAck) {

@@ -42,6 +42,19 @@ for flag in "--faults flaky" --speedtest "--trace t.json" "--metrics m.txt" \
   absent out
 done
 
+# Numeric flags are read whole: a negative count, a non-number or trailing
+# junk exits 2 with the reason before any work starts (a wrapped --jobs -1
+# used to abort in the pool, and --jobs abc meant all cores).
+for args in "--jobs -1" "--jobs abc" "--jobs 4x" "--scale -1" "--scale 4x" \
+            "--max-shard-retries abc" "--max-shard-retries -1" \
+            "--watchdog 5x" "--watchdog -1" "--subscribers abc"; do
+  # shellcheck disable=SC2086  # $args is a flag plus its value
+  row "strict${args// /}" 2 "$BIN" out $args
+  has err.txt "error: ${args%% *} takes "
+  has err.txt "not '${args#* }'"
+  absent out
+done
+
 # Census-only flags are refused by the paper catalog.
 row paper-refuses-subscribers 2 "$BIN" out --subscribers 10
 has err.txt "error: --subscribers applies only to a --scale census"

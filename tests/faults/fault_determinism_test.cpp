@@ -89,7 +89,7 @@ std::string run_mini_scenario(faults::FaultProfile profile,
   {
     obs::ScopedObservation scope(nullptr, &metrics);
     for (int i = 0; i < 120; ++i) {
-      transport::FlowOptions opts;
+      netsim::TransactOptions opts;
       opts.timeout_ms = 200.0;
       transport::Flow flow(net, client, Proto::kUdp,
                            server_addrs[static_cast<std::size_t>(i) %

@@ -79,17 +79,6 @@ TEST_F(OptionsFixture, DefaultHeadersAppliedWhenNoneGiven) {
   EXPECT_TRUE(sent->header("X-Probe-Marker").has_value());
 }
 
-TEST_F(OptionsFixture, ExplicitResolverOverridesSystem) {
-  HttpClient c(net_, client_);
-  // System resolvers cleared: only the explicit resolver can work.
-  client_.dns_servers().clear();
-  FetchOptions opts;
-  opts.resolver = netsim::IpAddr::v4(45, 0, 0, 80);
-  EXPECT_TRUE(c.fetch("http://site.com/", opts).ok());
-  EXPECT_EQ(c.fetch("http://site.com/").error.kind,
-            transport::ErrorKind::kResolve);
-}
-
 TEST_F(OptionsFixture, MalformedUrlRejected) {
   HttpClient c(net_, client_);
   const auto res = c.fetch("not a url");

@@ -29,7 +29,6 @@ core::CampaignOptions traced_options(std::size_t jobs) {
 struct Exports {
   std::string payload;
   std::string chrome;
-  std::string jsonl;
   std::string canonical_metrics;
 };
 
@@ -41,7 +40,6 @@ Exports run_traced(std::size_t jobs, std::uint64_t seed) {
   Exports out;
   out.payload = analysis::serialize_campaign_payload(report);
   out.chrome = obs::chrome_trace_json(report.traces);
-  out.jsonl = obs::trace_jsonl(report.traces);
   out.canonical_metrics =
       analysis::campaign_metrics(report).render_text(/*include_volatile=*/false);
   return out;
@@ -51,12 +49,10 @@ TEST(TraceDeterminism, ExportsAreByteIdenticalAcrossWorkerCounts) {
   const std::uint64_t seed = 20181031;
   const auto serial = run_traced(1, seed);
   ASSERT_FALSE(serial.chrome.empty());
-  ASSERT_FALSE(serial.jsonl.empty());
   ASSERT_FALSE(serial.canonical_metrics.empty());
 
   const auto parallel = run_traced(4, seed);
   EXPECT_EQ(serial.chrome, parallel.chrome);
-  EXPECT_EQ(serial.jsonl, parallel.jsonl);
   EXPECT_EQ(serial.canonical_metrics, parallel.canonical_metrics);
   EXPECT_EQ(serial.payload, parallel.payload);
 }
@@ -109,7 +105,6 @@ TEST(TraceDeterminism, PacketHopInstantsExportIdenticallyAcrossWorkerCounts) {
   EXPECT_GT(hops, 0u);
   EXPECT_EQ(obs::chrome_trace_json(serial.traces),
             obs::chrome_trace_json(parallel.traces));
-  EXPECT_EQ(obs::trace_jsonl(serial.traces), obs::trace_jsonl(parallel.traces));
 }
 
 TEST(TraceDeterminism, InstrumentationAppendixIsCanonical) {

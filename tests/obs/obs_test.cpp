@@ -308,12 +308,6 @@ TEST(Export, ChromeTraceShapeAndCanonicalOrder) {
   EXPECT_NE(json.find("\"Beta\""), std::string::npos);
   // Beta's event (ts 0) sorts before Alpha's (ts 5000).
   EXPECT_LT(json.find("\"early\""), json.find("\"late\""));
-
-  const auto jsonl = trace_jsonl(shards);
-  EXPECT_LT(jsonl.find("\"early\""), jsonl.find("\"late\""));
-  // Every JSONL line is a JSON object.
-  EXPECT_EQ(jsonl.front(), '{');
-  EXPECT_EQ(jsonl.back(), '\n');
 }
 
 TEST(Export, MergedMetricsFoldsAllShards) {

@@ -19,6 +19,7 @@
 
 #include "netsim/network.h"
 #include "transport/flow.h"
+#include "transport/policy.h"
 #include "util/task_pool.h"
 
 namespace vpna::transport {
@@ -85,17 +86,19 @@ ScenarioDigest run_scenario(std::uint64_t seed) {
   ScenarioDigest d;
   const int n_flows = static_cast<int>(cfg.uniform_int(1, 4));
   for (int i = 0; i < n_flows; ++i) {
-    FlowOptions opts;
+    netsim::TransactOptions opts;
     opts.timeout_ms = cfg.uniform(200.0, 1500.0);
-    opts.retry.max_attempts = static_cast<int>(cfg.uniform_int(1, 4));
-    opts.retry.initial_backoff_ms = cfg.uniform(0.0, 50.0);
-    opts.retry.backoff_multiplier = cfg.uniform(1.0, 3.0);
-    opts.address_fallback = cfg.chance(0.5);
+    SessionPolicy policy;
+    policy.retry.max_attempts = static_cast<int>(cfg.uniform_int(1, 4));
+    policy.retry.initial_backoff_ms = cfg.uniform(0.0, 50.0);
+    policy.retry.backoff_multiplier = cfg.uniform(1.0, 3.0);
+    policy.address_fallback = cfg.chance(0.5);
 
     std::vector<IpAddr> candidates;
     if (cfg.chance(0.4)) candidates.push_back(dead_addr);
     candidates.push_back(server_addr);
 
+    ScopedSessionPolicy scope(&policy);
     Flow flow(net, client, Proto::kUdp, std::move(candidates), kPort, opts);
     const auto res =
         flow.exchange("probe-" + std::to_string(seed) + "-" + std::to_string(i));

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "netsim/network.h"
+#include "transport/policy.h"
 
 namespace vpna::transport {
 namespace {
@@ -125,11 +126,12 @@ TEST_F(FlowFixture, RetryChargesBackoffInVirtualTime) {
                              return ++calls < 3 ? std::nullopt
                                                 : std::optional<std::string>("up");
                            }));
-  FlowOptions opts;
-  opts.retry.max_attempts = 3;
-  opts.retry.initial_backoff_ms = 100.0;
-  opts.retry.backoff_multiplier = 2.0;
-  Flow flow(net_, client_, Proto::kUdp, server_addr(), kEchoPort, opts);
+  SessionPolicy policy;
+  policy.retry.max_attempts = 3;
+  policy.retry.initial_backoff_ms = 100.0;
+  policy.retry.backoff_multiplier = 2.0;
+  ScopedSessionPolicy scope(&policy);
+  Flow flow(net_, client_, Proto::kUdp, server_addr(), kEchoPort);
 
   const double before = clock_.now().millis();
   const auto res = flow.exchange("ping");
@@ -144,9 +146,10 @@ TEST_F(FlowFixture, RetryChargesBackoffInVirtualTime) {
 }
 
 TEST_F(FlowFixture, RetryExhaustionReportsLastStatus) {
-  FlowOptions opts;
-  opts.retry.max_attempts = 2;
-  Flow flow(net_, client_, Proto::kUdp, dead_addr(), kEchoPort, opts);
+  SessionPolicy policy;
+  policy.retry.max_attempts = 2;
+  ScopedSessionPolicy scope(&policy);
+  Flow flow(net_, client_, Proto::kUdp, dead_addr(), kEchoPort);
   const auto res = flow.exchange("ping");
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.error.kind, ErrorKind::kTransport);
@@ -156,10 +159,11 @@ TEST_F(FlowFixture, RetryExhaustionReportsLastStatus) {
 
 TEST_F(FlowFixture, AddressFallbackWalksCandidatesInOrder) {
   bind_echo();
-  FlowOptions opts;
-  opts.address_fallback = true;
+  SessionPolicy policy;
+  policy.address_fallback = true;
+  ScopedSessionPolicy scope(&policy);
   Flow flow(net_, client_, Proto::kUdp,
-            std::vector<IpAddr>{dead_addr(), server_addr()}, kEchoPort, opts);
+            std::vector<IpAddr>{dead_addr(), server_addr()}, kEchoPort);
   ASSERT_EQ(flow.candidate_count(), 2u);
   EXPECT_EQ(flow.candidate(0), dead_addr());
   EXPECT_EQ(flow.candidate(1), server_addr());
@@ -192,9 +196,10 @@ TEST_F(FlowFixture, RetriedPayloadDeliversSameBytes) {
                              return ++calls < 2 ? std::nullopt
                                                 : std::optional<std::string>("ok");
                            }));
-  FlowOptions opts;
-  opts.retry.max_attempts = 2;
-  Flow flow(net_, client_, Proto::kUdp, server_addr(), kEchoPort, opts);
+  SessionPolicy policy;
+  policy.retry.max_attempts = 2;
+  ScopedSessionPolicy scope(&policy);
+  Flow flow(net_, client_, Proto::kUdp, server_addr(), kEchoPort);
   const auto res = flow.exchange("payload-bytes");
   EXPECT_TRUE(res.ok());
   ASSERT_EQ(seen.size(), 2u);
@@ -204,9 +209,10 @@ TEST_F(FlowFixture, RetriedPayloadDeliversSameBytes) {
 
 TEST_F(FlowFixture, UdpDrawsOneEphemeralPortPerAttempt) {
   const auto mark = client_.next_ephemeral_port();
-  FlowOptions opts;
-  opts.retry.max_attempts = 3;
-  Flow flow(net_, client_, Proto::kUdp, dead_addr(), kEchoPort, opts);
+  SessionPolicy policy;
+  policy.retry.max_attempts = 3;
+  ScopedSessionPolicy scope(&policy);
+  Flow flow(net_, client_, Proto::kUdp, dead_addr(), kEchoPort);
   (void)flow.exchange("x");
   // Three attempts drew three ports after the marker.
   EXPECT_EQ(client_.next_ephemeral_port(), mark + 4);
