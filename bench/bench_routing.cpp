@@ -1,4 +1,4 @@
-// Packet-plane fast-path microbench: LPM route lookup vs the naive scan,
+// Packet-plane fast-path microbench: LPM route lookup (a linear scan),
 // all-pairs path resolution on a frozen (plane-served) vs unfrozen
 // (on-demand Dijkstra) network, cold vs shared-plane campaign shard setup,
 // and end-to-end transact packets/sec. The numbers back the PR 3
@@ -28,7 +28,7 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-// --- 1. route lookup: LPM index vs linear scan ------------------------------
+// --- 1. route lookup: the linear longest-prefix scan -----------------------
 
 netsim::IpAddr random_v4(util::Rng& rng) {
   return netsim::IpAddr::v4(static_cast<std::uint32_t>(rng.next() >> 32));
@@ -39,7 +39,7 @@ void bench_route_lookup(std::size_t n_routes, const char* label) {
   netsim::RouteTable table;
   table.add({*netsim::Cidr::parse("0.0.0.0/0"), "eth0", std::nullopt, 0});
   // Realistic prefix-length mix (BGP-style concentration on a few
-  // lengths); the probe cost scales with distinct lengths, not routes.
+  // lengths); the scan cost grows with the route count.
   constexpr std::array<int, 4> kLens = {8, 16, 24, 32};
   for (std::size_t i = 1; i < n_routes; ++i) {
     const int len = kLens[rng.index(kLens.size())];
@@ -50,26 +50,20 @@ void bench_route_lookup(std::size_t n_routes, const char* label) {
   std::vector<netsim::IpAddr> queries;
   for (int i = 0; i < 4096; ++i) queries.push_back(random_v4(rng));
 
-  // Best-of-rounds per implementation (see bench_transact_pps on why).
+  // Best-of-rounds (see bench_transact_pps on why).
   constexpr int kRounds = 10;
   std::size_t sink = 0;
-  double lpm_ms = 1e18, naive_ms = 1e18;
+  double best_ms = 1e18;
   for (int r = 0; r < kRounds; ++r) {
-    auto t0 = Clock::now();
+    const auto t0 = Clock::now();
     for (const auto& q : queries) sink += table.lookup(q)->interface_name.size();
-    lpm_ms = std::min(lpm_ms, ms_since(t0));
-    t0 = Clock::now();
-    for (const auto& q : queries)
-      sink += table.lookup_naive(q)->interface_name.size();
-    naive_ms = std::min(naive_ms, ms_since(t0));
+    best_ms = std::min(best_ms, ms_since(t0));
   }
-  const double n_lookups = 4096.0;
+  const double ns_per_lookup = 1e6 * best_ms / 4096.0;
 
-  std::printf("%-26s lpm %7.1f ns/op   naive %9.1f ns/op   (%zu)\n", label,
-              1e6 * lpm_ms / n_lookups, 1e6 * naive_ms / n_lookups, sink);
-  bench::compare(label, "linear scan",
-                 util::format("%.1f ns/lookup, %.1fx vs naive",
-                              1e6 * lpm_ms / n_lookups, naive_ms / lpm_ms));
+  std::printf("%-26s %7.1f ns/op   (%zu)\n", label, ns_per_lookup, sink);
+  bench::compare(label, "~1 ns/route (host tables: <10)",
+                 util::format("%.1f ns/lookup", ns_per_lookup));
 }
 
 // --- 2. all-pairs path resolution: plane vs per-pair Dijkstra ---------------

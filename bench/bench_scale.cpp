@@ -128,8 +128,8 @@ double bench_storage_legacy(std::size_t n_hosts) {
     util::SimClock clock;
     netsim::Network net(clock, util::Rng(7), 0.0);
     for (std::size_t r = 0; r < kStorageRouters; ++r) net.add_router("r");
-    // Pre-refactor: per-host heap nodes, node-based service maps, and
-    // host_index_/addr_to_attachment_ rehashing as they grow.
+    // Pre-refactor: per-host heap nodes, node-based service maps, and the
+    // address index rehashing as it grows.
     std::vector<std::unique_ptr<netsim::Host>> hosts;
     std::vector<std::map<std::uint32_t, std::shared_ptr<netsim::Service>>>
         services(n_hosts);

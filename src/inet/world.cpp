@@ -50,8 +50,16 @@ void World::reserve_hosts(std::size_t extra_hosts) {
 }
 
 void World::build_fabric() {
-  // Router ids follow the base's order: city i is router i.
-  for (const auto& name : base_->router_names()) (void)network_->add_router(name);
+  // Router ids follow the base's order: city i is router i. Each router's
+  // link list is sized to its degree in the base's fabric.
+  const auto& names = base_->router_names();
+  std::vector<std::size_t> degree(names.size());
+  for (const auto& link : base_->links()) {
+    ++degree[link.a];
+    ++degree[link.b];
+  }
+  for (std::size_t r = 0; r < names.size(); ++r)
+    (void)network_->add_router(names[r], degree[r]);
   for (const auto& link : base_->links())
     network_->add_link(link.a, link.b, link.latency_ms);
 
@@ -155,7 +163,7 @@ Datacenter& World::private_datacenter(std::string_view tenant,
   dc.asn = 200000 + index % 4000;  // 32-bit private-use ASN range
   dc.registered_country = std::string(dc.city.country_code);
   dc.known_vpn_hosting = true;
-  dc.router = network_->add_router("dc:" + dc.id);
+  dc.router = network_->add_router("dc:" + dc.id, 1);
   network_->add_link(dc.router, router_for_city(city), 0.2);
   whois_.add(WhoisRecord{dc.pool4, dc.hosting_provider,
                          std::string(dc.city.country_code), dc.asn});

@@ -19,6 +19,7 @@ void HostCache::put(std::string_view name, Entry entry) {
 }
 
 Host::Host(std::string name) : name_(std::move(name)) {
+  interfaces_.reserve(2);  // lo + eth0, what every attached host has
   Interface lo;
   lo.name = "lo";
   lo.addr4 = IpAddr::v4(127, 0, 0, 1);

@@ -206,6 +206,11 @@ class Host {
   std::uint64_t config_generation_ = 0;
   // Only browsing hosts ever hold one.
   std::unique_ptr<HostCache> host_cache_;
+  // Where Network::attach_host put this host: the network and the slot in
+  // its attachment table (null network = not attached).
+  friend class Network;
+  const Network* network_ = nullptr;
+  std::size_t attachment_slot_ = 0;
   std::uint16_t ephemeral_ = 49152;
 };
 

@@ -44,9 +44,10 @@ constexpr std::array<std::string_view, 10> kTransactMetricNames = {
 Network::Network(util::SimClock& clock, util::Rng rng, double jitter_stddev_ms)
     : clock_(clock), rng_(std::move(rng)), jitter_stddev_ms_(jitter_stddev_ms) {}
 
-RouterId Network::add_router(std::string name) {
+RouterId Network::add_router(std::string name, std::size_t expected_links) {
   ++topology_epoch_;
   routers_.push_back(Router{std::move(name), nullptr, {}});
+  routers_.back().links.reserve(expected_links);
   if (frozen_) {
     // A new router hangs off the frozen core as a (future) leaf; existing
     // paths are unaffected, so both the plane and the path cache survive.
@@ -208,21 +209,9 @@ std::optional<Network::ResolvedPath> Network::resolve_path(const Host& from,
   const auto* from_att = attachment_of(from);
   if (from_att == nullptr) return std::nullopt;
   const auto dst_it = addr_to_attachment_.find(dst);
-  if (dst_it == addr_to_attachment_.end() || dst_it->second.empty())
-    return std::nullopt;
-  // Anycast tie-breaking mirrors deliver(): lowest path latency wins.
-  std::size_t best_idx = dst_it->second.front();
-  if (dst_it->second.size() > 1) {
-    double best = 1e18;
-    for (std::size_t idx : dst_it->second) {
-      const auto* pi = path(from_att->router, attachments_[idx].router);
-      if (pi != nullptr && pi->latency_ms < best) {
-        best = pi->latency_ms;
-        best_idx = idx;
-      }
-    }
-  }
-  const Attachment& dst_att = attachments_[best_idx];
+  if (dst_it == addr_to_attachment_.end()) return std::nullopt;
+  const Attachment& dst_att =
+      attachments_[nearest_replica(from_att->router, dst_it->second)];
   const auto* p = path(from_att->router, dst_att.router);
   if (p == nullptr) return std::nullopt;
   ResolvedPath out;
@@ -243,48 +232,63 @@ void Network::clear_middlebox(RouterId id) { routers_.at(id).middlebox = nullptr
 void Network::attach_host(Host& host, RouterId router, double access_latency_ms) {
   if (router >= routers_.size())
     throw std::out_of_range("attach_host: unknown router");
-  if (host_index_.contains(&host))
+  if (host.network_ != nullptr)
     throw std::logic_error("attach_host: host already attached: " + host.name());
+  const std::size_t slot = attachments_.size();
   attachments_.push_back(Attachment{&host, router, access_latency_ms, {}});
-  host_index_.emplace(&host, attachments_.size() - 1);
-  index_attachment(attachments_.size() - 1);
+  host.network_ = this;
+  host.attachment_slot_ = slot;
+  index_attachment(slot);
   debug_check_address_index();
 }
 
 void Network::detach_host(Host& host) {
-  const auto it = host_index_.find(&host);
-  if (it == host_index_.end()) return;
-  const std::size_t slot = it->second;
+  if (attachment_of(host) == nullptr) return;
+  const std::size_t slot = host.attachment_slot_;
   unindex_attachment(slot);
   attachments_[slot].host = nullptr;  // tombstone; slot indices stay stable
-  host_index_.erase(it);
+  host.network_ = nullptr;
   debug_check_address_index();
 }
 
 void Network::reserve_hosts(std::size_t host_count) {
   const std::size_t total = attachments_.size() + host_count;
   attachments_.reserve(total);
-  host_index_.reserve(total);
   // Most hosts index two global addresses (v4 + v6).
   addr_to_attachment_.reserve(2 * total);
 }
 
 void Network::refresh_host(Host& host) {
-  const auto it = host_index_.find(&host);
-  if (it == host_index_.end()) return;
-  unindex_attachment(it->second);
-  index_attachment(it->second);
+  if (attachment_of(host) == nullptr) return;
+  unindex_attachment(host.attachment_slot_);
+  index_attachment(host.attachment_slot_);
   debug_check_address_index();
 }
 
 void Network::index_attachment(std::size_t slot) {
   auto& att = attachments_[slot];
+  std::size_t n_addrs = 0;
+  for (const auto& iface : att.host->interfaces())
+    if (iface.name != "lo")
+      n_addrs += iface.addr4.has_value() + iface.addr6.has_value();
+  att.indexed_addrs.reserve(n_addrs);
   const auto add = [&](const IpAddr& addr) {
-    auto& slots = addr_to_attachment_[addr];
+    att.indexed_addrs.push_back(addr);
+    const auto [it, inserted] = addr_to_attachment_.try_emplace(addr);
+    AddrSlots& slots = it->second;
+    if (inserted) {
+      slots.first = slot;
+      return;
+    }
     // Keep slots ascending (= attach order), matching a full rebuild, so
     // anycast tie-breaking is independent of refresh history.
-    slots.insert(std::lower_bound(slots.begin(), slots.end(), slot), slot);
-    att.indexed_addrs.push_back(addr);
+    auto& more = slots.replicas;
+    if (slot < slots.first) {
+      more.insert(more.begin(), slots.first);
+      slots.first = slot;
+    } else {
+      more.insert(std::lower_bound(more.begin(), more.end(), slot), slot);
+    }
   };
   for (const auto& iface : att.host->interfaces()) {
     if (iface.name == "lo") continue;
@@ -298,8 +302,15 @@ void Network::unindex_attachment(std::size_t slot) {
   for (const auto& addr : att.indexed_addrs) {
     const auto it = addr_to_attachment_.find(addr);
     if (it == addr_to_attachment_.end()) continue;
-    std::erase(it->second, slot);
-    if (it->second.empty()) addr_to_attachment_.erase(it);
+    AddrSlots& slots = it->second;
+    std::erase(slots.replicas, slot);
+    if (slots.first != slot) continue;
+    if (slots.replicas.empty()) {
+      addr_to_attachment_.erase(it);
+    } else {
+      slots.first = slots.replicas.front();
+      slots.replicas.erase(slots.replicas.begin());
+    }
   }
   att.indexed_addrs.clear();
 }
@@ -310,7 +321,7 @@ void Network::debug_check_address_index() const {
   for (std::size_t i = 0; i < attachments_.size(); ++i) {
     const auto& att = attachments_[i];
     if (att.host == nullptr) continue;
-    assert(host_index_.contains(att.host) && host_index_.at(att.host) == i);
+    assert(att.host->network_ == this && att.host->attachment_slot_ == i);
     for (const auto& iface : att.host->interfaces()) {
       if (iface.name == "lo") continue;
       if (iface.addr4) expected[*iface.addr4].push_back(i);
@@ -320,7 +331,10 @@ void Network::debug_check_address_index() const {
   assert(expected.size() == addr_to_attachment_.size());
   for (const auto& [addr, slots] : expected) {
     const auto it = addr_to_attachment_.find(addr);
-    assert(it != addr_to_attachment_.end() && it->second == slots);
+    assert(it != addr_to_attachment_.end() &&
+           it->second.first == slots.front() &&
+           std::equal(it->second.replicas.begin(), it->second.replicas.end(),
+                      slots.begin() + 1, slots.end()));
     (void)slots;
     (void)it;
   }
@@ -329,14 +343,30 @@ void Network::debug_check_address_index() const {
 
 Host* Network::host_by_addr(const IpAddr& addr) const {
   const auto it = addr_to_attachment_.find(addr);
-  if (it == addr_to_attachment_.end() || it->second.empty()) return nullptr;
-  return attachments_[it->second.front()].host;
+  if (it == addr_to_attachment_.end()) return nullptr;
+  return attachments_[it->second.first].host;
 }
 
 const Network::Attachment* Network::attachment_of(const Host& host) const {
-  const auto it = host_index_.find(&host);
-  if (it == host_index_.end()) return nullptr;
-  return &attachments_[it->second];
+  if (host.network_ != this) return nullptr;
+  return &attachments_[host.attachment_slot_];
+}
+
+std::size_t Network::nearest_replica(RouterId from,
+                                     const AddrSlots& slots) const {
+  if (slots.replicas.empty()) return slots.first;
+  std::size_t best_idx = slots.first;
+  double best = 1e18;
+  const auto consider = [&](std::size_t idx) {
+    const auto* pi = path(from, attachments_[idx].router);
+    if (pi != nullptr && pi->latency_ms < best) {
+      best = pi->latency_ms;
+      best_idx = idx;
+    }
+  };
+  consider(slots.first);
+  for (const std::size_t idx : slots.replicas) consider(idx);
+  return best_idx;
 }
 
 double Network::link_latency(RouterId u, RouterId v) const {
@@ -567,24 +597,14 @@ TransactResult Network::deliver(Host& from, const Attachment& from_att,
   // Find the destination attachment; with anycast replicas, the replica
   // with the lowest path latency from the sender's router wins.
   const auto dst_it = addr_to_attachment_.find(packet.dst);
-  if (dst_it == addr_to_attachment_.end() || dst_it->second.empty()) {
+  if (dst_it == addr_to_attachment_.end()) {
     r.status = TransactStatus::kNoSuchHost;
     r.rtt_ms = opts.timeout_ms;
     clock_.advance_millis(opts.timeout_ms);
     return r;
   }
-  std::size_t best_idx = dst_it->second.front();
-  if (dst_it->second.size() > 1) {
-    double best = 1e18;
-    for (std::size_t idx : dst_it->second) {
-      const auto* pi = path(from_att.router, attachments_[idx].router);
-      if (pi != nullptr && pi->latency_ms < best) {
-        best = pi->latency_ms;
-        best_idx = idx;
-      }
-    }
-  }
-  const Attachment& dst_att = attachments_[best_idx];
+  const Attachment& dst_att =
+      attachments_[nearest_replica(from_att.router, dst_it->second)];
   Host* dst_host = dst_att.host;
 
   const PathInfo* p = path(from_att.router, dst_att.router);

@@ -95,7 +95,9 @@ class Network {
 
   // --- topology -------------------------------------------------------------
   // Adds a router; its hop address is derived from the id (198.18.x.y).
-  RouterId add_router(std::string name);
+  // `expected_links` pre-sizes its link list when the caller knows the
+  // router's degree.
+  RouterId add_router(std::string name, std::size_t expected_links = 0);
   // Undirected link with one-way latency in milliseconds.
   void add_link(RouterId a, RouterId b, double latency_ms);
   [[nodiscard]] std::size_t router_count() const noexcept {
@@ -195,12 +197,13 @@ class Network {
   // routable. `access_latency_ms` is the one-way host<->router latency.
   // Multiple hosts may share an address (anycast replicas, e.g. public DNS
   // and root-server instances); delivery selects the replica closest to the
-  // sender, as BGP anycast does.
+  // sender, as BGP anycast does. A host joins one network at a time:
+  // attaching an attached host throws std::logic_error.
   void attach_host(Host& host, RouterId router, double access_latency_ms = 0.3);
   void detach_host(Host& host);
   // Capacity hint for a build that knows its host count up front (shard
   // construction does): pre-sizes the attachment table and pre-buckets the
-  // host/address hash indexes so a bulk attach triggers no rehashing.
+  // address index so a bulk attach triggers no rehashing.
   void reserve_hosts(std::size_t host_count);
   [[nodiscard]] Host* host_by_addr(const IpAddr& addr) const;
   // Re-index a host's addresses after interfaces changed.
@@ -244,16 +247,29 @@ class Network {
     // detach/refresh can unindex incrementally.
     std::vector<IpAddr> indexed_addrs;
   };
+  // The attachment slots that hold one address, ascending (attach order).
+  // The first sits inline; only anycast replicas allocate.
+  struct AddrSlots {
+    std::size_t first = 0;
+    std::vector<std::size_t> replicas;  // slots after `first`, ascending
+  };
   struct PathInfo {
     std::vector<RouterId> routers;  // from src router to dst router inclusive
     double latency_ms = 0.0;        // one-way, router path only
   };
 
   [[nodiscard]] const Attachment* attachment_of(const Host& host) const;
+  // The slot a packet sent from `from` reaches: the only holder of the
+  // address, or the anycast replica with the lowest path latency (ties go
+  // to attach order).
+  [[nodiscard]] std::size_t nearest_replica(RouterId from,
+                                            const AddrSlots& slots) const;
   // Incremental index maintenance for one attachment slot.
   void index_attachment(std::size_t slot);
   void unindex_attachment(std::size_t slot);
   // Debug-build invariant: the incremental index equals a full rebuild.
+  // Holds whenever every attached host was refreshed after its interfaces
+  // last changed, which is when attach, detach and refresh run it.
   void debug_check_address_index() const;
   // Path with memoization keyed on (src, dst): reconstructed from the
   // routing plane when frozen, per-pair Dijkstra otherwise.
@@ -285,13 +301,10 @@ class Network {
   double jitter_stddev_ms_;
   std::vector<Router> routers_;
   // Append-only slots (detach tombstones instead of erasing) so the address
-  // index and host map can reference attachments by stable index.
+  // index and each attached Host can reference attachments by stable index.
   std::vector<Attachment> attachments_;
-  // Host -> attachment slot; O(1) replacement for the per-packet scan.
-  std::unordered_map<const Host*, std::size_t> host_index_;
-  // Address -> attachment slots, ascending (attach order); more than one
-  // entry means anycast.
-  std::unordered_map<IpAddr, std::vector<std::size_t>> addr_to_attachment_;
+  // Address -> attachment slots; more than one slot means anycast.
+  std::unordered_map<IpAddr, AddrSlots> addr_to_attachment_;
   // Memoized paths, capped: at O(10³)-provider scale the (src, dst) router
   // pair space would otherwise grow the cache without bound. Hitting the cap
   // clears the cache — paths are pure functions of the frozen topology, so

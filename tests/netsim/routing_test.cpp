@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/rng.h"
-
 namespace vpna::netsim {
 namespace {
 
@@ -81,66 +79,6 @@ TEST(RouteTable, HostRouteBeatsDefault) {
   EXPECT_EQ(rt.lookup(IpAddr::v4(45, 0, 32, 11))->interface_name, "tun0");
 }
 
-// --- randomized oracle: the LPM index against the naive linear scan --------
-
-// Addresses drawn from a deliberately small byte alphabet so random routes
-// and queries actually collide on prefixes.
-IpAddr random_addr(util::Rng& rng, bool v6) {
-  constexpr std::array<std::uint8_t, 5> kBytes = {0, 1, 10, 128, 255};
-  if (!v6)
-    return IpAddr::v4(kBytes[rng.index(kBytes.size())],
-                      kBytes[rng.index(kBytes.size())],
-                      kBytes[rng.index(kBytes.size())],
-                      kBytes[rng.index(kBytes.size())]);
-  std::array<std::uint8_t, 16> bytes{};
-  for (auto& b : bytes) b = kBytes[rng.index(kBytes.size())];
-  return IpAddr::v6(bytes);
-}
-
-TEST(RouteTable, RandomizedLookupMatchesNaiveScan) {
-  util::Rng rng(20181031);
-  for (int trial = 0; trial < 40; ++trial) {
-    RouteTable rt;
-    // Half the trials stay under kLinearScanThreshold (linear path), half
-    // go well past it so the bucket index itself is what answers.
-    const int n_routes = static_cast<int>(
-        rng.chance(0.5)
-            ? rng.uniform_int(0, 60)
-            : rng.uniform_int(
-                  static_cast<std::int64_t>(RouteTable::kLinearScanThreshold) + 1,
-                  static_cast<std::int64_t>(RouteTable::kLinearScanThreshold) + 200));
-    for (int i = 0; i < n_routes; ++i) {
-      const bool v6 = rng.chance(0.3);
-      const int max_len = v6 ? 128 : 32;
-      // Bias toward a few prefix lengths so same-length ties are common.
-      const int len = rng.chance(0.5)
-                          ? static_cast<int>(rng.uniform_int(0, 2)) * (max_len / 2)
-                          : static_cast<int>(rng.uniform_int(0, max_len));
-      rt.add(Route{Cidr(random_addr(rng, v6), len),
-                   "if" + std::to_string(rng.uniform_int(0, 3)), std::nullopt,
-                   static_cast<int>(rng.uniform_int(0, 3))});
-    }
-    // Occasional removals keep the index's rebuild path honest.
-    if (n_routes > 0 && rng.chance(0.5)) {
-      const auto& victim = rt.routes()[rng.index(rt.routes().size())];
-      rt.remove(victim.prefix, victim.interface_name);
-    }
-    if (rng.chance(0.3)) rt.remove_interface("if0");
-
-    for (int q = 0; q < 200; ++q) {
-      const IpAddr dst = random_addr(rng, rng.chance(0.3));
-      const auto fast = rt.lookup(dst);
-      const auto naive = rt.lookup_naive(dst);
-      ASSERT_EQ(fast.has_value(), naive.has_value()) << dst.str();
-      if (!fast) continue;
-      // Same winning route, field by field (Route has no operator==).
-      EXPECT_EQ(fast->prefix, naive->prefix) << dst.str();
-      EXPECT_EQ(fast->interface_name, naive->interface_name) << dst.str();
-      EXPECT_EQ(fast->metric, naive->metric) << dst.str();
-    }
-  }
-}
-
 TEST(RouteTable, InsertionOrderBreaksFullTies) {
   RouteTable rt;
   Route first = make_route("10.0.0.0/8", "tun0", 1);
@@ -148,7 +86,6 @@ TEST(RouteTable, InsertionOrderBreaksFullTies) {
   rt.add(first);
   rt.add(second);
   EXPECT_EQ(rt.lookup(IpAddr::v4(10, 1, 2, 3))->interface_name, "tun0");
-  EXPECT_EQ(rt.lookup_naive(IpAddr::v4(10, 1, 2, 3))->interface_name, "tun0");
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
-// Allocation budget per exchange: the request path owns its payload bytes
+// Allocation budgets. Per exchange: the request path owns its payload bytes
 // once, so one DNS lookup, one tunneled HTTP fetch and one tunneled TLS
-// handshake each stay under a fixed number of heap allocations. This binary
-// links util/alloc_counter, which counts the calling thread's operator new
-// calls; each budget sits about 10% above the measured count.
+// handshake each stay under a fixed number of heap allocations. Per shard
+// build: hosts are attached without per-host hash tables, so one paper
+// shard and one census shard stay under theirs. This binary links
+// util/alloc_counter, which counts the calling thread's operator new calls;
+// each budget sits about 10% above the measured count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +12,8 @@
 #include <string>
 
 #include "dns/client.h"
+#include "ecosystem/scale.h"
+#include "ecosystem/testbed.h"
 #include "http/client.h"
 #include "tlssim/handshake.h"
 #include "util/alloc_counter.h"
@@ -33,6 +37,13 @@ std::size_t allocations_in(Fn&& fn) {
 constexpr std::size_t kDnsResolveBudget = 14;
 constexpr std::size_t kTunneledFetchBudget = 25;
 constexpr std::size_t kTunneledHandshakeBudget = 10;
+
+// Shard builds: NordVPN's paper shard and the first provider's shard of a
+// 1024-provider census catalog measure 4686 and 4734. With a route-prefix
+// index per route table and host/address hash maps they needed 8211 and
+// 8310.
+constexpr std::size_t kProviderShardBudget = 5150;
+constexpr std::size_t kScaledShardBudget = 5200;
 
 constexpr std::string_view kSite = "daily-courier-news.com";
 constexpr std::string_view kTlsSite = "tls-portal-5.com";
@@ -104,6 +115,37 @@ TEST_F(AllocBudget, TunneledTlsHandshake) {
   const auto n = allocations_in(handshake);
   std::printf("tunneled tls_handshake: %zu allocations\n", n);
   EXPECT_LE(n, kTunneledHandshakeBudget);
+}
+
+// One shard build, after a first build of the same shard has paid for
+// everything built once per process (the world base, the routing plane).
+template <typename Build>
+std::size_t shard_build_allocations(Build&& build) {
+  (void)build();
+  ecosystem::Testbed tb;
+  const auto n = allocations_in([&] { tb = build(); });
+  EXPECT_NE(tb.world, nullptr);
+  return n;
+}
+
+TEST_F(AllocBudget, ProviderShardBuild) {
+  const auto n = shard_build_allocations([] {
+    return ecosystem::build_provider_shard(
+        "NordVPN", 20181031, ecosystem::shared_backbone_plane());
+  });
+  std::printf("build_provider_shard(NordVPN): %zu allocations\n", n);
+  EXPECT_LE(n, kProviderShardBudget);
+}
+
+TEST_F(AllocBudget, ScaledShardBuild) {
+  const auto catalog = ecosystem::generate_scaled_catalog(1024, 1000, 20181031);
+  const std::string name = catalog.providers.front().spec.name;
+  const auto n = shard_build_allocations([&] {
+    return ecosystem::build_scaled_shard(catalog, name, 20181031,
+                                         ecosystem::shared_backbone_plane());
+  });
+  std::printf("build_scaled_shard(%s): %zu allocations\n", name.c_str(), n);
+  EXPECT_LE(n, kScaledShardBudget);
 }
 
 }  // namespace
