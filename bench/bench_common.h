@@ -46,13 +46,18 @@ struct JsonTrailer {
 
   void emit() const {
     std::string out = "BENCH_JSON {";
-    out += "\"bench\":\"" + util::json_escape(bench) + "\"";
-    out += ",\"description\":\"" + util::json_escape(description) + "\"";
+    out += "\"bench\":\"";
+    out += util::json_escape(bench);
+    out += "\",\"description\":\"";
+    out += util::json_escape(description);
+    out += '"';
     if (!sections.empty()) {
       out += ",\"sections\":[";
       for (std::size_t i = 0; i < sections.size(); ++i) {
         if (i > 0) out += ",";
-        out += "\"" + util::json_escape(sections[i]) + "\"";
+        out += '"';
+        out += util::json_escape(sections[i]);
+        out += '"';
       }
       out += "]";
     }

@@ -69,9 +69,8 @@ int main() {
     const auto res = browser.fetch("http://torrent-harbor.net/");
     for (const auto& hop : res.exchanges) {
       std::printf("  %s -> HTTP %d", hop.url.str().c_str(), hop.status);
-      for (const auto& [name, value] : hop.response_headers)
-        if (name == "Location" || name == "X-Blocked-By")
-          std::printf("  [%s: %s]", name.c_str(), value.c_str());
+      if (hop.location)
+        std::printf("  [Location: %s]", hop.location->c_str());
       std::printf("\n");
     }
     std::printf("  final body: %.90s...\n", res.body.c_str());

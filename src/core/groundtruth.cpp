@@ -1,5 +1,8 @@
 #include "core/groundtruth.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "dns/client.h"
 #include "ecosystem/testbed.h"
 #include "http/client.h"
@@ -10,23 +13,38 @@
 
 namespace vpna::core {
 
+namespace {
+const std::string* find_in(const GroundTruth::HostMap& map,
+                           std::string_view hostname) {
+  const auto it = map.find(hostname);
+  return it == map.end() ? nullptr : &it->second;
+}
+}  // namespace
+
 const std::string* GroundTruth::dom(std::string_view hostname) const {
-  const auto it = doms.find(std::string(hostname));
-  return it == doms.end() ? nullptr : &it->second;
+  return find_in(doms, hostname);
 }
 
 const std::string* GroundTruth::fingerprint(std::string_view hostname) const {
-  const auto it = cert_fingerprints.find(std::string(hostname));
-  return it == cert_fingerprints.end() ? nullptr : &it->second;
+  return find_in(cert_fingerprints, hostname);
+}
+
+const std::string* GroundTruth::final_url(std::string_view hostname) const {
+  return find_in(final_urls, hostname);
 }
 
 std::uint64_t GroundTruth::fingerprint() const {
   std::string canon;
+  std::vector<const HostMap::value_type*> entries;
   for (const auto* map : {&doms, &cert_fingerprints, &final_urls}) {
-    for (const auto& [key, value] : *map) {
-      canon += key;
+    entries.clear();
+    for (const auto& entry : *map) entries.push_back(&entry);
+    std::sort(entries.begin(), entries.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    for (const auto* entry : entries) {
+      canon += entry->first;
       canon.push_back('\x1f');
-      canon += value;
+      canon += entry->second;
       canon.push_back('\x1f');
     }
     canon.push_back('\x1e');
@@ -52,7 +70,7 @@ GroundTruth collect_ground_truth(inet::World& world, netsim::Host& clean_host) {
         const auto hs =
             tlssim::tls_handshake(world.network(), clean_host,
                                   lookup.addresses.front(), hostname,
-                                  world.ca_store());
+                                  world.ca_store(), &world.chain_memo());
         if (hs.completed() && hs.chain->leaf() != nullptr)
           gt.cert_fingerprints[std::string(hostname)] =
               hs.chain->leaf()->key_fingerprint;

@@ -88,7 +88,11 @@ GeoApiResult run_geo_api_test(inet::World& world, netsim::Host& client) {
   if (!res.ok()) return out;
   // Body: {"country":"XX","city":"...",...} — pull the two fields.
   const auto find_field = [&](std::string_view key) -> std::string {
-    const std::string marker = "\"" + std::string(key) + "\":\"";
+    std::string marker;
+    marker.reserve(key.size() + 4);
+    marker += '"';
+    marker += key;
+    marker += "\":\"";
     const auto pos = res.body.find(marker);
     if (pos == std::string::npos) return {};
     const auto start = pos + marker.size();

@@ -66,6 +66,25 @@ std::vector<const PageObservation*> DomCollectionResult::modified_doms() const {
 
 namespace {
 
+// "http://<hostname>/", the URL each suite first loads for a site.
+std::string root_url(std::string_view hostname) {
+  std::string url;
+  url.reserve(8 + hostname.size());
+  url += "http://";
+  url += hostname;
+  url += '/';
+  return url;
+}
+
+// True if the URL host `host`, lowercased, equals `lower`: Url::parse's
+// host comparison without the lowercased copy.
+bool host_is(std::string_view host, std::string_view lower) {
+  if (host.size() != lower.size()) return false;
+  for (std::size_t i = 0; i < host.size(); ++i)
+    if (util::ascii_lower(host[i]) != lower[i]) return false;
+  return true;
+}
+
 PageObservation observe_page(inet::World& world, netsim::Host& client,
                              const GroundTruth& truth,
                              std::string_view hostname) {
@@ -73,7 +92,7 @@ PageObservation observe_page(inet::World& world, netsim::Host& client,
   obs.hostname = std::string(hostname);
 
   http::HttpClient c(world.network(), client);
-  const auto load = c.load_page("http://" + obs.hostname + "/");
+  const auto load = c.load_page(root_url(hostname));
   obs.load_ok = load.document.ok();
   obs.final_host = load.document.final_url.host;
 
@@ -97,10 +116,10 @@ PageObservation observe_page(inet::World& world, netsim::Host& client,
     // Request-log diff: anything fetched that ground truth does not
     // explain (same-origin resources and the known ad slot are expected).
     for (const auto& url : load.requested_urls) {
-      const auto parsed = http::Url::parse(url);
+      const auto parsed = http::UrlView::parse(url);
       if (!parsed) continue;
-      if (parsed->host == hostname) continue;
-      if (parsed->host == "ads.adnet-one.com") continue;  // honeysite slot
+      if (host_is(parsed->host, hostname)) continue;
+      if (host_is(parsed->host, "ads.adnet-one.com")) continue;  // honeysite slot
       obs.unexpected_request_urls.push_back(url);
     }
   }
@@ -113,6 +132,7 @@ DomCollectionResult run_dom_collection_test(inet::World& world,
                                             netsim::Host& client,
                                             const GroundTruth& truth) {
   DomCollectionResult out;
+  out.pages.reserve(inet::dom_test_sites().size() + 2);
   for (const auto& site : inet::dom_test_sites())
     out.pages.push_back(observe_page(world, client, truth, site.hostname));
   out.pages.push_back(
@@ -159,7 +179,7 @@ TlsTestResult run_tls_test(inet::World& world, netsim::Host& client,
         const auto hs =
             tlssim::tls_handshake(world.network(), client,
                                   lookup.addresses.front(), hostname,
-                                  world.ca_store());
+                                  world.ca_store(), &world.chain_memo());
         obs.handshake_ok = hs.completed();
         if (hs.completed()) {
           obs.chain_valid =
@@ -174,21 +194,22 @@ TlsTestResult run_tls_test(inet::World& world, netsim::Host& client,
     }
 
     // Step 2: HTTP-first load, following redirects.
-    const auto res = c.fetch("http://" + obs.hostname + "/");
+    const auto res = c.fetch(root_url(hostname));
     obs.http_status = res.status;
     obs.upgraded_to_https = res.final_url.scheme == "https";
     obs.blocked_403 = res.status == 403;
     obs.empty_200 = res.status == 200 && res.body.empty();
     // Stripping = ground truth upgraded but this load stayed on HTTP
     // with a successful (non-blocked) response.
-    const auto gt_final = truth.final_urls.find(obs.hostname);
-    if (gt_final != truth.final_urls.end() &&
-        util::starts_with(gt_final->second, "https://")) {
+    if (const auto* gt_final = truth.final_url(hostname);
+        gt_final != nullptr && util::starts_with(*gt_final, "https://")) {
       obs.upgrade_stripped = res.ok() && !obs.upgraded_to_https;
     }
     out.hosts.push_back(std::move(obs));
   };
 
+  out.hosts.reserve(inet::dom_test_sites().size() +
+                    inet::tls_scan_sites().size());
   for (const auto& site : inet::dom_test_sites())
     observe(site.hostname, site.https_available);
   for (const auto& site : inet::tls_scan_sites())

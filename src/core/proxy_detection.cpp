@@ -18,13 +18,15 @@ ProxyDetectionResult run_proxy_detection_test(inet::World& world,
       {"x-ODD-Casing-hEADER", "keep-Me-Exactly"},
       {"Accept", "text/html"},
   };
-  const auto res =
+  auto res =
       c.fetch("http://" + std::string(inet::header_echo_host()) + "/", opts);
   out.request_succeeded = res.ok();
   if (!res.ok() || res.exchanges.empty()) return out;
 
-  out.sent = res.exchanges.front().request_serialized;
-  out.received = res.body;
+  // The request is re-encoded, not kept by the client: encoding is
+  // deterministic, so these are the bytes the first exchange sent.
+  out.sent = http::encode_fetch_request(res.exchanges.front().url, opts);
+  out.received = std::move(res.body);
   out.proxy_detected = out.sent != out.received;
   if (out.proxy_detected) {
     const auto sent_req = http::HttpRequest::decode(out.sent);

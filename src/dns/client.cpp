@@ -17,14 +17,10 @@ LookupResult query(netsim::Network& net, netsim::Host& host,
   LookupResult out;
   out.server = server;
 
-  DnsQuery q;
-  q.id = static_cast<std::uint16_t>(net.rng().next() & 0xffff);
-  q.type = type;
-  q.name = canonical_name(name);
-
+  const auto id = static_cast<std::uint16_t>(net.rng().next() & 0xffff);
   transport::Flow flow(net, host, netsim::Proto::kUdp, server,
                        netsim::kPortDns);
-  const auto result = flow.exchange(q.encode());
+  const auto result = flow.exchange(encode_query(id, type, name));
   out.error = result.error;
   out.rtt_ms = result.rtt_ms;
 
@@ -42,16 +38,17 @@ LookupResult query(netsim::Network& net, netsim::Host& host,
     return out;
   }
 
-  auto resp = DnsResponse::decode(result.reply);
-  if (!resp || resp->id != q.id) {
+  // The reply is read in place; the echoed name is never copied.
+  const auto resp = DnsResponseView::parse(result.reply);
+  if (!resp || resp->id != id) {
     out.error = transport::Error::parse();
     obs::count("dns.failures");
     finish(out);
     return out;
   }
   out.rcode = resp->rcode;
-  out.addresses = std::move(resp->addresses);
-  out.texts = std::move(resp->texts);
+  resp->append_addresses(out.addresses);
+  resp->append_texts(out.texts);
   out.error = resp->rcode == Rcode::kNoError
                   ? transport::Error::none()
                   : transport::Error::upstream(
@@ -73,23 +70,37 @@ LookupResult resolve_system(netsim::Network& net, netsim::Host& host,
   return last;  // all servers failed (or none configured: not-attempted)
 }
 
-LookupResult resolve_browser(netsim::Network& net, netsim::Host& host,
-                             std::string_view name, RrType type) {
+std::span<const netsim::IpAddr> resolve_browser_view(netsim::Network& net,
+                                                     netsim::Host& host,
+                                                     std::string_view name,
+                                                     RrType type,
+                                                     LookupResult& out) {
   auto& cache = host.host_cache();
   const auto rr = static_cast<std::uint16_t>(type);
   if (const auto* hit = cache.find(name, rr, net.clock().now())) {
     obs::count("dns.host_cache_hits");
-    LookupResult out;
+    out = LookupResult{};
     out.error = transport::Error::none();
     out.rcode = Rcode::kNoError;
-    out.addresses = hit->addresses;
     out.server = hit->server;
-    return out;
+    return hit->addresses;
   }
-  LookupResult out = resolve_system(net, host, name, type);
-  if (out.ok() && !out.addresses.empty())
-    cache.put(name, {rr, out.addresses, out.server,
-                     net.clock().now() + kHostCacheLifetime});
+  out = resolve_system(net, host, name, type);
+  if (!out.ok() || out.addresses.empty()) return out.addresses;
+  // The answer moves into the cache and is read from there.
+  const auto& entry =
+      cache.put(name, {rr, std::move(out.addresses), out.server,
+                       net.clock().now() + kHostCacheLifetime});
+  out.addresses.clear();
+  return entry.addresses;
+}
+
+LookupResult resolve_browser(netsim::Network& net, netsim::Host& host,
+                             std::string_view name, RrType type) {
+  LookupResult out;
+  const auto addresses = resolve_browser_view(net, host, name, type, out);
+  if (out.addresses.empty())
+    out.addresses.assign(addresses.begin(), addresses.end());
   return out;
 }
 

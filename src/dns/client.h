@@ -6,6 +6,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,5 +59,15 @@ inline constexpr util::SimTime kHostCacheLifetime =
                                            netsim::Host& host,
                                            std::string_view name,
                                            RrType type);
+
+// resolve_browser for a caller that reads the addresses before this host's
+// next lookup (the HTTP client hands them straight to its flow): fills
+// `out` as resolve_browser would, except that an answer the cache holds
+// (a hit, or a miss that was just cached) is left out of `out.addresses`
+// and the returned span views the cache entry instead of a copy. Any other
+// answer is viewed in `out.addresses`.
+[[nodiscard]] std::span<const netsim::IpAddr> resolve_browser_view(
+    netsim::Network& net, netsim::Host& host, std::string_view name,
+    RrType type, LookupResult& out);
 
 }  // namespace vpna::dns

@@ -28,9 +28,15 @@ std::string_view rcode_name(Rcode r) noexcept {
 }
 
 std::string canonical_name(std::string_view name) {
-  std::string n = util::to_lower(name);
-  if (!n.empty() && n.back() == '.') n.pop_back();
-  return n;
+  if (name.ends_with('.')) name.remove_suffix(1);
+  return util::to_lower(name);
+}
+
+bool is_canonical(std::string_view name) noexcept {
+  if (name.ends_with('.')) return false;
+  for (const char c : name)
+    if (c >= 'A' && c <= 'Z') return false;
+  return true;
 }
 
 bool in_zone(std::string_view name, std::string_view zone) {
@@ -66,27 +72,54 @@ bool parse_id_type(std::string_view id, std::string_view type,
 }
 }  // namespace
 
-std::string DnsQuery::encode() const {
+namespace {
+// "DNSQ|<id>|<type>|", reserved for a name of `name_size` bytes.
+std::string query_head(std::uint16_t id, RrType type, std::size_t name_size) {
   std::string out;
-  out.reserve(16 + name.size() + netsim::kPayloadHeadroom);
+  out.reserve(16 + name_size + netsim::kPayloadHeadroom);
   out += "DNSQ|";
   append_uint(out, id);
   out += '|';
   append_uint(out, static_cast<unsigned>(type));
   out += '|';
+  return out;
+}
+}  // namespace
+
+std::string encode_query(std::uint16_t id, RrType type,
+                         std::string_view name) {
+  if (name.ends_with('.')) name.remove_suffix(1);
+  std::string out = query_head(id, type, name.size());
+  util::append_lower(out, name);
+  return out;
+}
+
+std::string DnsQuery::encode() const {
+  std::string out = query_head(id, type, name.size());
   out += name;
   return out;
 }
 
-std::optional<DnsQuery> DnsQuery::decode(std::string_view payload) {
+std::optional<DnsQueryView> DnsQueryView::parse(std::string_view payload) {
   if (!util::starts_with(payload, "DNSQ|")) return std::nullopt;
   const auto parts = util::split_exact<3>(payload.substr(5), '|');
   if (!parts) return std::nullopt;
-  DnsQuery q;
+  DnsQueryView q;
   if (!parse_id_type((*parts)[0], (*parts)[1], q.id, q.type))
     return std::nullopt;
-  q.name = canonical_name((*parts)[2]);
-  if (q.name.empty()) return std::nullopt;
+  q.name = (*parts)[2];
+  // Empty once canonical: "" or ".".
+  if (q.name.empty() || q.name == ".") return std::nullopt;
+  return q;
+}
+
+std::optional<DnsQuery> DnsQuery::decode(std::string_view payload) {
+  const auto view = DnsQueryView::parse(payload);
+  if (!view) return std::nullopt;
+  DnsQuery q;
+  q.id = view->id;
+  q.type = view->type;
+  q.name = canonical_name(view->name);
   return q;
 }
 
@@ -94,15 +127,14 @@ std::string DnsResponse::encode() const {
   return encode_response(id, type, name, rcode, addresses, texts);
 }
 
-std::string encode_response(std::uint16_t id, RrType type,
-                            std::string_view name, Rcode rcode,
-                            const std::vector<netsim::IpAddr>& addresses,
-                            const std::vector<std::string>& texts) {
+namespace {
+// "DNSR|<id>|<type>|<name>|<rcode>|" into a string reserved for
+// `answers_size` more bytes. The name ends at its first NUL, as the
+// printf-based encoder wrote it.
+std::string response_head(std::uint16_t id, RrType type, std::string_view name,
+                          Rcode rcode, std::size_t answers_size) {
   std::string out;
-  std::size_t size =
-      24 + name.size() + 16 * addresses.size() + netsim::kPayloadHeadroom;
-  for (const auto& t : texts) size += t.size() + 1;
-  out.reserve(size);
+  out.reserve(24 + name.size() + answers_size + netsim::kPayloadHeadroom);
   out += "DNSR|";
   append_uint(out, id);
   out += '|';
@@ -112,53 +144,119 @@ std::string encode_response(std::uint16_t id, RrType type,
   out += '|';
   append_uint(out, static_cast<unsigned>(rcode));
   out += '|';
+  return out;
+}
+
+// Appends the i-th TXT string of the comma-joined TXT field. TXT strings
+// may contain '|' in principle; the simulator never emits them, so the
+// simple encoding suffices. The field ends at the first NUL, as the
+// printf-based encoder wrote it: false once it has.
+bool append_text(std::string& out, std::size_t i, std::string_view text) {
+  if (i != 0) out += ',';
+  const auto written = util::c_str_view(text);
+  out += written;
+  return written.size() == text.size();
+}
+}  // namespace
+
+std::string encode_response(std::uint16_t id, RrType type,
+                            std::string_view name, Rcode rcode,
+                            const std::vector<netsim::IpAddr>& addresses,
+                            const std::vector<std::string>& texts) {
+  std::size_t size = 16 * addresses.size();
+  for (const auto& t : texts) size += t.size() + 1;
+  std::string out = response_head(id, type, name, rcode, size);
   for (std::size_t i = 0; i < addresses.size(); ++i) {
     if (i != 0) out += ',';
-    out += addresses[i].str();
+    addresses[i].append_to(out);
   }
   out += '|';
-  // TXT strings may contain '|' in principle; the simulator never emits
-  // them, so a simple comma-joined encoding suffices. Names and the TXT
-  // field end at their first NUL, as the printf-based encoder wrote them.
-  for (std::size_t i = 0; i < texts.size(); ++i) {
-    if (i != 0) out += ',';
-    const auto text = util::c_str_view(texts[i]);
-    out += text;
-    if (text.size() != texts[i].size()) break;
+  for (std::size_t i = 0; i < texts.size(); ++i)
+    if (!append_text(out, i, texts[i])) break;
+  return out;
+}
+
+std::string encode_response(std::uint16_t id, const DnsResponseView& reply) {
+  std::string folded;
+  std::string_view name = reply.name;
+  if (!is_canonical(name)) name = folded = canonical_name(name);
+  std::string out =
+      response_head(id, reply.type, name, reply.rcode,
+                    reply.addresses.size() + reply.texts.size());
+  // Each answer is re-formatted, exactly as decoding and encoding would.
+  std::size_t i = 0;
+  if (!reply.addresses.empty()) {
+    util::for_each_field(reply.addresses, ',', [&](std::string_view a) {
+      if (i++ != 0) out += ',';
+      netsim::IpAddr::parse(a)->append_to(out);
+      return true;
+    });
+  }
+  out += '|';
+  i = 0;
+  if (!reply.texts.empty()) {
+    util::for_each_field(reply.texts, ',', [&](std::string_view t) {
+      return append_text(out, i++, t);
+    });
   }
   return out;
 }
 
-std::optional<DnsResponse> DnsResponse::decode(std::string_view payload) {
+std::optional<DnsResponseView> DnsResponseView::parse(
+    std::string_view payload) {
   if (!util::starts_with(payload, "DNSR|")) return std::nullopt;
   const auto parts = util::split_exact<6>(payload.substr(5), '|');
   if (!parts) return std::nullopt;
   const auto& [id, type, name, rcode, addrs, texts] = *parts;
-  DnsResponse r;
+  DnsResponseView r;
   if (!parse_id_type(id, type, r.id, r.type)) return std::nullopt;
   std::uint16_t rc = 0;
   if (!parse_u16(rcode, rc) || rc > 3) return std::nullopt;
   r.rcode = static_cast<Rcode>(rc);
-  if (!addrs.empty()) {
-    r.addresses.reserve(
-        1 + static_cast<std::size_t>(std::count(addrs.begin(), addrs.end(), ',')));
-    const bool parsed =
-        util::for_each_field(addrs, ',', [&](std::string_view s) {
-          const auto a = netsim::IpAddr::parse(s);
-          if (a) r.addresses.push_back(*a);
-          return a.has_value();
-        });
-    if (!parsed) return std::nullopt;
-  }
-  if (!texts.empty()) {
-    r.texts.reserve(
-        1 + static_cast<std::size_t>(std::count(texts.begin(), texts.end(), ',')));
-    util::for_each_field(texts, ',', [&](std::string_view s) {
-      r.texts.emplace_back(s);
-      return true;
-    });
-  }
-  r.name = canonical_name(name);
+  if (!addrs.empty() &&
+      !util::for_each_field(addrs, ',', [](std::string_view s) {
+        return netsim::IpAddr::parse(s).has_value();
+      }))
+    return std::nullopt;
+  r.name = name;
+  r.addresses = addrs;
+  r.texts = texts;
+  return r;
+}
+
+void DnsResponseView::append_addresses(
+    std::vector<netsim::IpAddr>& out) const {
+  if (addresses.empty()) return;
+  out.reserve(out.size() + 1 +
+              static_cast<std::size_t>(
+                  std::count(addresses.begin(), addresses.end(), ',')));
+  util::for_each_field(addresses, ',', [&](std::string_view s) {
+    out.push_back(*netsim::IpAddr::parse(s));
+    return true;
+  });
+}
+
+void DnsResponseView::append_texts(std::vector<std::string>& out) const {
+  if (texts.empty()) return;
+  out.reserve(out.size() + 1 +
+              static_cast<std::size_t>(
+                  std::count(texts.begin(), texts.end(), ',')));
+  util::for_each_field(texts, ',', [&](std::string_view s) {
+    out.emplace_back(s);
+    return true;
+  });
+}
+
+std::optional<DnsResponse> DnsResponse::decode(std::string_view payload) {
+  const auto view = DnsResponseView::parse(payload);
+  if (!view) return std::nullopt;
+  DnsResponse r;
+  r.id = view->id;
+  r.type = view->type;
+  r.rcode = view->rcode;
+  view->append_addresses(r.addresses);
+  view->append_texts(r.texts);
+  r.name = canonical_name(view->name);
   return r;
 }
 

@@ -20,6 +20,18 @@ enum class Rcode : std::uint8_t { kNoError, kNxDomain, kServFail, kRefused };
 [[nodiscard]] std::string_view rrtype_name(RrType t) noexcept;
 [[nodiscard]] std::string_view rcode_name(Rcode r) noexcept;
 
+// A query parsed in place: `name` views the payload as sent, and
+// canonical_name(name) is the query's name (never empty). Servers parse
+// through it; DnsQuery::decode is built on it, so both accept exactly the
+// same payloads.
+struct DnsQueryView {
+  std::uint16_t id = 0;
+  RrType type = RrType::kA;
+  std::string_view name;
+
+  static std::optional<DnsQueryView> parse(std::string_view payload);
+};
+
 struct DnsQuery {
   std::uint16_t id = 0;
   RrType type = RrType::kA;
@@ -27,6 +39,28 @@ struct DnsQuery {
 
   [[nodiscard]] std::string encode() const;
   static std::optional<DnsQuery> decode(std::string_view payload);
+};
+
+// A response parsed in place: `name` views the payload as sent (its
+// canonical_name is DnsResponse::name), `addresses` is the comma-separated
+// answer field, every entry of which parsed, and `texts` the TXT field.
+// Clients and the recursive resolver read replies through it;
+// DnsResponse::decode is built on it, so both accept exactly the same
+// payloads.
+struct DnsResponseView {
+  std::uint16_t id = 0;
+  RrType type = RrType::kA;
+  std::string_view name;
+  Rcode rcode = Rcode::kNoError;
+  std::string_view addresses;
+  std::string_view texts;
+
+  // Appends the A/AAAA answers and the TXT strings, as DnsResponse holds
+  // them.
+  void append_addresses(std::vector<netsim::IpAddr>& out) const;
+  void append_texts(std::vector<std::string>& out) const;
+
+  static std::optional<DnsResponseView> parse(std::string_view payload);
 };
 
 struct DnsResponse {
@@ -41,15 +75,25 @@ struct DnsResponse {
   static std::optional<DnsResponse> decode(std::string_view payload);
 };
 
+// DnsQuery{id, type, canonical_name(name)}.encode(), with the name folded
+// straight into the payload.
+[[nodiscard]] std::string encode_query(std::uint16_t id, RrType type,
+                                       std::string_view name);
+
 // DnsResponse::encode over borrowed fields, so a server can answer straight
 // from its record tables without first copying them into a DnsResponse.
 [[nodiscard]] std::string encode_response(
     std::uint16_t id, RrType type, std::string_view name, Rcode rcode,
     const std::vector<netsim::IpAddr>& addresses,
     const std::vector<std::string>& texts);
+// DnsResponse::decode(reply) re-encoded under a new id, without the copy.
+[[nodiscard]] std::string encode_response(std::uint16_t id,
+                                          const DnsResponseView& reply);
 
 // Lowercases and strips a trailing dot; DNS names compare case-insensitively.
 [[nodiscard]] std::string canonical_name(std::string_view name);
+// True if canonical_name(name) == name: no upper case, no trailing dot.
+[[nodiscard]] bool is_canonical(std::string_view name) noexcept;
 
 // True if `name` equals `zone` or is a subdomain of it.
 [[nodiscard]] bool in_zone(std::string_view name, std::string_view zone);

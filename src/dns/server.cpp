@@ -9,17 +9,18 @@ namespace {
 const std::vector<netsim::IpAddr> kNoAddresses;
 const std::vector<std::string> kNoTexts;
 
-// True if canonical_name(name) == name.
-bool is_canonical(std::string_view name) {
-  if (name.ends_with('.')) return false;
-  for (const char c : name)
-    if (c >= 'A' && c <= 'Z') return false;
-  return true;
+// The query's canonical name: the view itself when the sender already
+// canonicalized it (every client does), else a folded copy in `storage`.
+std::string_view query_name(const DnsQueryView& query, std::string& storage) {
+  if (is_canonical(query.name)) return query.name;
+  return storage = canonical_name(query.name);
 }
 }  // namespace
 
 void ZoneRegistry::set_authority(std::string zone, netsim::IpAddr server) {
-  zones_[canonical_name(zone)] = server;
+  std::string name = canonical_name(zone);
+  index_[name] = server;
+  zones_[std::move(name)] = server;
 }
 
 std::optional<netsim::IpAddr> ZoneRegistry::authority_for(
@@ -32,7 +33,7 @@ std::optional<netsim::IpAddr> ZoneRegistry::authority_for(
   std::string_view suffix = name;
   if (!is_canonical(name)) suffix = folded = canonical_name(name);
   while (true) {
-    if (const auto it = zones_.find(suffix); it != zones_.end())
+    if (const auto it = index_.find(suffix); it != index_.end())
       return it->second;
     const std::size_t dot = suffix.find('.');
     if (dot == std::string_view::npos) return std::nullopt;
@@ -65,14 +66,16 @@ const ZoneRecord* AuthoritativeService::find_record(
 
 std::optional<std::string> AuthoritativeService::handle(
     netsim::ServiceContext& ctx) {
-  auto query = DnsQuery::decode(ctx.request.payload);
+  const auto query = DnsQueryView::parse(ctx.request.payload);
   if (!query) return std::nullopt;
+  std::string folded;
+  const std::string_view name = query_name(*query, folded);
 
   const auto now = ctx.network.clock().now();
   obs::count("dns.server.authoritative_queries");
   if (obs::tracing()) {
     obs::Instant serve("dns.serve", "dns");
-    serve.arg("name", query->name);
+    serve.arg("name", name);
     serve.arg("authority", "authoritative");
   }
 
@@ -80,7 +83,7 @@ std::optional<std::string> AuthoritativeService::handle(
   // copied into a DnsResponse.
   const std::vector<netsim::IpAddr>* addresses = &kNoAddresses;
   const std::vector<std::string>* texts = &kNoTexts;
-  if (const ZoneRecord* record = find_record(query->name)) {
+  if (const ZoneRecord* record = find_record(name)) {
     switch (query->type) {
       case RrType::kA: addresses = &record->a; break;
       case RrType::kAaaa: addresses = &record->aaaa; break;
@@ -89,11 +92,11 @@ std::optional<std::string> AuthoritativeService::handle(
   }
   const Rcode rcode = addresses->empty() && texts->empty() ? Rcode::kNxDomain
                                                            : Rcode::kNoError;
-  auto reply = encode_response(query->id, query->type, query->name, rcode,
-                               *addresses, *texts);
-  query_log_.push_back(QueryLogEntry{now, ctx.request.src,
-                                     std::move(query->name), query->type});
-  return reply;
+  // The log keeps its own copy of the name.
+  query_log_.push_back(
+      QueryLogEntry{now, ctx.request.src, std::string(name), query->type});
+  return encode_response(query->id, query->type, name, rcode, *addresses,
+                         *texts);
 }
 
 RecursiveResolverService::RecursiveResolverService(
@@ -102,24 +105,26 @@ RecursiveResolverService::RecursiveResolverService(
 
 std::optional<std::string> RecursiveResolverService::handle(
     netsim::ServiceContext& ctx) {
-  const auto query = DnsQuery::decode(ctx.request.payload);
+  const auto query = DnsQueryView::parse(ctx.request.payload);
   if (!query) return std::nullopt;
+  std::string folded;
+  const std::string_view name = query_name(*query, folded);
 
   obs::count("dns.server.recursive_queries");
   const auto answer = [&](Rcode rcode,
                           const std::vector<netsim::IpAddr>& addresses,
                           const std::vector<std::string>& texts) {
-    return encode_response(query->id, query->type, query->name, rcode,
-                           addresses, texts);
+    return encode_response(query->id, query->type, name, rcode, addresses,
+                           texts);
   };
 
   if (override_) {
-    if (const auto forged = override_(query->name, query->type)) {
+    if (const auto forged = override_(name, query->type)) {
       // A manipulated answer — exactly what the §6.1 tests hunt for.
       obs::count("dns.server.forged_answers");
       if (obs::tracing()) {
         obs::Instant forged_ev("dns.forged_answer", "dns");
-        forged_ev.arg("name", query->name);
+        forged_ev.arg("name", name);
       }
       switch (query->type) {
         case RrType::kA: return answer(Rcode::kNoError, forged->a, kNoTexts);
@@ -131,20 +136,20 @@ std::optional<std::string> RecursiveResolverService::handle(
     }
   }
 
-  const auto authority = zones_->authority_for(query->name);
+  const auto authority = zones_->authority_for(name);
   if (!authority) return answer(Rcode::kNxDomain, kNoAddresses, kNoTexts);
 
   // Recurse: a genuine upstream query from the resolver host, so the
   // authoritative server's log records this resolver's address.
   transport::Flow upstream(ctx.network, ctx.host, netsim::Proto::kUdp,
                            *authority, netsim::kPortDns);
-  const auto result = upstream.exchange(query->encode());
+  const auto result =
+      upstream.exchange(encode_query(query->id, query->type, name));
   if (!result.ok()) return answer(Rcode::kServFail, kNoAddresses, kNoTexts);
-  auto upstream_resp = DnsResponse::decode(result.reply);
+  const auto upstream_resp = DnsResponseView::parse(result.reply);
   if (!upstream_resp)
     return answer(Rcode::kServFail, kNoAddresses, kNoTexts);
-  upstream_resp->id = query->id;
-  return upstream_resp->encode();
+  return encode_response(query->id, *upstream_resp);
 }
 
 }  // namespace vpna::dns

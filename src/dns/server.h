@@ -17,12 +17,14 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/message.h"
 #include "netsim/host.h"
 #include "netsim/network.h"
 #include "util/clock.h"
+#include "util/strings.h"
 
 namespace vpna::dns {
 
@@ -47,7 +49,11 @@ class ZoneRegistry {
   [[nodiscard]] const ZoneMap& zones() const { return zones_; }
 
  private:
-  ZoneMap zones_;
+  ZoneMap zones_;  // in zone order, for readers that iterate
+  // The same zones hashed: authority_for probes each suffix of a name here.
+  std::unordered_map<std::string, netsim::IpAddr, util::StringHash,
+                     std::equal_to<>>
+      index_;
 };
 
 struct QueryLogEntry {
@@ -59,8 +65,10 @@ struct QueryLogEntry {
 
 class AuthoritativeService final : public netsim::Service {
  public:
-  // Canonical name -> records.
-  using RecordMap = std::map<std::string, ZoneRecord, std::less<>>;
+  // Canonical name -> records, hashed and looked up by view. Readers that
+  // iterate sort the names themselves.
+  using RecordMap = std::unordered_map<std::string, ZoneRecord,
+                                       util::StringHash, std::equal_to<>>;
 
   AuthoritativeService() = default;
   // Also serves `shared_records` — a read-only table several services may
@@ -85,7 +93,9 @@ class AuthoritativeService final : public netsim::Service {
 
   RecordMap records_;
   std::shared_ptr<const RecordMap> shared_records_;
-  RecordMap wildcard_zones_;
+  // Zone apex -> records. Ordered: the first zone (in name order) that
+  // holds a name answers it.
+  std::map<std::string, ZoneRecord, std::less<>> wildcard_zones_;
   std::vector<QueryLogEntry> query_log_;
 };
 

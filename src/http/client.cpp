@@ -20,42 +20,45 @@ const std::vector<Header>& default_headers() {
 }
 }  // namespace
 
+std::string encode_fetch_request(const Url& url, const FetchOptions& opts) {
+  return encode_request("GET", url.host, url.path,
+                        opts.headers.empty() ? default_headers() : opts.headers,
+                        {});
+}
+
 std::optional<ExchangeRecord> HttpClient::exchange(const Url& url,
                                                    const FetchOptions& opts,
                                                    transport::Error& error,
                                                    std::string& body) {
   // Resolve the hostname (IP literals pass through) through the host's
-  // browser cache. The full candidate list goes to the flow, which walks
-  // it when the session policy enables address fallback.
-  std::vector<netsim::IpAddr> candidates;
-  if (const auto literal = netsim::IpAddr::parse(url.host)) {
-    candidates = {*literal};
+  // browser cache; a hit is read in place, not copied. The full candidate
+  // list goes to the flow, which walks it when the session policy enables
+  // address fallback.
+  std::span<const netsim::IpAddr> candidates;
+  dns::LookupResult lookup;
+  const auto literal = netsim::IpAddr::parse(url.host);
+  if (literal) {
+    candidates = {&*literal, 1};
   } else {
-    dns::LookupResult lookup =
-        dns::resolve_browser(net_, host_, url.host, dns::RrType::kA);
-    if (!lookup.ok() || lookup.addresses.empty()) {
+    candidates = dns::resolve_browser_view(net_, host_, url.host,
+                                           dns::RrType::kA, lookup);
+    if (!lookup.ok() || candidates.empty()) {
       error = transport::Error::resolve(lookup.error);
       return std::nullopt;
     }
-    candidates = std::move(lookup.addresses);
   }
-
-  // Encode once: the same bytes go on the wire and into the record.
-  std::string request_bytes = encode_request(
-      "GET", url.host, url.path,
-      opts.headers.empty() ? default_headers() : opts.headers, {});
 
   netsim::TransactOptions topts;
   // TCP handshake = 1 extra RTT; TLS adds 2 more.
   topts.extra_round_trips = url.scheme == "https" ? 3 : 1;
   transport::Flow flow(net_, host_, netsim::Proto::kTcp, candidates,
                        url.effective_port(), topts);
-  const auto result = flow.exchange(request_bytes);
+  auto result = flow.exchange(encode_fetch_request(url, opts));
   if (!result.ok()) {
     error = result.error;
     return std::nullopt;
   }
-  auto resp = HttpResponse::decode(result.reply);
+  const auto resp = HttpResponseView::parse(result.reply);
   if (!resp) {
     error = transport::Error::parse();
     return std::nullopt;
@@ -63,16 +66,22 @@ std::optional<ExchangeRecord> HttpClient::exchange(const Url& url,
 
   ExchangeRecord rec;
   rec.url = url;
-  rec.request_serialized = std::move(request_bytes);
   rec.status = resp->status;
-  rec.response_headers = std::move(resp->headers);
+  if (is_redirect(resp->status)) {
+    if (const auto location = resp->header("Location"))
+      rec.location = std::string(*location);
+  }
   rec.server_addr = result.remote;
   rec.rtt_ms = result.rtt_ms;
-  body = std::move(resp->body);
+  // The body is the reply buffer minus its head.
+  const auto head = static_cast<std::size_t>(resp->body.data() -
+                                             result.reply.data());
+  body = std::move(result.reply);
+  body.erase(0, head);
   return rec;
 }
 
-FetchResult HttpClient::fetch(const Url& url, const FetchOptions& opts) {
+FetchResult HttpClient::fetch(Url url, const FetchOptions& opts) {
   obs::Span span("http.fetch", "http");
   if (span) span.arg("url", url.str());
   obs::count("http.fetches");
@@ -92,7 +101,7 @@ FetchResult HttpClient::fetch(const Url& url, const FetchOptions& opts) {
   };
 
   FetchResult out;
-  Url current = url;
+  Url current = std::move(url);
   std::string body;
   for (int hop = 0; hop <= opts.max_redirects; ++hop) {
     transport::Error error = transport::Error::not_attempted();
@@ -105,15 +114,13 @@ FetchResult HttpClient::fetch(const Url& url, const FetchOptions& opts) {
     }
     const ExchangeRecord& last = out.exchanges.emplace_back(std::move(*rec));
     if (is_redirect(last.status)) {
-      const std::string* location =
-          find_header(last.response_headers, "Location");
-      if (location == nullptr) {
+      if (!last.location) {
         out.error = transport::Error::parse();
         out.final_url = std::move(current);
         finish(out);
         return out;
       }
-      current = current.resolve(*location);
+      current = current.resolve(*last.location);
       continue;
     }
     out.error = transport::Error::none();
@@ -131,7 +138,7 @@ FetchResult HttpClient::fetch(const Url& url, const FetchOptions& opts) {
 
 FetchResult HttpClient::fetch(std::string_view url_text,
                               const FetchOptions& opts) {
-  const auto url = Url::parse(url_text);
+  auto url = Url::parse(url_text);
   if (!url) {
     // Nothing was sent: an unparseable URL is a parse failure on a flow
     // that never got attempted at the transport level.
@@ -139,7 +146,7 @@ FetchResult HttpClient::fetch(std::string_view url_text,
     out.error = transport::Error::parse();
     return out;
   }
-  return fetch(*url, opts);
+  return fetch(std::move(*url), opts);
 }
 
 PageLoadResult HttpClient::load_page(std::string_view url_text,
@@ -162,10 +169,10 @@ PageLoadResult HttpClient::load_page(std::string_view url_text,
     pos += 5;
     const std::size_t end = dom.find('"', pos);
     if (end == std::string::npos) break;
-    const std::string res_url = dom.substr(pos, end - pos);
+    const std::string_view res_url(dom.data() + pos, end - pos);
     pos = end;
     if (!res_url.starts_with("http")) continue;
-    out.requested_urls.push_back(res_url);
+    out.requested_urls.emplace_back(res_url);
     out.resources.push_back(fetch(res_url, opts));
   }
   if (span)

@@ -24,13 +24,21 @@ struct FetchOptions {
   std::vector<Header> headers;
 };
 
-// One request/response exchange within a fetch. The response body is not
-// kept per exchange: the fetch's final body lives in FetchResult::body.
+// The exact request bytes fetch() sends for `url` under `opts`. Encoding is
+// deterministic, so a caller that needs the bytes it sent (the
+// transparent-proxy test) re-encodes them instead of the client keeping a
+// copy of every request.
+[[nodiscard]] std::string encode_fetch_request(const Url& url,
+                                               const FetchOptions& opts);
+
+// One request/response exchange within a fetch. Neither message is kept:
+// the fetch's final body lives in FetchResult::body, and a redirect keeps
+// only where it pointed.
 struct ExchangeRecord {
   Url url;
-  std::string request_serialized;   // exact bytes sent
   int status = 0;
-  std::vector<Header> response_headers;
+  // A redirect's Location header, when it had one.
+  std::optional<std::string> location;
   netsim::IpAddr server_addr;       // address actually contacted
   double rtt_ms = 0.0;
 };
@@ -71,7 +79,7 @@ class HttpClient {
       : net_(net), host_(host) {}
 
   // GET with redirect following.
-  FetchResult fetch(const Url& url, const FetchOptions& opts = {});
+  FetchResult fetch(Url url, const FetchOptions& opts = {});
   FetchResult fetch(std::string_view url_text, const FetchOptions& opts = {});
 
   // Loads a page and its sub-resources (browser emulation).
@@ -80,7 +88,7 @@ class HttpClient {
 
  private:
   // One exchange without redirect handling; the response body is moved
-  // into `body`.
+  // into `body` (the reply buffer, its head erased).
   std::optional<ExchangeRecord> exchange(const Url& url,
                                          const FetchOptions& opts,
                                          transport::Error& error,

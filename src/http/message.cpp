@@ -1,7 +1,6 @@
 #include "http/message.h"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 
 #include "netsim/packet.h"
@@ -11,14 +10,7 @@ namespace vpna::http {
 
 namespace {
 
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i])))
-      return false;
-  return true;
-}
+using util::iequals;
 
 // A message is a head (start line, then header lines) and a body: the body
 // is everything after the first blank line. A message that ends in a
@@ -239,7 +231,8 @@ std::string HttpResponse::encode() const {
   return encode_response(status, reason, headers, body);
 }
 
-std::optional<HttpResponse> HttpResponse::decode(std::string_view payload) {
+std::optional<HttpResponseView> HttpResponseView::parse(
+    std::string_view payload) {
   const auto sections = split_sections(payload);
   if (!sections) return std::nullopt;
   constexpr std::string_view kVersion = "HTTP/1.1 ";
@@ -250,22 +243,41 @@ std::optional<HttpResponse> HttpResponse::decode(std::string_view payload) {
   const auto rest = status_line.substr(kVersion.size());
   const std::size_t space = rest.find(' ');
   const auto st = rest.substr(0, space);
-  int status = 0;
-  auto [p, ec] = std::from_chars(st.data(), st.data() + st.size(), status);
+  HttpResponseView r;
+  auto [p, ec] = std::from_chars(st.data(), st.data() + st.size(), r.status);
   if (ec != std::errc{} || p != st.data() + st.size()) return std::nullopt;
-  HttpResponse r;
-  r.status = status;
-  r.reason = std::string(space == std::string_view::npos
-                             ? reason_for_status(status)
-                             : rest.substr(space + 1));
+  r.reason = space == std::string_view::npos ? reason_for_status(r.status)
+                                             : rest.substr(space + 1);
+  if (!for_each_header(sections->header_lines,
+                       [](std::string_view, std::string_view) {}))
+    return std::nullopt;
+  r.header_lines = sections->header_lines;
+  r.body = sections->body;
+  return r;
+}
 
-  r.headers.reserve(line_count(sections->header_lines));
-  const bool well_formed = for_each_header(
-      sections->header_lines, [&](std::string_view name, std::string_view value) {
-        r.headers.emplace_back(std::string(name), std::string(value));
-      });
-  if (!well_formed) return std::nullopt;
-  r.body = std::string(sections->body);
+std::optional<std::string_view> HttpResponseView::header(
+    std::string_view name) const {
+  std::optional<std::string_view> found;
+  for_each_header(header_lines, [&](std::string_view n, std::string_view v) {
+    if (!found && iequals(n, name)) found = v;
+  });
+  return found;
+}
+
+std::optional<HttpResponse> HttpResponse::decode(std::string_view payload) {
+  const auto view = HttpResponseView::parse(payload);
+  if (!view) return std::nullopt;
+  HttpResponse r;
+  r.status = view->status;
+  r.reason = std::string(view->reason);
+  r.headers.reserve(line_count(view->header_lines));
+  for_each_header(view->header_lines,
+                  [&](std::string_view name, std::string_view value) {
+                    r.headers.emplace_back(std::string(name),
+                                           std::string(value));
+                  });
+  r.body = std::string(view->body);
   return r;
 }
 

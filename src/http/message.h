@@ -58,6 +58,25 @@ struct HttpRequest {
          status == 308;
 }
 
+// A response parsed in place, as HttpRequestView is: every field views the
+// payload. The HTTP client reads replies through it; the owning
+// HttpResponse::decode is built on it, so both accept exactly the same
+// payloads.
+struct HttpResponseView {
+  int status = 0;
+  std::string_view reason;
+  // The "Name: value" lines after the status line, '\n'-separated; empty
+  // when there are none.
+  std::string_view header_lines;
+  std::string_view body;
+
+  // The value of the first header with the given name (case-insensitive).
+  [[nodiscard]] std::optional<std::string_view> header(
+      std::string_view name) const;
+
+  static std::optional<HttpResponseView> parse(std::string_view payload);
+};
+
 struct HttpResponse {
   int status = 200;
   std::string reason = "OK";

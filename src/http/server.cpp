@@ -14,10 +14,9 @@ void WebServerService::add_site(std::shared_ptr<const Site> site) {
   sites_[site->hostname] = std::move(site);
 }
 
-std::shared_ptr<const Site> WebServerService::find_site(
-    std::string_view hostname) const {
+const Site* WebServerService::find_site(std::string_view hostname) const {
   const auto it = sites_.find(hostname);
-  return it == sites_.end() ? nullptr : it->second;
+  return it == sites_.end() ? nullptr : it->second.get();
 }
 
 std::optional<std::string> WebServerService::handle(
@@ -29,7 +28,7 @@ std::optional<std::string> WebServerService::handle(
   const auto req = HttpRequestView::parse(ctx.request.payload);
   if (!req) return encode_response(400, "Bad Request", {}, {});
 
-  const auto site = find_site(req->host);
+  const Site* site = find_site(req->host);
   if (site == nullptr) {
     return encode_response(404, "Not Found", {},
                            "<html><body>no such site</body></html>");

@@ -47,8 +47,7 @@ class WebServerService final : public netsim::Service {
   explicit WebServerService(bool https) : https_(https) {}
 
   void add_site(std::shared_ptr<const Site> site);
-  [[nodiscard]] std::shared_ptr<const Site> find_site(
-      std::string_view hostname) const;
+  [[nodiscard]] const Site* find_site(std::string_view hostname) const;
 
   std::optional<std::string> handle(netsim::ServiceContext& ctx) override;
 

@@ -20,27 +20,33 @@ constexpr std::array<std::string_view, 22> kSuffixes = {
 }  // namespace
 
 std::string Url::str() const {
-  std::string s = scheme + "://" + host;
-  if (port != 0) s += ":" + std::to_string(port);
-  s += path.empty() ? "/" : path;
+  std::string s;
+  s.reserve(scheme.size() + 3 + host.size() + 6 + path.size() + 1);
+  s += scheme;
+  s += "://";
+  s += host;
+  if (port != 0) {
+    s += ':';
+    s += std::to_string(port);
+  }
+  s += path.empty() ? std::string_view("/") : std::string_view(path);
   return s;
 }
 
-std::optional<Url> Url::parse(std::string_view text) {
-  Url u;
-  std::size_t scheme_end = text.find("://");
+std::optional<UrlView> UrlView::parse(std::string_view text) {
+  UrlView u;
+  const std::size_t scheme_end = text.find("://");
   if (scheme_end == std::string_view::npos) return std::nullopt;
-  u.scheme = util::to_lower(text.substr(0, scheme_end));
-  if (u.scheme != "http" && u.scheme != "https") return std::nullopt;
+  u.scheme = text.substr(0, scheme_end);
+  if (!util::iequals(u.scheme, "http") && !util::iequals(u.scheme, "https"))
+    return std::nullopt;
   std::string_view rest = text.substr(scheme_end + 3);
   if (rest.empty()) return std::nullopt;
 
   const std::size_t path_start = rest.find('/');
   std::string_view authority =
       path_start == std::string_view::npos ? rest : rest.substr(0, path_start);
-  u.path = path_start == std::string_view::npos
-               ? "/"
-               : std::string(rest.substr(path_start));
+  if (path_start != std::string_view::npos) u.path = rest.substr(path_start);
 
   // Split host[:port]; IPv6 literals are not used by the simulated web.
   const std::size_t colon = authority.rfind(':');
@@ -56,7 +62,18 @@ std::optional<Url> Url::parse(std::string_view text) {
     authority = authority.substr(0, colon);
   }
   if (authority.empty()) return std::nullopt;
-  u.host = util::to_lower(authority);
+  u.host = authority;
+  return u;
+}
+
+std::optional<Url> Url::parse(std::string_view text) {
+  const auto view = UrlView::parse(text);
+  if (!view) return std::nullopt;
+  Url u;
+  u.scheme = util::iequals(view->scheme, "https") ? "https" : "http";
+  u.host = util::to_lower(view->host);
+  u.port = view->port;
+  u.path = view->path.empty() ? std::string_view("/") : view->path;
   return u;
 }
 

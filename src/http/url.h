@@ -11,6 +11,19 @@
 
 namespace vpna::http {
 
+// An absolute http(s) URL parsed in place: every field views the text as
+// written, so the scheme and host are not yet lowercased. Url::parse is
+// built on it, so both accept exactly the same texts. Callers that only
+// read a URL's host use it and copy nothing.
+struct UrlView {
+  std::string_view scheme;  // "http" or "https" in any case
+  std::string_view host;    // non-empty
+  std::uint16_t port = 0;   // 0 = none given
+  std::string_view path;    // begins with '/', or empty for none
+
+  static std::optional<UrlView> parse(std::string_view text);
+};
+
 struct Url {
   std::string scheme;  // "http" or "https"
   std::string host;    // lowercase hostname or IP literal

@@ -138,6 +138,9 @@ class World {
 
   // --- web -------------------------------------------------------------------
   [[nodiscard]] tlssim::CaStore& ca_store() noexcept { return ca_store_; }
+  // This world's decoded certificate chains, shared per chain bytes; the
+  // suites' handshakes decode through it. Dropped with the world.
+  [[nodiscard]] tlssim::ChainMemo& chain_memo() noexcept { return chain_memo_; }
   [[nodiscard]] std::shared_ptr<const SiteDirectory> site_directory() const {
     return base_->site_directory();
   }
@@ -215,6 +218,7 @@ class World {
   std::shared_ptr<dns::AuthoritativeService> probe_authority_;
 
   tlssim::CaStore ca_store_;
+  tlssim::ChainMemo chain_memo_;
   // Served sites, parallel to base_->sites(); the VPN-blocking ones are
   // this world's copies, also listed in vpn_blocking_sites_.
   std::vector<std::shared_ptr<const http::Site>> sites_;

@@ -555,7 +555,13 @@ std::uint64_t WorldBase::fingerprint() const {
     field(zone);
     addr(server);
   }
-  for (const auto& [name, rec] : *web_records_) {
+  std::vector<const dns::AuthoritativeService::RecordMap::value_type*> records;
+  records.reserve(web_records_->size());
+  for (const auto& entry : *web_records_) records.push_back(&entry);
+  std::sort(records.begin(), records.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  for (const auto* entry : records) {
+    const auto& [name, rec] = *entry;
     field(name);
     for (const auto& a : rec.a) addr(a);
     for (const auto& a : rec.aaaa) addr(a);

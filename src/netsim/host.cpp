@@ -14,16 +14,15 @@ const HostCache::Entry* HostCache::find(std::string_view name,
   return entry.type == type && now < entry.expires ? &entry : nullptr;
 }
 
-void HostCache::put(std::string_view name, Entry entry) {
-  entries_.insert_or_assign(std::string(name), std::move(entry));
+const HostCache::Entry& HostCache::put(std::string_view name, Entry entry) {
+  return entries_.insert_or_assign(std::string(name), std::move(entry))
+      .first->second;
 }
 
 Host::Host(std::string name) : name_(std::move(name)) {
   interfaces_.reserve(2);  // lo + eth0, what every attached host has
-  Interface lo;
-  lo.name = "lo";
-  lo.addr4 = IpAddr::v4(127, 0, 0, 1);
-  interfaces_.push_back(std::move(lo));
+  interfaces_.push_back(
+      Interface{"lo", IpAddr::v4(127, 0, 0, 1), std::nullopt, true});
 }
 
 Interface& Host::add_interface(std::string name, std::optional<IpAddr> addr4,

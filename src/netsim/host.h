@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "netsim/capture.h"
@@ -19,6 +20,7 @@
 #include "netsim/packet.h"
 #include "netsim/routing.h"
 #include "util/clock.h"
+#include "util/strings.h"
 
 namespace vpna::netsim {
 
@@ -90,12 +92,15 @@ class HostCache {
   // The entry for (name, type), or null when absent or expired at `now`.
   [[nodiscard]] const Entry* find(std::string_view name, std::uint16_t type,
                                   util::SimTime now) const;
-  void put(std::string_view name, Entry entry);
+  // Stores `entry` for `name`, replacing any older one; returns it.
+  const Entry& put(std::string_view name, Entry entry);
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
   friend class Host;
-  std::map<std::string, Entry, std::less<>> entries_;
+  // Hashed by name (never iterated): a lookup hashes the view it is given.
+  std::unordered_map<std::string, Entry, util::StringHash, std::equal_to<>>
+      entries_;
   // The host configuration the entries were resolved under.
   std::uint64_t config_generation_ = 0;
   std::vector<IpAddr> resolvers_;

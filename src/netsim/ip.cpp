@@ -1,7 +1,6 @@
 #include "netsim/ip.h"
 
 #include <charconv>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
@@ -134,11 +133,24 @@ std::optional<IpAddr> IpAddr::parse(std::string_view text) {
 }
 
 std::string IpAddr::str() const {
-  char buf[64];
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void IpAddr::append_to(std::string& out) const {
+  const auto append_number = [&out](unsigned value, int base) {
+    char buf[8];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value, base);
+    (void)ec;
+    out.append(buf, end);
+  };
   if (is_v4()) {
-    std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", bytes_[0], bytes_[1],
-                  bytes_[2], bytes_[3]);
-    return buf;
+    for (std::size_t i = 0; i < 4; ++i) {
+      if (i != 0) out += '.';
+      append_number(bytes_[i], 10);
+    }
+    return;
   }
   // RFC 5952-style: compress the longest run of zero groups.
   std::array<std::uint16_t, 8> g{};
@@ -158,8 +170,8 @@ std::string IpAddr::str() const {
     }
     i = j;
   }
-  std::string out;
   if (best_len < 2) best_start = -1;  // only compress runs of 2+
+  const std::size_t start = out.size();
   for (int i = 0; i < 8;) {
     if (i == best_start) {
       // The compressed run always renders as "::"; the preceding group
@@ -169,14 +181,11 @@ std::string IpAddr::str() const {
       if (i >= 8) break;
       continue;
     }
-    char hex[8];
-    std::snprintf(hex, sizeof(hex), "%x", g[static_cast<std::size_t>(i)]);
-    out += hex;
+    append_number(g[static_cast<std::size_t>(i)], 16);
     ++i;
     if (i < 8 && i != best_start) out += ':';
   }
-  if (out.empty()) out = "::";
-  return out;
+  if (out.size() == start) out += "::";
 }
 
 namespace {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -77,9 +78,21 @@ class IpAddr {
 
   // Canonical text form ("8.8.8.8", "2001:db8::1").
   [[nodiscard]] std::string str() const;
+  // Appends str() to `out` without a temporary.
+  void append_to(std::string& out) const;
+
+  // The 16 address bytes as two native words: equality and hashing read
+  // these instead of comparing byte by byte.
+  [[nodiscard]] constexpr std::array<std::uint64_t, 2> words() const noexcept {
+    return std::bit_cast<std::array<std::uint64_t, 2>>(bytes_);
+  }
 
   friend constexpr auto operator<=>(const IpAddr&, const IpAddr&) noexcept = default;
-  friend constexpr bool operator==(const IpAddr&, const IpAddr&) noexcept = default;
+  friend constexpr bool operator==(const IpAddr& a, const IpAddr& b) noexcept {
+    const auto wa = a.words();
+    const auto wb = b.words();
+    return a.family_ == b.family_ && wa[0] == wb[0] && wa[1] == wb[1];
+  }
 
  private:
   IpFamily family_ = IpFamily::kV4;
@@ -142,15 +155,14 @@ class Cidr {
 template <>
 struct std::hash<vpna::netsim::IpAddr> {
   std::size_t operator()(const vpna::netsim::IpAddr& a) const noexcept {
-    // FNV over family + bytes.
-    std::size_t h = 1469598103934665603ULL;
-    auto mix = [&h](std::uint8_t b) {
-      h ^= b;
-      h *= 1099511628211ULL;
-    };
-    mix(static_cast<std::uint8_t>(a.family()));
-    for (auto b : a.bytes()) mix(b);
-    return h;
+    // Multiply-xorshift over the two address words and the family. No
+    // IpAddr-keyed container is iterated into output, so the hash values
+    // themselves never reach a payload.
+    const auto w = a.words();
+    std::uint64_t h = (w[0] ^ static_cast<std::uint64_t>(a.family())) *
+                      0x9e3779b97f4a7c15ULL;
+    h = (h ^ (h >> 29) ^ w[1]) * 0xbf58476d1ce4e5b9ULL;
+    return static_cast<std::size_t>(h ^ (h >> 32));
   }
 };
 

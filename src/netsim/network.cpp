@@ -6,6 +6,7 @@
 #include <cstring>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -239,16 +240,16 @@ void Network::attach_host(Host& host, RouterId router, double access_latency_ms)
   host.network_ = this;
   host.attachment_slot_ = slot;
   index_attachment(slot);
-  debug_check_address_index();
+  debug_check_addresses(slot, {});
 }
 
 void Network::detach_host(Host& host) {
   if (attachment_of(host) == nullptr) return;
   const std::size_t slot = host.attachment_slot_;
-  unindex_attachment(slot);
+  const auto before = unindex_attachment(slot);
   attachments_[slot].host = nullptr;  // tombstone; slot indices stay stable
   host.network_ = nullptr;
-  debug_check_address_index();
+  debug_check_addresses(slot, before);
 }
 
 void Network::reserve_hosts(std::size_t host_count) {
@@ -260,9 +261,9 @@ void Network::reserve_hosts(std::size_t host_count) {
 
 void Network::refresh_host(Host& host) {
   if (attachment_of(host) == nullptr) return;
-  unindex_attachment(host.attachment_slot_);
+  const auto before = unindex_attachment(host.attachment_slot_);
   index_attachment(host.attachment_slot_);
-  debug_check_address_index();
+  debug_check_addresses(host.attachment_slot_, before);
 }
 
 void Network::index_attachment(std::size_t slot) {
@@ -297,7 +298,7 @@ void Network::index_attachment(std::size_t slot) {
   }
 }
 
-void Network::unindex_attachment(std::size_t slot) {
+std::vector<IpAddr> Network::unindex_attachment(std::size_t slot) {
   auto& att = attachments_[slot];
   for (const auto& addr : att.indexed_addrs) {
     const auto it = addr_to_attachment_.find(addr);
@@ -312,7 +313,44 @@ void Network::unindex_attachment(std::size_t slot) {
       slots.replicas.erase(slots.replicas.begin());
     }
   }
-  att.indexed_addrs.clear();
+  return std::exchange(att.indexed_addrs, {});
+}
+
+Network::~Network() { debug_check_address_index(); }
+
+void Network::debug_check_addresses(std::size_t slot,
+                                    std::span<const IpAddr> before) const {
+#ifndef NDEBUG
+  const auto& att = attachments_[slot];
+  assert(att.host == nullptr ||
+         (att.host->network_ == this && att.host->attachment_slot_ == slot));
+  // How often slot i's snapshot holds `addr` (a host may carry one address
+  // on two interfaces; the index then lists its slot twice).
+  const auto held = [this](std::size_t i, const IpAddr& addr) {
+    const auto& a = attachments_[i];
+    if (a.host == nullptr) return std::ptrdiff_t{0};
+    return std::count(a.indexed_addrs.begin(), a.indexed_addrs.end(), addr);
+  };
+  const auto check = [&](const IpAddr& addr) {
+    std::vector<std::size_t> listed;
+    if (const auto it = addr_to_attachment_.find(addr);
+        it != addr_to_attachment_.end()) {
+      listed.push_back(it->second.first);
+      listed.insert(listed.end(), it->second.replicas.begin(),
+                    it->second.replicas.end());
+    }
+    assert(std::is_sorted(listed.begin(), listed.end()));
+    for (const std::size_t i : listed)
+      assert(std::count(listed.begin(), listed.end(), i) == held(i, addr));
+    assert(std::count(listed.begin(), listed.end(), slot) == held(slot, addr));
+    (void)held;
+  };
+  for (const auto& addr : before) check(addr);
+  for (const auto& addr : att.indexed_addrs) check(addr);
+#else
+  (void)slot;
+  (void)before;
+#endif
 }
 
 void Network::debug_check_address_index() const {
@@ -321,12 +359,7 @@ void Network::debug_check_address_index() const {
   for (std::size_t i = 0; i < attachments_.size(); ++i) {
     const auto& att = attachments_[i];
     if (att.host == nullptr) continue;
-    assert(att.host->network_ == this && att.host->attachment_slot_ == i);
-    for (const auto& iface : att.host->interfaces()) {
-      if (iface.name == "lo") continue;
-      if (iface.addr4) expected[*iface.addr4].push_back(i);
-      if (iface.addr6) expected[*iface.addr6].push_back(i);
-    }
+    for (const auto& addr : att.indexed_addrs) expected[addr].push_back(i);
   }
   assert(expected.size() == addr_to_attachment_.size());
   for (const auto& [addr, slots] : expected) {

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -89,6 +90,9 @@ class Network {
   // `jitter_stddev_ms` adds gaussian noise to each measured RTT, modelling
   // queueing variance; 0 disables jitter.
   Network(util::SimClock& clock, util::Rng rng, double jitter_stddev_ms = 0.15);
+  // Debug builds check the whole address index here (see
+  // debug_check_address_index).
+  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -264,12 +268,21 @@ class Network {
   // to attach order).
   [[nodiscard]] std::size_t nearest_replica(RouterId from,
                                             const AddrSlots& slots) const;
-  // Incremental index maintenance for one attachment slot.
+  // Incremental index maintenance for one attachment slot. Unindexing
+  // returns the addresses it removed.
   void index_attachment(std::size_t slot);
-  void unindex_attachment(std::size_t slot);
-  // Debug-build invariant: the incremental index equals a full rebuild.
-  // Holds whenever every attached host was refreshed after its interfaces
-  // last changed, which is when attach, detach and refresh run it.
+  std::vector<IpAddr> unindex_attachment(std::size_t slot);
+  // Debug-build invariants (no-ops under NDEBUG). The expectation comes from
+  // each attached slot's indexed_addrs snapshot, which is what the index
+  // holds: an attached host's interfaces may legally differ from it until
+  // refresh_host. After attach, detach or refresh of `slot`, only the
+  // addresses it touched (`before` and its current snapshot) are checked:
+  // each one's entry lists, ascending, every attached slot as often as its
+  // snapshot holds the address, `slot` included.
+  void debug_check_addresses(std::size_t slot,
+                             std::span<const IpAddr> before) const;
+  // The whole index equals a rebuild from every snapshot. Reads no host, so
+  // it can run at teardown after the hosts are gone.
   void debug_check_address_index() const;
   // Path with memoization keyed on (src, dst): reconstructed from the
   // routing plane when frozen, per-pair Dijkstra otherwise.

@@ -34,8 +34,11 @@ void append_args_object(std::string& out, const TraceEvent& ev) {
   for (const auto& arg : ev.args) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + util::json_escape(arg.key) + "\":\"" +
-           util::json_escape(arg.value) + "\"";
+    out += '"';
+    out += util::json_escape(arg.key);
+    out += "\":\"";
+    out += util::json_escape(arg.value);
+    out += '"';
   }
   out += "}";
 }

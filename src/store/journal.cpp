@@ -51,7 +51,11 @@ std::string unescape(std::string_view s) {
 // Pulls `"name":<value>` out of one journal line. Quoted values unescape;
 // bare values read to the next ',' or '}'.
 bool extract(std::string_view line, std::string_view name, std::string* out) {
-  const std::string needle = "\"" + std::string(name) + "\":";
+  std::string needle;
+  needle.reserve(name.size() + 3);
+  needle += '"';
+  needle += name;
+  needle += "\":";
   const std::size_t at = line.find(needle);
   if (at == std::string_view::npos) return false;
   std::size_t p = at + needle.size();

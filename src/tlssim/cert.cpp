@@ -119,26 +119,35 @@ ValidationStatus CaStore::validate(const CertChain& chain,
   return ValidationStatus::kValid;
 }
 
+namespace {
+// "fp:" and the value as 16 zero-padded lower-case hex digits.
+std::string fingerprint_text(std::uint64_t value) {
+  std::string out = "fp:0000000000000000";
+  for (std::size_t i = out.size(); value != 0; value >>= 4)
+    out[--i] = "0123456789abcdef"[value & 0xf];
+  return out;
+}
+}  // namespace
+
 CertChain issue_chain(std::string_view hostname, std::string_view ca_name,
                       std::uint64_t serial) {
-  Certificate leaf;
-  leaf.subject = std::string(hostname);
-  leaf.issuer = std::string(ca_name);
-  leaf.key_fingerprint = util::format(
-      "fp:%016llx",
-      static_cast<unsigned long long>(
-          util::fnv1a(std::string(hostname) + "|" + std::string(ca_name)) ^
-          (serial * 0x9e3779b97f4a7c15ULL)));
-
-  Certificate root;
-  root.subject = std::string(ca_name);
-  root.issuer = std::string(ca_name);  // self-signed root
-  root.key_fingerprint = util::format(
-      "fp:%016llx",
-      static_cast<unsigned long long>(util::fnv1a(std::string(ca_name))));
-
   CertChain chain;
-  chain.certs = {std::move(leaf), std::move(root)};
+  chain.certs.resize(2);
+  Certificate& leaf = chain.certs[0];
+  leaf.subject = hostname;
+  leaf.issuer = ca_name;
+  std::string issuance;  // "host|ca", what the fingerprint hashes
+  issuance.reserve(hostname.size() + 1 + ca_name.size());
+  issuance += hostname;
+  issuance += '|';
+  issuance += ca_name;
+  leaf.key_fingerprint = fingerprint_text(util::fnv1a(issuance) ^
+                                          (serial * 0x9e3779b97f4a7c15ULL));
+
+  Certificate& root = chain.certs[1];
+  root.subject = ca_name;
+  root.issuer = ca_name;  // self-signed root
+  root.key_fingerprint = fingerprint_text(util::fnv1a(ca_name));
   return chain;
 }
 

@@ -30,10 +30,26 @@ std::optional<CertChain> decode_server_hello(std::string_view payload) {
   return CertChain::decode(payload.substr(5));
 }
 
+std::shared_ptr<const CertChain> ChainMemo::decode_server_hello(
+    std::string payload) {
+  constexpr std::size_t kChainAt = 5;  // after "TLSS|"
+  if (!util::starts_with(payload, "TLSS|")) return nullptr;
+  const auto bytes = std::string_view(payload).substr(kChainAt);
+  if (const auto it = chains_.find(bytes); it != chains_.end())
+    return {it->second, &it->second->chain};
+  auto chain = CertChain::decode(bytes);
+  if (!chain) return nullptr;
+  auto entry = std::make_shared<const Entry>(
+      Entry{std::move(payload), std::move(*chain)});
+  const auto key = std::string_view(entry->payload).substr(kChainAt);
+  const auto& stored = chains_.emplace(key, std::move(entry)).first->second;
+  return {stored, &stored->chain};
+}
+
 HandshakeResult tls_handshake(netsim::Network& net, netsim::Host& client,
                               const netsim::IpAddr& server,
                               std::string_view hostname,
-                              const CaStore& store) {
+                              const CaStore& store, ChainMemo* memo) {
   obs::Span span("tls.handshake", "tls");
   if (span) {
     span.arg("sni", hostname);
@@ -47,7 +63,7 @@ HandshakeResult tls_handshake(netsim::Network& net, netsim::Host& client,
   topts.extra_round_trips = 2;  // TCP SYN + TLS flights
   transport::Flow flow(net, client, netsim::Proto::kTcp, server,
                        netsim::kPortHttps, topts);
-  const auto result = flow.exchange(encode_client_hello(hostname));
+  auto result = flow.exchange(encode_client_hello(hostname));
   out.error = result.error;
   out.rtt_ms = result.rtt_ms;
   if (!result.ok()) {
@@ -56,7 +72,11 @@ HandshakeResult tls_handshake(netsim::Network& net, netsim::Host& client,
     return out;
   }
 
-  out.chain = decode_server_hello(result.reply);
+  if (memo != nullptr) {
+    out.chain = memo->decode_server_hello(std::move(result.reply));
+  } else if (auto chain = decode_server_hello(result.reply)) {
+    out.chain = std::make_shared<const CertChain>(std::move(*chain));
+  }
   if (!out.chain) out.error = transport::Error::parse();
   if (out.chain) out.validation = store.validate(*out.chain, hostname);
   if (span) span.arg("validation", validation_name(out.validation));

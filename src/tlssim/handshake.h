@@ -8,6 +8,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "netsim/host.h"
 #include "netsim/network.h"
@@ -25,27 +27,55 @@ namespace vpna::tlssim {
 [[nodiscard]] std::optional<CertChain> decode_server_hello(
     std::string_view payload);
 
+// Decoded certificate chains shared per exact chain bytes. Every server
+// presents one fixed chain per name, so a world's handshakes see far fewer
+// distinct chains than handshakes; each distinct chain is decoded once and
+// later handshakes share it. A hit allocates nothing. Owned by one world
+// (see inet::World::chain_memo) and dropped with it; not thread-safe.
+class ChainMemo {
+ public:
+  // decode_server_hello(payload), shared; nullptr exactly when that decode
+  // fails (failures are not kept). The payload is taken whole, so a new
+  // chain keeps its bytes without a copy.
+  [[nodiscard]] std::shared_ptr<const CertChain> decode_server_hello(
+      std::string payload);
+  // Distinct chains held.
+  [[nodiscard]] std::size_t size() const noexcept { return chains_.size(); }
+
+ private:
+  struct Entry {
+    std::string payload;  // the ServerHello; the map key views its chain
+    CertChain chain;
+  };
+  std::unordered_map<std::string_view, std::shared_ptr<const Entry>>
+      chains_;
+};
+
 struct HandshakeResult {
   // not-attempted until the ClientHello is sent; a handshake that was
   // never tried no longer masquerades as a routing failure.
   transport::Error error;
-  std::optional<CertChain> chain;
+  // Shared with every other handshake in the world that was presented the
+  // same chain bytes (when the handshake used a ChainMemo).
+  std::shared_ptr<const CertChain> chain;
   ValidationStatus validation = ValidationStatus::kEmptyChain;
   double rtt_ms = 0.0;
 
   [[nodiscard]] bool completed() const noexcept {
-    return error.ok() && chain.has_value();
+    return error.ok() && chain != nullptr;
   }
 };
 
 // Performs a handshake with `server` for SNI `hostname` and validates the
 // presented chain against `store`, retrying under the thread's session
-// policy.
+// policy. The presented chain is decoded through `memo` when one is given,
+// else afresh.
 [[nodiscard]] HandshakeResult tls_handshake(netsim::Network& net,
                                             netsim::Host& client,
                                             const netsim::IpAddr& server,
                                             std::string_view hostname,
-                                            const CaStore& store);
+                                            const CaStore& store,
+                                            ChainMemo* memo = nullptr);
 
 // Server-side port-443 service: answers ClientHello with the chain for the
 // requested SNI and delegates anything else (application data) to `app`.

@@ -26,8 +26,10 @@ std::string error_name(const Error& e) {
   std::string out{error_kind_name(e.kind)};
   // Detail suffixes: the transport status whenever one was recorded for a
   // failure, and the protocol code for upstream-reported errors.
-  if (e.status != netsim::TransactStatus::kOk)
-    out += ":" + std::string(netsim::status_name(e.status));
+  if (e.status != netsim::TransactStatus::kOk) {
+    out += ':';
+    out += netsim::status_name(e.status);
+  }
   if (e.code != 0) out += util::format(":code-%u", unsigned{e.code});
   return out;
 }

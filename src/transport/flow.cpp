@@ -35,7 +35,7 @@ Flow::Flow(netsim::Network& net, netsim::Host& host, netsim::Proto proto,
 }
 
 Flow::Flow(netsim::Network& net, netsim::Host& host, netsim::Proto proto,
-           const std::vector<netsim::IpAddr>& candidates,
+           std::span<const netsim::IpAddr> candidates,
            std::uint16_t remote_port, netsim::TransactOptions opts)
     : Flow(net, host, proto,
            candidates.empty() ? netsim::IpAddr{} : candidates.front(),

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,7 @@ class Flow {
   // address answers at the transport level; otherwise only the front is
   // used.
   Flow(netsim::Network& net, netsim::Host& host, netsim::Proto proto,
-       const std::vector<netsim::IpAddr>& candidates,
+       std::span<const netsim::IpAddr> candidates,
        std::uint16_t remote_port, netsim::TransactOptions opts = {});
 
   Flow(const Flow&) = delete;

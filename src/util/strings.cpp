@@ -34,8 +34,14 @@ std::string_view trim(std::string_view s) {
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = ascii_lower(c);
   return out;
+}
+
+void append_lower(std::string& out, std::string_view s) {
+  const std::size_t at = out.size();
+  out += s;
+  for (std::size_t i = at; i < out.size(); ++i) out[i] = ascii_lower(out[i]);
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) {

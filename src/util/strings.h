@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -59,8 +60,34 @@ template <std::size_t N>
 // Removes leading/trailing ASCII whitespace.
 [[nodiscard]] std::string_view trim(std::string_view s);
 
+// ASCII lower case of one byte; every other byte comes back unchanged.
+[[nodiscard]] constexpr char ascii_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 // ASCII lowercase copy.
 [[nodiscard]] std::string to_lower(std::string_view s);
+
+// Appends `s` to `out` with ASCII upper case folded; nothing else moves.
+void append_lower(std::string& out, std::string_view s);
+
+// ASCII case-insensitive equality.
+[[nodiscard]] constexpr bool iequals(std::string_view a,
+                                     std::string_view b) noexcept {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
+  return true;
+}
+
+// Transparent hash for string-keyed unordered containers, so a lookup by
+// std::string_view (with std::equal_to<>) builds no key string.
+struct StringHash {
+  using is_transparent = void;
+  [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
 [[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix);

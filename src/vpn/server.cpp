@@ -23,7 +23,10 @@ VpnServerService::VpnServerService(
     : provider_name_(std::move(provider_name)),
       behavior_(behavior),
       zones_(std::move(zones)),
-      resolver_(zones_) {
+      resolver_(zones_),
+      interception_ca_(behavior_.intercepts_tls
+                           ? provider_name_ + " Interception CA"
+                           : std::string()) {
   if (behavior_.manipulates_dns) {
     // The provider's resolver quietly rewrites lookups for shopping sites
     // to a partner host — the hijack pattern the DNS-manipulation test
@@ -151,7 +154,7 @@ std::optional<std::string> VpnServerService::forward(
       dst_port == netsim::kPortHttps) {
     if (const auto sni = tlssim::decode_client_hello(fwd.payload)) {
       const auto chain = tlssim::issue_chain(
-          *sni, provider_name_ + " Interception CA", interception_serial_++);
+          *sni, interception_ca_, interception_serial_++);
       reply.payload = tlssim::encode_server_hello(chain);
       return netsim::encode_inner(std::move(reply));
     }

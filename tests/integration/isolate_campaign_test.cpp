@@ -260,7 +260,9 @@ TEST(IsolateCampaign, ScaledCensusCrashKeepsAZeroedRecordAndCompletes) {
   EXPECT_GT(zeroed.modeled_subscribers, 0u);  // catalog facts preserved
   // Every other shard censused normally — the campaign completed.
   for (std::size_t i = 0; i < report.shards.size(); ++i) {
-    if (i != 4) EXPECT_GT(report.shards[i].vantage_points, 0u);
+    if (i != 4) {
+      EXPECT_GT(report.shards[i].vantage_points, 0u);
+    }
   }
 }
 

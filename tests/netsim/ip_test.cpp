@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
+#include "util/rng.h"
+
 namespace vpna::netsim {
 namespace {
 
@@ -43,6 +48,75 @@ TEST(IpAddr, V6ParseRoundTrip) {
     ASSERT_TRUE(b.has_value()) << a->str();
     EXPECT_EQ(*a, *b) << text;
   }
+}
+
+// append_to and str() give the same canonical text, append_to after what
+// the buffer already holds.
+TEST(IpAddr, AppendToAndStrTable) {
+  struct Case {
+    IpAddr addr;
+    const char* want;
+  };
+  const Case cases[] = {
+      {IpAddr::v4(0, 0, 0, 0), "0.0.0.0"},
+      {IpAddr::v4(255, 255, 255, 255), "255.255.255.255"},
+      {IpAddr::v4(8, 8, 8, 8), "8.8.8.8"},
+      {IpAddr::v4(10, 0, 100, 9), "10.0.100.9"},
+      {IpAddr::v6_groups({0x2001, 0xdb8, 0, 0, 0, 0, 0, 1}), "2001:db8::1"},
+      {IpAddr::v6_groups({0, 0, 0, 0, 0, 0, 0, 1}), "::1"},
+      {IpAddr::v6_groups({0, 0, 0, 0, 0, 0, 0, 0}), "::"},
+      {IpAddr::v6_groups({0xfe80, 0, 0, 0, 0, 0, 0xaaaa, 0xbbbb}),
+       "fe80::aaaa:bbbb"},
+      {IpAddr::v6_groups({1, 2, 3, 4, 5, 6, 7, 8}), "1:2:3:4:5:6:7:8"},
+      {IpAddr::v6_groups({1, 0, 0, 0, 0, 0, 0, 0}), "1::"},
+      {IpAddr::v6_groups({1, 2, 3, 4, 5, 6, 7, 0}), "1:2:3:4:5:6:7:0"},
+      {IpAddr::v6_groups({0, 2, 3, 4, 5, 6, 7, 8}), "0:2:3:4:5:6:7:8"},
+      {IpAddr::v6_groups({0xffff, 0, 0, 0, 0, 0, 0, 1}), "ffff::1"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.addr.str(), c.want);
+    std::string out = "x|";
+    c.addr.append_to(out);
+    EXPECT_EQ(out, std::string("x|") + c.want);
+  }
+}
+
+// parse(str(a)) == a, and equal addresses hash alike, over a seeded sweep
+// of v4 and v6 addresses (v6 with random zero runs, so every compression
+// position occurs).
+TEST(IpAddr, SeededStrParseRoundTrip) {
+  util::Rng rng(20181031);
+  for (int i = 0; i < 5000; ++i) {
+    IpAddr a;
+    if (rng.index(2) == 0) {
+      a = IpAddr::v4(static_cast<std::uint32_t>(rng.next()));
+    } else {
+      std::array<std::uint16_t, 8> g{};
+      for (auto& group : g)
+        group = rng.index(3) == 0 ? 0 : static_cast<std::uint16_t>(rng.next());
+      a = IpAddr::v6_groups(g);
+    }
+    const auto back = IpAddr::parse(a.str());
+    ASSERT_TRUE(back.has_value()) << a.str();
+    EXPECT_EQ(*back, a) << a.str();
+    EXPECT_EQ(std::hash<IpAddr>{}(*back), std::hash<IpAddr>{}(a));
+  }
+}
+
+// Equality reads the family too: a v4 address never equals the v6 address
+// with the same leading bytes.
+TEST(IpAddr, EqualityDistinguishesFamilies) {
+  const auto v4 = IpAddr::v4(1, 2, 3, 4);
+  std::array<std::uint8_t, 16> bytes{};
+  bytes[0] = 1;
+  bytes[1] = 2;
+  bytes[2] = 3;
+  bytes[3] = 4;
+  const auto v6 = IpAddr::v6(bytes);
+  EXPECT_EQ(v4.bytes(), v6.bytes());
+  EXPECT_NE(v4, v6);
+  EXPECT_EQ(v4, IpAddr::v4(1, 2, 3, 4));
+  EXPECT_NE(v4, IpAddr::v4(1, 2, 3, 5));
 }
 
 TEST(IpAddr, V6ParseRejectsMalformed) {

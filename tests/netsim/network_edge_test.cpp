@@ -302,6 +302,35 @@ class NameEcho final : public Service {
   }
 };
 
+// The index holds an attached host's addresses as of its last attach or
+// refresh_host. Editing one host's interfaces and then attaching and
+// detaching others before the refresh is legal; lookups keep answering
+// from the indexed addresses (in a Debug build the index checks run after
+// every step and must agree).
+TEST(AddressIndexOracle, OtherHostsChurnBeforeARefresh) {
+  util::SimClock clock;
+  Network net(clock, util::Rng(1), /*jitter_stddev_ms=*/0.0);
+  const auto r0 = net.add_router("r0");
+  Host a("a");
+  Host b("b");
+  a.add_interface("eth0", IpAddr::v4(10, 0, 0, 1), std::nullopt);
+  b.add_interface("eth0", IpAddr::v4(10, 0, 0, 2), std::nullopt);
+  net.attach_host(a, r0, 0.5);
+
+  a.add_interface("tun0", IpAddr::v4(10, 8, 0, 2), std::nullopt);
+  a.remove_interface("eth0");
+  net.attach_host(b, r0, 0.5);  // a is stale while b attaches
+  EXPECT_EQ(net.host_by_addr(IpAddr::v4(10, 0, 0, 1)), &a);
+  EXPECT_EQ(net.host_by_addr(IpAddr::v4(10, 8, 0, 2)), nullptr);
+  EXPECT_EQ(net.host_by_addr(IpAddr::v4(10, 0, 0, 2)), &b);
+  net.detach_host(b);
+  EXPECT_EQ(net.host_by_addr(IpAddr::v4(10, 0, 0, 2)), nullptr);
+
+  net.refresh_host(a);
+  EXPECT_EQ(net.host_by_addr(IpAddr::v4(10, 0, 0, 1)), nullptr);
+  EXPECT_EQ(net.host_by_addr(IpAddr::v4(10, 8, 0, 2)), &a);
+}
+
 TEST(AddressIndexOracle, SeededChurnMatchesNaiveScan) {
   util::SimClock clock;
   Network net(clock, util::Rng(1), /*jitter_stddev_ms=*/0.0);

@@ -88,7 +88,9 @@ TEST(QueueProperty, InvariantsHoldUnderRandomizedWorkloads) {
       ASSERT_EQ(q.stats().enqueued, q.stats().dequeued + q.len());
     }
     // Over-threshold disabled marking never marks.
-    if (cap.ecn_threshold >= 1.0) EXPECT_EQ(q.stats().ecn_marks, 0u);
+    if (cap.ecn_threshold >= 1.0) {
+      EXPECT_EQ(q.stats().ecn_marks, 0u);
+    }
   }
 }
 

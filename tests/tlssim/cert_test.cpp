@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.h"
+#include "util/strings.h"
+
 namespace vpna::tlssim {
 namespace {
 
@@ -63,6 +66,30 @@ TEST(IssueChain, FingerprintStablePerSerial) {
   const auto c = issue_chain("x.com", "CA", 2);
   EXPECT_EQ(a.leaf()->key_fingerprint, b.leaf()->key_fingerprint);
   EXPECT_NE(a.leaf()->key_fingerprint, c.leaf()->key_fingerprint);
+}
+
+// The issued fields are pinned to their printf form: FNV-1a over
+// "host|ca" mixed with the serial, and over the CA name for the root.
+TEST(IssueChain, FieldsMatchTheirPrintfForm) {
+  for (const std::uint64_t serial : {0ULL, 1ULL, 7ULL, 123456789ULL}) {
+    const auto chain = issue_chain("tls-portal-5.com", "SimTrust Root CA", serial);
+    ASSERT_EQ(chain.certs.size(), 2u);
+    const auto leaf_fp = util::format(
+        "fp:%016llx",
+        static_cast<unsigned long long>(
+            util::fnv1a("tls-portal-5.com|SimTrust Root CA") ^
+            (serial * 0x9e3779b97f4a7c15ULL)));
+    const auto root_fp = util::format(
+        "fp:%016llx",
+        static_cast<unsigned long long>(util::fnv1a("SimTrust Root CA")));
+    EXPECT_EQ(chain.certs[0].subject, "tls-portal-5.com");
+    EXPECT_EQ(chain.certs[0].issuer, "SimTrust Root CA");
+    EXPECT_EQ(chain.certs[0].key_fingerprint, leaf_fp);
+    EXPECT_EQ(chain.certs[1].subject, "SimTrust Root CA");
+    EXPECT_EQ(chain.certs[1].issuer, "SimTrust Root CA");
+    EXPECT_EQ(chain.certs[1].key_fingerprint, root_fp);
+    EXPECT_FALSE(chain.certs[0].expired || chain.certs[1].expired);
+  }
 }
 
 TEST(IssueChain, DifferentCaDifferentFingerprint) {

@@ -2,8 +2,73 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.h"
+
 namespace vpna::tlssim {
 namespace {
+
+// A memo hit is the chain a fresh decode gives, and the same shared object
+// as the first decode of those bytes.
+TEST(ChainMemo, HitEqualsFreshDecode) {
+  ChainMemo memo;
+  const std::string hello = encode_server_hello(issue_chain("x.com", "CA", 5));
+  const auto first = memo.decode_server_hello(hello);
+  const auto again = memo.decode_server_hello(hello);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first, again);
+  EXPECT_EQ(memo.size(), 1u);
+  const auto fresh = decode_server_hello(hello);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(first->encode(), fresh->encode());
+  EXPECT_EQ(first->leaf()->key_fingerprint, fresh->leaf()->key_fingerprint);
+}
+
+// Interception re-issues a chain per handshake with a fresh serial: each is
+// its own entry with its own fingerprint.
+TEST(ChainMemo, DistinctSerialsGetDistinctEntries) {
+  ChainMemo memo;
+  const auto a = memo.decode_server_hello(
+      encode_server_hello(issue_chain("x.com", "MITM CA", 1)));
+  const auto b = memo.decode_server_hello(
+      encode_server_hello(issue_chain("x.com", "MITM CA", 2)));
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(a, b);
+  EXPECT_NE(a->leaf()->key_fingerprint, b->leaf()->key_fingerprint);
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+// Malformed bytes fail exactly as decode_server_hello fails, are never
+// kept, and never come back as a chain; accepted mutations equal a fresh
+// decode.
+TEST(ChainMemo, MalformedBytesNeverComeBackAsAChain) {
+  ChainMemo memo;
+  const std::string valid = encode_server_hello(issue_chain("x.com", "CA", 9));
+  util::Rng rng(77);
+  std::size_t rejected = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string bytes = valid;
+    const auto pos = rng.index(bytes.size());
+    switch (rng.uniform_int(0, 3)) {
+      case 0: bytes[pos] = static_cast<char>(rng.uniform_int(0, 255)); break;
+      case 1: bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(pos), '|'); break;
+      case 2: bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(pos)); break;
+      default: bytes.resize(pos); break;
+    }
+    const auto fresh = decode_server_hello(bytes);
+    const auto size_before = memo.size();
+    const auto shared = memo.decode_server_hello(bytes);
+    ASSERT_EQ(shared != nullptr, fresh.has_value()) << bytes;
+    if (!fresh) {
+      ++rejected;
+      EXPECT_EQ(memo.size(), size_before);
+      EXPECT_EQ(memo.decode_server_hello(bytes), nullptr);
+      continue;
+    }
+    EXPECT_EQ(shared->encode(), fresh->encode());
+  }
+  EXPECT_GT(rejected, 100u);
+}
 
 TEST(WireForms, ClientHelloRoundTrip) {
   const auto payload = encode_client_hello("www.example.com");

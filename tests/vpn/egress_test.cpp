@@ -94,7 +94,7 @@ TEST_F(EgressFixture, CleanProviderPreservesRequestBytes) {
   const auto res =
       c.fetch("http://" + std::string(inet::header_echo_host()) + "/");
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res.body, res.exchanges[0].request_serialized);
+  EXPECT_EQ(res.body, http::encode_fetch_request(res.exchanges[0].url, {}));
 }
 
 TEST_F(EgressFixture, TransparentProxyAltersHeaderBytes) {
@@ -106,9 +106,11 @@ TEST_F(EgressFixture, TransparentProxyAltersHeaderBytes) {
   const auto res =
       c.fetch("http://" + std::string(inet::header_echo_host()) + "/");
   ASSERT_TRUE(res.ok());
-  EXPECT_NE(res.body, res.exchanges[0].request_serialized);
+  const std::string sent_bytes =
+      http::encode_fetch_request(res.exchanges[0].url, {});
+  EXPECT_NE(res.body, sent_bytes);
   // No headers added or removed — only regenerated.
-  const auto sent = http::HttpRequest::decode(res.exchanges[0].request_serialized);
+  const auto sent = http::HttpRequest::decode(sent_bytes);
   const auto seen = http::HttpRequest::decode(res.body);
   ASSERT_TRUE(sent && seen);
   EXPECT_EQ(sent->headers.size(), seen->headers.size());
