@@ -159,7 +159,7 @@ void BM_TunnelTlsHandshake(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(tlssim::tls_handshake(
         e.world.network(), e.vm, lookup.addresses.front(), kSite,
-        e.world.ca_store()));
+        e.world.ca_store(), e.world.chain_memo()));
     e.vm.capture().clear();
   }
 }

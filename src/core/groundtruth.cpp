@@ -1,8 +1,5 @@
 #include "core/groundtruth.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "dns/client.h"
 #include "ecosystem/testbed.h"
 #include "http/client.h"
@@ -35,16 +32,11 @@ const std::string* GroundTruth::final_url(std::string_view hostname) const {
 
 std::uint64_t GroundTruth::fingerprint() const {
   std::string canon;
-  std::vector<const HostMap::value_type*> entries;
   for (const auto* map : {&doms, &cert_fingerprints, &final_urls}) {
-    entries.clear();
-    for (const auto& entry : *map) entries.push_back(&entry);
-    std::sort(entries.begin(), entries.end(),
-              [](const auto* a, const auto* b) { return a->first < b->first; });
-    for (const auto* entry : entries) {
-      canon += entry->first;
+    for (const auto& [key, value] : *map) {
+      canon += key;
       canon.push_back('\x1f');
-      canon += entry->second;
+      canon += value;
       canon.push_back('\x1f');
     }
     canon.push_back('\x1e');
@@ -70,7 +62,7 @@ GroundTruth collect_ground_truth(inet::World& world, netsim::Host& clean_host) {
         const auto hs =
             tlssim::tls_handshake(world.network(), clean_host,
                                   lookup.addresses.front(), hostname,
-                                  world.ca_store(), &world.chain_memo());
+                                  world.ca_store(), world.chain_memo());
         if (hs.completed() && hs.chain->leaf() != nullptr)
           gt.cert_fingerprints[std::string(hostname)] =
               hs.chain->leaf()->key_fingerprint;

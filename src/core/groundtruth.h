@@ -5,21 +5,18 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "inet/world.h"
-#include "util/strings.h"
 
 namespace vpna::core {
 
 struct GroundTruth {
-  // Keyed by hostname, hashed and looked up by view; fingerprint() walks
-  // the keys in sorted order.
-  using HostMap = std::unordered_map<std::string, std::string,
-                                     util::StringHash, std::equal_to<>>;
+  // Keyed by hostname and looked up by view.
+  using HostMap = std::map<std::string, std::string, std::less<>>;
   // hostname -> pristine root-page DOM.
   HostMap doms;
   // hostname -> leaf certificate fingerprint.
@@ -31,7 +28,7 @@ struct GroundTruth {
   [[nodiscard]] const std::string* fingerprint(std::string_view hostname) const;
   [[nodiscard]] const std::string* final_url(std::string_view hostname) const;
 
-  // FNV-1a over the three maps, each in key order. A test pins it: a site or
+  // FNV-1a over the three maps, in key order. A test pins it: a site or
   // page change that moves it must bump store::kCodeEpoch, because the
   // artifact cache key does not cover the ground truth.
   [[nodiscard]] std::uint64_t fingerprint() const;

@@ -179,7 +179,7 @@ TlsTestResult run_tls_test(inet::World& world, netsim::Host& client,
         const auto hs =
             tlssim::tls_handshake(world.network(), client,
                                   lookup.addresses.front(), hostname,
-                                  world.ca_store(), &world.chain_memo());
+                                  world.ca_store(), world.chain_memo());
         obs.handshake_ok = hs.completed();
         if (hs.completed()) {
           obs.chain_valid =

@@ -18,9 +18,7 @@ std::string_view query_name(const DnsQueryView& query, std::string& storage) {
 }  // namespace
 
 void ZoneRegistry::set_authority(std::string zone, netsim::IpAddr server) {
-  std::string name = canonical_name(zone);
-  index_[name] = server;
-  zones_[std::move(name)] = server;
+  zones_[canonical_name(zone)] = server;
 }
 
 std::optional<netsim::IpAddr> ZoneRegistry::authority_for(
@@ -33,7 +31,7 @@ std::optional<netsim::IpAddr> ZoneRegistry::authority_for(
   std::string_view suffix = name;
   if (!is_canonical(name)) suffix = folded = canonical_name(name);
   while (true) {
-    if (const auto it = index_.find(suffix); it != index_.end())
+    if (const auto it = zones_.find(suffix); it != zones_.end())
       return it->second;
     const std::size_t dot = suffix.find('.');
     if (dot == std::string_view::npos) return std::nullopt;

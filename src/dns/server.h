@@ -49,11 +49,7 @@ class ZoneRegistry {
   [[nodiscard]] const ZoneMap& zones() const { return zones_; }
 
  private:
-  ZoneMap zones_;  // in zone order, for readers that iterate
-  // The same zones hashed: authority_for probes each suffix of a name here.
-  std::unordered_map<std::string, netsim::IpAddr, util::StringHash,
-                     std::equal_to<>>
-      index_;
+  ZoneMap zones_;
 };
 
 struct QueryLogEntry {

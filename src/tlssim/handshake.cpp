@@ -49,7 +49,7 @@ std::shared_ptr<const CertChain> ChainMemo::decode_server_hello(
 HandshakeResult tls_handshake(netsim::Network& net, netsim::Host& client,
                               const netsim::IpAddr& server,
                               std::string_view hostname,
-                              const CaStore& store, ChainMemo* memo) {
+                              const CaStore& store, ChainMemo& memo) {
   obs::Span span("tls.handshake", "tls");
   if (span) {
     span.arg("sni", hostname);
@@ -72,11 +72,7 @@ HandshakeResult tls_handshake(netsim::Network& net, netsim::Host& client,
     return out;
   }
 
-  if (memo != nullptr) {
-    out.chain = memo->decode_server_hello(std::move(result.reply));
-  } else if (auto chain = decode_server_hello(result.reply)) {
-    out.chain = std::make_shared<const CertChain>(std::move(*chain));
-  }
+  out.chain = memo.decode_server_hello(std::move(result.reply));
   if (!out.chain) out.error = transport::Error::parse();
   if (out.chain) out.validation = store.validate(*out.chain, hostname);
   if (span) span.arg("validation", validation_name(out.validation));

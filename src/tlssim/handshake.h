@@ -55,8 +55,8 @@ struct HandshakeResult {
   // not-attempted until the ClientHello is sent; a handshake that was
   // never tried no longer masquerades as a routing failure.
   transport::Error error;
-  // Shared with every other handshake in the world that was presented the
-  // same chain bytes (when the handshake used a ChainMemo).
+  // Shared with every other handshake through the same ChainMemo that was
+  // presented the same chain bytes.
   std::shared_ptr<const CertChain> chain;
   ValidationStatus validation = ValidationStatus::kEmptyChain;
   double rtt_ms = 0.0;
@@ -68,14 +68,14 @@ struct HandshakeResult {
 
 // Performs a handshake with `server` for SNI `hostname` and validates the
 // presented chain against `store`, retrying under the thread's session
-// policy. The presented chain is decoded through `memo` when one is given,
-// else afresh.
+// policy. The presented chain is decoded through `memo` (a world's is
+// inet::World::chain_memo).
 [[nodiscard]] HandshakeResult tls_handshake(netsim::Network& net,
                                             netsim::Host& client,
                                             const netsim::IpAddr& server,
                                             std::string_view hostname,
                                             const CaStore& store,
-                                            ChainMemo* memo = nullptr);
+                                            ChainMemo& memo);
 
 // Server-side port-443 service: answers ClientHello with the chain for the
 // requested SNI and delegates anything else (application data) to `app`.

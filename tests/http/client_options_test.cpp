@@ -46,7 +46,14 @@ class OptionsFixture : public ::testing::Test {
     site->pages["/"] = make_basic_page("site.com", "Site", 0);
     auto web80 = std::make_shared<WebServerService>(false);
     web80->add_site(site);
-    web_.bind_service(netsim::Proto::kTcp, netsim::kPortHttp, web80);
+    // Keeps each request's bytes as the server received them.
+    web_.bind_service(
+        netsim::Proto::kTcp, netsim::kPortHttp,
+        std::make_shared<netsim::LambdaService>(
+            [this, web80](netsim::ServiceContext& ctx) {
+              received_.push_back(ctx.request.payload);
+              return web80->handle(ctx);
+            }));
   }
 
   util::SimClock clock_;
@@ -54,6 +61,7 @@ class OptionsFixture : public ::testing::Test {
   netsim::Host client_;
   netsim::Host web_;
   std::shared_ptr<dns::ZoneRegistry> zones_;
+  std::vector<std::string> received_;  // HTTP requests at web_, in order
 };
 
 TEST_F(OptionsFixture, CustomHeadersSentVerbatim) {
@@ -62,8 +70,9 @@ TEST_F(OptionsFixture, CustomHeadersSentVerbatim) {
   opts.headers = {{"X-Custom", "exact value"}};
   const auto res = c.fetch("http://site.com/", opts);
   ASSERT_TRUE(res.ok());
-  const auto sent =
-      HttpRequest::decode(encode_fetch_request(res.exchanges[0].url, opts));
+  ASSERT_EQ(received_.size(), 1u);
+  EXPECT_EQ(received_[0], encode_fetch_request(res.exchanges[0].url, opts));
+  const auto sent = HttpRequest::decode(received_[0]);
   ASSERT_TRUE(sent.has_value());
   ASSERT_EQ(sent->headers.size(), 1u);
   EXPECT_EQ(sent->headers[0].first, "X-Custom");
@@ -74,8 +83,9 @@ TEST_F(OptionsFixture, DefaultHeadersAppliedWhenNoneGiven) {
   HttpClient c(net_, client_);
   const auto res = c.fetch("http://site.com/");
   ASSERT_TRUE(res.ok());
-  const auto sent =
-      HttpRequest::decode(encode_fetch_request(res.exchanges[0].url, {}));
+  ASSERT_EQ(received_.size(), 1u);
+  EXPECT_EQ(received_[0], encode_fetch_request(res.exchanges[0].url, {}));
+  const auto sent = HttpRequest::decode(received_[0]);
   ASSERT_TRUE(sent.has_value());
   EXPECT_TRUE(sent->header("User-Agent").has_value());
   EXPECT_TRUE(sent->header("X-Probe-Marker").has_value());

@@ -68,7 +68,14 @@ class HttpFixture : public ::testing::Test {
     web80->add_site(plain);
     web80->add_site(secure);
     web80->add_site(stream);
-    web_host_.bind_service(netsim::Proto::kTcp, netsim::kPortHttp, web80);
+    // Keeps each request's bytes as the server received them.
+    web_host_.bind_service(
+        netsim::Proto::kTcp, netsim::kPortHttp,
+        std::make_shared<netsim::LambdaService>(
+            [this, web80](netsim::ServiceContext& ctx) {
+              received_.push_back(ctx.request.payload);
+              return web80->handle(ctx);
+            }));
 
     auto web443 = std::make_shared<WebServerService>(true);
     web443->add_site(secure);
@@ -81,6 +88,7 @@ class HttpFixture : public ::testing::Test {
   netsim::Host resolver_host_;
   netsim::Host web_host_;
   std::shared_ptr<dns::ZoneRegistry> zones_;
+  std::vector<std::string> received_;  // HTTP requests at port 80, in order
 };
 
 TEST_F(HttpFixture, FetchPlainSite) {
@@ -159,8 +167,10 @@ TEST_F(HttpFixture, FetchRecordsExactRequestBytes) {
   HttpClient c(net_, client_);
   const auto res = c.fetch("http://plain.com/");
   ASSERT_TRUE(res.ok());
-  const auto decoded =
-      HttpRequest::decode(encode_fetch_request(res.exchanges[0].url, {}));
+  // The request is re-encoded exactly from the exchange's Url.
+  ASSERT_EQ(received_.size(), 1u);
+  EXPECT_EQ(received_[0], encode_fetch_request(res.exchanges[0].url, {}));
+  const auto decoded = HttpRequest::decode(received_[0]);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->header("X-Probe-Marker"), "leave-intact-7719");
 }

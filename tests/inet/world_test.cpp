@@ -153,7 +153,8 @@ TEST(World, TlsSitesPresentValidChains) {
                               "tls-portal-5.com", dns::RrType::kA);
   ASSERT_TRUE(res.ok());
   const auto hs = tlssim::tls_handshake(w.network(), client, res.addresses[0],
-                                        "tls-portal-5.com", w.ca_store());
+                                        "tls-portal-5.com", w.ca_store(),
+                                        w.chain_memo());
   ASSERT_TRUE(hs.completed());
   EXPECT_EQ(hs.validation, tlssim::ValidationStatus::kValid);
   // And the fingerprint matches the world's ground truth.
@@ -173,7 +174,7 @@ TEST(World, ChainMemoIsPerWorld) {
     if (!res.ok() || res.addresses.empty()) return tlssim::HandshakeResult{};
     return tlssim::tls_handshake(w.network(), client, res.addresses[0],
                                  "tls-portal-5.com", w.ca_store(),
-                                 &w.chain_memo());
+                                 w.chain_memo());
   };
   auto& ca = a.spawn_client("Chicago", "memo-a");
   auto& cb = b.spawn_client("Chicago", "memo-b");

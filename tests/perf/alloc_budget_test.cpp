@@ -153,7 +153,7 @@ TEST_F(AllocBudget, TunneledTlsHandshake) {
     const auto hs = tlssim::tls_handshake(world_.network(), tunneled_,
                                           tls_addr_, kTlsSite,
                                           world_.ca_store(),
-                                          &world_.chain_memo());
+                                          world_.chain_memo());
     ASSERT_TRUE(hs.completed());
     ASSERT_EQ(hs.validation, tlssim::ValidationStatus::kValid);
   };
@@ -168,7 +168,7 @@ TEST_F(AllocBudget, InterceptedTlsHandshake) {
     const auto hs = tlssim::tls_handshake(world_.network(), intercepted_,
                                           tls_addr_, kTlsSite,
                                           world_.ca_store(),
-                                          &world_.chain_memo());
+                                          world_.chain_memo());
     ASSERT_TRUE(hs.completed());
     ASSERT_EQ(hs.validation, tlssim::ValidationStatus::kUntrustedRoot);
   };

@@ -113,12 +113,13 @@ class HandshakeFixture : public ::testing::Test {
   netsim::Host client_;
   netsim::Host server_;
   CaStore store_;
+  ChainMemo memo_;
   std::shared_ptr<TlsTerminator> terminator_;
 };
 
 TEST_F(HandshakeFixture, SuccessfulHandshakeValidates) {
   const auto hs = tls_handshake(net_, client_, netsim::IpAddr::v4(45, 0, 0, 10),
-                                "www.site.com", store_);
+                                "www.site.com", store_, memo_);
   ASSERT_TRUE(hs.completed());
   EXPECT_EQ(hs.validation, ValidationStatus::kValid);
   EXPECT_GT(hs.rtt_ms, 0.0);
@@ -126,7 +127,7 @@ TEST_F(HandshakeFixture, SuccessfulHandshakeValidates) {
 
 TEST_F(HandshakeFixture, UnknownSniFailsHandshake) {
   const auto hs = tls_handshake(net_, client_, netsim::IpAddr::v4(45, 0, 0, 10),
-                                "other.com", store_);
+                                "other.com", store_, memo_);
   EXPECT_FALSE(hs.completed());
   EXPECT_EQ(hs.error.kind, transport::ErrorKind::kTransport);
   EXPECT_EQ(hs.error.status, netsim::TransactStatus::kNoReply);
@@ -136,7 +137,7 @@ TEST_F(HandshakeFixture, InterceptionChainFailsValidation) {
   terminator_->set_chain("www.site.com",
                          issue_chain("www.site.com", "Intercept CA", 9));
   const auto hs = tls_handshake(net_, client_, netsim::IpAddr::v4(45, 0, 0, 10),
-                                "www.site.com", store_);
+                                "www.site.com", store_, memo_);
   ASSERT_TRUE(hs.completed());
   EXPECT_EQ(hs.validation, ValidationStatus::kUntrustedRoot);
   EXPECT_EQ(hs.chain->root()->issuer, "Intercept CA");
@@ -147,7 +148,7 @@ TEST_F(HandshakeFixture, HandshakeRttExceedsPlainExchange) {
   const auto ping = net_.ping(client_, netsim::IpAddr::v4(45, 0, 0, 10));
   ASSERT_TRUE(ping.has_value());
   const auto hs = tls_handshake(net_, client_, netsim::IpAddr::v4(45, 0, 0, 10),
-                                "www.site.com", store_);
+                                "www.site.com", store_, memo_);
   ASSERT_TRUE(hs.completed());
   EXPECT_GT(hs.rtt_ms, *ping * 1.9);
 }
@@ -156,7 +157,7 @@ TEST_F(HandshakeFixture, WildcardChainServesSubdomains) {
   terminator_->set_chain("*.site.com",
                          issue_chain("*.site.com", "SimTrust Root CA", 2));
   const auto hs = tls_handshake(net_, client_, netsim::IpAddr::v4(45, 0, 0, 10),
-                                "api.site.com", store_);
+                                "api.site.com", store_, memo_);
   ASSERT_TRUE(hs.completed());
   EXPECT_EQ(hs.validation, ValidationStatus::kValid);
 }
@@ -183,7 +184,7 @@ TEST_F(HandshakeFixture, AppDataDelegation) {
 
 TEST_F(HandshakeFixture, UnreachableServer) {
   const auto hs = tls_handshake(net_, client_, netsim::IpAddr::v4(9, 9, 9, 9),
-                                "www.site.com", store_);
+                                "www.site.com", store_, memo_);
   EXPECT_FALSE(hs.completed());
 }
 

@@ -290,7 +290,8 @@ const ClientCall kClientCalls[] = {
     {"TlsHandshake",
      [](netsim::Network& net, netsim::Host& client, const IpAddr& server) {
        const tlssim::CaStore store;
-       return tlssim::tls_handshake(net, client, server, kSite, store)
+       tlssim::ChainMemo memo;
+       return tlssim::tls_handshake(net, client, server, kSite, store, memo)
            .completed();
      }},
     {"HttpFetch",

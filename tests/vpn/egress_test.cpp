@@ -191,7 +191,7 @@ TEST_F(EgressFixture, TlsInterceptorPresentsUntrustedChain) {
   const auto hs =
       tlssim::tls_handshake(world_.network(), client_host_,
                             lookup.addresses[0], "tls-portal-5.com",
-                            world_.ca_store());
+                            world_.ca_store(), world_.chain_memo());
   ASSERT_TRUE(hs.completed());
   EXPECT_EQ(hs.validation, tlssim::ValidationStatus::kUntrustedRoot);
   EXPECT_NE(hs.chain->root()->issuer.find("MitmVPN"), std::string::npos);
@@ -210,7 +210,7 @@ TEST_F(EgressFixture, HonestProviderPassesTlsUntouched) {
   const auto hs =
       tlssim::tls_handshake(world_.network(), client_host_,
                             lookup.addresses[0], "tls-portal-5.com",
-                            world_.ca_store());
+                            world_.ca_store(), world_.chain_memo());
   ASSERT_TRUE(hs.completed());
   EXPECT_EQ(hs.validation, tlssim::ValidationStatus::kValid);
   EXPECT_EQ(hs.chain->leaf()->key_fingerprint,
