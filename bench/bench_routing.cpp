@@ -1,8 +1,7 @@
 // Packet-plane fast-path microbench: LPM route lookup (a linear scan),
-// all-pairs path resolution on a frozen (plane-served) vs unfrozen
-// (on-demand Dijkstra) network, cold vs shared-plane campaign shard setup,
-// and end-to-end transact packets/sec. The numbers back the PR 3
-// acceptance bar (≥2x on the packet hot path).
+// routing-plane build time and plane-served all-pairs path resolution,
+// campaign shard setup on the shared plane, service lookup, and end-to-end
+// transact packets/sec.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -66,68 +65,59 @@ void bench_route_lookup(std::size_t n_routes, const char* label) {
                  util::format("%.1f ns/lookup", ns_per_lookup));
 }
 
-// --- 2. all-pairs path resolution: plane vs per-pair Dijkstra ---------------
+// --- 2. routing plane: build, then all-pairs queries ------------------------
 
 void bench_path_resolution() {
-  // A world-sized core (~137 routers: 90 cities + 47 datacenters) built
-  // twice with identical wiring; one side freezes.
+  // A world-sized core (~137 routers: 90 cities + 47 datacenters).
   constexpr std::size_t kRouters = 137;
   util::Rng rng(2);
-  std::vector<std::array<double, 3>> edges;  // (a, b, latency)
+  util::SimClock clock;
+  netsim::Network net(clock, util::Rng(3), 0.0);
+  for (std::size_t i = 0; i < kRouters; ++i) net.add_router("r");
   for (std::size_t i = 1; i < kRouters; ++i)
-    edges.push_back({static_cast<double>(i),
-                     static_cast<double>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1)),
-                     rng.uniform(0.5, 40.0)});
+    net.add_link(static_cast<netsim::RouterId>(i),
+                 static_cast<netsim::RouterId>(rng.uniform_int(
+                     0, static_cast<std::int64_t>(i) - 1)),
+                 rng.uniform(0.5, 40.0));
   for (std::size_t e = 0; e < 3 * kRouters; ++e) {
     const auto a = rng.index(kRouters), b = rng.index(kRouters);
     if (a != b)
-      edges.push_back({static_cast<double>(a), static_cast<double>(b),
-                       rng.uniform(0.5, 40.0)});
+      net.add_link(static_cast<netsim::RouterId>(a),
+                   static_cast<netsim::RouterId>(b), rng.uniform(0.5, 40.0));
   }
-
-  const auto build = [&](netsim::Network& net,
-                         std::vector<std::unique_ptr<netsim::Host>>& hosts) {
-    for (std::size_t i = 0; i < kRouters; ++i) net.add_router("r");
-    for (const auto& e : edges)
-      net.add_link(static_cast<netsim::RouterId>(e[0]),
-                   static_cast<netsim::RouterId>(e[1]), e[2]);
-    for (std::size_t i = 0; i < kRouters; ++i) {
-      hosts.push_back(std::make_unique<netsim::Host>("h"));
-      net.attach_host(*hosts.back(), static_cast<netsim::RouterId>(i), 0.3);
-    }
-  };
-  const auto all_pairs = [&](netsim::Network& net,
-                             std::vector<std::unique_ptr<netsim::Host>>& hosts) {
+  std::vector<std::unique_ptr<netsim::Host>> hosts;
+  for (std::size_t i = 0; i < kRouters; ++i) {
+    hosts.push_back(std::make_unique<netsim::Host>("h"));
+    net.attach_host(*hosts.back(), static_cast<netsim::RouterId>(i), 0.3);
+  }
+  const auto all_pairs = [&] {
     double acc = 0;
     for (auto& a : hosts)
       for (auto& b : hosts) acc += net.base_latency_ms(*a, *b).value_or(0);
     return acc;
   };
 
-  util::SimClock ca, cb;
-  netsim::Network cold(ca, util::Rng(3), 0.0), warm(cb, util::Rng(3), 0.0);
-  std::vector<std::unique_ptr<netsim::Host>> cold_hosts, warm_hosts;
-  build(cold, cold_hosts);
-  build(warm, warm_hosts);
-  warm.freeze_topology();
-
   auto t0 = Clock::now();
-  const double cold_acc = all_pairs(cold, cold_hosts);
-  const double dijkstra_ms = ms_since(t0);
+  (void)net.routing_plane();
+  const double build_ms = ms_since(t0);
   t0 = Clock::now();
-  const double warm_acc = all_pairs(warm, warm_hosts);
-  const double plane_ms = ms_since(t0);
+  const double first = all_pairs();  // next-hop walks, filling the cache
+  const double walk_ms = ms_since(t0);
+  t0 = Clock::now();
+  const double again = all_pairs();  // memoized
+  const double cached_ms = ms_since(t0);
 
-  std::printf("all-pairs (%zu routers):  dijkstra %8.1f ms   plane %6.1f ms"
-              "   identical=%s\n",
-              kRouters, dijkstra_ms, plane_ms,
-              cold_acc == warm_acc ? "yes" : "NO");
-  bench::compare("all-pairs path resolution", "per-pair Dijkstra",
-                 util::format("%.1f ms vs %.1f ms cold (%.1fx)", plane_ms,
-                              dijkstra_ms, dijkstra_ms / plane_ms));
+  std::printf("routing plane (%zu routers):  build %6.1f ms   all-pairs "
+              "%6.1f ms   cached %6.1f ms   identical=%s\n",
+              kRouters, build_ms, walk_ms, cached_ms,
+              first == again ? "yes" : "NO");
+  bench::compare("routing plane build", "one Dijkstra per source",
+                 util::format("%.1f ms", build_ms));
+  bench::compare("all-pairs path resolution", "plane next-hop walk",
+                 util::format("%.1f ms (%.1f ms cached)", walk_ms, cached_ms));
 }
 
-// --- 3. shard setup: cold vs shared plane -----------------------------------
+// --- 3. shard setup on the shared plane -------------------------------------
 
 void bench_shard_setup() {
   constexpr int kShards = 3;
@@ -135,23 +125,16 @@ void bench_shard_setup() {
   // this once, not per shard).
   const auto plane = ecosystem::shared_backbone_plane();
 
-  auto t0 = Clock::now();
-  for (int i = 0; i < kShards; ++i) {
-    auto tb = ecosystem::build_provider_shard("NordVPN", 100 + i);
-    if (!tb.world) return;
-  }
-  const double cold_ms = ms_since(t0) / kShards;
-  t0 = Clock::now();
+  const auto t0 = Clock::now();
   for (int i = 0; i < kShards; ++i) {
     auto tb = ecosystem::build_provider_shard("NordVPN", 100 + i, plane);
     if (!tb.world) return;
   }
-  const double shared_ms = ms_since(t0) / kShards;
+  const double shard_ms = ms_since(t0) / kShards;
 
-  std::printf("shard setup:  cold %8.1f ms   shared-plane %8.1f ms\n", cold_ms,
-              shared_ms);
-  bench::compare("provider shard setup", "cold per-shard plane",
-                 util::format("%.1f ms vs %.1f ms cold", shared_ms, cold_ms));
+  std::printf("shard setup:  %8.1f ms\n", shard_ms);
+  bench::compare("provider shard setup", "shared plane, per shard",
+                 util::format("%.1f ms", shard_ms));
 }
 
 // --- 4. service lookup: flat sorted vector vs node-based map ----------------

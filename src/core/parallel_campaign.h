@@ -61,8 +61,8 @@ struct CampaignReport : ExecutionReport {
 // Runs the full suite for one provider in an isolated shard testbed built
 // by ecosystem::build_provider_shard(name, campaign_seed). Pure: the
 // result depends only on (name, campaign_seed, options) — `plane` is a
-// read-only accelerator handed to the shard world (nullptr = the shard
-// computes its own) and never changes the result. Throws
+// read-only plane handed to the shard world (nullptr = the world base's
+// plane) and never changes the result. Throws
 // std::invalid_argument for unknown provider names.
 [[nodiscard]] ProviderReport run_provider_shard(
     const std::string& name, std::uint64_t campaign_seed,

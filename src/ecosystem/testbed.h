@@ -44,8 +44,8 @@ struct Testbed {
 // Builds a world (seeded) and deploys every evaluated provider into it.
 // Reseller-shared vantage points (Anonine/Boxpn) alias onto the partner's
 // hosts, yielding exact-IP overlap in the census. `plane`, when given, is
-// adopted by the world's network instead of recomputing all-pairs routes
-// (see shared_backbone_plane()).
+// adopted by the world's network in place of its base's plane, which
+// shared_backbone_plane() returns.
 [[nodiscard]] Testbed build_testbed(
     std::uint64_t seed = 20181031,
     std::shared_ptr<const netsim::RoutingPlane> plane = nullptr);
@@ -102,10 +102,9 @@ void apply_fault_profile(Testbed& tb, faults::FaultProfile profile,
 
 // The all-pairs routing plane of the backbone + datacenter core every
 // World builds: the process-wide world base's plane (inet::WorldBase),
-// computed once per process and shared from then on. Worlds constructed
-// with this plane skip their own all-pairs sweep; the fingerprint check in
-// adopt_routing_plane() guards the contract. Thread-safe (static
-// initialization); the plane itself is immutable.
+// computed once per process and shared from then on. Every World routes on
+// it; the structural check in adopt_routing_plane() guards the contract.
+// Thread-safe (static initialization); the plane itself is immutable.
 [[nodiscard]] std::shared_ptr<const netsim::RoutingPlane>
 shared_backbone_plane();
 

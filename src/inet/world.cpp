@@ -19,12 +19,12 @@ World::World(std::uint64_t seed,
       geo_registry_(std::make_shared<geo::AllocationRegistry>()) {
   if (base_ == nullptr) throw std::invalid_argument("World: null base");
   build_fabric();
-  // The router fabric is complete: later routers (private facilities) are
-  // single-link leaves, so the core can freeze here and path resolution
-  // runs on the routing plane — adopted when a compatible one was handed
-  // in, computed locally otherwise.
-  network_->freeze_topology();
-  if (shared_plane != nullptr) network_->adopt_routing_plane(std::move(shared_plane));
+  // The router fabric is the base's core, so the world routes on the
+  // base's plane (or the given one, checked against the fabric). Later
+  // routers (private facilities) are single-link leaves that extend it.
+  network_->adopt_routing_plane(shared_plane != nullptr
+                                    ? std::move(shared_plane)
+                                    : base_->routing_plane());
   build_hosts();
   build_censors();
 

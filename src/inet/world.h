@@ -33,13 +33,10 @@ class World {
  public:
   // Every world builds on `base` — the seed-independent fabric, host layout
   // and web content (see world_base.h) — and owns everything else.
-  // `shared_plane`, when given, must have been produced by another World's
-  // network (any seed: the backbone + datacenter core is seed-independent;
-  // WorldBase::routing_plane() is such a plane) and is adopted instead of
-  // recomputing all-pairs routes — this is how campaign shards skip the
-  // per-shard Dijkstra sweep; a plane whose fingerprint does not match
-  // throws std::logic_error. Pass nullptr to build the plane locally on
-  // first path query.
+  // The network routes on `shared_plane` when given, on the base's
+  // routing_plane() otherwise; either way no world runs its own all-pairs
+  // sweep. A plane not built over the base's fabric throws
+  // std::logic_error.
   explicit World(std::uint64_t seed,
                  std::shared_ptr<const netsim::RoutingPlane> shared_plane =
                      nullptr,

@@ -147,7 +147,7 @@ class WorldBase {
   [[nodiscard]] const std::vector<BackboneLink>& links() const {
     return links_;
   }
-  // The all-pairs plane of that fabric, frozen before any leaf is added.
+  // The all-pairs plane of that fabric, before any leaf is added.
   [[nodiscard]] std::shared_ptr<const netsim::RoutingPlane> routing_plane()
       const {
     return plane_;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
-#include <cstring>
-#include <queue>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -46,16 +46,11 @@ Network::Network(util::SimClock& clock, util::Rng rng, double jitter_stddev_ms)
     : clock_(clock), rng_(std::move(rng)), jitter_stddev_ms_(jitter_stddev_ms) {}
 
 RouterId Network::add_router(std::string name, std::size_t expected_links) {
-  ++topology_epoch_;
   routers_.push_back(Router{std::move(name), nullptr, {}});
   routers_.back().links.reserve(expected_links);
-  if (frozen_) {
-    // A new router hangs off the frozen core as a (future) leaf; existing
-    // paths are unaffected, so both the plane and the path cache survive.
-    leaf_links_.emplace_back();
-  } else {
-    path_cache_.clear();
-  }
+  // A router the plane does not cover joins as an unlinked leaf; existing
+  // paths are unaffected, so both the plane and the path cache survive.
+  if (plane_) leaf_gateways_.push_back(kNoRouter);
   return static_cast<RouterId>(routers_.size() - 1);
 }
 
@@ -73,100 +68,57 @@ std::vector<std::pair<RouterId, RouterId>> Network::link_pairs() const {
 void Network::add_link(RouterId a, RouterId b, double latency_ms) {
   if (a >= routers_.size() || b >= routers_.size())
     throw std::out_of_range("add_link: unknown router");
-  if (latency_ms < 0) throw std::invalid_argument("add_link: negative latency");
-  ++topology_epoch_;
+  if (!std::isfinite(latency_ms) || latency_ms < 0)
+    throw std::invalid_argument("add_link: latency must be finite and non-negative");
   routers_[a].links.emplace_back(b, latency_ms);
   routers_[b].links.emplace_back(a, latency_ms);
-  if (!frozen_) {
-    path_cache_.clear();
-    return;
-  }
-  const bool a_core = a < frozen_count_;
-  const bool b_core = b < frozen_count_;
-  if (a_core == b_core) {
-    // Core rewiring (or a link between two post-freeze routers): the plane
-    // no longer describes the graph; fall back to on-demand Dijkstra.
-    invalidate_routing_plane();
-    return;
-  }
-  const RouterId leaf = a_core ? b : a;
-  const RouterId gateway = a_core ? a : b;
-  auto& link = leaf_links_[leaf - frozen_count_];
-  if (link.gateway != kNoRouter) {
-    // Second link on a leaf: no longer a single-homed extension.
-    invalidate_routing_plane();
-    return;
-  }
-  link.gateway = gateway;
-  link.latency_ms = latency_ms;
-  // A fresh leaf link only adds paths (never cached while unreachable:
-  // path() does not memoize failures), so the cache stays valid.
-}
-
-void Network::freeze_topology() {
-  if (frozen_) throw std::logic_error("freeze_topology: already frozen");
-  obs::Span span("routing.freeze", "netsim");
-  frozen_ = true;
-  frozen_count_ = routers_.size();
-  // FNV-1a over the router/link structure. Link latencies hash by bit
-  // pattern; two networks built by the same deterministic code agree.
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(frozen_count_);
-  for (const auto& router : routers_) {
-    mix(router.links.size());
-    for (const auto& [peer, latency] : router.links) {
-      mix(peer);
-      std::uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(latency));
-      std::memcpy(&bits, &latency, sizeof(bits));
-      mix(bits);
+  if (!plane_) return;
+  const std::size_t covered = plane_->router_count();
+  if ((a < covered) != (b < covered)) {
+    RouterId& gateway = leaf_gateways_[std::max(a, b) - covered];
+    if (gateway == kNoRouter) {
+      // A leaf's first link only adds paths (path() memoizes no failure),
+      // so the cache stays valid.
+      gateway = std::min(a, b);
+      return;
     }
   }
-  fingerprint_ = h;
-}
-
-void Network::invalidate_routing_plane() {
-  frozen_ = false;
-  frozen_count_ = 0;
-  fingerprint_ = 0;
+  // A link between covered routers, between two leaves, or a leaf's second
+  // link: the plane no longer describes the graph. The next query builds a
+  // new one.
   plane_ = nullptr;
-  leaf_links_.clear();
+  leaf_gateways_.clear();
   path_cache_.clear();
 }
 
 std::shared_ptr<const RoutingPlane> Network::routing_plane() const {
-  if (!frozen_) return nullptr;
   if (!plane_) {
-    // Core adjacency only: links to post-freeze leaves are filtered out
-    // (they cannot carry transit traffic), preserving core link order so
-    // Dijkstra tie-breaking matches the on-demand fallback.
-    RoutingPlane::Adjacency adjacency(frozen_count_);
-    for (std::size_t r = 0; r < frozen_count_; ++r) {
-      adjacency[r].reserve(routers_[r].links.size());
-      for (const auto& [peer, latency] : routers_[r].links)
-        if (peer < frozen_count_) adjacency[r].emplace_back(peer, latency);
-    }
-    plane_ = RoutingPlane::build(adjacency, fingerprint_);
+    // No plane means no leaves: the plane covers every router.
+    RoutingPlane::Adjacency adjacency;
+    adjacency.reserve(routers_.size());
+    for (const auto& router : routers_) adjacency.push_back(router.links);
+    plane_ = RoutingPlane::build(std::move(adjacency));
   }
   return plane_;
 }
 
 void Network::adopt_routing_plane(std::shared_ptr<const RoutingPlane> plane) {
-  if (!frozen_)
-    throw std::logic_error("adopt_routing_plane: topology not frozen");
   if (plane == nullptr)
     throw std::logic_error("adopt_routing_plane: null plane");
-  if (plane->fingerprint() != fingerprint_ ||
-      plane->router_count() != frozen_count_)
+  const auto same_link = [](const std::pair<RouterId, double>& x,
+                            const std::pair<RouterId, double>& y) {
+    return x.first == y.first && std::bit_cast<std::uint64_t>(x.second) ==
+                                     std::bit_cast<std::uint64_t>(y.second);
+  };
+  bool same = plane->router_count() == routers_.size();
+  for (RouterId r = 0; same && r < routers_.size(); ++r)
+    same = std::ranges::equal(routers_[r].links, plane->links(r), same_link);
+  if (!same)
     throw std::logic_error(
-        "adopt_routing_plane: plane fingerprint does not match this topology");
+        "adopt_routing_plane: plane was not built over this topology");
   plane_ = std::move(plane);
+  leaf_gateways_.clear();
+  path_cache_.clear();
 }
 
 const std::string& Network::router_name(RouterId id) const {
@@ -409,84 +361,39 @@ double Network::link_latency(RouterId u, RouterId v) const {
   return best;
 }
 
-bool Network::plane_path(RouterId a, RouterId b, PathInfo& out) const {
-  out.routers.clear();
-  out.latency_ms = 0.0;
-  if (a == b) {
-    out.routers.push_back(a);
-    return true;
-  }
-  // Map post-freeze leaf routers to their core gateway.
-  RouterId core_a = a;
-  RouterId core_b = b;
-  if (a >= frozen_count_) {
-    const auto& leaf = leaf_links_[a - frozen_count_];
-    if (leaf.gateway == kNoRouter) return false;  // not linked yet
-    core_a = leaf.gateway;
-  }
-  if (b >= frozen_count_) {
-    const auto& leaf = leaf_links_[b - frozen_count_];
-    if (leaf.gateway == kNoRouter) return false;
-    core_b = leaf.gateway;
-  }
-  if (a != core_a) out.routers.push_back(a);
-  if (core_a == core_b) {
-    out.routers.push_back(core_a);
-  } else if (!plane_->append_path(core_a, core_b, out.routers)) {
-    out.routers.clear();
-    return false;
-  }
-  if (b != core_b) out.routers.push_back(b);
-  // Re-sum latency left to right along the path — the same order Dijkstra
-  // accumulated it — so plane paths and fallback paths agree bit-for-bit.
-  for (std::size_t i = 0; i + 1 < out.routers.size(); ++i)
-    out.latency_ms += link_latency(out.routers[i], out.routers[i + 1]);
-  return true;
-}
-
 const Network::PathInfo* Network::path(RouterId a, RouterId b) const {
   const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
   if (const auto it = path_cache_.find(key); it != path_cache_.end())
     return &it->second;
 
+  (void)routing_plane();  // builds plane_ when none is held
+  const RoutingPlane& plane = *plane_;
+  const std::size_t covered = plane.router_count();
+  // Map leaves to their covered gateway.
+  const auto gateway = [&](RouterId r) {
+    return r < covered ? r : leaf_gateways_[r - covered];
+  };
+  const RouterId core_a = gateway(a);
+  const RouterId core_b = gateway(b);
   PathInfo info;
-  if (frozen_) {
-    (void)routing_plane();  // ensure plane_ is built
-    if (!plane_path(a, b, info)) return nullptr;
+  if (a == b) {
+    info.routers.push_back(a);
   } else {
-    // On-demand Dijkstra from a (the pre-freeze fallback).
-    constexpr double kInf = 1e18;
-    std::vector<double> dist(routers_.size(), kInf);
-    std::vector<RouterId> prev(routers_.size(), kNoRouter);
-    using QE = std::pair<double, RouterId>;
-    std::priority_queue<QE, std::vector<QE>, std::greater<>> q;
-    dist[a] = 0;
-    q.emplace(0.0, a);
-    while (!q.empty()) {
-      const auto [d, u] = q.top();
-      q.pop();
-      if (d > dist[u]) continue;
-      for (const auto& [v, w] : routers_[u].links) {
-        if (dist[u] + w < dist[v]) {
-          dist[v] = dist[u] + w;
-          prev[v] = u;
-          q.emplace(dist[v], v);
-        }
-      }
+    if (core_a == kNoRouter || core_b == kNoRouter) return nullptr;
+    if (a != core_a) info.routers.push_back(a);
+    if (core_a == core_b) {
+      info.routers.push_back(core_a);
+    } else if (!plane.append_path(core_a, core_b, info.routers)) {
+      return nullptr;
     }
-    if (dist[b] >= kInf) return nullptr;
-
-    info.latency_ms = dist[b];
-    for (RouterId cur = b;;) {
-      info.routers.push_back(cur);
-      if (cur == a) break;
-      cur = prev[cur];
-      if (cur == kNoRouter) return nullptr;  // unreachable (shouldn't happen)
-    }
-    std::reverse(info.routers.begin(), info.routers.end());
+    if (b != core_b) info.routers.push_back(b);
   }
+  // Re-sum latency left to right along the path — the same order Dijkstra
+  // accumulated it — so a leaf's latency matches a plane built over it.
+  for (std::size_t i = 0; i + 1 < info.routers.size(); ++i)
+    info.latency_ms += link_latency(info.routers[i], info.routers[i + 1]);
   // Cap the memo table; clearing is deterministic-safe because every entry
-  // is recomputable from the (immutable while cached) topology.
+  // is recomputable from the (immutable while cached) plane and leaves.
   if (path_cache_.size() >= kPathCacheMaxEntries) path_cache_.clear();
   const auto [it, inserted] = path_cache_.emplace(key, std::move(info));
   (void)inserted;

@@ -102,7 +102,8 @@ class Network {
   // `expected_links` pre-sizes its link list when the caller knows the
   // router's degree.
   RouterId add_router(std::string name, std::size_t expected_links = 0);
-  // Undirected link with one-way latency in milliseconds.
+  // Undirected link with one-way latency in milliseconds. Throws
+  // std::invalid_argument unless the latency is finite and non-negative.
   void add_link(RouterId a, RouterId b, double latency_ms);
   [[nodiscard]] std::size_t router_count() const noexcept {
     return routers_.size();
@@ -117,8 +118,8 @@ class Network {
   // Assigns a bandwidth/queue configuration to the undirected link (a, b);
   // both directions share the configuration but are transmitted (and
   // queued) independently by the traffic plane. Capacities are *not* part
-  // of the routing topology: they never touch the epoch, the fingerprint
-  // or the transact path, so a capacity-free run — and every transact-only
+  // of the routing topology: they never touch the routing plane or the
+  // transact path, so a capacity-free run — and every transact-only
   // run — is byte-identical to a build without this layer.
   void set_link_capacity(RouterId a, RouterId b, const LinkCapacity& capacity);
   // The capacity of link (u, v) in either orientation; nullptr when the
@@ -167,33 +168,21 @@ class Network {
   [[nodiscard]] std::vector<std::pair<RouterId, RouterId>> link_pairs() const;
 
   // --- routing plane ---------------------------------------------------------
-  // Declares the current topology the frozen "core". Path resolution then
-  // runs on an all-pairs routing plane (built lazily or adopted) instead of
-  // per-pair Dijkstra. Routers added later are treated as single-link leaf
-  // extensions hanging off the core — exactly how provider facilities attach
-  // — and keep the plane valid; rewiring the core (a new core-core link, or
-  // a second link on a leaf) discards the plane and falls back to on-demand
-  // Dijkstra. Throws if already frozen.
-  void freeze_topology();
-  [[nodiscard]] bool topology_frozen() const noexcept { return frozen_; }
-  // Hash of the frozen core's routers and links; two networks that built
-  // the same topology in the same order agree. Valid only while frozen.
-  [[nodiscard]] std::uint64_t topology_fingerprint() const noexcept {
-    return fingerprint_;
-  }
-  // Bumps on every add_router/add_link, frozen or not; lets callers detect
-  // topology mutations made after they sampled the plane.
-  [[nodiscard]] std::uint64_t topology_epoch() const noexcept {
-    return topology_epoch_;
-  }
-  // The plane for the frozen core, building it on first use. Returns
-  // nullptr when not frozen (or the plane was invalidated by core
-  // rewiring). The result is immutable and safe to share across threads
-  // and across Network instances with the same fingerprint.
+  // Every path comes from a routing plane over the routers it covers. The
+  // first path query builds one over all current routers when none is held.
+  // Routers added later are leaves: a leaf's first link, to a covered
+  // router, extends the plane (how provider facilities attach). A link
+  // between covered routers, between two leaves, or a leaf's second link
+  // drops the plane, and the next query builds a new one.
+  //
+  // The plane in use, built here when none is held. The result is
+  // immutable and safe to share across threads and across networks with
+  // the same links.
   [[nodiscard]] std::shared_ptr<const RoutingPlane> routing_plane() const;
-  // Installs a plane precomputed elsewhere (typically shared across
-  // campaign shards). Throws std::logic_error unless this network is
-  // frozen and the plane's fingerprint matches topology_fingerprint().
+  // Installs a plane built elsewhere (typically shared across campaign
+  // shards). Throws std::logic_error unless the plane covers exactly this
+  // network's routers and was built over exactly its link lists (peers and
+  // latency bits, in order).
   void adopt_routing_plane(std::shared_ptr<const RoutingPlane> plane);
 
   // --- host attachment --------------------------------------------------------
@@ -284,17 +273,14 @@ class Network {
   // The whole index equals a rebuild from every snapshot. Reads no host, so
   // it can run at teardown after the hosts are gone.
   void debug_check_address_index() const;
-  // Path with memoization keyed on (src, dst): reconstructed from the
-  // routing plane when frozen, per-pair Dijkstra otherwise.
+  // Path with memoization keyed on (src, dst), reconstructed from the
+  // routing plane (a next-hop walk plus leaf extensions). nullptr when
+  // unreachable.
   [[nodiscard]] const PathInfo* path(RouterId a, RouterId b) const;
-  // Fills `out` from the plane (core next-hop walk plus leaf extensions).
-  // Returns false when unreachable. Pre: plane_ is set.
-  bool plane_path(RouterId a, RouterId b, PathInfo& out) const;
   // Smallest latency among (possibly parallel) links u->v; used to re-sum
   // a reconstructed path's latency in the same order Dijkstra accumulated
-  // it, keeping plane and Dijkstra latencies bit-identical.
+  // it, so a leaf's path latency equals a plane built over the leaf.
   [[nodiscard]] double link_latency(RouterId u, RouterId v) const;
-  void invalidate_routing_plane();
   double jitter() ;
 
   // transact() minus the tracing/metrics wrapper (the recursive core).
@@ -320,21 +306,15 @@ class Network {
   std::unordered_map<IpAddr, AddrSlots> addr_to_attachment_;
   // Memoized paths, capped: at O(10³)-provider scale the (src, dst) router
   // pair space would otherwise grow the cache without bound. Hitting the cap
-  // clears the cache — paths are pure functions of the frozen topology, so
-  // recomputation is deterministic and results are unaffected.
+  // clears the cache — paths are pure functions of the plane and its
+  // leaves, so recomputation is deterministic and results are unaffected.
   static constexpr std::size_t kPathCacheMaxEntries = 1 << 16;
   mutable std::unordered_map<std::uint64_t, PathInfo> path_cache_;
-  // Routing-plane state (see freeze_topology()).
-  bool frozen_ = false;
-  std::size_t frozen_count_ = 0;   // routers covered by the plane
-  std::uint64_t fingerprint_ = 0;  // of the frozen core
-  std::uint64_t topology_epoch_ = 0;
+  // Routing-plane state (see routing_plane()).
   mutable std::shared_ptr<const RoutingPlane> plane_;
-  struct LeafLink {
-    RouterId gateway = kNoRouter;  // kNoRouter = no link yet (unreachable)
-    double latency_ms = 0.0;
-  };
-  std::vector<LeafLink> leaf_links_;  // index: router id - frozen_count_
+  // Each leaf's covered neighbour; kNoRouter = no link yet (unreachable).
+  // Index: router id - plane_->router_count(). Empty while no plane is held.
+  std::vector<RouterId> leaf_gateways_;
   // Undirected link (a < b, packed) -> capacity. Consulted only by the
   // traffic plane; empty (the default) means every link is pure-delay.
   std::unordered_map<std::uint64_t, LinkCapacity> link_capacities_;

@@ -5,16 +5,12 @@
 
 namespace vpna::netsim {
 
-std::shared_ptr<const RoutingPlane> RoutingPlane::build(
-    const Adjacency& adjacency, std::uint64_t fingerprint) {
+std::shared_ptr<const RoutingPlane> RoutingPlane::build(Adjacency adjacency) {
   auto plane = std::shared_ptr<RoutingPlane>(new RoutingPlane());
   const std::size_t n = adjacency.size();
-  plane->n_ = n;
-  plane->fingerprint_ = fingerprint;
   plane->parent_.assign(n * n, kNoRouter);
 
-  // One Dijkstra per source, mirroring Network's on-demand algorithm
-  // (including its tie-breaking) so reconstructed paths are identical.
+  // One Dijkstra per source; a router left at kInf is unreachable.
   constexpr double kInf = 1e18;
   std::vector<double> dist;
   using QE = std::pair<double, RouterId>;
@@ -37,6 +33,7 @@ std::shared_ptr<const RoutingPlane> RoutingPlane::build(
       }
     }
   }
+  plane->adjacency_ = std::move(adjacency);
   return plane;
 }
 

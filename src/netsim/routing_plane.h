@@ -1,21 +1,19 @@
-// Topology-epoch routing plane: all-pairs shortest-path data precomputed
-// over a frozen router topology and shared read-only between simulations
-// that build the same graph (every campaign shard constructs an identical
-// backbone + datacenter core, so one plane serves all of them).
+// Routing plane: all-pairs shortest-path data precomputed over a router
+// graph and shared read-only between simulations that build the same graph
+// (every campaign shard constructs an identical backbone + datacenter core,
+// so one plane serves all of them). It is the network's only route source.
 //
 // The plane stores, for every source router, the parent array of its
 // shortest-path tree — enough to reconstruct any path by a next-hop walk
 // with no per-query Dijkstra and no allocation beyond the caller's reused
-// buffer. Tie-breaking matches Network's on-demand Dijkstra exactly
-// (min-heap ordered by (distance, router id); strict-improvement
-// relaxation keeps the first-found predecessor), so a frozen network
-// forwards packets along byte-identical paths.
+// buffer. Dijkstra runs on a min-heap ordered by (distance, router id), and
+// strict-improvement relaxation keeps the first-found predecessor, so paths
+// depend only on the adjacency and its link order.
 //
-// A plane is keyed by a topology fingerprint (hash of the frozen router
-// and link set). Sharing contract: a Network only adopts a plane whose
-// fingerprint matches its own frozen core; mutating topology after the
-// freeze bumps the network's epoch and either extends the plane (single
-// -link leaf routers) or discards it (core rewiring).
+// The plane keeps the adjacency it was built from. Sharing contract: a
+// Network adopts a plane only when its own link lists equal that adjacency
+// entry by entry (peer and latency bits), so a shared plane is always the
+// plane the network would have built itself.
 #pragma once
 
 #include <cstdint>
@@ -34,21 +32,23 @@ class RoutingPlane {
   // adjacency[r] lists (peer, one-way latency ms) in link insertion order —
   // the order matters for Dijkstra tie-breaking and must match the order
   // Network stores links in.
-  using Adjacency = std::vector<std::vector<std::pair<RouterId, double>>>;
+  using Links = std::vector<std::pair<RouterId, double>>;
+  using Adjacency = std::vector<Links>;
 
-  // Runs one Dijkstra per source over the adjacency and freezes the result.
+  // Runs one Dijkstra per source over the adjacency and keeps both.
   [[nodiscard]] static std::shared_ptr<const RoutingPlane> build(
-      const Adjacency& adjacency, std::uint64_t fingerprint);
+      Adjacency adjacency);
 
-  [[nodiscard]] std::size_t router_count() const noexcept { return n_; }
-  [[nodiscard]] std::uint64_t fingerprint() const noexcept {
-    return fingerprint_;
+  [[nodiscard]] std::size_t router_count() const noexcept {
+    return adjacency_.size();
   }
+  // Router r's links as the plane was built over them.
+  [[nodiscard]] const Links& links(RouterId r) const { return adjacency_[r]; }
 
   // Predecessor of v on the shortest path from src; kNoRouter when v == src
   // or v is unreachable from src.
   [[nodiscard]] RouterId parent(RouterId src, RouterId v) const noexcept {
-    return parent_[static_cast<std::size_t>(src) * n_ + v];
+    return parent_[static_cast<std::size_t>(src) * adjacency_.size() + v];
   }
 
   [[nodiscard]] bool reachable(RouterId src, RouterId dst) const noexcept {
@@ -60,16 +60,11 @@ class RoutingPlane {
   bool append_path(RouterId src, RouterId dst,
                    std::vector<RouterId>& out) const;
 
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return parent_.size() * sizeof(RouterId);
-  }
-
  private:
   RoutingPlane() = default;
 
-  std::size_t n_ = 0;
-  std::uint64_t fingerprint_ = 0;
-  std::vector<RouterId> parent_;  // n_ * n_, row per source
+  Adjacency adjacency_;
+  std::vector<RouterId> parent_;  // n * n, row per source
 };
 
 }  // namespace vpna::netsim

@@ -2,7 +2,7 @@
 // trace layer (trace.h).
 //
 // While the profiler is enabled, every obs::Span (trace.h) also opens a
-// frame here: shard build, routing-plane freeze, each suite and each layer
+// frame here: shard build, each suite and each layer
 // seam under it, serialization. Frames nest on a thread-local stack and
 // close by identity; closing one attributes its wall time to the phase both
 // inclusively (total) and exclusively (self: the time it was the innermost

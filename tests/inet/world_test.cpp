@@ -378,18 +378,23 @@ TEST(World, FreshBaseMatchesProcessBase) {
   const auto shared = WorldBase::shared();
   ASSERT_NE(fresh, shared);
   EXPECT_EQ(fresh->fingerprint(), shared->fingerprint());
-  EXPECT_EQ(fresh->routing_plane()->fingerprint(),
-            shared->routing_plane()->fingerprint());
-  // A world on the fresh base adopts the process base's plane.
+  ASSERT_NE(fresh->routing_plane(), shared->routing_plane());
+  // A world on the fresh base adopts the process base's plane, and the
+  // reverse: the two planes were built over the same links.
   World w(9, shared->routing_plane(), fresh);
   EXPECT_EQ(&w.base(), fresh.get());
+  EXPECT_EQ(w.network().routing_plane(), shared->routing_plane());
+  World v(9, fresh->routing_plane(), shared);
+  EXPECT_EQ(v.network().routing_plane(), fresh->routing_plane());
+  // Given no plane, a world routes on its base's.
+  World u(9, nullptr, fresh);
+  EXPECT_EQ(u.network().routing_plane(), fresh->routing_plane());
 }
 
 TEST(World, ForeignPlaneIsRejected) {
   util::SimClock clock;
   netsim::Network other(clock, util::Rng(1));
   other.add_link(other.add_router("a"), other.add_router("b"), 1.0);
-  other.freeze_topology();
   EXPECT_THROW(World(3, other.routing_plane()), std::logic_error);
 }
 
