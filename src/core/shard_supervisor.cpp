@@ -90,18 +90,6 @@ struct Slot {
 
 }  // namespace
 
-std::string_view supervised_outcome_name(
-    SupervisedShard::Outcome outcome) noexcept {
-  switch (outcome) {
-    case SupervisedShard::Outcome::kPending: return "pending";
-    case SupervisedShard::Outcome::kDone: return "done";
-    case SupervisedShard::Outcome::kError: return "error";
-    case SupervisedShard::Outcome::kCrashed: return "crashed";
-    case SupervisedShard::Outcome::kSkipped: return "skipped";
-  }
-  return "pending";
-}
-
 ShardSupervisor::ShardSupervisor(ExecutionOptions options,
                                  std::vector<std::string> names,
                                  ChildRun child_run)

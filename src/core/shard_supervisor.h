@@ -61,9 +61,6 @@ struct SupervisedShard {
   std::string error;    // last error/exit description (kError/kCrashed)
 };
 
-[[nodiscard]] std::string_view supervised_outcome_name(
-    SupervisedShard::Outcome outcome) noexcept;
-
 struct SupervisorResult {
   std::vector<SupervisedShard> shards;  // indexed by global shard index
   // Final per-slot process telemetry (obs::ProcessStatus is also what the

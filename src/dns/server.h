@@ -82,7 +82,6 @@ class AuthoritativeService final : public netsim::Service {
   [[nodiscard]] const std::vector<QueryLogEntry>& query_log() const noexcept {
     return query_log_;
   }
-  void clear_log() noexcept { query_log_.clear(); }
 
  private:
   [[nodiscard]] const ZoneRecord* find_record(std::string_view name) const;

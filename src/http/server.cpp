@@ -10,15 +10,6 @@ bool Site::blocks(const netsim::IpAddr& client) const {
   return false;
 }
 
-void WebServerService::add_site(std::shared_ptr<const Site> site) {
-  sites_[site->hostname] = std::move(site);
-}
-
-const Site* WebServerService::find_site(std::string_view hostname) const {
-  const auto it = sites_.find(hostname);
-  return it == sites_.end() ? nullptr : it->second.get();
-}
-
 std::optional<std::string> WebServerService::handle(
     netsim::ServiceContext& ctx) {
   static const std::vector<Header> kBlockedHeaders = {{"Server", "edge-gw"}};
@@ -28,8 +19,8 @@ std::optional<std::string> WebServerService::handle(
   const auto req = HttpRequestView::parse(ctx.request.payload);
   if (!req) return encode_response(400, "Bad Request", {}, {});
 
-  const Site* site = find_site(req->host);
-  if (site == nullptr) {
+  const Site* site = site_.get();
+  if (req->host != site->hostname) {
     return encode_response(404, "Not Found", {},
                            "<html><body>no such site</body></html>");
   }
@@ -44,7 +35,8 @@ std::optional<std::string> WebServerService::handle(
   }
 
   // Scheme upgrade redirect.
-  if (!https_ && site->upgrades_to_https && site->https_available) {
+  const bool https = ctx.request.dst_port == netsim::kPortHttps;
+  if (!https && site->upgrades_to_https && site->https_available) {
     std::string location = "https://" + site->hostname;
     location += req->path;
     const Header headers[] = {{"Location", std::move(location)}};

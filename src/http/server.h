@@ -40,20 +40,18 @@ struct Site {
   [[nodiscard]] bool blocks(const netsim::IpAddr& client) const;
 };
 
-// Serves one or more sites on a host. The same service instance is bound on
-// port 80 and port 443; `https` distinguishes the scheme semantics.
+// Serves one site on a host. The same service instance is bound on port 80
+// and sits behind the TLS terminator on port 443; the port a request
+// arrived on decides the scheme. A request for any other Host gets 404.
 class WebServerService final : public netsim::Service {
  public:
-  explicit WebServerService(bool https) : https_(https) {}
-
-  void add_site(std::shared_ptr<const Site> site);
-  [[nodiscard]] const Site* find_site(std::string_view hostname) const;
+  explicit WebServerService(std::shared_ptr<const Site> site)
+      : site_(std::move(site)) {}
 
   std::optional<std::string> handle(netsim::ServiceContext& ctx) override;
 
  private:
-  bool https_;
-  std::map<std::string, std::shared_ptr<const Site>, std::less<>> sites_;
+  std::shared_ptr<const Site> site_;
 };
 
 // A reflection endpoint: answers any request with a body containing the

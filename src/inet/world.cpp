@@ -305,18 +305,14 @@ void World::build_hosts() {
           vpn_blocking_sites_.push_back(own);
           site = std::move(own);
         }
-        auto web80 = std::make_shared<http::WebServerService>(false);
-        web80->add_site(site);
-        host.bind_service(netsim::Proto::kTcp, netsim::kPortHttp, web80);
-        if (hosted.chain) {
-          auto web443 = std::make_shared<http::WebServerService>(true);
-          web443->add_site(site);
-          auto term = std::make_shared<tlssim::TlsTerminator>(web443);
-          term->set_chain(site->hostname, hosted.chain);
-          host.bind_service(netsim::Proto::kTcp, netsim::kPortHttps, term);
-          terminators_.push_back(std::move(term));
-        }
+        auto web = std::make_shared<http::WebServerService>(site);
         sites_.push_back(std::move(site));
+        host.bind_service(netsim::Proto::kTcp, netsim::kPortHttp, web);
+        if (hosted.chain) {
+          host.bind_service(netsim::Proto::kTcp, netsim::kPortHttps,
+                            std::make_shared<tlssim::TlsTerminator>(
+                                hosted.chain, std::move(web)));
+        }
         break;
       }
       case Role::kHeaderEcho:
@@ -387,10 +383,11 @@ const http::Page* World::page_for(std::string_view hostname,
 
 std::optional<std::string> World::true_cert_fingerprint(
     std::string_view hostname) const {
-  for (const auto& term : terminators_) {
-    if (const auto* chain = term->chain_for(hostname)) {
-      if (const auto* leaf = chain->leaf()) return leaf->key_fingerprint;
-    }
+  for (const auto& hosted : base_->sites()) {
+    if (hosted.chain == nullptr) continue;
+    const auto* leaf = hosted.chain->leaf();
+    if (leaf != nullptr && leaf->matches_host(hostname))
+      return leaf->key_fingerprint;
   }
   return std::nullopt;
 }

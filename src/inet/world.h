@@ -220,7 +220,6 @@ class World {
   // this world's copies, also listed in vpn_blocking_sites_.
   std::vector<std::shared_ptr<const http::Site>> sites_;
   std::vector<std::shared_ptr<http::Site>> vpn_blocking_sites_;
-  std::vector<std::shared_ptr<tlssim::TlsTerminator>> terminators_;
 
   std::vector<std::shared_ptr<CensorMiddlebox>> censors_;
   std::uint32_t next_client_ip_ = 10;  // within the residential pool

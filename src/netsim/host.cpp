@@ -79,14 +79,6 @@ void Host::bind_service(Proto proto, std::uint16_t port,
   services_.insert(it, ServiceBinding{key, std::move(service)});
 }
 
-void Host::unbind_service(Proto proto, std::uint16_t port) {
-  const auto key = service_key(proto, port);
-  const auto it = std::lower_bound(
-      services_.begin(), services_.end(), key,
-      [](const ServiceBinding& b, std::uint32_t k) { return b.key < k; });
-  if (it != services_.end() && it->key == key) services_.erase(it);
-}
-
 Service* Host::find_service(Proto proto, std::uint16_t port) const {
   const auto key = service_key(proto, port);
   const auto it = std::lower_bound(

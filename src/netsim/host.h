@@ -147,11 +147,7 @@ class Host {
   // Binds a service to (proto, port); replaces any existing binding.
   void bind_service(Proto proto, std::uint16_t port,
                     std::shared_ptr<Service> service);
-  void unbind_service(Proto proto, std::uint16_t port);
   [[nodiscard]] Service* find_service(Proto proto, std::uint16_t port) const;
-  [[nodiscard]] std::size_t service_count() const noexcept {
-    return services_.size();
-  }
 
   // --- tunnel hook -----------------------------------------------------------
   // Attaches/detaches the encapsulation hook for a tun interface.

@@ -283,19 +283,29 @@ void Network::debug_check_addresses(std::size_t slot,
     if (a.host == nullptr) return std::ptrdiff_t{0};
     return std::count(a.indexed_addrs.begin(), a.indexed_addrs.end(), addr);
   };
+  // Walks the entry in place (`first`, then `replicas`): the check itself
+  // allocates nothing, so Debug allocation counts match optimized builds.
   const auto check = [&](const IpAddr& addr) {
-    std::vector<std::size_t> listed;
-    if (const auto it = addr_to_attachment_.find(addr);
-        it != addr_to_attachment_.end()) {
-      listed.push_back(it->second.first);
-      listed.insert(listed.end(), it->second.replicas.begin(),
-                    it->second.replicas.end());
+    const auto it = addr_to_attachment_.find(addr);
+    const AddrSlots* listed =
+        it == addr_to_attachment_.end() ? nullptr : &it->second;
+    // How often the entry lists slot i.
+    const auto listed_count = [listed](std::size_t i) {
+      if (listed == nullptr) return std::ptrdiff_t{0};
+      return (listed->first == i ? 1 : 0) +
+             std::count(listed->replicas.begin(), listed->replicas.end(), i);
+    };
+    if (listed != nullptr) {
+      const auto& replicas = listed->replicas;
+      assert(std::is_sorted(replicas.begin(), replicas.end()) &&
+             (replicas.empty() || listed->first <= replicas.front()));
+      assert(listed_count(listed->first) == held(listed->first, addr));
+      for (const std::size_t i : replicas)
+        assert(listed_count(i) == held(i, addr));
     }
-    assert(std::is_sorted(listed.begin(), listed.end()));
-    for (const std::size_t i : listed)
-      assert(std::count(listed.begin(), listed.end(), i) == held(i, addr));
-    assert(std::count(listed.begin(), listed.end(), slot) == held(slot, addr));
+    assert(listed_count(slot) == held(slot, addr));
     (void)held;
+    (void)listed_count;
   };
   for (const auto& addr : before) check(addr);
   for (const auto& addr : att.indexed_addrs) check(addr);
@@ -341,7 +351,7 @@ std::size_t Network::nearest_replica(RouterId from,
                                      const AddrSlots& slots) const {
   if (slots.replicas.empty()) return slots.first;
   std::size_t best_idx = slots.first;
-  double best = 1e18;
+  double best = kNoPathMs;
   const auto consider = [&](std::size_t idx) {
     const auto* pi = path(from, attachments_[idx].router);
     if (pi != nullptr && pi->latency_ms < best) {
@@ -355,7 +365,7 @@ std::size_t Network::nearest_replica(RouterId from,
 }
 
 double Network::link_latency(RouterId u, RouterId v) const {
-  double best = 1e18;
+  double best = kNoPathMs;
   for (const auto& [peer, latency] : routers_[u].links)
     if (peer == v && latency < best) best = latency;
   return best;

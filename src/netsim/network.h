@@ -130,9 +130,10 @@ class Network {
     return !link_capacities_.empty();
   }
 
-  // Smallest latency among (possibly parallel) links u->v, in ms. 1e18
-  // when no such link exists. Public for the traffic plane, which charges
-  // per-hop propagation itself instead of using a path total.
+  // Smallest latency among (possibly parallel) links u->v, in ms;
+  // kNoPathMs (+infinity) when no such link exists. Public for the traffic
+  // plane, which charges per-hop propagation itself instead of using a path
+  // total.
   [[nodiscard]] double min_link_latency(RouterId u, RouterId v) const noexcept {
     return link_latency(u, v);
   }

@@ -10,12 +10,11 @@ std::shared_ptr<const RoutingPlane> RoutingPlane::build(Adjacency adjacency) {
   const std::size_t n = adjacency.size();
   plane->parent_.assign(n * n, kNoRouter);
 
-  // One Dijkstra per source; a router left at kInf is unreachable.
-  constexpr double kInf = 1e18;
+  // One Dijkstra per source; a router left at kNoPathMs is unreachable.
   std::vector<double> dist;
   using QE = std::pair<double, RouterId>;
   for (RouterId src = 0; src < n; ++src) {
-    dist.assign(n, kInf);
+    dist.assign(n, kNoPathMs);
     RouterId* parent_row = plane->parent_.data() + static_cast<std::size_t>(src) * n;
     std::priority_queue<QE, std::vector<QE>, std::greater<>> q;
     dist[src] = 0;

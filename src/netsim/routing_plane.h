@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -26,6 +27,10 @@ namespace vpna::netsim {
 using RouterId = std::uint32_t;
 
 inline constexpr RouterId kNoRouter = 0xffffffffu;
+
+// The latency of "no path" and of "no link": +infinity, so every finite
+// link latency add_link accepts is reachable, however large.
+inline constexpr double kNoPathMs = std::numeric_limits<double>::infinity();
 
 class RoutingPlane {
  public:

@@ -69,18 +69,6 @@ bool parse_cache_mode(std::string_view name, CacheMode* out) noexcept {
   return false;
 }
 
-std::string_view fetch_status_name(FetchStatus s) noexcept {
-  switch (s) {
-    case FetchStatus::kHit:
-      return "hit";
-    case FetchStatus::kMiss:
-      return "miss";
-    case FetchStatus::kCorrupt:
-      return "corrupt";
-  }
-  return "miss";
-}
-
 std::string ShardKey::canonical() const {
   // Versioned, field-separated canonical form; adjacent values can never
   // alias because every field is terminated.

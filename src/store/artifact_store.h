@@ -95,8 +95,6 @@ enum class FetchStatus : std::uint8_t {
   kCorrupt,  // artifact present but failed an integrity check
 };
 
-[[nodiscard]] std::string_view fetch_status_name(FetchStatus s) noexcept;
-
 struct FetchResult {
   FetchStatus status = FetchStatus::kMiss;
   std::string payload;  // filled only on kHit

@@ -81,32 +81,12 @@ HandshakeResult tls_handshake(netsim::Network& net, netsim::Host& client,
   return out;
 }
 
-void TlsTerminator::set_chain(std::string hostname, CertChain chain) {
-  set_chain(std::move(hostname),
-            std::make_shared<const CertChain>(std::move(chain)));
-}
-
-void TlsTerminator::set_chain(std::string hostname,
-                              std::shared_ptr<const CertChain> chain) {
-  chains_[std::move(hostname)] = std::move(chain);
-}
-
-const CertChain* TlsTerminator::chain_for(std::string_view hostname) const {
-  if (const auto it = chains_.find(hostname); it != chains_.end())
-    return it->second.get();
-  // Fall back to a wildcard entry covering the host, if installed.
-  for (const auto& [name, chain] : chains_) {
-    if (!chain->certs.empty() && chain->certs.front().matches_host(hostname))
-      return chain.get();
-  }
-  return nullptr;
-}
-
 std::optional<std::string> TlsTerminator::handle(netsim::ServiceContext& ctx) {
   if (const auto sni = decode_client_hello(ctx.request.payload)) {
-    const auto* chain = chain_for(*sni);
-    if (chain == nullptr) return std::nullopt;  // handshake alert: no cert
-    return encode_server_hello(*chain);
+    const auto* leaf = chain_->leaf();
+    if (leaf == nullptr || !leaf->matches_host(*sni))
+      return std::nullopt;  // handshake alert: no cert for this name
+    return encode_server_hello(*chain_);
   }
   if (app_ == nullptr) return std::nullopt;
   return app_->handle(ctx);

@@ -4,7 +4,6 @@
 // the measurement suite inspects are the chain and who presented it.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -77,24 +76,22 @@ struct HandshakeResult {
                                             const CaStore& store,
                                             ChainMemo& memo);
 
-// Server-side port-443 service: answers ClientHello with the chain for the
-// requested SNI and delegates anything else (application data) to `app`.
+// Server-side port-443 service: answers a ClientHello with its one chain
+// when the chain's leaf covers the requested SNI (exactly or by wildcard),
+// sends no reply otherwise, and delegates anything else (application data)
+// to `app`. The chain is shared read-only, so terminators presenting the
+// same chain hold one copy.
 class TlsTerminator final : public netsim::Service {
  public:
-  explicit TlsTerminator(std::shared_ptr<netsim::Service> app)
-      : app_(std::move(app)) {}
-
-  // Installs the chain presented for an SNI name. The shared form lets
-  // terminators that present the same chain hold one read-only copy.
-  void set_chain(std::string hostname, CertChain chain);
-  void set_chain(std::string hostname, std::shared_ptr<const CertChain> chain);
-  [[nodiscard]] const CertChain* chain_for(std::string_view hostname) const;
+  TlsTerminator(std::shared_ptr<const CertChain> chain,
+                std::shared_ptr<netsim::Service> app)
+      : chain_(std::move(chain)), app_(std::move(app)) {}
 
   std::optional<std::string> handle(netsim::ServiceContext& ctx) override;
 
  private:
+  std::shared_ptr<const CertChain> chain_;
   std::shared_ptr<netsim::Service> app_;
-  std::map<std::string, std::shared_ptr<const CertChain>, std::less<>> chains_;
 };
 
 }  // namespace vpna::tlssim

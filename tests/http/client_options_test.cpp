@@ -44,8 +44,7 @@ class OptionsFixture : public ::testing::Test {
     auto site = std::make_shared<Site>();
     site->hostname = "site.com";
     site->pages["/"] = make_basic_page("site.com", "Site", 0);
-    auto web80 = std::make_shared<WebServerService>(false);
-    web80->add_site(site);
+    auto web80 = std::make_shared<WebServerService>(site);
     // Keeps each request's bytes as the server received them.
     web_.bind_service(
         netsim::Proto::kTcp, netsim::kPortHttp,
@@ -113,11 +112,10 @@ TEST_F(OptionsFixture, HttpsCostsMoreRoundTripsThanHttp) {
   auto site = std::make_shared<Site>();
   site->hostname = "site.com";
   site->pages["/"] = make_basic_page("site.com", "Site", 0);
-  auto web443 = std::make_shared<WebServerService>(true);
-  web443->add_site(site);
-  auto term = std::make_shared<vpna::tlssim::TlsTerminator>(web443);
-  term->set_chain("site.com",
-                  vpna::tlssim::issue_chain("site.com", "SimTrust Root CA", 1));
+  auto term = std::make_shared<vpna::tlssim::TlsTerminator>(
+      std::make_shared<const vpna::tlssim::CertChain>(
+          vpna::tlssim::issue_chain("site.com", "SimTrust Root CA", 1)),
+      std::make_shared<WebServerService>(site));
   web_.bind_service(netsim::Proto::kTcp, netsim::kPortHttps, term);
 
   HttpClient c(net_, client_);

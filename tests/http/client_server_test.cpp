@@ -3,19 +3,33 @@
 #include "dns/server.h"
 #include "http/client.h"
 #include "http/server.h"
+#include "tlssim/handshake.h"
 
 namespace vpna::http {
 namespace {
 
-// End-to-end HTTP fixture: a client with working DNS and two web servers
-// (one http-only site, one https-upgrading site, one VPN-blocking site).
+// End-to-end HTTP fixture: a client with working DNS and three web hosts,
+// each serving one site (one http-only site, one https-upgrading site, one
+// VPN-blocking site), as the world places them.
 class HttpFixture : public ::testing::Test {
  protected:
+  static netsim::IpAddr plain_addr() {
+    return netsim::IpAddr::v4(45, 0, 0, 80);
+  }
+  static netsim::IpAddr secure_addr() {
+    return netsim::IpAddr::v4(45, 0, 0, 90);
+  }
+  static netsim::IpAddr stream_addr() {
+    return netsim::IpAddr::v4(45, 0, 0, 100);
+  }
+
   HttpFixture()
       : net_(clock_, util::Rng(3), 0.0),
         client_("client"),
         resolver_host_("resolver"),
         web_host_("web"),
+        secure_host_("secure"),
+        stream_host_("stream"),
         zones_(std::make_shared<dns::ZoneRegistry>()) {
     const auto r0 = net_.add_router("r0");
     const auto r1 = net_.add_router("r1");
@@ -29,15 +43,22 @@ class HttpFixture : public ::testing::Test {
     };
     setup(client_, netsim::IpAddr::v4(71, 80, 0, 10), r0);
     setup(resolver_host_, netsim::IpAddr::v4(8, 8, 8, 8), r1);
-    setup(web_host_, netsim::IpAddr::v4(45, 0, 0, 80), r1);
+    setup(web_host_, plain_addr(), r1);
+    setup(secure_host_, secure_addr(), r1);
+    setup(stream_host_, stream_addr(), r1);
 
-    // DNS plumbing: one authoritative server co-hosted with the web server.
+    // DNS plumbing: one authoritative server, co-hosted with plain.com's
+    // web server, holds each site's record.
     auto authority = std::make_shared<dns::AuthoritativeService>();
-    for (const char* name : {"plain.com", "secure.com", "stream.com"}) {
+    const std::pair<const char*, netsim::IpAddr> records[] = {
+        {"plain.com", plain_addr()},
+        {"secure.com", secure_addr()},
+        {"stream.com", stream_addr()}};
+    for (const auto& [name, addr] : records) {
       dns::ZoneRecord rec;
-      rec.a = {netsim::IpAddr::v4(45, 0, 0, 80)};
+      rec.a = {addr};
       authority->add_record(name, rec);
-      zones_->set_authority(name, netsim::IpAddr::v4(45, 0, 0, 80));
+      zones_->set_authority(name, plain_addr());
     }
     web_host_.bind_service(netsim::Proto::kUdp, netsim::kPortDns, authority);
     resolver_host_.bind_service(
@@ -64,31 +85,55 @@ class HttpFixture : public ::testing::Test {
     stream->blocked_ranges = {*netsim::Cidr::parse("45.0.32.0/19")};
     stream->pages["/"] = make_basic_page("stream.com", "Stream", 0);
 
-    auto web80 = std::make_shared<WebServerService>(false);
-    web80->add_site(plain);
-    web80->add_site(secure);
-    web80->add_site(stream);
-    // Keeps each request's bytes as the server received them.
+    // Keeps each request's bytes as plain.com's server received them.
+    auto plain_web = std::make_shared<WebServerService>(plain);
     web_host_.bind_service(
         netsim::Proto::kTcp, netsim::kPortHttp,
         std::make_shared<netsim::LambdaService>(
-            [this, web80](netsim::ServiceContext& ctx) {
+            [this, plain_web](netsim::ServiceContext& ctx) {
               received_.push_back(ctx.request.payload);
-              return web80->handle(ctx);
+              return plain_web->handle(ctx);
             }));
 
-    auto web443 = std::make_shared<WebServerService>(true);
-    web443->add_site(secure);
-    web_host_.bind_service(netsim::Proto::kTcp, netsim::kPortHttps, web443);
+    // One service for secure.com on port 80 and behind its terminator on
+    // port 443, as the world binds a site host.
+    auto secure_web = std::make_shared<WebServerService>(secure);
+    secure_host_.bind_service(netsim::Proto::kTcp, netsim::kPortHttp,
+                              secure_web);
+    secure_host_.bind_service(
+        netsim::Proto::kTcp, netsim::kPortHttps,
+        std::make_shared<tlssim::TlsTerminator>(
+            std::make_shared<const tlssim::CertChain>(
+                tlssim::issue_chain("secure.com", "SimTrust Root CA", 1)),
+            secure_web));
+
+    stream_host_.bind_service(netsim::Proto::kTcp, netsim::kPortHttp,
+                              std::make_shared<WebServerService>(stream));
+  }
+
+  // Sends one GET for `url` straight to `server`'s `port` and decodes the
+  // reply.
+  std::optional<HttpResponse> get(const netsim::IpAddr& server,
+                                  std::uint16_t port, std::string_view url) {
+    netsim::Packet p;
+    p.dst = server;
+    p.proto = netsim::Proto::kTcp;
+    p.dst_port = port;
+    p.payload = encode_fetch_request(*Url::parse(url), {});
+    const auto res = net_.transact(client_, std::move(p));
+    if (!res.ok()) return std::nullopt;
+    return HttpResponse::decode(res.reply);
   }
 
   util::SimClock clock_;
   netsim::Network net_;
   netsim::Host client_;
   netsim::Host resolver_host_;
-  netsim::Host web_host_;
+  netsim::Host web_host_;  // plain.com and the DNS authority
+  netsim::Host secure_host_;
+  netsim::Host stream_host_;
   std::shared_ptr<dns::ZoneRegistry> zones_;
-  std::vector<std::string> received_;  // HTTP requests at port 80, in order
+  std::vector<std::string> received_;  // plain.com's port-80 requests, in order
 };
 
 TEST_F(HttpFixture, FetchPlainSite) {
@@ -122,10 +167,11 @@ TEST_F(HttpFixture, UnknownHostHeaderGets404) {
   // for a hostname the server doesn't know.
   auto authority = std::make_shared<dns::AuthoritativeService>();
   dns::ZoneRecord rec;
-  rec.a = {netsim::IpAddr::v4(45, 0, 0, 80)};
+  rec.a = {plain_addr()};
   authority->add_record("ghost.com", rec);
-  zones_->set_authority("ghost.com", netsim::IpAddr::v4(45, 0, 0, 80));
-  // (records merge into the existing authoritative service's host)
+  zones_->set_authority("ghost.com", plain_addr());
+  // Replaces the fixture's authority on this host; only ghost.com is
+  // looked up here.
   web_host_.bind_service(netsim::Proto::kUdp, netsim::kPortDns, authority);
 
   HttpClient c(net_, client_);
@@ -173,6 +219,28 @@ TEST_F(HttpFixture, FetchRecordsExactRequestBytes) {
   const auto decoded = HttpRequest::decode(received_[0]);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->header("X-Probe-Marker"), "leave-intact-7719");
+}
+
+TEST_F(HttpFixture, SchemeComesFromThePortARequestArrivedOn) {
+  // One WebServerService instance answers both ports of secure.com's host.
+  const auto on80 = get(secure_addr(), netsim::kPortHttp, "http://secure.com/");
+  ASSERT_TRUE(on80.has_value());
+  EXPECT_EQ(on80->status, 301);
+  EXPECT_EQ(on80->header("Location"), "https://secure.com/");
+
+  const auto on443 =
+      get(secure_addr(), netsim::kPortHttps, "https://secure.com/");
+  ASSERT_TRUE(on443.has_value());
+  EXPECT_EQ(on443->status, 200);
+  EXPECT_NE(on443->body.find("Secure"), std::string::npos);
+
+  // A Host the service does not serve gets 404 on either port.
+  for (const std::uint16_t port : {netsim::kPortHttp, netsim::kPortHttps}) {
+    const auto foreign = get(secure_addr(), port, "http://plain.com/");
+    ASSERT_TRUE(foreign.has_value()) << port;
+    EXPECT_EQ(foreign->status, 404) << port;
+    EXPECT_NE(foreign->body.find("no such site"), std::string::npos) << port;
+  }
 }
 
 TEST_F(HttpFixture, RedirectLoopCapped) {

@@ -348,5 +348,37 @@ TEST_F(FrozenTriangle, LinkLatencyMustBeFiniteAndNonNegative) {
   EXPECT_EQ(net_.base_latency_ms(ha, hl), 0.0);
 }
 
+// "No path" is one sentinel above every latency add_link accepts: a leaf
+// linked at 2e18 ms after the plane is built routes exactly as a network
+// built whole over the same links, in both directions.
+TEST_F(FrozenTriangle, HugeLeafLatencyMatchesWholeBuild) {
+  constexpr double kHuge = 2e18;
+  (void)net_.routing_plane();
+  const auto leaf = net_.add_router("leaf");
+  net_.add_link(leaf, a_, kHuge);
+  Host hc("hc"), hl("hl");
+  net_.attach_host(hc, c_, 0.0);
+  net_.attach_host(hl, leaf, 0.0);
+
+  util::SimClock clock2;
+  Network whole(clock2, util::Rng(3), 0.0);
+  for (const char* name : {"a", "b", "c", "leaf"}) (void)whole.add_router(name);
+  whole.add_link(a_, b_, 5.0);
+  whole.add_link(b_, c_, 5.0);
+  whole.add_link(a_, c_, 20.0);
+  whole.add_link(leaf, a_, kHuge);
+  Host wc("wc"), wl("wl");
+  whole.attach_host(wc, c_, 0.0);
+  whole.attach_host(wl, leaf, 0.0);
+
+  const auto built = whole.base_latency_ms(wc, wl);
+  ASSERT_TRUE(built.has_value());
+  EXPECT_EQ(*built, 5.0 + 5.0 + kHuge);  // c-b-a, then the leaf link
+  EXPECT_EQ(net_.base_latency_ms(hc, hl), built);
+  EXPECT_EQ(net_.base_latency_ms(hl, hc), whole.base_latency_ms(wl, wc));
+  EXPECT_EQ(net_.min_link_latency(a_, leaf), kHuge);
+  EXPECT_EQ(net_.min_link_latency(b_, leaf), kNoPathMs);
+}
+
 }  // namespace
 }  // namespace vpna::netsim

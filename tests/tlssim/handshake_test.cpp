@@ -102,10 +102,18 @@ class HandshakeFixture : public ::testing::Test {
     net_.attach_host(server_, r1, 0.5);
 
     store_.trust("SimTrust Root CA");
-    terminator_ = std::make_shared<TlsTerminator>(nullptr);
-    terminator_->set_chain(
-        "www.site.com", issue_chain("www.site.com", "SimTrust Root CA", 1));
-    server_.bind_service(netsim::Proto::kTcp, netsim::kPortHttps, terminator_);
+    bind_terminator(issue_chain("www.site.com", "SimTrust Root CA", 1));
+  }
+
+  // Binds a terminator presenting `chain` on the server's port 443,
+  // replacing the one bound before.
+  void bind_terminator(CertChain chain,
+                       std::shared_ptr<netsim::Service> app = nullptr) {
+    server_.bind_service(
+        netsim::Proto::kTcp, netsim::kPortHttps,
+        std::make_shared<TlsTerminator>(
+            std::make_shared<const CertChain>(std::move(chain)),
+            std::move(app)));
   }
 
   util::SimClock clock_;
@@ -114,7 +122,6 @@ class HandshakeFixture : public ::testing::Test {
   netsim::Host server_;
   CaStore store_;
   ChainMemo memo_;
-  std::shared_ptr<TlsTerminator> terminator_;
 };
 
 TEST_F(HandshakeFixture, SuccessfulHandshakeValidates) {
@@ -134,8 +141,7 @@ TEST_F(HandshakeFixture, UnknownSniFailsHandshake) {
 }
 
 TEST_F(HandshakeFixture, InterceptionChainFailsValidation) {
-  terminator_->set_chain("www.site.com",
-                         issue_chain("www.site.com", "Intercept CA", 9));
+  bind_terminator(issue_chain("www.site.com", "Intercept CA", 9));
   const auto hs = tls_handshake(net_, client_, netsim::IpAddr::v4(45, 0, 0, 10),
                                 "www.site.com", store_, memo_);
   ASSERT_TRUE(hs.completed());
@@ -154,8 +160,7 @@ TEST_F(HandshakeFixture, HandshakeRttExceedsPlainExchange) {
 }
 
 TEST_F(HandshakeFixture, WildcardChainServesSubdomains) {
-  terminator_->set_chain("*.site.com",
-                         issue_chain("*.site.com", "SimTrust Root CA", 2));
+  bind_terminator(issue_chain("*.site.com", "SimTrust Root CA", 2));
   const auto hs = tls_handshake(net_, client_, netsim::IpAddr::v4(45, 0, 0, 10),
                                 "api.site.com", store_, memo_);
   ASSERT_TRUE(hs.completed());
@@ -167,10 +172,7 @@ TEST_F(HandshakeFixture, AppDataDelegation) {
       [](netsim::ServiceContext&) -> std::optional<std::string> {
         return "app-data-response";
       });
-  auto term = std::make_shared<TlsTerminator>(app);
-  term->set_chain("www.site.com",
-                  issue_chain("www.site.com", "SimTrust Root CA", 1));
-  server_.bind_service(netsim::Proto::kTcp, netsim::kPortHttps, term);
+  bind_terminator(issue_chain("www.site.com", "SimTrust Root CA", 1), app);
 
   netsim::Packet p;
   p.dst = netsim::IpAddr::v4(45, 0, 0, 10);

@@ -315,12 +315,13 @@ class ClientPolicyFixture : public FaultRetryFixture,
     auto site = std::make_shared<http::Site>();
     site->hostname = kSite;
     site->pages["/"] = http::make_basic_page(kSite, "Site", 0);
-    auto web = std::make_shared<http::WebServerService>(false);
-    web->add_site(site);
+    auto web = std::make_shared<http::WebServerService>(site);
     server_.bind_service(Proto::kTcp, netsim::kPortHttp, web);
 
-    auto tls = std::make_shared<tlssim::TlsTerminator>(web);
-    tls->set_chain(kSite, tlssim::issue_chain(kSite, "SimTrust Root CA", 1));
+    auto tls = std::make_shared<tlssim::TlsTerminator>(
+        std::make_shared<const tlssim::CertChain>(
+            tlssim::issue_chain(kSite, "SimTrust Root CA", 1)),
+        web);
     server_.bind_service(Proto::kTcp, netsim::kPortHttps, tls);
 
     client_.dns_servers().push_back(server_addr());
