@@ -98,9 +98,9 @@ VantagePointReport TestRunner::run_vantage_point(
 
   // Fault attribution baseline: injected-fault count before this vantage
   // point ran, so a degradation record can report the delta.
-  const auto faults_now = [] {
-    const auto* m = obs::meter();
-    return m != nullptr ? m->counter_prefix_sum("faults.") : std::uint64_t{0};
+  const auto faults_now = [this] {
+    return testbed_.fault_injector ? testbed_.fault_injector->injected()
+                                   : std::uint64_t{0};
   };
   const std::uint64_t faults_before = faults_now();
 
@@ -258,16 +258,6 @@ ProviderReport run_shard_body(const std::string& name,
   // kOff installs nothing (session_policy_for returns nullptr).
   transport::ScopedSessionPolicy session_policy(
       faults::session_policy_for(options.fault_profile));
-  // Degradation records attribute give-ups to injected faults via the
-  // faults.* counters, which only exist while a registry is bound. Traced
-  // campaigns already bind one per shard; for untraced fault-profile runs,
-  // bind a throwaway metrics-only registry here. Never engaged under kOff,
-  // so off-profile shards observe exactly what they did before.
-  obs::MetricsRegistry attribution;
-  std::optional<obs::ScopedObservation> attribution_scope;
-  if (options.fault_profile != faults::FaultProfile::kOff &&
-      obs::meter() == nullptr)
-    attribution_scope.emplace(nullptr, &attribution);
 
   obs::Span root("shard.run", "campaign");
   if (root) {

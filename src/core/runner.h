@@ -37,8 +37,8 @@ struct Degradation {
   std::string stage;       // which stage gave up, e.g. "connect"
   transport::Error error;  // terminal error of the last attempt
   int attempts = 0;        // attempts spent before giving up
-  // Fault attribution: injected-fault count (`faults.*` obs counters) this
-  // shard accumulated during the degraded stage. 0 when no meter is bound.
+  // Fault attribution: faults the shard's injector injected during the
+  // degraded stage (faults::Injector::injected()), each counted once.
   std::uint64_t faults_seen = 0;
 };
 

@@ -72,31 +72,17 @@ bool parse_id_type(std::string_view id, std::string_view type,
 }
 }  // namespace
 
-namespace {
-// "DNSQ|<id>|<type>|", reserved for a name of `name_size` bytes.
-std::string query_head(std::uint16_t id, RrType type, std::size_t name_size) {
+std::string encode_query(std::uint16_t id, RrType type,
+                         std::string_view name) {
+  if (name.ends_with('.')) name.remove_suffix(1);
   std::string out;
-  out.reserve(16 + name_size + netsim::kPayloadHeadroom);
+  out.reserve(16 + name.size() + netsim::kPayloadHeadroom);
   out += "DNSQ|";
   append_uint(out, id);
   out += '|';
   append_uint(out, static_cast<unsigned>(type));
   out += '|';
-  return out;
-}
-}  // namespace
-
-std::string encode_query(std::uint16_t id, RrType type,
-                         std::string_view name) {
-  if (name.ends_with('.')) name.remove_suffix(1);
-  std::string out = query_head(id, type, name.size());
   util::append_lower(out, name);
-  return out;
-}
-
-std::string DnsQuery::encode() const {
-  std::string out = query_head(id, type, name.size());
-  out += name;
   return out;
 }
 
@@ -111,20 +97,6 @@ std::optional<DnsQueryView> DnsQueryView::parse(std::string_view payload) {
   // Empty once canonical: "" or ".".
   if (q.name.empty() || q.name == ".") return std::nullopt;
   return q;
-}
-
-std::optional<DnsQuery> DnsQuery::decode(std::string_view payload) {
-  const auto view = DnsQueryView::parse(payload);
-  if (!view) return std::nullopt;
-  DnsQuery q;
-  q.id = view->id;
-  q.type = view->type;
-  q.name = canonical_name(view->name);
-  return q;
-}
-
-std::string DnsResponse::encode() const {
-  return encode_response(id, type, name, rcode, addresses, texts);
 }
 
 namespace {
@@ -245,19 +217,6 @@ void DnsResponseView::append_texts(std::vector<std::string>& out) const {
     out.emplace_back(s);
     return true;
   });
-}
-
-std::optional<DnsResponse> DnsResponse::decode(std::string_view payload) {
-  const auto view = DnsResponseView::parse(payload);
-  if (!view) return std::nullopt;
-  DnsResponse r;
-  r.id = view->id;
-  r.type = view->type;
-  r.rcode = view->rcode;
-  view->append_addresses(r.addresses);
-  view->append_texts(r.texts);
-  r.name = canonical_name(view->name);
-  return r;
 }
 
 }  // namespace vpna::dns

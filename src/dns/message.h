@@ -22,8 +22,7 @@ enum class Rcode : std::uint8_t { kNoError, kNxDomain, kServFail, kRefused };
 
 // A query parsed in place: `name` views the payload as sent, and
 // canonical_name(name) is the query's name (never empty). Servers parse
-// through it; DnsQuery::decode is built on it, so both accept exactly the
-// same payloads.
+// through it.
 struct DnsQueryView {
   std::uint16_t id = 0;
   RrType type = RrType::kA;
@@ -32,21 +31,10 @@ struct DnsQueryView {
   static std::optional<DnsQueryView> parse(std::string_view payload);
 };
 
-struct DnsQuery {
-  std::uint16_t id = 0;
-  RrType type = RrType::kA;
-  std::string name;  // fully-qualified, lowercase, no trailing dot
-
-  [[nodiscard]] std::string encode() const;
-  static std::optional<DnsQuery> decode(std::string_view payload);
-};
-
 // A response parsed in place: `name` views the payload as sent (its
-// canonical_name is DnsResponse::name), `addresses` is the comma-separated
+// canonical_name is the answered name), `addresses` is the comma-separated
 // answer field, every entry of which parsed, and `texts` the TXT field.
-// Clients and the recursive resolver read replies through it;
-// DnsResponse::decode is built on it, so both accept exactly the same
-// payloads.
+// Clients and the recursive resolver read replies through it.
 struct DnsResponseView {
   std::uint16_t id = 0;
   RrType type = RrType::kA;
@@ -55,38 +43,28 @@ struct DnsResponseView {
   std::string_view addresses;
   std::string_view texts;
 
-  // Appends the A/AAAA answers and the TXT strings, as DnsResponse holds
-  // them.
+  // Appends the parsed A/AAAA answers and the TXT strings.
   void append_addresses(std::vector<netsim::IpAddr>& out) const;
   void append_texts(std::vector<std::string>& out) const;
 
   static std::optional<DnsResponseView> parse(std::string_view payload);
 };
 
-struct DnsResponse {
-  std::uint16_t id = 0;
-  RrType type = RrType::kA;
-  std::string name;
-  Rcode rcode = Rcode::kNoError;
-  std::vector<netsim::IpAddr> addresses;  // A/AAAA answers
-  std::vector<std::string> texts;         // TXT answers
-
-  [[nodiscard]] std::string encode() const;
-  static std::optional<DnsResponse> decode(std::string_view payload);
-};
-
-// DnsQuery{id, type, canonical_name(name)}.encode(), with the name folded
+// "DNSQ|<id>|<type>|<canonical_name(name)>", with the name folded
 // straight into the payload.
 [[nodiscard]] std::string encode_query(std::uint16_t id, RrType type,
                                        std::string_view name);
 
-// DnsResponse::encode over borrowed fields, so a server can answer straight
-// from its record tables without first copying them into a DnsResponse.
+// "DNSR|<id>|<type>|<name>|<rcode>|<addresses>|<texts>" over borrowed
+// fields, so a server answers straight from its record tables. The name and
+// each TXT string end at their first NUL; a TXT string holding one ends the
+// field.
 [[nodiscard]] std::string encode_response(
     std::uint16_t id, RrType type, std::string_view name, Rcode rcode,
     const std::vector<netsim::IpAddr>& addresses,
     const std::vector<std::string>& texts);
-// DnsResponse::decode(reply) re-encoded under a new id, without the copy.
+// `reply` re-encoded under a new id: its name made canonical and each
+// answer re-formatted, as encode_response over its parsed fields writes it.
 [[nodiscard]] std::string encode_response(std::uint16_t id,
                                           const DnsResponseView& reply);
 

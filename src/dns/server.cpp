@@ -78,7 +78,7 @@ std::optional<std::string> AuthoritativeService::handle(
   }
 
   // Answer straight from the record table: the answers are encoded, never
-  // copied into a DnsResponse.
+  // copied.
   const std::vector<netsim::IpAddr>* addresses = &kNoAddresses;
   const std::vector<std::string>* texts = &kNoTexts;
   if (const ZoneRecord* record = find_record(name)) {

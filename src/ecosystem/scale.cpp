@@ -8,7 +8,6 @@
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/strings.h"
-#include "vpn/deploy.h"
 
 namespace vpna::ecosystem {
 
@@ -154,38 +153,13 @@ Testbed build_scaled_shard(const ScaledCatalog& catalog, std::string_view name,
   if (target == nullptr) return {};
   obs::Span build_span("shard.build", "ecosystem");
 
-  // Catalog-order selection of {target} ∪ {reseller partner}, mirroring
-  // build_provider_shard.
-  std::vector<const EvaluatedProvider*> selection;
-  std::size_t target_index = 0;
-  for (std::size_t i = 0; i < catalog.providers.size(); ++i) {
-    const auto& ep = catalog.providers[i];
-    if (ep.spec.name == target->spec.name) target_index = i;
-    if (ep.spec.name == target->spec.name ||
-        (!target->shares_infrastructure_with.empty() &&
-         ep.spec.name == target->shares_infrastructure_with))
-      selection.push_back(&ep);
-  }
-
   const auto seed = shard_seed(campaign_seed, target->spec.name);
-  Testbed tb;
-  tb.world = std::make_unique<inet::World>(seed, std::move(plane));
-  tb.providers.reserve(selection.size());
-
-  // Capacity hint: one host per vantage point, the capped subscriber
-  // eyeballs, and the measurement VM. Pre-sizes the host arena and the
-  // network's attachment indexes so the bulk deploy below never rehashes.
-  const std::uint32_t clients = std::min<std::uint32_t>(
-      options.max_clients, catalog.subscribers[target_index]);
-  std::size_t expected_hosts = 1 + clients;
-  for (const auto* ep : selection) expected_hosts += ep->spec.vantage_points.size();
-  tb.world->reserve_hosts(expected_hosts);
-
-  for (const auto* ep : selection)
-    tb.providers.push_back(vpn::deploy_provider(*tb.world, ep->spec));
-
-  alias_reseller_vantage_points(tb, selection);
-  tb.client = &tb.world->spawn_client("Chicago", "measurement-vm");
+  const auto modeled = catalog.subscribers[static_cast<std::size_t>(
+      target - catalog.providers.data())];
+  const std::uint32_t clients =
+      std::min<std::uint32_t>(options.max_clients, modeled);
+  auto tb = build_catalog_shard(catalog.providers, *target, seed,
+                                std::move(plane), clients);
 
   // Capped subscriber materialization: eyeball clients in cities sampled
   // from a dedicated rng stream (fork order is fixed, so the city list is a

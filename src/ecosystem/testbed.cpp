@@ -11,9 +11,14 @@ namespace vpna::ecosystem {
 
 namespace {
 
+// Deploys `selection` in order into a fresh world, aliases reseller vantage
+// points and spawns the measurement VM. Reserves a host slot for each
+// vantage point, the VM and `extra_hosts` more the caller spawns after, so
+// the bulk deploy never rehashes the network's attachment indexes.
 Testbed build(const std::vector<const EvaluatedProvider*>& selection,
               std::uint64_t seed,
               std::shared_ptr<const netsim::RoutingPlane> plane,
+              std::size_t extra_hosts = 0,
               std::shared_ptr<const inet::WorldBase> base =
                   inet::WorldBase::shared()) {
   Testbed tb;
@@ -21,10 +26,13 @@ Testbed build(const std::vector<const EvaluatedProvider*>& selection,
       std::make_unique<inet::World>(seed, std::move(plane), std::move(base));
   tb.providers.reserve(selection.size());
 
-  for (const auto* ep : selection) {
-    auto deployed = vpn::deploy_provider(*tb.world, ep->spec);
-    tb.providers.push_back(std::move(deployed));
-  }
+  std::size_t expected_hosts = 1 + extra_hosts;
+  for (const auto* ep : selection)
+    expected_hosts += ep->spec.vantage_points.size();
+  tb.world->reserve_hosts(expected_hosts);
+
+  for (const auto* ep : selection)
+    tb.providers.push_back(vpn::deploy_provider(*tb.world, ep->spec));
 
   alias_reseller_vantage_points(tb, selection);
   tb.client = &tb.world->spawn_client("Chicago", "measurement-vm");
@@ -75,6 +83,25 @@ Testbed build_testbed_subset(const std::vector<std::string>& names,
   return build(selection, seed, std::move(plane));
 }
 
+Testbed build_catalog_shard(const std::vector<EvaluatedProvider>& catalog,
+                            const EvaluatedProvider& target,
+                            std::uint64_t seed,
+                            std::shared_ptr<const netsim::RoutingPlane> plane,
+                            std::size_t extra_hosts,
+                            std::shared_ptr<const inet::WorldBase> base) {
+  // Catalog-order selection of {target} ∪ {reseller partner}: the partner
+  // must be deployed in the shard for vantage-point aliasing to resolve.
+  std::vector<const EvaluatedProvider*> selection;
+  for (const auto& ep : catalog) {
+    if (ep.spec.name == target.spec.name ||
+        (!target.shares_infrastructure_with.empty() &&
+         ep.spec.name == target.shares_infrastructure_with))
+      selection.push_back(&ep);
+  }
+  return build(selection, seed, std::move(plane), extra_hosts,
+               std::move(base));
+}
+
 std::uint64_t shard_seed(std::uint64_t campaign_seed,
                          std::string_view provider_name) {
   // Same mixing discipline as Rng::fork: the derived seed depends only on
@@ -91,17 +118,9 @@ Testbed build_provider_shard(std::string_view name, std::uint64_t campaign_seed,
   if (target == nullptr) return {};
   obs::Span build_span("shard.build", "ecosystem");
 
-  // Catalog-order selection of {target} ∪ {reseller partner}: the partner
-  // must be deployed in the shard for vantage-point aliasing to resolve.
-  std::vector<const EvaluatedProvider*> selection;
-  for (const auto& ep : evaluated_providers()) {
-    if (ep.spec.name == target->spec.name ||
-        (!target->shares_infrastructure_with.empty() &&
-         ep.spec.name == target->shares_infrastructure_with))
-      selection.push_back(&ep);
-  }
   const auto seed = shard_seed(campaign_seed, target->spec.name);
-  auto tb = build(selection, seed, std::move(plane), std::move(base));
+  auto tb = build_catalog_shard(evaluated_providers(), *target, seed,
+                                std::move(plane), 0, std::move(base));
   apply_fault_profile(tb, profile, seed);
   if (link_capacities) apply_link_capacities(tb, seed);
   return tb;

@@ -66,6 +66,19 @@ struct Testbed {
 void alias_reseller_vantage_points(
     Testbed& tb, const std::vector<const EvaluatedProvider*>& selection);
 
+// The shard testbed both catalogs build (build_provider_shard over the
+// evaluated providers, build_scaled_shard over a scaled catalog): a fresh
+// world seeded with `seed` holding `target` plus, when it resells another
+// provider's infrastructure, that partner from `catalog`, deployed in
+// catalog order and aliased, and the measurement VM. `extra_hosts` more
+// host slots are reserved for hosts the caller spawns after.
+[[nodiscard]] Testbed build_catalog_shard(
+    const std::vector<EvaluatedProvider>& catalog,
+    const EvaluatedProvider& target, std::uint64_t seed,
+    std::shared_ptr<const netsim::RoutingPlane> plane,
+    std::size_t extra_hosts = 0,
+    std::shared_ptr<const inet::WorldBase> base = inet::WorldBase::shared());
+
 // Stable per-provider shard seed for parallel campaigns: derived only from
 // the campaign seed and the provider name, never from worker id, worker
 // count or scheduling order — the root of the engine's determinism

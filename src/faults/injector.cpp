@@ -31,9 +31,10 @@ std::uint64_t splitmix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-// Fault bookkeeping: the per-kind counter plus the `faults.injected`
-// total, and a trace instant when a recorder is bound.
-void record(std::string_view kind, const netsim::Packet& packet) {
+}  // namespace
+
+void Injector::record(std::string_view kind, const netsim::Packet& packet) {
+  ++injected_;
   obs::count("faults.injected");
   obs::count(kind);
   if (obs::tracing()) {
@@ -43,8 +44,6 @@ void record(std::string_view kind, const netsim::Packet& packet) {
     ev.arg("proto", netsim::proto_name(packet.proto));
   }
 }
-
-}  // namespace
 
 bool Injector::roll(const netsim::Packet& packet, double probability) {
   if (probability <= 0.0) return false;

@@ -14,10 +14,14 @@
 // unrelated stream, which is what makes "drop attempt 1, deliver attempt
 // 2" reproducible.
 //
-// Every injected fault is counted under `faults.*` on the thread-bound
-// metrics registry and, when tracing, emitted as a `fault.inject` instant.
+// The injector counts every fault it injects (injected(): drops and added
+// latency alike), which is what a degradation record attributes to. Each
+// fault is also counted under `faults.*` on the thread-bound metrics
+// registry and, when tracing, emitted as a `fault.inject` instant.
 #pragma once
 
+#include <cstdint>
+#include <string_view>
 #include <unordered_map>
 
 #include "faults/plan.h"
@@ -31,6 +35,9 @@ class Injector final : public netsim::FaultInjector {
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
+  // Faults injected so far on this injector's network.
+  [[nodiscard]] std::uint64_t injected() const noexcept { return injected_; }
+
   netsim::FaultVerdict on_deliver(const netsim::Packet& packet,
                                   const netsim::RouterId* path,
                                   std::size_t path_len,
@@ -39,11 +46,15 @@ class Injector final : public netsim::FaultInjector {
  private:
   // True with `probability`, advancing the flow's roll counter.
   [[nodiscard]] bool roll(const netsim::Packet& packet, double probability);
+  // Fault bookkeeping: injected_, the per-kind counter plus the
+  // `faults.injected` total, and a trace instant when a recorder is bound.
+  void record(std::string_view kind, const netsim::Packet& packet);
 
   FaultPlan plan_;
   // Flow id -> next roll index. Touched only by the shard's own thread
   // (injectors are per-Network, Networks are per-shard).
   std::unordered_map<std::uint64_t, std::uint64_t> roll_counts_;
+  std::uint64_t injected_ = 0;
 };
 
 }  // namespace vpna::faults

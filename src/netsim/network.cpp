@@ -207,8 +207,14 @@ void Network::detach_host(Host& host) {
 void Network::reserve_hosts(std::size_t host_count) {
   const std::size_t total = attachments_.size() + host_count;
   attachments_.reserve(total);
-  // Most hosts index two global addresses (v4 + v6).
-  addr_to_attachment_.reserve(2 * total);
+  // Most hosts index two global addresses (v4 + v6). Only ever grow the
+  // index: reserve() rehashes to the bucket count it computes, a smaller
+  // one included.
+  const std::size_t addrs = addr_to_attachment_.size() + 2 * host_count;
+  if (static_cast<double>(addrs) >
+      addr_to_attachment_.max_load_factor() *
+          static_cast<double>(addr_to_attachment_.bucket_count()))
+    addr_to_attachment_.reserve(addrs);
 }
 
 void Network::refresh_host(Host& host) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace vpna::dns {
 namespace {
 
@@ -21,64 +24,71 @@ TEST(InZone, ApexAndSubdomains) {
 }
 
 TEST(DnsQuery, EncodeDecodeRoundTrip) {
-  DnsQuery q;
-  q.id = 12345;
-  q.type = RrType::kAaaa;
-  q.name = "probe.rdns.example.net";
-  const auto decoded = DnsQuery::decode(q.encode());
+  const auto encoded =
+      encode_query(12345, RrType::kAaaa, "probe.rdns.example.net");
+  EXPECT_EQ(encoded, "DNSQ|12345|1|probe.rdns.example.net");
+  const auto decoded = DnsQueryView::parse(encoded);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->id, q.id);
-  EXPECT_EQ(decoded->type, q.type);
-  EXPECT_EQ(decoded->name, q.name);
+  EXPECT_EQ(decoded->id, 12345);
+  EXPECT_EQ(decoded->type, RrType::kAaaa);
+  EXPECT_EQ(decoded->name, "probe.rdns.example.net");
 }
 
 TEST(DnsQuery, DecodeCanonicalizesName) {
-  const auto decoded = DnsQuery::decode("DNSQ|7|0|WWW.Example.COM");
+  // The view keeps the name as sent; its canonical form is the query name,
+  // and the encoder folds a name into that form.
+  const auto decoded = DnsQueryView::parse("DNSQ|7|0|WWW.Example.COM.");
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->name, "www.example.com");
+  EXPECT_EQ(decoded->name, "WWW.Example.COM.");
+  EXPECT_FALSE(is_canonical(decoded->name));
+  EXPECT_EQ(canonical_name(decoded->name), "www.example.com");
+  EXPECT_EQ(encode_query(decoded->id, decoded->type, decoded->name),
+            "DNSQ|7|0|www.example.com");
 }
 
 TEST(DnsQuery, DecodeRejectsMalformed) {
-  EXPECT_FALSE(DnsQuery::decode(""));
-  EXPECT_FALSE(DnsQuery::decode("DNSR|1|0|x"));
-  EXPECT_FALSE(DnsQuery::decode("DNSQ|notanum|0|x"));
-  EXPECT_FALSE(DnsQuery::decode("DNSQ|1|9|x"));   // bad type
-  EXPECT_FALSE(DnsQuery::decode("DNSQ|1|0|"));    // empty name
-  EXPECT_FALSE(DnsQuery::decode("DNSQ|1|0"));     // missing field
+  EXPECT_FALSE(DnsQueryView::parse(""));
+  EXPECT_FALSE(DnsQueryView::parse("DNSR|1|0|x"));
+  EXPECT_FALSE(DnsQueryView::parse("DNSQ|notanum|0|x"));
+  EXPECT_FALSE(DnsQueryView::parse("DNSQ|1|9|x"));   // bad type
+  EXPECT_FALSE(DnsQueryView::parse("DNSQ|1|0|"));    // empty name
+  EXPECT_FALSE(DnsQueryView::parse("DNSQ|1|0|."));   // empty once canonical
+  EXPECT_FALSE(DnsQueryView::parse("DNSQ|1|0"));     // missing field
 }
 
 TEST(DnsResponse, EncodeDecodeWithAddresses) {
-  DnsResponse r;
-  r.id = 99;
-  r.type = RrType::kA;
-  r.name = "example.com";
-  r.addresses = {*netsim::IpAddr::parse("1.2.3.4"),
-                 *netsim::IpAddr::parse("5.6.7.8")};
-  const auto decoded = DnsResponse::decode(r.encode());
+  const auto wire = encode_response(99, RrType::kA, "example.com",
+                                    Rcode::kNoError,
+                                    {*netsim::IpAddr::parse("1.2.3.4"),
+                                     *netsim::IpAddr::parse("5.6.7.8")},
+                                    {});
+  const auto decoded = DnsResponseView::parse(wire);
   ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->id, 99);
+  EXPECT_EQ(decoded->name, "example.com");
   EXPECT_EQ(decoded->rcode, Rcode::kNoError);
-  ASSERT_EQ(decoded->addresses.size(), 2u);
-  EXPECT_EQ(decoded->addresses[1].str(), "5.6.7.8");
+  std::vector<netsim::IpAddr> addresses;
+  decoded->append_addresses(addresses);
+  ASSERT_EQ(addresses.size(), 2u);
+  EXPECT_EQ(addresses[1].str(), "5.6.7.8");
 }
 
 TEST(DnsResponse, EncodeDecodeAaaa) {
-  DnsResponse r;
-  r.id = 3;
-  r.type = RrType::kAaaa;
-  r.name = "v6.example.com";
-  r.addresses = {*netsim::IpAddr::parse("2001:db8::5")};
-  const auto decoded = DnsResponse::decode(r.encode());
+  const auto wire =
+      encode_response(3, RrType::kAaaa, "v6.example.com", Rcode::kNoError,
+                      {*netsim::IpAddr::parse("2001:db8::5")}, {});
+  const auto decoded = DnsResponseView::parse(wire);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->addresses[0].is_v6());
+  std::vector<netsim::IpAddr> addresses;
+  decoded->append_addresses(addresses);
+  ASSERT_EQ(addresses.size(), 1u);
+  EXPECT_TRUE(addresses[0].is_v6());
 }
 
 TEST(DnsResponse, EncodeDecodeErrorCodes) {
   for (const auto rc : {Rcode::kNxDomain, Rcode::kServFail, Rcode::kRefused}) {
-    DnsResponse r;
-    r.id = 1;
-    r.name = "x.com";
-    r.rcode = rc;
-    const auto decoded = DnsResponse::decode(r.encode());
+    const auto wire = encode_response(1, RrType::kA, "x.com", rc, {}, {});
+    const auto decoded = DnsResponseView::parse(wire);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->rcode, rc);
     EXPECT_TRUE(decoded->addresses.empty());
@@ -86,21 +96,21 @@ TEST(DnsResponse, EncodeDecodeErrorCodes) {
 }
 
 TEST(DnsResponse, TxtRecords) {
-  DnsResponse r;
-  r.id = 4;
-  r.type = RrType::kTxt;
-  r.name = "probe.example";
-  r.texts = {"tag-abc", "tag-def"};
-  const auto decoded = DnsResponse::decode(r.encode());
+  const auto wire = encode_response(4, RrType::kTxt, "probe.example",
+                                    Rcode::kNoError, {},
+                                    {"tag-abc", "tag-def"});
+  const auto decoded = DnsResponseView::parse(wire);
   ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->texts.size(), 2u);
-  EXPECT_EQ(decoded->texts[0], "tag-abc");
+  std::vector<std::string> texts;
+  decoded->append_texts(texts);
+  ASSERT_EQ(texts.size(), 2u);
+  EXPECT_EQ(texts[0], "tag-abc");
 }
 
 TEST(DnsResponse, DecodeRejectsMalformed) {
-  EXPECT_FALSE(DnsResponse::decode("DNSQ|1|0|x"));
-  EXPECT_FALSE(DnsResponse::decode("DNSR|1|0|x|9||"));        // bad rcode
-  EXPECT_FALSE(DnsResponse::decode("DNSR|1|0|x|0|bogusip|"));  // bad address
+  EXPECT_FALSE(DnsResponseView::parse("DNSQ|1|0|x"));
+  EXPECT_FALSE(DnsResponseView::parse("DNSR|1|0|x|9||"));        // bad rcode
+  EXPECT_FALSE(DnsResponseView::parse("DNSR|1|0|x|0|bogusip|"));  // bad address
 }
 
 TEST(Names, EnumNameFunctions) {

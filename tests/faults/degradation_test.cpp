@@ -11,7 +11,13 @@
 #include "analysis/report_aggregation.h"
 #include "analysis/report_writer.h"
 #include "core/parallel_campaign.h"
+#include "core/runner.h"
+#include "ecosystem/testbed.h"
+#include "faults/injector.h"
 #include "faults/profile.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "transport/policy.h"
 
 namespace vpna {
 namespace {
@@ -37,6 +43,74 @@ TEST(CampaignExitCode, HardShardFailureExitsNonZero) {
   analysis::CampaignEngineSummary summary;
   summary.failed_shards = 1;
   EXPECT_EQ(analysis::campaign_exit_code(summary), 1);
+}
+
+// --- fault attribution on a real degraded connect ------------------------
+
+struct DarkConnect {
+  core::VantagePointReport vp;
+  std::string first_vantage_id;
+  std::uint64_t injected = 0;  // the injector's count across the run
+};
+
+// Runs NordVPN's first vantage point under the flaky profile's session
+// policy, with an injector whose plan darkens that vantage point's address
+// for the whole run, so every connect attempt is dropped.
+DarkConnect run_dark_connect() {
+  auto tb = ecosystem::build_provider_shard("NordVPN", 20181031);
+  const auto* provider = tb.provider("NordVPN");
+  faults::FaultPlan plan;
+  plan.seed = 1;
+  faults::AddrOutage outage;
+  outage.addr = provider->vantage_points.front().addr;
+  outage.window = {0.0, 1e12, 0.0};
+  plan.addr_outages.push_back(outage);
+  tb.fault_injector = std::make_shared<faults::Injector>(std::move(plan));
+  tb.world->network().set_fault_injector(tb.fault_injector);
+
+  transport::ScopedSessionPolicy policy(
+      faults::session_policy_for(faults::FaultProfile::kFlaky));
+  core::RunnerOptions options;
+  options.fault_profile = faults::FaultProfile::kFlaky;
+  options.vantage_points_per_provider = 1;
+  core::TestRunner runner(tb, options);
+  const std::uint64_t before = tb.fault_injector->injected();
+  auto report = runner.run_provider(*provider);
+  EXPECT_EQ(report.vantage_points.size(), 1u);
+  return {report.vantage_points.at(0),
+          provider->vantage_points.front().spec.id,
+          tb.fault_injector->injected() - before};
+}
+
+TEST(FaultAttribution, DegradedConnectCountsEachInjectedFaultOnce) {
+  const auto run = run_dark_connect();
+  EXPECT_EQ(run.vp.vantage_id, run.first_vantage_id);
+  EXPECT_FALSE(run.vp.connected);
+  const auto& d = run.vp.degradation;
+  ASSERT_TRUE(d.degraded);
+  EXPECT_EQ(d.stage, "connect");
+  EXPECT_EQ(d.attempts, core::RunnerOptions{}.connect_attempts);
+  EXPECT_GT(d.faults_seen, 0u);
+  EXPECT_EQ(d.faults_seen, run.injected);
+}
+
+TEST(FaultAttribution, TracedRunCountsWhatTheRegistryCounts) {
+  const auto untraced = run_dark_connect();
+
+  obs::TraceRecorder recorder(obs::TraceConfig{.enabled = true});
+  obs::MetricsRegistry metrics;
+  DarkConnect traced;
+  {
+    obs::ScopedObservation scope(&recorder, &metrics);
+    traced = run_dark_connect();
+  }
+  ASSERT_TRUE(traced.vp.degradation.degraded);
+  EXPECT_EQ(traced.vp.degradation.faults_seen,
+            metrics.counter("faults.injected"));
+  EXPECT_EQ(traced.vp.degradation.faults_seen, traced.injected);
+  // Observation never moves the count.
+  EXPECT_EQ(traced.vp.degradation.faults_seen,
+            untraced.vp.degradation.faults_seen);
 }
 
 // --- synthetic report: tallies + appendix ---------------------------------

@@ -217,11 +217,14 @@ TEST(InjectorTest, FaultsAreCountedOnTheBoundRegistry) {
   EXPECT_EQ(metrics.counter("faults.latency_spike"), 1u);
   EXPECT_EQ(metrics.counter("faults.injected"), 2u);
   EXPECT_EQ(metrics.counter_prefix_sum("faults."), 4u);
+  EXPECT_EQ(injector.injected(), 2u);
 
-  // Unbound: verdicts identical, nothing counted anywhere.
+  // Unbound: verdicts identical, nothing counted on a registry; the
+  // injector still counts the fault it injected.
   const auto v = injector.on_deliver(make_packet(10, 1), nullptr, 0, 10.0);
   EXPECT_TRUE(v.drop);
   EXPECT_EQ(metrics.counter("faults.injected"), 2u);
+  EXPECT_EQ(injector.injected(), 3u);
 }
 
 // --- Network integration --------------------------------------------------

@@ -45,6 +45,12 @@ constexpr GoldenPins kPins[] = {
     // collection, and its page loads make fewer DNS queries.
     {2, 0xb18430c525c24657ULL, 0x1cf6b988474a247fULL, 0x19b44b1041db4ce3ULL,
      0xe0c02b2419058d44ULL, 0x70eff9a50c7ec3beULL, 0x1e35788d0c1bb84fULL},
+    // Degradation::faults_seen counts each injected fault once (it counted
+    // the `faults.injected` total and the per-kind counter before). No
+    // pinned run degrades a vantage point, so every value holds; the bump
+    // orphans cached shards that hold a doubled count.
+    {3, 0xb18430c525c24657ULL, 0x1cf6b988474a247fULL, 0x19b44b1041db4ce3ULL,
+     0xe0c02b2419058d44ULL, 0x70eff9a50c7ec3beULL, 0x1e35788d0c1bb84fULL},
 };
 
 constexpr const char* kTracedProvider = "NordVPN";

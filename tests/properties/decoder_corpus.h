@@ -82,25 +82,14 @@ inline std::vector<std::string> valid_frames() {
   p6.ttl = 255;
   out.push_back(netsim::encode_inner(p6));
 
-  dns::DnsResponse resp;
-  resp.id = 3;
-  resp.name = "a.example.com";
-  resp.addresses = {netsim::IpAddr::v4(1, 2, 3, 4)};
-  out.push_back(resp.encode());
-  dns::DnsResponse multi;
-  multi.id = 65535;
-  multi.type = dns::RrType::kTxt;
-  multi.name = "t.example.com";
-  multi.rcode = dns::Rcode::kRefused;
-  multi.addresses = {netsim::IpAddr::v4(9, 9, 9, 9),
-                     *netsim::IpAddr::parse("2001:db8::1")};
-  multi.texts = {"v=spf1", "", "tag"};
-  out.push_back(multi.encode());
-  dns::DnsQuery q;
-  q.id = 77;
-  q.type = dns::RrType::kAaaa;
-  q.name = "www.example.com";
-  out.push_back(q.encode());
+  out.push_back(dns::encode_response(3, dns::RrType::kA, "a.example.com",
+                                     dns::Rcode::kNoError,
+                                     {netsim::IpAddr::v4(1, 2, 3, 4)}, {}));
+  out.push_back(dns::encode_response(
+      65535, dns::RrType::kTxt, "t.example.com", dns::Rcode::kRefused,
+      {netsim::IpAddr::v4(9, 9, 9, 9), *netsim::IpAddr::parse("2001:db8::1")},
+      {"v=spf1", "", "tag"}));
+  out.push_back(dns::encode_query(77, dns::RrType::kAaaa, "www.example.com"));
 
   http::HttpRequest req;
   req.host = "example.com";

@@ -89,23 +89,20 @@ TEST_F(ServerFixture, InnerTtlExpiryReturnsTimeExceededFromRouter) {
 }
 
 TEST_F(ServerFixture, GatewayResolverAnswersInsideTunnel) {
-  dns::DnsQuery q;
-  q.id = 77;
-  q.type = dns::RrType::kA;
-  q.name = "daily-courier-news.com";
   netsim::Packet inner;
   inner.src = tunnel_client_addr(1);
   inner.dst = tunnel_gateway_addr();
   inner.proto = netsim::Proto::kUdp;
   inner.src_port = 50001;
   inner.dst_port = netsim::kPortDns;
-  inner.payload = q.encode();
+  inner.payload =
+      dns::encode_query(77, dns::RrType::kA, "daily-courier-news.com");
   const auto res = send_outer(netsim::encode_inner(inner));
   ASSERT_TRUE(res.ok());
   const auto reply = netsim::decode_inner(res.reply);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->src, tunnel_gateway_addr());
-  const auto dns_reply = dns::DnsResponse::decode(reply->payload);
+  const auto dns_reply = dns::DnsResponseView::parse(reply->payload);
   ASSERT_TRUE(dns_reply.has_value());
   EXPECT_EQ(dns_reply->id, 77);
   EXPECT_FALSE(dns_reply->addresses.empty());
