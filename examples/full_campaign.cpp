@@ -241,7 +241,6 @@ void write_paper_payload(const std::filesystem::path& out_dir,
 // The paper campaign's console summary: the headline numbers and, on
 // stderr, what degraded under a fault profile.
 void print_paper_summary(const core::CampaignReport& result,
-                         const analysis::CampaignEngineSummary& engine,
                          faults::FaultProfile fault_profile) {
   const auto& reports = result.providers;
   const auto leakage = analysis::aggregate_leakage(reports);
@@ -262,13 +261,14 @@ void print_paper_summary(const core::CampaignReport& result,
               grade_counts[4]);
   // A degraded-but-complete run still exits 0; scripts watching stderr
   // see what gave up and why.
-  if (engine.degraded_providers > 0) {
+  if (!result.degraded_providers.empty()) {
+    const auto tally = analysis::tally_degradation(result);
     std::fprintf(stderr,
                  "degraded run: %zu provider(s) degraded "
                  "(%zu quarantined shard(s), %zu degraded vantage point(s)) "
                  "under --faults %s\n",
-                 engine.degraded_providers, engine.quarantined_shards,
-                 engine.degraded_vantage_points,
+                 result.degraded_providers.size(), tally.quarantined_shards,
+                 tally.degraded_vantage_points,
                  std::string(faults::profile_name(fault_profile)).c_str());
     for (const auto& name : result.degraded_providers)
       std::fprintf(stderr, "  degraded: %s\n", name.c_str());
@@ -277,22 +277,26 @@ void print_paper_summary(const core::CampaignReport& result,
 
 // What every campaign reports about its execution, whichever catalog ran.
 void print_execution_summary(const core::ExecutionReport& result,
-                             const analysis::CampaignEngineSummary& engine,
                              const core::ExecutionOptions& exec,
                              bool explain) {
   // Pool counters exist only in-process; worker processes have their own.
-  if (!result.execution_isolated)
+  if (!result.execution_isolated) {
+    const auto pool = util::sum_counters(result.workers);
+    // Efficiency: the share of the workers' combined capacity spent
+    // inside shard tasks.
+    const double capacity = static_cast<double>(result.jobs) * result.wall_s;
     std::printf("  engine: %zu workers, %llu shard runs, %llu steals, "
                 "%llu retries, %.0f%% efficiency\n",
-                engine.jobs, static_cast<unsigned long long>(engine.tasks_run),
-                static_cast<unsigned long long>(engine.steals),
-                static_cast<unsigned long long>(engine.retries),
-                100.0 * engine.parallel_efficiency());
-  else
+                result.jobs, static_cast<unsigned long long>(pool.tasks_run),
+                static_cast<unsigned long long>(pool.steals),
+                static_cast<unsigned long long>(result.retries),
+                100.0 * (capacity <= 0.0 ? 0.0 : pool.busy_wall_s / capacity));
+  } else {
     std::printf("  isolation: %zu worker spawn(s), %zu crash(es), "
                 "%zu kill(s); %zu shard(s) resumed from journal\n",
                 result.process_spawns, result.process_crashes,
                 result.process_kills, result.resumed_shards);
+  }
   if (exec.cache.enabled()) {
     const auto cache = core::summarize_cache(result.cache_records);
     std::printf("  cache (%s, %s): %zu hit, %zu miss, %zu corrupt, "
@@ -545,9 +549,9 @@ int main(int argc, char** argv) {
   // serialization the determinism suites compare.
   std::ofstream(manifest_path)
       << (census ? analysis::render_scaled_manifest_json(scaled, census_opts)
-                 : analysis::render_manifest_json(analysis::build_run_manifest(
+                 : analysis::render_manifest_json(
                        paper_opts, paper,
-                       analysis::serialize_campaign_payload(paper))));
+                       analysis::serialize_campaign_payload(paper)));
   std::printf("wrote %s\n", manifest_path.string().c_str());
   serialize_span.reset();
   if (!profile_path.empty()) {
@@ -565,10 +569,8 @@ int main(int argc, char** argv) {
   }
 
   // Console summary.
-  const auto engine = census ? analysis::summarize_execution(scaled)
-                             : analysis::summarize_campaign(paper);
   std::printf("\ncampaign complete in %.1fs (wall clock)\n", result.wall_s);
-  print_execution_summary(result, engine, exec, explain);
+  print_execution_summary(result, exec, explain);
   if (census) {
     std::uint64_t hosts = 0;
     for (const auto& shard : scaled.shards) hosts += shard.hosts;
@@ -583,10 +585,10 @@ int main(int argc, char** argv) {
                   scaled.arena_used_bytes / (1024.0 * 1024.0));
     std::printf("  driver peak RSS: %.1f MiB\n", scaled.peak_rss_kb / 1024.0);
   } else {
-    print_paper_summary(paper, engine, fault_profile);
+    print_paper_summary(paper, fault_profile);
   }
   // Exit-code contract: only hard shard failures (payload incomplete with
   // no structured outcome) and crash quarantine fail the invocation;
   // degraded-but-complete fault-profile runs exit 0.
-  return analysis::campaign_exit_code(engine);
+  return analysis::campaign_exit_code(result);
 }

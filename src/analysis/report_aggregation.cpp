@@ -76,46 +76,20 @@ ManipulationSummary aggregate_manipulation(
   return out;
 }
 
-CampaignEngineSummary summarize_execution(const core::ExecutionReport& report) {
-  CampaignEngineSummary out;
-  out.failed_shards = report.failed_providers.size();
-  out.crash_quarantined_shards = report.crash_quarantined_providers.size();
-  out.interrupted = report.interrupted;
-  out.jobs = report.jobs;
-  out.wall_s = report.wall_s;
-  out.retries = report.retries;
-  for (const auto& w : report.workers) {
-    out.tasks_run += w.tasks_run;
-    out.steals += w.steals;
-    out.busy_wall_s += w.busy_wall_s;
-    out.busy_cpu_s += w.busy_cpu_s;
-  }
-  return out;
-}
-
-CampaignEngineSummary summarize_campaign(const core::CampaignReport& report) {
-  CampaignEngineSummary out = summarize_execution(report);
-  out.providers = report.providers.size();
+DegradationTally tally_degradation(const core::CampaignReport& report) {
+  DegradationTally out;
   for (const auto& provider : report.providers) {
-    out.vantage_points_tested += provider.vantage_points.size();
     if (provider.quarantined) ++out.quarantined_shards;
-    if (provider.degraded()) ++out.degraded_providers;
     for (const auto& vp : provider.vantage_points)
       if (vp.degradation.degraded) ++out.degraded_vantage_points;
-    for (const auto& vp : provider.vantage_points) {
-      if (vp.connected) {
-        ++out.connected_providers;
-        break;
-      }
-    }
   }
   return out;
 }
 
-int campaign_exit_code(const CampaignEngineSummary& summary) noexcept {
-  if (summary.interrupted) return 130;
-  if (summary.failed_shards > 0) return 1;
-  if (summary.crash_quarantined_shards > 0) return 3;
+int campaign_exit_code(const core::ExecutionReport& report) noexcept {
+  if (report.interrupted) return 130;
+  if (!report.failed_providers.empty()) return 1;
+  if (!report.crash_quarantined_providers.empty()) return 3;
   return 0;
 }
 

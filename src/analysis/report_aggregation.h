@@ -55,47 +55,16 @@ struct ManipulationSummary {
 [[nodiscard]] ManipulationSummary aggregate_manipulation(
     const std::vector<core::ProviderReport>& reports);
 
-// Campaign-engine rollup: payload stats (deterministic) plus the pooled
-// worker counters and wall clock (scheduling telemetry — varies run to
-// run, never part of the byte-identity surface).
-struct CampaignEngineSummary {
-  std::size_t providers = 0;
-  std::size_t connected_providers = 0;
-  std::size_t vantage_points_tested = 0;
-  std::size_t failed_shards = 0;
-  // Graceful-degradation tallies (fault-profile runs; all zero under
-  // FaultProfile::kOff). Quarantined shards are counted in
-  // degraded_providers too.
+// The paper campaign's graceful-degradation tallies (fault-profile runs;
+// both zero under FaultProfile::kOff): shards the fault profile
+// quarantined and vantage points that gave up inside a completed shard.
+// The console summary and the run manifest both read them from here.
+struct DegradationTally {
   std::size_t quarantined_shards = 0;
-  std::size_t degraded_providers = 0;
   std::size_t degraded_vantage_points = 0;
-  // Isolate-mode outcomes: shards quarantined because their worker process
-  // crashed every attempt, and whether a SIGINT/SIGTERM cut the run short.
-  // Crash quarantine is an engine-health event, not a modeled fault — it
-  // gets its own exit code even though the campaign completed.
-  std::size_t crash_quarantined_shards = 0;
-  bool interrupted = false;
-  std::size_t jobs = 0;
-  std::uint64_t tasks_run = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t retries = 0;  // ExecutionReport::retries, either backend
-  double busy_wall_s = 0.0;
-  double busy_cpu_s = 0.0;
-  double wall_s = 0.0;
-
-  // Fraction of the workers' combined capacity spent inside shard tasks.
-  [[nodiscard]] double parallel_efficiency() const {
-    const double capacity = static_cast<double>(jobs) * wall_s;
-    return capacity <= 0.0 ? 0.0 : busy_wall_s / capacity;
-  }
 };
 
-// The execution half of the rollup (shard outcomes, pool counters, wall
-// clock) — all a scaled census has; summarize_campaign adds the payload
-// stats of a paper campaign.
-[[nodiscard]] CampaignEngineSummary summarize_execution(
-    const core::ExecutionReport& report);
-[[nodiscard]] CampaignEngineSummary summarize_campaign(
+[[nodiscard]] DegradationTally tally_degradation(
     const core::CampaignReport& report);
 
 // Exit-code taxonomy for campaign binaries:
@@ -108,9 +77,11 @@ struct CampaignEngineSummary {
 //         --isolate (worker death every attempt): the campaign finished and
 //         merged cleanly, but the payload has placeholder rows;
 //   130 — interrupted (SIGINT/SIGTERM; 128 + SIGINT, set by the CLI).
-// Hard failure outranks crash quarantine when both occur.
+// Hard failure outranks crash quarantine when both occur. Reads the
+// report's `interrupted`, `failed_providers` and
+// `crash_quarantined_providers`, whichever catalog ran.
 [[nodiscard]] int campaign_exit_code(
-    const CampaignEngineSummary& summary) noexcept;
+    const core::ExecutionReport& report) noexcept;
 
 // Canonical serialization of a campaign's deterministic payload (the
 // provider reports only — no worker counters, no timings). Two campaigns

@@ -181,13 +181,7 @@ obs::MetricsRegistry campaign_metrics(const core::CampaignReport& report) {
     // Engine scheduling telemetry, folded in as volatile `pool.*` metrics:
     // useful to a human reading the full dump, nondeterministic by nature,
     // so the canonical rendering (include_volatile = false) excludes it.
-    util::WorkerCounters total;
-    for (const auto& w : report.workers) {
-      total.tasks_run += w.tasks_run;
-      total.steals += w.steals;
-      total.busy_wall_s += w.busy_wall_s;
-      total.busy_cpu_s += w.busy_cpu_s;
-    }
+    const auto total = util::sum_counters(report.workers);
     fold_counter("pool.tasks_run", total.tasks_run);
     fold_counter("pool.steals", total.steals);
     fold_counter("pool.retries", report.retries);

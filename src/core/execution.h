@@ -97,7 +97,8 @@ struct CacheSummary {
 
 // How a campaign's shards executed: telemetry and provenance, never part
 // of the payload. The two outcome lists name shards whose slot holds a
-// placeholder.
+// placeholder. This is the one record of how a run went: the manifests,
+// the console summary and the exit code all read it directly.
 struct ExecutionReport {
   std::size_t jobs = 1;
   // Shards that threw on every attempt with no fault profile to degrade

@@ -164,13 +164,6 @@ std::optional<City> city_by_name(std::string_view name) {
   return std::nullopt;
 }
 
-std::vector<City> cities_in_country(std::string_view country_code) {
-  std::vector<City> out;
-  for (const auto& c : kCities)
-    if (c.country_code == country_code) out.push_back(c);
-  return out;
-}
-
 std::string_view country_name(std::string_view country_code) {
   const auto& m = country_names();
   const auto it = m.find(country_code);

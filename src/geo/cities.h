@@ -28,9 +28,6 @@ struct City {
 // Lookup by exact city name; nullopt if absent.
 [[nodiscard]] std::optional<City> city_by_name(std::string_view name);
 
-// All cities in a country.
-[[nodiscard]] std::vector<City> cities_in_country(std::string_view country_code);
-
 // Human-readable country name for the ISO codes used in the table
 // (falls back to the code itself for unmapped codes).
 [[nodiscard]] std::string_view country_name(std::string_view country_code);

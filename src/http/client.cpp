@@ -7,6 +7,10 @@
 namespace vpna::http {
 
 namespace {
+// Redirects a fetch follows before giving up with kRedirectLimit: nine
+// exchanges at most.
+constexpr int kMaxRedirects = 8;
+
 // Stable, distinctive default header set (ordering matters: in-path proxies
 // that parse and regenerate requests disturb it).
 const std::vector<Header>& default_headers() {
@@ -103,7 +107,7 @@ FetchResult HttpClient::fetch(Url url, const FetchOptions& opts) {
   FetchResult out;
   Url current = std::move(url);
   std::string body;
-  for (int hop = 0; hop <= opts.max_redirects; ++hop) {
+  for (int hop = 0; hop <= kMaxRedirects; ++hop) {
     transport::Error error = transport::Error::not_attempted();
     auto rec = exchange(current, opts, error, body);
     if (!rec) {

@@ -18,7 +18,6 @@
 namespace vpna::http {
 
 struct FetchOptions {
-  int max_redirects = 8;
   // Extra headers attached to every request (the measurement suite sends a
   // distinctive, stable header set so proxy rewrites are observable).
   std::vector<Header> headers;

@@ -121,13 +121,6 @@ netsim::RouterId World::router_for_city(std::string_view city) const {
   throw std::logic_error("router_for_city: unknown city " + std::string(city));
 }
 
-std::vector<Datacenter*> World::datacenters_in(std::string_view country_code) {
-  std::vector<Datacenter*> out;
-  for (auto& dc : datacenters_)
-    if (dc.city.country_code == country_code) out.push_back(&dc);
-  return out;
-}
-
 Datacenter* World::datacenter_by_id(std::string_view id) {
   for (auto& dc : datacenters_)
     if (dc.id == id) return &dc;
@@ -176,7 +169,9 @@ Datacenter& World::private_datacenter(std::string_view tenant,
 
 namespace {
 
-// Per-tenant /24 slice allocation for facilities with room for it.
+// Per-tenant /24 slice allocation for facilities with room for it
+// (Datacenter::sliced()). A full slice throws: its next address would be
+// the next tenant's, attached silently as anycast.
 netsim::IpAddr allocate_tenant_slice(Datacenter& dc, std::string_view tenant) {
   auto [it, inserted] =
       dc.tenant_slices.try_emplace(std::string(tenant), 0u, 10u);
@@ -188,6 +183,9 @@ netsim::IpAddr allocate_tenant_slice(Datacenter& dc, std::string_view tenant) {
       throw std::logic_error("datacenter " + dc.id + " out of /24 slices");
   }
   auto& [slice, next] = it->second;
+  if (next > 255)
+    throw std::logic_error("datacenter " + dc.id + " slice of " +
+                           std::string(tenant) + " is full");
   return dc.pool4.host_at(slice * 256 + next++);
 }
 
@@ -195,9 +193,11 @@ netsim::IpAddr allocate_tenant_slice(Datacenter& dc, std::string_view tenant) {
 
 netsim::Host& World::spawn_server(Datacenter& dc, std::string name,
                                   bool with_v6, std::string_view tenant) {
+  // Allocate first: a full pool throws before any host is created.
+  const auto addr4 = !tenant.empty() && dc.sliced()
+                         ? allocate_tenant_slice(dc, tenant)
+                         : dc.allocate();
   auto& host = new_host(std::move(name));
-  const bool sliced = !tenant.empty() && dc.pool4.prefix_len() < 22;
-  const auto addr4 = sliced ? allocate_tenant_slice(dc, tenant) : dc.allocate();
   const auto addr6 = with_v6 ? dc.v6_for(addr4) : std::nullopt;
   host.add_interface("eth0", addr4, addr6);
   host.routes().add(netsim::Route{netsim::Cidr(netsim::IpAddr::v4(0, 0, 0, 0), 0),

@@ -58,10 +58,6 @@ class World {
   [[nodiscard]] std::vector<Datacenter>& datacenters() noexcept {
     return datacenters_;
   }
-  // Datacenters in a country, cheapest-first ordering is not modelled;
-  // callers pick by index/rng.
-  [[nodiscard]] std::vector<Datacenter*> datacenters_in(
-      std::string_view country_code);
   [[nodiscard]] Datacenter* datacenter_by_id(std::string_view id);
 
   // A tenant-private facility: a dedicated /24 rented by `tenant` in

@@ -111,7 +111,13 @@ geo::City require_city(std::string_view name) {
   return *c;
 }
 
-netsim::IpAddr Datacenter::allocate() { return pool4.host_at(next_host++); }
+netsim::IpAddr Datacenter::allocate() {
+  // Past offset 255 the address would land in tenant slice 1 and attach
+  // silently as anycast with that tenant's first server.
+  if (sliced() && next_host > 255)
+    throw std::logic_error("datacenter " + id + " out of shared addresses");
+  return pool4.host_at(next_host++);
+}
 
 std::optional<netsim::IpAddr> Datacenter::v6_for(
     const netsim::IpAddr& addr4) const {

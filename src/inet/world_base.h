@@ -57,7 +57,13 @@ struct Datacenter {
   std::map<std::string, std::pair<std::uint32_t, std::uint32_t>> tenant_slices;
   std::uint32_t next_slice = 1;  // /24 index within the pool (0 = infra)
 
-  // Next address from the shared part of the pool.
+  // True when the pool is wide enough (/21 or wider) for tenant slices;
+  // the shared part of the pool is then slice 0 alone.
+  [[nodiscard]] bool sliced() const noexcept {
+    return pool4.prefix_len() < 22;
+  }
+  // Next address from the shared part of the pool. Throws
+  // std::logic_error when a sliced pool's slice 0 is full.
   netsim::IpAddr allocate();
   // The IPv6 address paired with a v4 address of this pool (nullopt when
   // the datacenter has no v6 pool). Derived from the v4 address, so the

@@ -14,22 +14,6 @@ void CaptureBuffer::record_impl(util::SimTime time, Direction dir,
       packet.payload.size(), is_tunnel_frame(packet.payload)});
 }
 
-std::vector<CaptureRecord> CaptureBuffer::on_interface(
-    std::string_view interface_name) const {
-  std::vector<CaptureRecord> out;
-  for (const auto& r : records_)
-    if (r.interface_name == interface_name) out.push_back(r);
-  return out;
-}
-
-std::vector<CaptureRecord> CaptureBuffer::matching(
-    const std::function<bool(const CaptureRecord&)>& pred) const {
-  std::vector<CaptureRecord> out;
-  for (const auto& r : records_)
-    if (pred(r)) out.push_back(r);
-  return out;
-}
-
 std::string CaptureBuffer::dump(std::size_t max_lines) const {
   std::string out;
   std::size_t lines = 0;

@@ -5,7 +5,6 @@
 // headers only, so a record keeps no payload bytes.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -61,14 +60,6 @@ class CaptureBuffer {
   [[nodiscard]] const std::vector<CaptureRecord>& records() const noexcept {
     return records_;
   }
-
-  // Records on a specific interface.
-  [[nodiscard]] std::vector<CaptureRecord> on_interface(
-      std::string_view interface_name) const;
-
-  // Records matching a predicate.
-  [[nodiscard]] std::vector<CaptureRecord> matching(
-      const std::function<bool(const CaptureRecord&)>& pred) const;
 
   void clear() noexcept { records_.clear(); }
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }

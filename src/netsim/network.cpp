@@ -180,8 +180,6 @@ void Network::set_middlebox(RouterId id, std::shared_ptr<Middlebox> mb) {
   routers_.at(id).middlebox = std::move(mb);
 }
 
-void Network::clear_middlebox(RouterId id) { routers_.at(id).middlebox = nullptr; }
-
 void Network::attach_host(Host& host, RouterId router, double access_latency_ms) {
   if (router >= routers_.size())
     throw std::out_of_range("attach_host: unknown router");

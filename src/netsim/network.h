@@ -111,8 +111,8 @@ class Network {
   [[nodiscard]] const std::string& router_name(RouterId id) const;
   [[nodiscard]] IpAddr router_addr(RouterId id) const;
 
+  // nullptr removes the router's middlebox.
   void set_middlebox(RouterId id, std::shared_ptr<Middlebox> mb);
-  void clear_middlebox(RouterId id);
 
   // --- link capacity ---------------------------------------------------------
   // Assigns a bandwidth/queue configuration to the undirected link (a, b);

@@ -169,8 +169,13 @@ std::vector<WorkerCounters> TaskPool::counters() const {
 }
 
 WorkerCounters TaskPool::total_counters() const {
+  return sum_counters(counters());
+}
+
+WorkerCounters sum_counters(
+    const std::vector<WorkerCounters>& counters) noexcept {
   WorkerCounters total;
-  for (const auto& c : counters()) {
+  for (const auto& c : counters) {
     total.tasks_run += c.tasks_run;
     total.steals += c.steals;
     total.busy_wall_s += c.busy_wall_s;

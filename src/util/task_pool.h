@@ -28,13 +28,18 @@
 namespace vpna::util {
 
 // Counters one worker accumulates over its lifetime. Snapshot via
-// TaskPool::counters(); totals via TaskPool::total_counters().
+// TaskPool::counters(); totals via sum_counters().
 struct WorkerCounters {
   std::uint64_t tasks_run = 0;  // tasks run to completion or exception
   std::uint64_t steals = 0;     // tasks taken from another worker's deque
   double busy_wall_s = 0.0;     // wall time spent inside task bodies
   double busy_cpu_s = 0.0;      // thread cpu time spent inside task bodies
 };
+
+// Field-wise sum of a set of worker counters: the pool's totals, and what
+// every report view (manifest, metrics, console) prints of a run's pool.
+[[nodiscard]] WorkerCounters sum_counters(
+    const std::vector<WorkerCounters>& counters) noexcept;
 
 class TaskPool {
  public:

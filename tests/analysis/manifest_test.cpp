@@ -144,8 +144,8 @@ core::ScaledCampaignOptions scaled_options() {
 }
 
 TEST(ManifestJson, PaperIsPinned) {
-  const auto json = render_manifest_json(
-      build_run_manifest(paper_options(), paper_report(), "payload bytes"));
+  const auto json =
+      render_manifest_json(paper_options(), paper_report(), "payload bytes");
   EXPECT_EQ(util::fnv1a(without_build(json)), 0x4e626383492f37b8ULL) << json;
 }
 

@@ -25,24 +25,35 @@ namespace {
 // --- campaign_exit_code ---------------------------------------------------
 
 TEST(CampaignExitCode, CleanRunExitsZero) {
-  analysis::CampaignEngineSummary summary;
-  EXPECT_EQ(analysis::campaign_exit_code(summary), 0);
+  core::ExecutionReport report;
+  EXPECT_EQ(analysis::campaign_exit_code(report), 0);
 }
 
 TEST(CampaignExitCode, DegradationStillExitsZero) {
   // Degraded-but-complete is a success by contract: the payload is complete
   // and every give-up is recorded as structured data.
-  analysis::CampaignEngineSummary summary;
-  summary.quarantined_shards = 3;
-  summary.degraded_providers = 5;
-  summary.degraded_vantage_points = 9;
-  EXPECT_EQ(analysis::campaign_exit_code(summary), 0);
+  core::CampaignReport report;
+  report.providers.resize(1);
+  report.providers[0].provider = "QuarantinedVPN";
+  report.providers[0].quarantined = true;
+  report.degraded_providers = {"QuarantinedVPN"};
+  EXPECT_EQ(analysis::campaign_exit_code(report), 0);
 }
 
 TEST(CampaignExitCode, HardShardFailureExitsNonZero) {
-  analysis::CampaignEngineSummary summary;
-  summary.failed_shards = 1;
-  EXPECT_EQ(analysis::campaign_exit_code(summary), 1);
+  core::ExecutionReport report;
+  report.failed_providers = {"NordVPN"};
+  EXPECT_EQ(analysis::campaign_exit_code(report), 1);
+}
+
+TEST(CampaignExitCode, InterruptOutranksFailureOutranksCrashQuarantine) {
+  core::ExecutionReport report;
+  report.crash_quarantined_providers = {"Anonine"};
+  EXPECT_EQ(analysis::campaign_exit_code(report), 3);
+  report.failed_providers = {"NordVPN"};
+  EXPECT_EQ(analysis::campaign_exit_code(report), 1);
+  report.interrupted = true;
+  EXPECT_EQ(analysis::campaign_exit_code(report), 130);
 }
 
 // --- fault attribution on a real degraded connect ------------------------
@@ -150,12 +161,12 @@ core::CampaignReport synthetic_degraded_report() {
 }
 
 TEST(DegradationSummary, TalliesQuarantineAndDegradedVantagePoints) {
-  const auto summary = analysis::summarize_campaign(synthetic_degraded_report());
-  EXPECT_EQ(summary.quarantined_shards, 1u);
-  EXPECT_EQ(summary.degraded_providers, 2u);
-  EXPECT_EQ(summary.degraded_vantage_points, 1u);
-  EXPECT_EQ(summary.failed_shards, 0u);
-  EXPECT_EQ(analysis::campaign_exit_code(summary), 0);
+  const auto report = synthetic_degraded_report();
+  const auto tally = analysis::tally_degradation(report);
+  EXPECT_EQ(tally.quarantined_shards, 1u);
+  EXPECT_EQ(tally.degraded_vantage_points, 1u);
+  EXPECT_EQ(report.degraded_providers.size(), 2u);
+  EXPECT_EQ(analysis::campaign_exit_code(report), 0);
 }
 
 TEST(DegradationAppendix, EmptyWhenNothingDegraded) {
@@ -239,10 +250,8 @@ TEST(QuarantineIntegration, FaultProfileQuarantinesExhaustedShards) {
     ASSERT_FALSE(report.degraded_providers.empty());
     EXPECT_EQ(report.degraded_providers[0], lost.provider);
 
-    const auto summary = analysis::summarize_campaign(report);
-    EXPECT_EQ(summary.quarantined_shards, 1u);
-    EXPECT_EQ(summary.failed_shards, 0u);
-    EXPECT_EQ(analysis::campaign_exit_code(summary), 0);
+    EXPECT_EQ(analysis::tally_degradation(report).quarantined_shards, 1u);
+    EXPECT_EQ(analysis::campaign_exit_code(report), 0);
     EXPECT_NE(analysis::render_degradation_appendix(report), "");
   }
 }
@@ -266,10 +275,8 @@ TEST(QuarantineIntegration, OffProfileKeepsHardFailureSemantics) {
       EXPECT_FALSE(provider.quarantined) << provider.provider;
     EXPECT_FALSE(report.providers[1].vantage_points.empty());
 
-    const auto summary = analysis::summarize_campaign(report);
-    EXPECT_EQ(summary.failed_shards, 1u);
-    EXPECT_EQ(summary.quarantined_shards, 0u);
-    EXPECT_EQ(analysis::campaign_exit_code(summary), 1);
+    EXPECT_EQ(analysis::tally_degradation(report).quarantined_shards, 0u);
+    EXPECT_EQ(analysis::campaign_exit_code(report), 1);
   }
 }
 
@@ -290,7 +297,6 @@ TEST(QuarantineIntegration, FirstAttemptThrowIsRetriedToTheSameBytes) {
     EXPECT_EQ(analysis::serialize_campaign_payload(report), clean);
     // One retry on the books, counted once whichever backend ran it.
     EXPECT_EQ(report.retries, 1u);
-    EXPECT_EQ(analysis::summarize_campaign(report).retries, 1u);
   }
 }
 

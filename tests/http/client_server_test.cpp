@@ -244,14 +244,31 @@ TEST_F(HttpFixture, SchemeComesFromThePortARequestArrivedOn) {
 }
 
 TEST_F(HttpFixture, RedirectLoopCapped) {
-  // secure.com upgrade redirect bounced back down would loop; simulate a
-  // loop with a site that redirects to itself via a middlebox-free trick:
-  // fetch with max_redirects=0 to force the cap on the first redirect.
+  // A server that redirects every request to itself: the client follows
+  // eight redirects, so it records nine exchanges, then gives up.
+  auto loop_host = std::make_unique<netsim::Host>("loop");
+  loop_host->add_interface("eth0", netsim::IpAddr::v4(45, 0, 0, 82),
+                           std::nullopt);
+  loop_host->routes().add(netsim::Route{*netsim::Cidr::parse("0.0.0.0/0"),
+                                        "eth0", std::nullopt, 0});
+  const Header location[] = {{"Location", "http://45.0.0.82/"}};
+  loop_host->bind_service(
+      netsim::Proto::kTcp, netsim::kPortHttp,
+      std::make_shared<netsim::LambdaService>(
+          [&location](netsim::ServiceContext&) -> std::optional<std::string> {
+            return encode_response(302, "Found", location, "");
+          }));
+  net_.attach_host(*loop_host, 1, 0.5);
+
   HttpClient c(net_, client_);
-  FetchOptions opts;
-  opts.max_redirects = 0;
-  const auto res = c.fetch("http://secure.com/", opts);
+  const auto res = c.fetch("http://45.0.0.82/");
   EXPECT_EQ(res.error.kind, transport::ErrorKind::kRedirectLimit);
+  EXPECT_FALSE(res.ok());
+  ASSERT_EQ(res.exchanges.size(), 9u);
+  for (const auto& ex : res.exchanges) {
+    EXPECT_EQ(ex.status, 302);
+    EXPECT_EQ(ex.location, "http://45.0.0.82/");
+  }
 }
 
 TEST_F(HttpFixture, HeaderEchoReflectsExactly) {

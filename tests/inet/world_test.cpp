@@ -37,7 +37,10 @@ TEST(World, DatacentersCoverPaperCountries) {
   auto& w = world();
   for (const char* cc : {"US", "GB", "DE", "NL", "RU", "TR", "KR", "TH", "NO",
                          "LU", "IN", "MX", "CH", "IE", "MY", "SG"}) {
-    EXPECT_FALSE(w.datacenters_in(cc).empty()) << cc;
+    EXPECT_TRUE(std::any_of(
+        w.datacenters().begin(), w.datacenters().end(),
+        [cc](const Datacenter& dc) { return dc.city.country_code == cc; }))
+        << cc;
   }
   EXPECT_GE(w.datacenters().size(), 40u);
 }
@@ -77,6 +80,49 @@ TEST(World, SpawnServerAllocatesFromPool) {
   EXPECT_NE(*a1, *a2);
   EXPECT_TRUE(dc->pool4.contains(*a1));
   EXPECT_TRUE(dc->pool4.contains(*a2));
+}
+
+TEST(World, TenantSliceOverflowThrows) {
+  // A tenant's /24 slice holds offsets 10-255: 246 servers. The 247th
+  // would take the first address of the next tenant's slice.
+  World w(20180131);
+  auto* dc = w.datacenter_by_id("ttk-mow");
+  ASSERT_NE(dc, nullptr);
+  ASSERT_TRUE(dc->sliced());
+  const auto slice_of = [](const netsim::Host& h) {
+    return h.primary_addr(netsim::IpFamily::kV4)->v4_value() >> 8;
+  };
+  const auto first =
+      slice_of(w.spawn_server(*dc, "tenant-srv-0", false, "TenantVPN"));
+  for (int i = 1; i < 246; ++i)
+    EXPECT_EQ(slice_of(w.spawn_server(*dc, "tenant-srv-" + std::to_string(i),
+                                      false, "TenantVPN")),
+              first);
+  const auto hosts = w.host_count();
+  EXPECT_THROW(w.spawn_server(*dc, "tenant-srv-246", false, "TenantVPN"),
+               std::logic_error);
+  EXPECT_EQ(w.host_count(), hosts);  // no host left behind
+  // Another tenant still gets a slice of its own.
+  EXPECT_NE(slice_of(w.spawn_server(*dc, "other-srv", false, "OtherVPN")),
+            first);
+}
+
+TEST(World, SharedAllocationStaysInSliceZero) {
+  // In a sliced pool the shared cursor owns slice 0 alone; running past
+  // offset 255 would hand out slice 1, which tenants rent.
+  World w(20180131);
+  auto* dc = w.datacenter_by_id("ttk-mow");
+  ASSERT_NE(dc, nullptr);
+  ASSERT_TRUE(dc->sliced());
+  int spawned = 0;
+  while (dc->next_host <= 255) {
+    const auto addr = w.spawn_server(*dc, "shared-" + std::to_string(spawned++))
+                          .primary_addr(netsim::IpFamily::kV4);
+    ASSERT_TRUE(addr.has_value());
+    EXPECT_EQ(addr->v4_value() >> 8, dc->pool4.network().v4_value() >> 8);
+  }
+  EXPECT_GT(spawned, 200);
+  EXPECT_THROW(w.spawn_server(*dc, "shared-overflow"), std::logic_error);
 }
 
 TEST(World, PublicResolversResolveTestSites) {

@@ -21,6 +21,7 @@
 #include "ecosystem/testbed.h"
 #include "obs/profiler.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace vpna {
 namespace {
@@ -194,41 +195,66 @@ TEST_F(HealthPlaneTest, ManifestKeySectionIsDeterministic) {
   const auto payload_a = analysis::serialize_campaign_payload(a);
   const auto payload_b = analysis::serialize_campaign_payload(b);
 
-  const auto ma = analysis::build_run_manifest(opts, a, payload_a);
-  const auto mb = analysis::build_run_manifest(opts, b, payload_b);
-  EXPECT_EQ(ma.catalog_fingerprint, mb.catalog_fingerprint);
-  EXPECT_EQ(ma.campaign_seed, seed);
-  EXPECT_EQ(ma.payload_fingerprint, mb.payload_fingerprint);
-  EXPECT_EQ(ma.shard_seeds, mb.shard_seeds);
-  ASSERT_EQ(ma.shard_seeds.size(), kSubset.size());
-  // Shard seeds are the documented pure function of (seed, provider).
-  for (const auto& [provider, shard_seed] : ma.shard_seeds)
-    EXPECT_EQ(shard_seed, ecosystem::shard_seed(seed, provider));
+  const auto json_a = analysis::render_manifest_json(opts, a, payload_a);
+  const auto json_b = analysis::render_manifest_json(opts, b, payload_b);
+  const auto key_of = [](const std::string& json) {
+    return json.substr(0, json.find("\"run\""));
+  };
+  // The key section is byte-stable across equal runs.
+  EXPECT_EQ(key_of(json_a), key_of(json_b));
+  const auto key_a = key_of(json_a);
+  const auto catalog_field =
+      util::format("\"catalog_fingerprint\": \"%016llx\"",
+                   static_cast<unsigned long long>(
+                       ecosystem::catalog_fingerprint()));
+  EXPECT_NE(key_a.find(catalog_field), std::string::npos) << key_a;
+  EXPECT_NE(key_a.find(util::format("\"campaign_seed\": %llu",
+                                    static_cast<unsigned long long>(seed))),
+            std::string::npos);
+  EXPECT_NE(json_a.find("\"watchdog\""), std::string::npos);
+
+  // Shard seeds are the documented pure function of (seed, provider), one
+  // per provider in canonical catalog order.
+  const auto seed_row = [](const std::string& provider, std::uint64_t s) {
+    return util::format(
+        "{\"provider\": \"%s\", \"seed\": \"%016llx\"}", provider.c_str(),
+        static_cast<unsigned long long>(ecosystem::shard_seed(s, provider)));
+  };
+  ASSERT_EQ(a.providers.size(), kSubset.size());
+  std::size_t last = 0;
+  for (const auto& provider : a.providers) {
+    const auto at = key_a.find(seed_row(provider.provider, seed));
+    ASSERT_NE(at, std::string::npos) << provider.provider;
+    EXPECT_GT(at, last);
+    last = at;
+  }
 
   // The payload fingerprint is exactly FNV-1a over the payload bytes — the
   // same hash a content-addressed store would key on — so any byte change
   // in the payload changes the key.
-  EXPECT_EQ(ma.payload_fingerprint, util::fnv1a(payload_a));
-  EXPECT_NE(util::fnv1a(payload_a + "x"), ma.payload_fingerprint);
+  const auto fp_field = [](const std::string& payload) {
+    return util::format("\"payload_fingerprint\": \"%016llx\"",
+                        static_cast<unsigned long long>(util::fnv1a(payload)));
+  };
+  EXPECT_NE(key_a.find(fp_field(payload_a)), std::string::npos);
+  EXPECT_EQ(key_a.find(fp_field(payload_a + "x")), std::string::npos);
 
   // A different campaign seed changes the per-shard seeds (the key), never
   // the catalog fingerprint.
   const auto c = campaign.run(kSubset, seed + 1);
-  const auto mc = analysis::build_run_manifest(
-      opts, c, analysis::serialize_campaign_payload(c));
-  EXPECT_EQ(mc.catalog_fingerprint, ma.catalog_fingerprint);
-  EXPECT_EQ(mc.campaign_seed, seed + 1);
-  EXPECT_NE(mc.shard_seeds, ma.shard_seeds);
-
-  // JSON rendering: the key section is byte-stable across equal runs.
-  const auto json_a = analysis::render_manifest_json(ma);
-  const auto json_b = analysis::render_manifest_json(mb);
-  const auto key_of = [](const std::string& json) {
-    return json.substr(0, json.find("\"run\""));
-  };
-  EXPECT_EQ(key_of(json_a), key_of(json_b));
-  EXPECT_NE(json_a.find("\"catalog_fingerprint\""), std::string::npos);
-  EXPECT_NE(json_a.find("\"watchdog\""), std::string::npos);
+  const auto key_c = key_of(analysis::render_manifest_json(
+      opts, c, analysis::serialize_campaign_payload(c)));
+  EXPECT_NE(key_c, key_a);
+  EXPECT_NE(key_c.find(catalog_field), std::string::npos);
+  EXPECT_NE(key_c.find(util::format("\"campaign_seed\": %llu",
+                                    static_cast<unsigned long long>(seed + 1))),
+            std::string::npos);
+  for (const auto& provider : c.providers) {
+    EXPECT_NE(key_c.find(seed_row(provider.provider, seed + 1)),
+              std::string::npos);
+    EXPECT_EQ(key_c.find(seed_row(provider.provider, seed)),
+              std::string::npos);
+  }
 }
 
 TEST_F(HealthPlaneTest, CatalogFingerprintIsStableWithinAProcess) {

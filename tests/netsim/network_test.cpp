@@ -216,7 +216,7 @@ TEST_F(NetworkFixture, MiddleboxDrop) {
   net_.set_middlebox(r1_, std::make_shared<Dropper>());
   const auto res = net_.transact(client_, udp_to_server());
   EXPECT_EQ(res.status, TransactStatus::kDropped);
-  net_.clear_middlebox(r1_);
+  net_.set_middlebox(r1_, nullptr);
   EXPECT_EQ(net_.transact(client_, udp_to_server()).status,
             TransactStatus::kNoService);
 }

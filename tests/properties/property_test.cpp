@@ -104,8 +104,9 @@ TEST_P(ProviderInvariants, ConnectLeakProfileAndRestore) {
   (void)dns::resolve_system(world.network(), client_host,
                             "daily-courier-news.com", dns::RrType::kA);
   int clear_dns = 0;
-  for (const auto& rec : client_host.capture().on_interface("eth0")) {
-    if (rec.direction == netsim::Direction::kOut &&
+  for (const auto& rec : client_host.capture().records()) {
+    if (rec.interface_name == "eth0" &&
+        rec.direction == netsim::Direction::kOut &&
         rec.packet.dst_port == netsim::kPortDns &&
         !rec.encapsulated)
       ++clear_dns;

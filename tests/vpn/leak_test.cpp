@@ -27,8 +27,9 @@ class LeakFixture : public ::testing::Test {
 
   int dns_packets_on_eth0() {
     int n = 0;
-    for (const auto& rec : client_host_.capture().on_interface("eth0")) {
-      if (rec.direction == netsim::Direction::kOut &&
+    for (const auto& rec : client_host_.capture().records()) {
+      if (rec.interface_name == "eth0" &&
+          rec.direction == netsim::Direction::kOut &&
           rec.packet.proto == netsim::Proto::kUdp &&
           rec.packet.dst_port == netsim::kPortDns &&
           !rec.encapsulated)
@@ -39,8 +40,9 @@ class LeakFixture : public ::testing::Test {
 
   int v6_packets_on_eth0() {
     int n = 0;
-    for (const auto& rec : client_host_.capture().on_interface("eth0")) {
-      if (rec.direction == netsim::Direction::kOut &&
+    for (const auto& rec : client_host_.capture().records()) {
+      if (rec.interface_name == "eth0" &&
+          rec.direction == netsim::Direction::kOut &&
           rec.packet.dst.is_v6() && !rec.encapsulated)
         ++n;
     }
