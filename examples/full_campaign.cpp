@@ -42,7 +42,9 @@
 // --scale) to the output dir: the deterministic cache key of the
 // computation (catalog fingerprint, shard seeds or census options, fault/
 // capacity profile, payload fingerprint) plus execution, cache, build and
-// telemetry provenance.
+// telemetry provenance. One call, analysis::render_paper_artefacts, renders
+// every paper artefact once; the files are written from it and the
+// manifest's payload fingerprint hashes its payload bytes.
 //
 // --scale N chooses the catalog and nothing else: a synthetic catalog of
 // N providers, generated (seeded) from the evaluated providers' empirical
@@ -195,34 +197,24 @@ void install_interrupt_handlers() {
   ::sigaction(SIGTERM, &sa, nullptr);
 }
 
-// The paper catalog's payload: the artefacts the paper published, plus the
-// traced outputs when asked for.
-void write_paper_payload(const std::filesystem::path& out_dir,
-                         const core::CampaignReport& result,
-                         const std::filesystem::path& trace_path,
-                         const std::filesystem::path& metrics_path,
-                         bool speed_test) {
-  const auto& reports = result.providers;
-  std::ofstream(out_dir / "campaign.csv")
-      << analysis::render_campaign_csv(reports);
-  {
-    std::ofstream guide(out_dir / "scorecard.md");
-    guide << analysis::render_scorecard(reports);
-    for (const auto& report : reports)
-      guide << "\n" << analysis::render_provider_markdown(report);
-    // Traced runs get the deterministic metrics appendix (the appendix is
-    // canonical, so scorecard.md stays byte-identical at any --jobs).
-    guide << analysis::render_instrumentation_appendix(result);
-    // Fault-profile runs additionally record structured degradation
-    // (empty string — no bytes — when nothing degraded).
-    guide << analysis::render_degradation_appendix(result);
-  }
+// The paper catalog's files, written from the one render: the artefacts
+// the paper published, plus the traced outputs when asked for.
+void write_paper_artefacts(const std::filesystem::path& out_dir,
+                           const analysis::PaperArtefacts& artefacts,
+                           const core::CampaignReport& result,
+                           const std::filesystem::path& trace_path,
+                           const std::filesystem::path& metrics_path,
+                           bool speed_test) {
+  std::ofstream(out_dir / "campaign.csv") << artefacts.campaign_csv;
+  // Traced runs get the deterministic metrics appendix and fault-profile
+  // runs the degradation appendix; both are canonical, so scorecard.md
+  // stays byte-identical at any --jobs.
+  std::ofstream(out_dir / "scorecard.md") << artefacts.scorecard_md;
   std::printf("wrote %s and %s\n",
               (out_dir / "scorecard.md").string().c_str(),
               (out_dir / "campaign.csv").string().c_str());
   if (speed_test) {
-    std::ofstream(out_dir / "speedtest.csv")
-        << analysis::render_speedtest_csv(reports);
+    std::ofstream(out_dir / "speedtest.csv") << artefacts.speedtest_csv;
     std::printf("wrote %s\n", (out_dir / "speedtest.csv").string().c_str());
   }
   if (!trace_path.empty()) {
@@ -231,9 +223,7 @@ void write_paper_payload(const std::filesystem::path& out_dir,
                 trace_path.string().c_str());
   }
   if (!metrics_path.empty()) {
-    std::ofstream(metrics_path)
-        << analysis::campaign_metrics(result).render_text(
-               /*include_volatile=*/true);
+    std::ofstream(metrics_path) << artefacts.metrics_text;
     std::printf("wrote %s\n", metrics_path.string().c_str());
   }
 }
@@ -533,25 +523,27 @@ int main(int argc, char** argv) {
   // is taken, so the phase shows up in the profile file.
   std::optional<obs::Span> serialize_span(std::in_place, "campaign.serialize",
                                           "campaign");
+  // One render of the paper artefacts: the files are written from it and
+  // the manifest fingerprints its payload — the same bytes the determinism
+  // suites compare. An interrupted run still fingerprints what it has.
+  analysis::PaperArtefacts artefacts;
+  if (!census) artefacts = analysis::render_paper_artefacts(paper);
   if (!result.interrupted) {
     if (census) {
       std::ofstream(out_dir / "scale_census.csv") << scaled.payload;
       std::printf("wrote %s\n",
                   (out_dir / "scale_census.csv").string().c_str());
     } else {
-      write_paper_payload(out_dir, paper, trace_path, metrics_path,
-                          speed_test);
+      write_paper_artefacts(out_dir, artefacts, paper, trace_path,
+                            metrics_path, speed_test);
     }
   }
   const auto manifest_path =
       out_dir / (census ? "scale_manifest.json" : "run_manifest.json");
-  // The manifest fingerprints the canonical payload bytes — the same
-  // serialization the determinism suites compare.
   std::ofstream(manifest_path)
       << (census ? analysis::render_scaled_manifest_json(scaled, census_opts)
-                 : analysis::render_manifest_json(
-                       paper_opts, paper,
-                       analysis::serialize_campaign_payload(paper)));
+                 : analysis::render_manifest_json(paper_opts, paper,
+                                                  artefacts.payload));
   std::printf("wrote %s\n", manifest_path.string().c_str());
   serialize_span.reset();
   if (!profile_path.empty()) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "analysis/report_writer.h"
+#include "util/strings.h"
 
 namespace vpna::analysis {
 
@@ -93,16 +94,74 @@ int campaign_exit_code(const core::ExecutionReport& report) noexcept {
   return 0;
 }
 
-std::string serialize_campaign_payload(const core::CampaignReport& report) {
-  std::string out = render_campaign_csv(report.providers);
-  for (const auto& provider : report.providers)
-    out += render_provider_markdown(provider);
+namespace {
+
+// The payload's pieces, each rendered once, in payload order.
+struct PayloadPieces {
+  std::string csv;
+  std::vector<std::string> markdown;  // one section per provider
   // Empty string unless something degraded, so kOff payloads are
   // byte-identical to builds without the fault plane.
-  out += render_degradation_appendix(report);
+  std::string degradation;
   // Same contract for the performance suite: empty string unless a speed
   // test actually ran, so capacity-less payloads are unchanged bytes.
-  out += render_speedtest_csv(report.providers);
+  std::string speedtest;
+};
+
+PayloadPieces render_payload_pieces(const core::CampaignReport& report) {
+  PayloadPieces out{render_campaign_csv(report.providers), {},
+                    render_degradation_appendix(report),
+                    render_speedtest_csv(report.providers)};
+  out.markdown.reserve(report.providers.size());
+  for (const auto& provider : report.providers)
+    out.markdown.push_back(render_provider_markdown(provider));
+  return out;
+}
+
+std::string join_payload(const PayloadPieces& pieces) {
+  std::string out = pieces.csv;
+  for (const auto& section : pieces.markdown) out += section;
+  out += pieces.degradation;
+  out += pieces.speedtest;
+  return out;
+}
+
+}  // namespace
+
+std::string serialize_campaign_payload(const core::CampaignReport& report) {
+  return join_payload(render_payload_pieces(report));
+}
+
+PaperArtefacts render_paper_artefacts(const core::CampaignReport& report) {
+  auto pieces = render_payload_pieces(report);
+  PaperArtefacts out;
+  out.payload = join_payload(pieces);
+  out.scorecard_md = render_scorecard(report.providers);
+  for (const auto& section : pieces.markdown) {
+    out.scorecard_md += '\n';
+    out.scorecard_md += section;
+  }
+  // Gated on traces, not on campaign_metrics() being non-empty: a cache-
+  // enabled untraced run has volatile cache.* metrics but no canonical
+  // ones, and emitting an appendix for it would move the scorecard bytes.
+  if (!report.traces.empty()) {
+    const auto metrics = campaign_metrics(report);
+    // The instrumentation appendix: the canonical (volatile metrics
+    // excluded) metrics text, fenced, identical at any worker count.
+    if (!metrics.empty()) {
+      out.scorecard_md += util::format(
+          "\n## Appendix: instrumentation\n\nDeterministic campaign metrics "
+          "(merged from %zu shards; scheduling telemetry excluded — "
+          "identical at any `--jobs`).\n\n```\n",
+          report.traces.size());
+      out.scorecard_md += metrics.render_text(/*include_volatile=*/false);
+      out.scorecard_md += "```\n";
+    }
+    out.metrics_text = metrics.render_text(/*include_volatile=*/true);
+  }
+  out.scorecard_md += pieces.degradation;
+  out.campaign_csv = std::move(pieces.csv);
+  out.speedtest_csv = std::move(pieces.speedtest);
   return out;
 }
 

@@ -84,10 +84,28 @@ struct DegradationTally {
     const core::ExecutionReport& report) noexcept;
 
 // Canonical serialization of a campaign's deterministic payload (the
-// provider reports only — no worker counters, no timings). Two campaigns
-// over the same seed must serialize byte-identically at any worker count;
-// the determinism suite and bench compare exactly these bytes.
+// provider reports only — no worker counters, no timings): the campaign CSV,
+// every provider's Markdown section, the degradation appendix and the
+// speed-test CSV, in that order. Two campaigns over the same seed must
+// serialize byte-identically at any worker count; the determinism suite and
+// bench compare exactly these bytes.
 [[nodiscard]] std::string serialize_campaign_payload(
+    const core::CampaignReport& report);
+
+// Every file a paper campaign writes, and its payload, from one render.
+struct PaperArtefacts {
+  std::string campaign_csv;   // campaign.csv
+  std::string scorecard_md;   // scorecard.md
+  std::string speedtest_csv;  // speedtest.csv; empty unless a speed test ran
+  std::string metrics_text;   // all of campaign_metrics(); empty untraced
+  std::string payload;        // serialize_campaign_payload()'s bytes
+};
+
+// Renders each payload piece once and builds the files and the payload from
+// them. scorecard.md is the ranked scorecard, then "\n" before each
+// provider's Markdown, the instrumentation appendix (traced runs) and the
+// degradation appendix. A traced run's metrics are merged once.
+[[nodiscard]] PaperArtefacts render_paper_artefacts(
     const core::CampaignReport& report);
 
 }  // namespace vpna::analysis

@@ -206,25 +206,6 @@ obs::MetricsRegistry campaign_metrics(const core::CampaignReport& report) {
   return merged;
 }
 
-std::string render_instrumentation_appendix(
-    const core::CampaignReport& report) {
-  // Gated on traces, not on campaign_metrics() being non-empty: a cache-
-  // enabled untraced run has volatile cache.* metrics but no canonical
-  // ones, and emitting an appendix for it would move the payload bytes.
-  if (report.traces.empty()) return {};
-  const auto metrics = campaign_metrics(report);
-  if (metrics.empty()) return {};
-  std::string out = "\n## Appendix: instrumentation\n\n";
-  out += util::format(
-      "Deterministic campaign metrics (merged from %zu shards; scheduling "
-      "telemetry excluded — identical at any `--jobs`).\n\n",
-      report.traces.size());
-  out += "```\n";
-  out += metrics.render_text(/*include_volatile=*/false);
-  out += "```\n";
-  return out;
-}
-
 std::string render_degradation_appendix(const core::CampaignReport& report) {
   if (report.degraded_providers.empty()) return {};
   std::string out = "\n## Appendix: degradation\n\n";

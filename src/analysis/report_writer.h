@@ -57,12 +57,6 @@ enum class SafetyGrade : std::uint8_t { kA, kB, kC, kD, kF };
 [[nodiscard]] obs::MetricsRegistry campaign_metrics(
     const core::CampaignReport& report);
 
-// "Instrumentation" appendix for the scorecard: the canonical (volatile
-// metrics excluded) text dump of campaign_metrics(), fenced as Markdown.
-// Deterministic at any worker count; empty string when there are no traces.
-[[nodiscard]] std::string render_instrumentation_appendix(
-    const core::CampaignReport& report);
-
 // "Degradation" appendix: one line per quarantined shard and per degraded
 // vantage point (stage, attempts, terminal transport error, fault
 // attribution). Deterministic — degradation derives from the sim-time

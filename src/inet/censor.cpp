@@ -56,7 +56,6 @@ netsim::Middlebox::Verdict CensorMiddlebox::on_transit(
   }
   if (!blocked) return {};
 
-  ++redirects_;
   const http::Header headers[] = {{"Location", policy_.redirect_url},
                                   {"X-Blocked-By", policy_.operator_name}};
   Verdict v;

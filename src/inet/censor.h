@@ -72,15 +72,9 @@ class CensorMiddlebox final : public netsim::Middlebox {
 
   [[nodiscard]] const CensorPolicy& policy() const noexcept { return policy_; }
 
-  // Count of requests this censor has redirected (for tests).
-  [[nodiscard]] std::size_t redirect_count() const noexcept {
-    return redirects_;
-  }
-
  private:
   CensorPolicy policy_;
   std::shared_ptr<const SiteDirectory> directory_;
-  std::size_t redirects_ = 0;
 };
 
 }  // namespace vpna::inet

@@ -381,17 +381,6 @@ const http::Page* World::page_for(std::string_view hostname,
   return it == served->pages.end() ? nullptr : &it->second;
 }
 
-std::optional<std::string> World::true_cert_fingerprint(
-    std::string_view hostname) const {
-  for (const auto& hosted : base_->sites()) {
-    if (hosted.chain == nullptr) continue;
-    const auto* leaf = hosted.chain->leaf();
-    if (leaf != nullptr && leaf->matches_host(hostname))
-      return leaf->key_fingerprint;
-  }
-  return std::nullopt;
-}
-
 void World::blocklist_vpn_range(const netsim::Cidr& block) {
   for (const auto& site : vpn_blocking_sites_)
     site->blocked_ranges.push_back(block);

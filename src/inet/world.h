@@ -144,9 +144,6 @@ class World {
   // Ground-truth content: the page originally published for a hostname.
   [[nodiscard]] const http::Page* page_for(std::string_view hostname,
                                            std::string_view path = "/") const;
-  // Ground-truth certificate fingerprint for a hostname.
-  [[nodiscard]] std::optional<std::string> true_cert_fingerprint(
-      std::string_view hostname) const;
 
   // Marks a CIDR as known-VPN space: streaming-style sites begin blocking
   // it (reproduces §6.1.2's 403 behaviour).

@@ -28,14 +28,4 @@ std::size_t EventLoop::run() {
   return n;
 }
 
-std::size_t EventLoop::run_until(util::SimTime deadline) {
-  std::size_t n = 0;
-  while (!heap_.empty() && heap_.front().at_us <= deadline.micros()) {
-    run_one();
-    ++n;
-  }
-  if (now_ < deadline) now_ = deadline;
-  return n;
-}
-
 }  // namespace vpna::netsim

@@ -59,16 +59,9 @@ class EventLoop {
     schedule_at(now_ + delay, actor, tag);
   }
 
-  // Dispatches the earliest pending event. False when nothing is pending.
-  bool run_one();
   // Dispatches until the queue drains; returns events dispatched.
   std::size_t run();
-  // Dispatches every event with timestamp <= deadline, then advances now()
-  // to the deadline; returns events dispatched.
-  std::size_t run_until(util::SimTime deadline);
 
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
   // Total events dispatched over the loop's lifetime (bench denominator).
   [[nodiscard]] std::uint64_t dispatched() const noexcept {
     return dispatched_;
@@ -86,6 +79,9 @@ class EventLoop {
     if (a.at_us != b.at_us) return a.at_us > b.at_us;
     return a.seq > b.seq;
   }
+
+  // Dispatches the earliest pending event. False when nothing is pending.
+  bool run_one();
 
   std::vector<Event> heap_;
   util::SimTime now_;

@@ -79,9 +79,6 @@ class TraceRecorder {
   [[nodiscard]] std::vector<TraceEvent> take_events() {
     return std::move(events_);
   }
-  [[nodiscard]] std::size_t open_spans() const noexcept {
-    return stack_.size();
-  }
 
  private:
   // Appends one event under the innermost open span; returns its id.
@@ -96,14 +93,11 @@ class TraceRecorder {
 
 namespace detail {
 // The thread-bound recorder. Exposed (as a detail) so the no-tracer checks
-// below inline into the per-packet hot path; use tracer()/ScopedObservation.
+// below inline into the per-packet hot path; bind with ScopedObservation.
 extern thread_local constinit TraceRecorder* t_tracer;
 }  // namespace detail
 
-// The recorder bound to this thread by ScopedObservation, or nullptr.
-[[nodiscard]] inline TraceRecorder* tracer() noexcept {
-  return detail::t_tracer;
-}
+// True when ScopedObservation bound a recorder to this thread.
 [[nodiscard]] inline bool tracing() noexcept {
   return detail::t_tracer != nullptr;
 }

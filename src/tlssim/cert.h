@@ -16,8 +16,6 @@ struct Certificate {
   std::string key_fingerprint;   // stable per issuance ("SPKI hash")
   bool expired = false;
 
-  [[nodiscard]] bool self_signed() const { return subject == issuer; }
-
   // Wildcard-aware hostname match ("*.example.com" covers one extra label).
   [[nodiscard]] bool matches_host(std::string_view hostname) const;
 

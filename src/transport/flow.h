@@ -84,7 +84,6 @@ class Flow {
   [[nodiscard]] const netsim::IpAddr& candidate(std::size_t i) const noexcept {
     return i == 0 ? primary_ : fallbacks_[i - 1];
   }
-  [[nodiscard]] double total_rtt_ms() const noexcept { return total_rtt_ms_; }
   [[nodiscard]] int attempts() const noexcept { return attempts_; }
   [[nodiscard]] int exchanges() const noexcept { return exchanges_; }
   [[nodiscard]] const Error& last_error() const noexcept { return last_error_; }

@@ -1,4 +1,4 @@
-// Process memory telemetry: peak / current resident set size read from
+// Process memory telemetry: the peak resident set size read from
 // /proc/self/status. Wall-clock-style observability — never part of any
 // deterministic payload — used by the scaled-campaign report and the bench
 // harness's peak-RSS columns. Degrades to 0 — never garbage — when procfs
@@ -78,11 +78,6 @@ inline std::size_t proc_status_kb(const char* key) noexcept {
 // High-water-mark resident set size of this process, in KiB (VmHWM).
 inline std::size_t peak_rss_kb() noexcept {
   return detail::proc_status_kb("VmHWM:");
-}
-
-// Current resident set size, in KiB (VmRSS).
-inline std::size_t current_rss_kb() noexcept {
-  return detail::proc_status_kb("VmRSS:");
 }
 
 }  // namespace vpna::util

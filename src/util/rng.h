@@ -49,17 +49,6 @@ class Rng {
   // Requires n > 0.
   std::size_t index(std::size_t n) noexcept;
 
-  // Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) noexcept {
-    if (v.empty()) return;
-    for (std::size_t i = v.size() - 1; i > 0; --i) {
-      std::size_t j = index(i + 1);
-      using std::swap;
-      swap(v[i], v[j]);
-    }
-  }
-
   // Samples k distinct indices from [0, n). Requires k <= n.
   std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
 

@@ -168,10 +168,6 @@ std::vector<WorkerCounters> TaskPool::counters() const {
   return out;
 }
 
-WorkerCounters TaskPool::total_counters() const {
-  return sum_counters(counters());
-}
-
 WorkerCounters sum_counters(
     const std::vector<WorkerCounters>& counters) noexcept {
   WorkerCounters total;

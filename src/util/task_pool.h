@@ -50,8 +50,6 @@ class TaskPool {
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
-  [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
-
   // Index of the pool worker running the calling thread, or -1 when the
   // caller is not a pool worker (e.g. a task run by run_inline). Lets a
   // task attribute status heartbeats to its worker without threading the
@@ -90,7 +88,6 @@ class TaskPool {
   // Per-worker counter snapshot. Values are exact once the pool is idle;
   // mid-flight reads are safe but may lag in-progress tasks.
   [[nodiscard]] std::vector<WorkerCounters> counters() const;
-  [[nodiscard]] WorkerCounters total_counters() const;
 
  private:
   using Task = std::function<void(WorkerCounters&)>;

@@ -150,6 +150,16 @@ row paper-ground-truth-isolated 0 "$BIN" out --jobs 2 --isolate \
     --profile prof.txt
 has prof.txt "phase runner.ground_truth calls=1 "
 
+# A traced paper run writes the trace and the metrics dump (scheduling
+# telemetry included) next to its artefacts, and its scorecard carries the
+# instrumentation appendix: all from the one render of the artefacts.
+row paper-traced 0 "$BIN" out --jobs 2 --trace t.json --metrics m.txt
+wrote t.json
+wrote m.txt
+wrote out/campaign.csv
+has m.txt "counter pool.tasks_run"
+has out/scorecard.md "## Appendix: instrumentation"
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures check(s) failed"
   exit 1

@@ -195,6 +195,28 @@ TEST(DegradationAppendix, RendersQuarantineAndGiveUpLines) {
   EXPECT_EQ(appendix.find("CleanVPN"), std::string::npos);
 }
 
+// The one render lays the pieces out as the files and the payload expect:
+// the scorecard closes with the degradation appendix, the payload is the
+// serialization's bytes, and an untraced run has no metrics text.
+TEST(DegradationAppendix, ClosesTheScorecardAndThePayload) {
+  const auto report = synthetic_degraded_report();
+  const auto appendix = analysis::render_degradation_appendix(report);
+  const auto artefacts = analysis::render_paper_artefacts(report);
+  EXPECT_EQ(artefacts.payload, analysis::serialize_campaign_payload(report));
+  EXPECT_EQ(artefacts.campaign_csv,
+            analysis::render_campaign_csv(report.providers));
+  std::string scorecard = analysis::render_scorecard(report.providers);
+  for (const auto& provider : report.providers)
+    scorecard += "\n" + analysis::render_provider_markdown(provider);
+  EXPECT_EQ(artefacts.scorecard_md, scorecard + appendix);
+  ASSERT_GE(artefacts.payload.size(), appendix.size());
+  EXPECT_EQ(artefacts.payload.substr(artefacts.payload.size() -
+                                     appendix.size()),
+            appendix);
+  EXPECT_TRUE(artefacts.speedtest_csv.empty());
+  EXPECT_TRUE(artefacts.metrics_text.empty());
+}
+
 // --- end-to-end quarantine via the campaign engine ------------------------
 
 // Both shard-executor backends, from one table: every case below runs on

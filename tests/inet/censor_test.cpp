@@ -44,7 +44,6 @@ TEST(CensorMiddlebox, RedirectsBlockedCategory) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, 302);
   EXPECT_EQ(resp->header("Location"), "http://blockpage.example");
-  EXPECT_EQ(censor.redirect_count(), 1u);
 }
 
 TEST(CensorMiddlebox, PassesUnblockedTraffic) {

@@ -4,9 +4,11 @@
 // the flaky fault profile must land on the same bytes. The speed-test
 // payload and one traced shard's Chrome-trace and canonical metrics exports
 // are pinned too, so instrumentation changes cannot move a trace byte
-// unnoticed. A mismatch under an unchanged kCodeEpoch is a silent payload
-// change: either a bug, or a deliberate change that must bump kCodeEpoch and
-// add a re-pinned row.
+// unnoticed, and so are the scorecard.md and campaign.csv files full_campaign
+// writes, rendered through the same analysis::render_paper_artefacts. A
+// mismatch under an unchanged kCodeEpoch is a silent payload change: either
+// a bug, or a deliberate change that must bump kCodeEpoch and add a
+// re-pinned row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,22 +37,29 @@ struct GoldenPins {
   std::uint64_t speedtest_payload;  // --speedtest, speedtest.csv included
   std::uint64_t trace_chrome;       // one traced shard (kTracedProvider)
   std::uint64_t trace_metrics;      // its canonical metrics text
+  std::uint64_t scorecard_md;       // the default run's scorecard.md
+  std::uint64_t campaign_csv;       // and campaign.csv (both from epoch 3)
 };
 
 constexpr GoldenPins kPins[] = {
     {1, 0xb18430c525c24657ULL, 0x1cf6b988474a247fULL, 0x19b44b1041db4ce3ULL,
-     0xe0c02b2419058d44ULL, 0x3e94b5ce50f4b79fULL, 0x8469ef0c9b7c6b7bULL},
+     0xe0c02b2419058d44ULL, 0x3e94b5ce50f4b79fULL, 0x8469ef0c9b7c6b7bULL, 0,
+     0},
     // One ground truth per process and the browser host cache: the payload
     // holds; the traced shard no longer records its own ground-truth
     // collection, and its page loads make fewer DNS queries.
     {2, 0xb18430c525c24657ULL, 0x1cf6b988474a247fULL, 0x19b44b1041db4ce3ULL,
-     0xe0c02b2419058d44ULL, 0x70eff9a50c7ec3beULL, 0x1e35788d0c1bb84fULL},
+     0xe0c02b2419058d44ULL, 0x70eff9a50c7ec3beULL, 0x1e35788d0c1bb84fULL, 0,
+     0},
     // Degradation::faults_seen counts each injected fault once (it counted
     // the `faults.injected` total and the per-kind counter before). No
     // pinned run degrades a vantage point, so every value holds; the bump
     // orphans cached shards that hold a doubled count.
+    // The scorecard.md and campaign.csv pins were added at this epoch; the
+    // rows above predate them (0 = not pinned).
     {3, 0xb18430c525c24657ULL, 0x1cf6b988474a247fULL, 0x19b44b1041db4ce3ULL,
-     0xe0c02b2419058d44ULL, 0x70eff9a50c7ec3beULL, 0x1e35788d0c1bb84fULL},
+     0xe0c02b2419058d44ULL, 0x70eff9a50c7ec3beULL, 0x1e35788d0c1bb84fULL,
+     0x727256ac8c6f0e9bULL, 0xba747d19cea3c41bULL},
 };
 
 constexpr const char* kTracedProvider = "NordVPN";
@@ -82,13 +91,16 @@ core::CampaignOptions paper_options(std::size_t jobs, bool isolate,
   return opts;
 }
 
-std::uint64_t campaign_fingerprint(const core::CampaignOptions& opts) {
+// The default run's files and payload, rendered once as full_campaign does.
+analysis::PaperArtefacts campaign_artefacts(const core::CampaignOptions& opts) {
   core::ParallelCampaign campaign(opts);
   const auto report = campaign.run({}, kSeed);
   EXPECT_EQ(report.providers.size(), 62u);
   EXPECT_TRUE(report.failed_providers.empty());
   EXPECT_TRUE(report.crash_quarantined_providers.empty());
-  return util::fnv1a(analysis::serialize_campaign_payload(report));
+  auto artefacts = analysis::render_paper_artefacts(report);
+  EXPECT_EQ(artefacts.payload, analysis::serialize_campaign_payload(report));
+  return artefacts;
 }
 
 class GoldenTest : public ::testing::Test {
@@ -97,6 +109,15 @@ class GoldenTest : public ::testing::Test {
     pins_ = pins_for_current_epoch();
     ASSERT_NE(pins_, nullptr) << "no golden pins for code epoch "
                               << store::kCodeEpoch << ": add a row to kPins";
+  }
+  void expect_pinned_files(const analysis::PaperArtefacts& artefacts,
+                           const std::string& at) const {
+    expect_pinned(util::fnv1a(artefacts.payload), pins_->campaign_payload,
+                  "campaign payload" + at);
+    expect_pinned(util::fnv1a(artefacts.scorecard_md), pins_->scorecard_md,
+                  "scorecard.md" + at);
+    expect_pinned(util::fnv1a(artefacts.campaign_csv), pins_->campaign_csv,
+                  "campaign.csv" + at);
   }
   const GoldenPins* pins_ = nullptr;
 };
@@ -109,16 +130,15 @@ TEST_F(GoldenTest, PaperCampaignIsPinnedInEveryExecutionMode) {
   };
   for (const Mode& m : {Mode{"jobs 1", 1, false}, Mode{"jobs 4", 4, false},
                         Mode{"isolated 2", 2, true}})
-    expect_pinned(campaign_fingerprint(paper_options(
-                      m.jobs, m.isolate, faults::FaultProfile::kOff)),
-                  pins_->campaign_payload,
-                  std::string("campaign payload at ") + m.name);
+    expect_pinned_files(campaign_artefacts(paper_options(
+                            m.jobs, m.isolate, faults::FaultProfile::kOff)),
+                        std::string(" at ") + m.name);
 }
 
 TEST_F(GoldenTest, FlakyProfileLandsOnThePinnedPayload) {
-  expect_pinned(campaign_fingerprint(
-                    paper_options(4, false, faults::FaultProfile::kFlaky)),
-                pins_->campaign_payload, "flaky campaign payload");
+  expect_pinned_files(campaign_artefacts(paper_options(
+                          4, false, faults::FaultProfile::kFlaky)),
+                      " under the flaky profile");
 }
 
 TEST_F(GoldenTest, SpeedTestPayloadIsPinned) {

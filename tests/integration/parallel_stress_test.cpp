@@ -29,7 +29,7 @@ TEST(ParallelStress, ManySmallTasksAcrossManyWorkers) {
   for (auto& f : futures) f.get();
   pool.wait_idle();
   EXPECT_EQ(sum.load(), static_cast<long>(kTasks - 1) * kTasks / 2);
-  EXPECT_EQ(pool.total_counters().tasks_run,
+  EXPECT_EQ(util::sum_counters(pool.counters()).tasks_run,
             static_cast<std::uint64_t>(kTasks));
 }
 
@@ -69,7 +69,7 @@ TEST(ParallelStress, ThrowChurnUnderContention) {
       EXPECT_EQ(futures[i].get(), i);
   }
   pool.wait_idle();
-  EXPECT_EQ(pool.total_counters().tasks_run, 600u);
+  EXPECT_EQ(util::sum_counters(pool.counters()).tasks_run, 600u);
 }
 
 TEST(ParallelStress, CampaignPayloadStableAcrossJobCountsAndRepeats) {

@@ -57,7 +57,7 @@ TEST(CertChain, EncodeDecodeRoundTrip) {
   ASSERT_EQ(decoded->certs.size(), 2u);
   EXPECT_EQ(decoded->leaf()->subject, "www.site.com");
   EXPECT_EQ(decoded->root()->subject, "SimTrust Root CA");
-  EXPECT_TRUE(decoded->root()->self_signed());
+  EXPECT_EQ(decoded->root()->issuer, "SimTrust Root CA");  // self-signed
 }
 
 TEST(IssueChain, FingerprintStablePerSerial) {

@@ -47,7 +47,7 @@ TEST(EventLoop, PastTimesClampToNow) {
   EventLoop loop(SimTime(1000));
   Recorder rec;
   loop.schedule_at(SimTime(10), rec, 7);  // in the past
-  EXPECT_TRUE(loop.run_one());
+  EXPECT_EQ(loop.run(), 1u);
   ASSERT_EQ(rec.seen.size(), 1u);
   EXPECT_EQ(rec.seen[0].first, 1000);  // ran at now(), not at 10
   EXPECT_EQ(loop.now(), SimTime(1000));
@@ -69,25 +69,11 @@ TEST(EventLoop, EventsScheduledDuringDispatchRun) {
   EXPECT_EQ(loop.dispatched(), 5u);
 }
 
-TEST(EventLoop, RunUntilStopsAtDeadlineAndAdvancesNow) {
-  EventLoop loop;
-  Recorder rec;
-  loop.schedule_at(SimTime(100), rec, 1);
-  loop.schedule_at(SimTime(200), rec, 2);
-  loop.schedule_at(SimTime(300), rec, 3);
-  EXPECT_EQ(loop.run_until(SimTime(250)), 2u);
-  EXPECT_EQ(rec.seen.size(), 2u);
-  EXPECT_EQ(loop.now(), SimTime(250));  // deadline, not last event
-  EXPECT_EQ(loop.pending(), 1u);
-  EXPECT_EQ(loop.run(), 1u);
-  EXPECT_EQ(loop.now(), SimTime(300));
-}
-
-TEST(EventLoop, RunOneOnEmptyLoopIsFalse) {
-  EventLoop loop;
-  EXPECT_FALSE(loop.run_one());
-  EXPECT_TRUE(loop.empty());
+TEST(EventLoop, RunOnEmptyLoopDispatchesNothing) {
+  EventLoop loop(SimTime(70));
   EXPECT_EQ(loop.run(), 0u);
+  EXPECT_EQ(loop.dispatched(), 0u);
+  EXPECT_EQ(loop.now(), SimTime(70));
 }
 
 TEST(EventLoop, StartTimeIsRespected) {

@@ -75,16 +75,12 @@ TEST(ParseStatusKb, FirstMatchingLineWins) {
 
 TEST(RssTelemetry, LiveReadingsAreSaneOnLinux) {
   // On Linux /proc/self/status exists and a running process has a nonzero
-  // RSS; elsewhere both calls must degrade to 0 rather than crash.
+  // peak RSS; elsewhere the call must degrade to 0 rather than crash.
   const std::size_t peak = util::peak_rss_kb();
-  const std::size_t current = util::current_rss_kb();
 #ifdef __linux__
   EXPECT_GT(peak, 0u);
-  EXPECT_GT(current, 0u);
-  EXPECT_GE(peak, current / 2);  // peak tracks current, modulo page noise
 #else
   (void)peak;
-  (void)current;
 #endif
 }
 

@@ -123,15 +123,6 @@ TEST(Rng, SampleIndicesThrowsWhenKTooLarge) {
   EXPECT_THROW((void)r.sample_indices(3, 4), std::invalid_argument);
 }
 
-TEST(Rng, ShuffleKeepsAllElements) {
-  Rng r(43);
-  std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
-  auto w = v;
-  r.shuffle(w);
-  std::sort(w.begin(), w.end());
-  EXPECT_EQ(v, w);
-}
-
 TEST(Fnv1a, StableKnownValues) {
   EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
   EXPECT_NE(fnv1a("a"), fnv1a("b"));
