@@ -13,10 +13,12 @@ template <typename Pred>
 int count_clear_on_eth0(const netsim::Host& client, std::size_t since_index,
                         Pred pred) {
   int n = 0;
+  const auto eth0 = client.capture().find_interface("eth0");
+  if (!eth0) return n;
   const auto& records = client.capture().records();
   for (std::size_t i = since_index; i < records.size(); ++i) {
     const auto& rec = records[i];
-    if (rec.interface_name != "eth0") continue;
+    if (rec.interface_id != *eth0) continue;
     if (rec.direction != netsim::Direction::kOut) continue;
     if (rec.encapsulated) continue;
     if (pred(rec.packet)) ++n;

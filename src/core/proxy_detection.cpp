@@ -42,9 +42,10 @@ ProxyDetectionResult run_proxy_detection_test(inet::World& world,
 
 PcapScanResult run_pcap_scan(const netsim::Host& client) {
   PcapScanResult out;
+  const auto eth0 = client.capture().find_interface("eth0");
   for (const auto& rec : client.capture().records()) {
     ++out.packets_scanned;
-    if (rec.interface_name != "eth0") continue;
+    if (rec.interface_id != eth0) continue;
     const bool is_dns_query = rec.packet.proto == netsim::Proto::kUdp &&
                               rec.packet.dst_port == netsim::kPortDns &&
                               !rec.encapsulated;

@@ -5,7 +5,11 @@
 // headers only, so a record keeps no payload bytes.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "netsim/packet.h"
@@ -26,18 +30,22 @@ struct PacketHeader {
 };
 
 // One captured packet, as tcpdump with a short snaplen records it: the
-// header, the payload's size and whether the payload is a tunnel frame.
+// header, the payload's size and whether the payload is a tunnel frame. The
+// interface is a small id its CaptureBuffer interned, so a record holds no
+// heap bytes and recording copies no string.
 struct CaptureRecord {
   util::SimTime time;
   Direction direction = Direction::kOut;
-  std::string interface_name;
+  std::uint8_t interface_id = 0;  // CaptureBuffer::interface_name(...)
+  bool encapsulated = false;      // is_tunnel_frame(payload)
   PacketHeader packet;
   std::size_t payload_size = 0;
-  bool encapsulated = false;  // is_tunnel_frame(payload)
 };
+static_assert(std::is_trivially_copyable_v<CaptureRecord>);
+static_assert(sizeof(CaptureRecord) <= 72);
 
-// Append-only capture buffer. One per host; records carry the interface
-// name so tests can filter to the hardware (non-VPN) interface.
+// Append-only capture buffer. One per host; records carry an interface id
+// so tests can filter to the hardware (non-VPN) interface.
 //
 // Capture can be disabled per host (`set_enabled(false)`): the measurement
 // client records everything, while busy infrastructure hosts (web servers,
@@ -45,13 +53,31 @@ struct CaptureRecord {
 // memory-bounded — exactly like only running tcpdump on the test machine.
 class CaptureBuffer {
  public:
-  // `interface_name` is only materialized into a std::string when the
-  // buffer is enabled, so disabled hosts pay no allocation per packet (and
-  // the disabled check inlines into the caller).
-  void record(util::SimTime time, Direction dir,
-              std::string_view interface_name, const Packet& packet) {
+  using InterfaceId = std::uint8_t;
+
+  // The id of interface `name` in this buffer, interned on first use. Ids
+  // outlive the interface they name and survive clear(), so a record taken
+  // on an interface that is gone still names it. Throws std::length_error
+  // past 256 distinct names.
+  InterfaceId intern(std::string_view name);
+  // The id of `name`, or nullopt when it was never interned (so no record
+  // names it).
+  [[nodiscard]] std::optional<InterfaceId> find_interface(
+      std::string_view name) const noexcept;
+  [[nodiscard]] const std::string& interface_name(InterfaceId id) const {
+    return interface_names_.at(id);
+  }
+
+  // `interface_id` must come from intern(). The disabled check inlines into
+  // the caller, so a disabled host pays one branch per packet.
+  void record(util::SimTime time, Direction dir, InterfaceId interface_id,
+              const Packet& packet) {
     if (!enabled_) return;
-    record_impl(time, dir, interface_name, packet);
+    records_.push_back(CaptureRecord{
+        time, dir, interface_id, is_tunnel_frame(packet.payload),
+        PacketHeader{packet.src, packet.dst, packet.proto, packet.src_port,
+                     packet.dst_port, packet.ttl},
+        packet.payload.size()});
   }
 
   void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
@@ -61,6 +87,7 @@ class CaptureBuffer {
     return records_;
   }
 
+  // Drops the records; interned names stay.
   void clear() noexcept { records_.clear(); }
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
 
@@ -69,11 +96,9 @@ class CaptureBuffer {
   [[nodiscard]] std::string dump(std::size_t max_lines = 200) const;
 
  private:
-  void record_impl(util::SimTime time, Direction dir,
-                   std::string_view interface_name, const Packet& packet);
-
   bool enabled_ = true;
   std::vector<CaptureRecord> records_;
+  std::vector<std::string> interface_names_;  // by id
 };
 
 }  // namespace vpna::netsim

@@ -1,6 +1,7 @@
 #include "netsim/host.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace vpna::netsim {
@@ -100,8 +101,8 @@ void Host::clear_tunnel_hook() noexcept {
 }
 
 HostCache& Host::host_cache() {
-  if (!host_cache_) host_cache_ = std::make_unique<HostCache>();
-  HostCache& cache = *host_cache_;
+  if (!lazy_) lazy_ = std::make_unique<Lazy>();
+  HostCache& cache = lazy_->host_cache;
   if (cache.config_generation_ != config_generation() ||
       cache.resolvers_ != dns_servers_) {
     cache.entries_.clear();
@@ -109,6 +110,57 @@ HostCache& Host::host_cache() {
     cache.resolvers_ = dns_servers_;
   }
   return cache;
+}
+
+Host::Lazy& Host::resolve() {
+  if (!lazy_) lazy_ = std::make_unique<Lazy>();
+  Lazy& lazy = *lazy_;
+  const auto index_of = [this](std::string_view name) {
+    const auto* iface = find_interface(name);
+    return iface == nullptr
+               ? kNoInterface
+               : static_cast<std::uint16_t>(iface - interfaces_.data());
+  };
+  lazy.generation = config_generation();
+  lazy.route_interface.clear();
+  for (const auto& route : routes_.routes())
+    lazy.route_interface.push_back(index_of(route.interface_name));
+  lazy.tunnel_interface =
+      has_tunnel_hook() ? index_of(tunnel_interface_) : kNoInterface;
+  // Interface indices may have moved; interning again finds the same ids.
+  lazy.capture_ids.assign(interfaces_.size(), kNoInterface);
+  return lazy;
+}
+
+Host::Egress Host::egress(const Route& route) {
+  const Lazy& lazy = resolved();
+  const auto route_index =
+      static_cast<std::size_t>(&route - routes_.routes().data());
+  const std::uint16_t index = lazy.route_interface[route_index];
+  const Egress out{index,
+                   index != kNoInterface && index == lazy.tunnel_interface};
+  // Debug: the index answers what a lookup by name would.
+  assert(find_interface(route.interface_name) ==
+         (index == kNoInterface ? nullptr : &interfaces_[index]));
+  assert(out.tunnel ==
+         (has_tunnel_hook() && out.interface != kNoInterface &&
+          route.interface_name == tunnel_interface_));
+  return out;
+}
+
+CaptureBuffer::InterfaceId Host::capture_id(std::uint16_t index) {
+  std::uint16_t& slot = resolved().capture_ids[index];
+  if (slot == kNoInterface) slot = capture_.intern(interfaces_[index].name);
+  const auto id = static_cast<CaptureBuffer::InterfaceId>(slot);
+  assert(capture_.interface_name(id) == interfaces_[index].name);
+  return id;
+}
+
+CaptureBuffer::InterfaceId Host::capture_id_for(const IpAddr& addr) {
+  for (std::size_t i = 0; i < interfaces_.size(); ++i)
+    if (interfaces_[i].addr4 == addr || interfaces_[i].addr6 == addr)
+      return capture_id(static_cast<std::uint16_t>(i));
+  return capture_.intern("eth0");
 }
 
 std::uint16_t Host::next_ephemeral_port() noexcept {

@@ -156,9 +156,6 @@ class Host {
   [[nodiscard]] bool has_tunnel_hook() const noexcept {
     return static_cast<bool>(tunnel_hook_);
   }
-  [[nodiscard]] const std::string& tunnel_interface() const noexcept {
-    return tunnel_interface_;
-  }
   [[nodiscard]] const TunnelEncapHook& tunnel_hook() const noexcept {
     return tunnel_hook_;
   }
@@ -205,11 +202,43 @@ class Host {
   TunnelEncapHook tunnel_hook_;
   CaptureBuffer capture_;
   std::uint64_t config_generation_ = 0;
-  // Only browsing hosts ever hold one.
-  std::unique_ptr<HostCache> host_cache_;
+
+  // --- Network::transact's view of this host --------------------------------
+  friend class Network;
+  static constexpr std::uint16_t kNoInterface = 0xffff;
+  struct Egress {
+    std::uint16_t interface = kNoInterface;  // index into interfaces()
+    bool tunnel = false;                     // it carries the tunnel hook
+  };
+  // Where `route` (one of routes().routes()) leaves this host. Resolved by
+  // index once per config_generation(), not by name per packet.
+  [[nodiscard]] Egress egress(const Route& route);
+  // The capture id of interfaces()[index], interned on its first record.
+  [[nodiscard]] CaptureBuffer::InterfaceId capture_id(std::uint16_t index);
+  // The capture id of the interface holding `addr`; "eth0" when none does.
+  [[nodiscard]] CaptureBuffer::InterfaceId capture_id_for(const IpAddr& addr);
+
+  // State only hosts that browse or send need, made on first use: the
+  // hosts a census builds send nothing, so each holds one null pointer.
+  struct Lazy {
+    HostCache host_cache;
+    // The egress resolution and the config_generation() it was made at.
+    std::uint64_t generation = ~std::uint64_t{0};
+    std::vector<std::uint16_t> route_interface;  // per route
+    std::vector<std::uint16_t> capture_ids;      // per interface
+    std::uint16_t tunnel_interface = kNoInterface;
+  };
+  // lazy_, resolved for the current config_generation(). The check inlines;
+  // only a moved generation calls out to re-resolve.
+  Lazy& resolved() {
+    if (lazy_ && lazy_->generation == config_generation()) return *lazy_;
+    return resolve();
+  }
+  Lazy& resolve();
+  std::unique_ptr<Lazy> lazy_;
+
   // Where Network::attach_host put this host: the network and the slot in
   // its attachment table (null network = not attached).
-  friend class Network;
   const Network* network_ = nullptr;
   std::size_t attachment_slot_ = 0;
   std::uint16_t ephemeral_ = 49152;

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <numbers>
 #include <stdexcept>
 #include <utility>
 
@@ -43,7 +44,10 @@ constexpr std::array<std::string_view, 10> kTransactMetricNames = {
 }  // namespace
 
 Network::Network(util::SimClock& clock, util::Rng rng, double jitter_stddev_ms)
-    : clock_(clock), rng_(std::move(rng)), jitter_stddev_ms_(jitter_stddev_ms) {}
+    : clock_(clock),
+      rng_(std::move(rng)),
+      jitter_rng_(rng_.fork("jitter")),
+      jitter_stddev_ms_(jitter_stddev_ms) {}
 
 RouterId Network::add_router(std::string name, std::size_t expected_links) {
   routers_.push_back(Router{std::move(name), nullptr, {}});
@@ -72,6 +76,9 @@ void Network::add_link(RouterId a, RouterId b, double latency_ms) {
     throw std::invalid_argument("add_link: latency must be finite and non-negative");
   routers_[a].links.emplace_back(b, latency_ms);
   routers_[b].links.emplace_back(a, latency_ms);
+  // Even a link that only adds paths can make a farther anycast replica
+  // reachable, and nearer.
+  drop_deliveries();
   if (!plane_) return;
   const std::size_t covered = plane_->router_count();
   if ((a < covered) != (b < covered)) {
@@ -88,7 +95,7 @@ void Network::add_link(RouterId a, RouterId b, double latency_ms) {
   // new one.
   plane_ = nullptr;
   leaf_gateways_.clear();
-  path_cache_.clear();
+  clear_paths();
 }
 
 std::shared_ptr<const RoutingPlane> Network::routing_plane() const {
@@ -118,7 +125,7 @@ void Network::adopt_routing_plane(std::shared_ptr<const RoutingPlane> plane) {
         "adopt_routing_plane: plane was not built over this topology");
   plane_ = std::move(plane);
   leaf_gateways_.clear();
-  path_cache_.clear();
+  clear_paths();
 }
 
 const std::string& Network::router_name(RouterId id) const {
@@ -178,6 +185,7 @@ std::optional<Network::ResolvedPath> Network::resolve_path(const Host& from,
 
 void Network::set_middlebox(RouterId id, std::shared_ptr<Middlebox> mb) {
   routers_.at(id).middlebox = std::move(mb);
+  drop_deliveries();
 }
 
 void Network::attach_host(Host& host, RouterId router, double access_latency_ms) {
@@ -190,6 +198,7 @@ void Network::attach_host(Host& host, RouterId router, double access_latency_ms)
   host.network_ = this;
   host.attachment_slot_ = slot;
   index_attachment(slot);
+  drop_deliveries();
   debug_check_addresses(slot, {});
 }
 
@@ -199,6 +208,7 @@ void Network::detach_host(Host& host) {
   const auto before = unindex_attachment(slot);
   attachments_[slot].host = nullptr;  // tombstone; slot indices stay stable
   host.network_ = nullptr;
+  drop_deliveries();
   debug_check_addresses(slot, before);
 }
 
@@ -219,6 +229,7 @@ void Network::refresh_host(Host& host) {
   if (attachment_of(host) == nullptr) return;
   const auto before = unindex_attachment(host.attachment_slot_);
   index_attachment(host.attachment_slot_);
+  drop_deliveries();
   debug_check_addresses(host.attachment_slot_, before);
 }
 
@@ -393,12 +404,16 @@ const Network::PathInfo* Network::path(RouterId a, RouterId b) const {
   if (a == b) {
     info.routers.push_back(a);
   } else {
-    if (core_a == kNoRouter || core_b == kNoRouter) return nullptr;
+    // Decided before anything is built: an unreachable pair allocates
+    // nothing.
+    if (core_a == kNoRouter || core_b == kNoRouter ||
+        !plane.reachable(core_a, core_b))
+      return nullptr;
     if (a != core_a) info.routers.push_back(a);
     if (core_a == core_b) {
       info.routers.push_back(core_a);
-    } else if (!plane.append_path(core_a, core_b, info.routers)) {
-      return nullptr;
+    } else {
+      plane.append_path(core_a, core_b, info.routers);
     }
     if (b != core_b) info.routers.push_back(b);
   }
@@ -408,15 +423,91 @@ const Network::PathInfo* Network::path(RouterId a, RouterId b) const {
     info.latency_ms += link_latency(info.routers[i], info.routers[i + 1]);
   // Cap the memo table; clearing is deterministic-safe because every entry
   // is recomputable from the (immutable while cached) plane and leaves.
-  if (path_cache_.size() >= kPathCacheMaxEntries) path_cache_.clear();
+  if (path_cache_.size() >= kPathCacheMaxEntries) clear_paths();
   const auto [it, inserted] = path_cache_.emplace(key, std::move(info));
   (void)inserted;
   return &it->second;
 }
 
+void Network::clear_paths() const noexcept {
+  path_cache_.clear();
+  drop_deliveries();
+}
+
+void Network::drop_deliveries() const noexcept {
+  // clear() zeroes every bucket even when empty, and attach, detach and
+  // refresh call this once per host.
+  if (!deliveries_.empty()) deliveries_.clear();
+}
+
+const Network::Delivery* Network::delivery(RouterId from, const IpAddr& dst,
+                                           TransactStatus& failure) {
+  const DeliveryKey key{dst, from};
+  if (const auto it = deliveries_.find(key); it != deliveries_.end()) {
+    debug_check_delivery(key, it->second);
+    return &it->second;
+  }
+  // With anycast replicas, the one with the lowest path latency from the
+  // sender's router wins.
+  const auto dst_it = addr_to_attachment_.find(dst);
+  if (dst_it == addr_to_attachment_.end()) {
+    failure = TransactStatus::kNoSuchHost;
+    return nullptr;
+  }
+  Delivery d;
+  d.slot = nearest_replica(from, dst_it->second);
+  d.path = path(from, attachments_[d.slot].router);
+  if (d.path == nullptr) {
+    failure = TransactStatus::kNoRoute;
+    return nullptr;
+  }
+  d.middlebox_free = std::none_of(
+      d.path->routers.begin(), d.path->routers.end(),
+      [this](RouterId r) { return routers_[r].middlebox != nullptr; });
+  // Filling the entry may have dropped the path cache (at its cap), and the
+  // memo with it, so the cap check comes after.
+  if (deliveries_.size() >= kPathCacheMaxEntries) deliveries_.clear();
+  return &deliveries_.emplace(key, d).first->second;
+}
+
+void Network::debug_check_delivery(const DeliveryKey& key,
+                                   const Delivery& memo) const {
+#ifndef NDEBUG
+  const auto dst_it = addr_to_attachment_.find(key.dst);
+  assert(dst_it != addr_to_attachment_.end());
+  const std::size_t slot = nearest_replica(key.from, dst_it->second);
+  assert(slot == memo.slot && attachments_[slot].host != nullptr);
+  assert(path(key.from, attachments_[slot].router) == memo.path);
+  assert(memo.middlebox_free ==
+         std::none_of(memo.path->routers.begin(), memo.path->routers.end(),
+                      [this](RouterId r) {
+                        return routers_[r].middlebox != nullptr;
+                      }));
+  (void)dst_it;
+  (void)slot;
+#else
+  (void)key;
+  (void)memo;
+#endif
+}
+
 double Network::jitter() {
   if (jitter_stddev_ms_ <= 0) return 0;
-  return std::max(0.0, rng_.normal(0.0, jitter_stddev_ms_));
+  // Box-Muller, both variates used.
+  double z;
+  if (has_spare_normal_) {
+    z = spare_normal_;
+  } else {
+    double u1 = jitter_rng_.uniform();
+    const double u2 = jitter_rng_.uniform();
+    if (u1 <= 0.0) u1 = 0x1.0p-53;
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 2.0 * std::numbers::pi * u2;
+    z = r * std::cos(theta);
+    spare_normal_ = r * std::sin(theta);
+  }
+  has_spare_normal_ = !has_spare_normal_;
+  return std::max(0.0, jitter_stddev_ms_ * z);
 }
 
 std::optional<double> Network::base_latency_ms(const Host& a, const Host& b) const {
@@ -461,9 +552,12 @@ TransactResult Network::transact_impl(Host& from, Packet& packet,
     ~DepthGuard() { --d; }
   } guard(transact_depth_);
   if (transact_depth_ > 8) {
-    // Forwarding loop (e.g. a tunnel routed through itself): drop.
+    // Forwarding loop (e.g. a tunnel routed through itself): dropped, and
+    // charged the timeout like every other drop.
     TransactResult r;
     r.status = TransactStatus::kDropped;
+    r.rtt_ms = opts.timeout_ms;
+    clock_.advance_millis(opts.timeout_ms);
     return r;
   }
 
@@ -474,15 +568,16 @@ TransactResult Network::transact_impl(Host& from, Packet& packet,
     return r;
   }
 
-  // 1. Route lookup on the sender.
-  const auto route = from.routes().lookup(packet.dst);
-  if (!route) {
+  // 1. Route lookup on the sender; the egress interface by index.
+  const Route* route = from.routes().lookup(packet.dst);
+  if (route == nullptr) {
     TransactResult r;
     r.status = TransactStatus::kNoRoute;
     return r;
   }
-  const Interface* iface = from.find_interface(route->interface_name);
-  if (iface == nullptr || !iface->up) {
+  const Host::Egress egress = from.egress(*route);
+  if (egress.interface == Host::kNoInterface ||
+      !from.interfaces()[egress.interface].up) {
     TransactResult r;
     r.status = TransactStatus::kInterfaceDown;
     return r;
@@ -490,7 +585,8 @@ TransactResult Network::transact_impl(Host& from, Packet& packet,
 
   // 2. Fill in the source address if unspecified.
   if (packet.src.is_unspecified()) {
-    const auto src = packet.dst.is_v4() ? iface->addr4 : iface->addr6;
+    const Interface& iface = from.interfaces()[egress.interface];
+    const auto src = packet.dst.is_v4() ? iface.addr4 : iface.addr6;
     if (src) packet.src = *src;
   }
 
@@ -503,11 +599,16 @@ TransactResult Network::transact_impl(Host& from, Packet& packet,
     return r;
   }
 
-  // 4. Capture on the chosen egress interface.
-  from.capture().record(clock_.now(), Direction::kOut, iface->name, packet);
+  // 4. Capture on the chosen egress interface. The id, not the interface,
+  // outlives the nested tunnel transact below (which may remove it).
+  std::optional<CaptureBuffer::InterfaceId> capture_id;
+  if (from.capture().enabled()) {
+    capture_id = from.capture_id(egress.interface);
+    from.capture().record(clock_.now(), Direction::kOut, *capture_id, packet);
+  }
 
   // 5. Tunnel encapsulation path.
-  if (from.has_tunnel_hook() && iface->name == from.tunnel_interface()) {
+  if (egress.tunnel) {
     // The capture above was the inner packet's last reader.
     auto outer = from.tunnel_hook()(std::move(packet));
     if (!outer) {
@@ -528,8 +629,9 @@ TransactResult Network::transact_impl(Host& from, Packet& packet,
       outer_result.reply.clear();
       return outer_result;
     }
-    from.capture().record(clock_.now(), Direction::kIn, iface->name,
-                          *inner_reply);
+    if (capture_id)
+      from.capture().record(clock_.now(), Direction::kIn, *capture_id,
+                            *inner_reply);
     outer_result.reply = std::move(inner_reply->payload);
     outer_result.responder = inner_reply->src;
     // ICMP errors generated beyond the tunnel surface as the corresponding
@@ -548,26 +650,18 @@ TransactResult Network::deliver(Host& from, const Attachment& from_att,
                                 const TransactOptions& opts) {
   TransactResult r;
 
-  // Find the destination attachment; with anycast replicas, the replica
-  // with the lowest path latency from the sender's router wins.
-  const auto dst_it = addr_to_attachment_.find(packet.dst);
-  if (dst_it == addr_to_attachment_.end()) {
-    r.status = TransactStatus::kNoSuchHost;
+  // One memo lookup names the destination attachment and the path.
+  TransactStatus failure = TransactStatus::kNoRoute;
+  const Delivery* d = delivery(from_att.router, packet.dst, failure);
+  if (d == nullptr) {
+    r.status = failure;
     r.rtt_ms = opts.timeout_ms;
     clock_.advance_millis(opts.timeout_ms);
     return r;
   }
-  const Attachment& dst_att =
-      attachments_[nearest_replica(from_att.router, dst_it->second)];
+  const Attachment& dst_att = attachments_[d->slot];
   Host* dst_host = dst_att.host;
-
-  const PathInfo* p = path(from_att.router, dst_att.router);
-  if (p == nullptr) {
-    r.status = TransactStatus::kNoRoute;
-    r.rtt_ms = opts.timeout_ms;
-    clock_.advance_millis(opts.timeout_ms);
-    return r;
-  }
+  const PathInfo* p = d->path;
 
   // Fault plane: one pointer test when disabled. A drop verdict loses the
   // packet exactly like a middlebox drop (kDropped, timeout charged, no
@@ -589,12 +683,20 @@ TransactResult Network::deliver(Host& from, const Attachment& from_att,
                obs::kHopBuckets);
 
   // Walk the router path: TTL decrements per router, middleboxes inspect.
+  const std::size_t hops = p->routers.size();
   double elapsed_one_way = from_att.access_latency_ms + fault_latency_ms;
   double per_hop =
-      p->routers.size() > 1 ? p->latency_ms / static_cast<double>(p->routers.size() - 1) : 0.0;
+      hops > 1 ? p->latency_ms / static_cast<double>(hops - 1) : 0.0;
   const bool trace_hops = obs::packet_hops_enabled();
-  for (std::size_t i = 0; i < p->routers.size(); ++i) {
+  // On a middlebox-free path the packet outlives, with hop tracing off,
+  // nothing can expire, inspect or trace it: only the per-hop additions
+  // run, one by one in the walk's order (a precomputed sum would round
+  // differently).
+  const bool walk = !d->middlebox_free ||
+                    packet.ttl <= static_cast<int>(hops) || trace_hops;
+  for (std::size_t i = 0; i < hops; ++i) {
     if (i > 0) elapsed_one_way += per_hop;
+    if (!walk) continue;
     if (trace_hops) {
       obs::Instant hop("net.hop", "netsim");
       hop.arg("router", routers_[p->routers[i]].name);
@@ -638,6 +740,7 @@ TransactResult Network::deliver(Host& from, const Attachment& from_att,
       }
     }
   }
+  if (!walk) packet.ttl -= static_cast<int>(hops);
   elapsed_one_way += dst_att.access_latency_ms;
 
   // Destination firewall.
@@ -649,15 +752,12 @@ TransactResult Network::deliver(Host& from, const Attachment& from_att,
   }
 
   // Capture on the destination's receiving interface.
-  std::string_view dst_iface = "eth0";
-  for (const auto& i : dst_host->interfaces()) {
-    if ((packet.dst.is_v4() && i.addr4 == packet.dst) ||
-        (packet.dst.is_v6() && i.addr6 == packet.dst)) {
-      dst_iface = i.name;
-      break;
-    }
+  std::optional<CaptureBuffer::InterfaceId> dst_capture;
+  if (dst_host->capture().enabled()) {
+    dst_capture = dst_host->capture_id_for(packet.dst);
+    dst_host->capture().record(clock_.now(), Direction::kIn, *dst_capture,
+                               packet);
   }
-  dst_host->capture().record(clock_.now(), Direction::kIn, dst_iface, packet);
 
   const double round_trips = 1.0 + opts.extra_round_trips;
 
@@ -702,28 +802,25 @@ TransactResult Network::deliver(Host& from, const Attachment& from_att,
   reply_packet.src_port = packet.dst_port;
   reply_packet.dst_port = packet.src_port;
   reply_packet.payload = std::move(*reply);
-  dst_host->capture().record(clock_.now(), Direction::kOut, dst_iface,
-                             reply_packet);
+  if (dst_capture)
+    dst_host->capture().record(clock_.now(), Direction::kOut, *dst_capture,
+                               reply_packet);
 
-  // Return path + handshake surcharge.
+  // Return path + handshake surcharge, with the exchange's one jitter draw:
+  // the reported RTT is the time the clock advanced.
   const double return_ms =
       elapsed_one_way + 2 * elapsed_one_way * static_cast<double>(opts.extra_round_trips);
-  clock_.advance_millis(return_ms + jitter());
+  const double jitter_ms = jitter();
+  clock_.advance_millis(return_ms + jitter_ms);
 
-  std::string_view from_iface = "eth0";
-  for (const auto& i : from.interfaces()) {
-    if ((reply_packet.dst.is_v4() && i.addr4 == reply_packet.dst) ||
-        (reply_packet.dst.is_v6() && i.addr6 == reply_packet.dst)) {
-      from_iface = i.name;
-      break;
-    }
-  }
-  from.capture().record(clock_.now(), Direction::kIn, from_iface, reply_packet);
+  if (from.capture().enabled())
+    from.capture().record(clock_.now(), Direction::kIn,
+                          from.capture_id_for(reply_packet.dst), reply_packet);
 
   r.status = TransactStatus::kOk;
   r.responder = reply_packet.src;
   r.reply = std::move(reply_packet.payload);
-  r.rtt_ms = 2 * elapsed_one_way * round_trips + service_ms + jitter();
+  r.rtt_ms = 2 * elapsed_one_way * round_trips + service_ms + jitter_ms;
   return r;
 }
 

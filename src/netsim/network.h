@@ -251,6 +251,24 @@ class Network {
     std::vector<RouterId> routers;  // from src router to dst router inclusive
     double latency_ms = 0.0;        // one-way, router path only
   };
+  // Where a delivery from one router to one address goes: the attachment
+  // slot it reaches (the anycast winner) and the path there. Valid until the
+  // path cache, the attachments or a middlebox change.
+  struct Delivery {
+    std::size_t slot = 0;
+    const PathInfo* path = nullptr;  // a path_cache_ entry
+    bool middlebox_free = false;     // no router on the path has one
+  };
+  struct DeliveryKey {
+    IpAddr dst;
+    RouterId from = 0;
+    friend bool operator==(const DeliveryKey&, const DeliveryKey&) = default;
+  };
+  struct DeliveryKeyHash {
+    std::size_t operator()(const DeliveryKey& k) const noexcept {
+      return std::hash<IpAddr>{}(k.dst) ^ (k.from * 0x9e3779b97f4a7c15ULL);
+    }
+  };
 
   [[nodiscard]] const Attachment* attachment_of(const Host& host) const;
   // The slot a packet sent from `from` reaches: the only holder of the
@@ -278,11 +296,24 @@ class Network {
   // routing plane (a next-hop walk plus leaf extensions). nullptr when
   // unreachable.
   [[nodiscard]] const PathInfo* path(RouterId a, RouterId b) const;
+  // Drops the path cache and the delivery memo that points into it.
+  void clear_paths() const noexcept;
+  void drop_deliveries() const noexcept;
+  // The delivery from router `from` to `dst`, memoized on first use. On a
+  // failure returns nullptr and sets `failure` (kNoSuchHost, kNoRoute);
+  // failures are not memoized.
+  const Delivery* delivery(RouterId from, const IpAddr& dst,
+                           TransactStatus& failure);
+  // Debug builds (no-op under NDEBUG): a memo hit equals a fresh
+  // resolution. Allocates nothing: the fresh answer reads the path cache,
+  // which the memoized entry's resolution already filled.
+  void debug_check_delivery(const DeliveryKey& key, const Delivery& memo) const;
   // Smallest latency among (possibly parallel) links u->v; used to re-sum
   // a reconstructed path's latency in the same order Dijkstra accumulated
   // it, so a leaf's path latency equals a plane built over the leaf.
   [[nodiscard]] double link_latency(RouterId u, RouterId v) const;
-  double jitter() ;
+  // One jitter draw (>= 0) from the jitter stream; 0 when disabled.
+  double jitter();
 
   // transact() minus the tracing/metrics wrapper (the recursive core).
   TransactResult transact_impl(Host& from, Packet& packet,
@@ -298,7 +329,13 @@ class Network {
 
   util::SimClock& clock_;
   util::Rng rng_;
+  // Jitter draws from its own stream, so how many exchanges draw jitter
+  // never shifts what other rng() consumers (DNS query ids) see. Box-Muller
+  // yields normals in pairs; the second waits in spare_normal_.
+  util::Rng jitter_rng_;
   double jitter_stddev_ms_;
+  double spare_normal_ = 0.0;
+  bool has_spare_normal_ = false;
   std::vector<Router> routers_;
   // Append-only slots (detach tombstones instead of erasing) so the address
   // index and each attached Host can reference attachments by stable index.
@@ -311,6 +348,11 @@ class Network {
   // leaves, so recomputation is deterministic and results are unaffected.
   static constexpr std::size_t kPathCacheMaxEntries = 1 << 16;
   mutable std::unordered_map<std::uint64_t, PathInfo> path_cache_;
+  // Filled only by deliveries, and capped like the path cache. Dropped with
+  // the path cache and on attach, detach, refresh_host, add_link and
+  // set_middlebox.
+  mutable std::unordered_map<DeliveryKey, Delivery, DeliveryKeyHash>
+      deliveries_;
   // Routing-plane state (see routing_plane()).
   mutable std::shared_ptr<const RoutingPlane> plane_;
   // Each leaf's covered neighbour; kNoRouter = no link yet (unreachable).

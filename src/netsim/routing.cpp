@@ -28,7 +28,7 @@ std::size_t RouteTable::remove_interface(std::string_view interface_name) {
   return before - routes_.size();
 }
 
-std::optional<Route> RouteTable::lookup(const IpAddr& dst) const {
+const Route* RouteTable::lookup(const IpAddr& dst) const {
   const Route* best = nullptr;
   for (const auto& r : routes_) {
     if (r.prefix.family() != dst.family()) continue;
@@ -39,8 +39,7 @@ std::optional<Route> RouteTable::lookup(const IpAddr& dst) const {
       best = &r;
     }
   }
-  if (best == nullptr) return std::nullopt;
-  return *best;
+  return best;
 }
 
 std::string RouteTable::dump() const {

@@ -38,9 +38,10 @@ class RouteTable {
 
   // Longest-prefix-match lookup. Only routes whose family matches `dst`
   // are considered; among equal prefix lengths the lowest metric wins, then
-  // the earliest added. Returns nullopt when no route covers dst (no
-  // implicit default route).
-  [[nodiscard]] std::optional<Route> lookup(const IpAddr& dst) const;
+  // the earliest added. Returns the route in place (valid until the next
+  // add or remove), or nullptr when no route covers dst (no implicit
+  // default route).
+  [[nodiscard]] const Route* lookup(const IpAddr& dst) const;
 
   [[nodiscard]] const std::vector<Route>& routes() const noexcept {
     return routes_;

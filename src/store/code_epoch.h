@@ -28,6 +28,6 @@
 
 namespace vpna::store {
 
-inline constexpr std::uint32_t kCodeEpoch = 3;
+inline constexpr std::uint32_t kCodeEpoch = 4;
 
 }  // namespace vpna::store

@@ -60,6 +60,15 @@ constexpr GoldenPins kPins[] = {
     {3, 0xb18430c525c24657ULL, 0x1cf6b988474a247fULL, 0x19b44b1041db4ce3ULL,
      0xe0c02b2419058d44ULL, 0x70eff9a50c7ec3beULL, 0x1e35788d0c1bb84fULL,
      0x727256ac8c6f0e9bULL, 0xba747d19cea3c41bULL},
+    // One jitter draw per delivered exchange, from the network's own
+    // "jitter" stream: a delivered exchange's reported RTT is now the sim
+    // time that passed, and the jitter values differ. Cached shard reports
+    // hold RTT-derived fields, so the bump orphans them. Every payload and
+    // file pin holds; the traced shard's sim timestamps and RTT histograms
+    // move, so its Chrome-trace and metrics pins are re-pinned.
+    {4, 0xb18430c525c24657ULL, 0x1cf6b988474a247fULL, 0x19b44b1041db4ce3ULL,
+     0xe0c02b2419058d44ULL, 0xcf7d94442f92fd20ULL, 0x25e43763171dc745ULL,
+     0x727256ac8c6f0e9bULL, 0xba747d19cea3c41bULL},
 };
 
 constexpr const char* kTracedProvider = "NordVPN";

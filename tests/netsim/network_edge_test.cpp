@@ -63,8 +63,14 @@ TEST_F(EdgeFixture, TunnelRoutedThroughItselfIsDroppedNotInfinite) {
     return outer;
   });
   net_.refresh_host(a_);
-  const auto res = net_.transact(a_, to_b());
+  // Like every other drop, the loop drop charges the timeout, once.
+  TransactOptions opts;
+  opts.timeout_ms = 750.0;
+  const auto before = clock_.now();
+  const auto res = net_.transact(a_, to_b(), opts);
   EXPECT_EQ(res.status, TransactStatus::kDropped);
+  EXPECT_DOUBLE_EQ(res.rtt_ms, opts.timeout_ms);
+  EXPECT_DOUBLE_EQ((clock_.now() - before).millis(), opts.timeout_ms);
 }
 
 TEST_F(EdgeFixture, TunnelHookReturningNulloptDrops) {

@@ -136,7 +136,9 @@ TEST_F(NetworkFixture, CapturesRecordedOnBothEnds) {
   EXPECT_EQ(server_.capture().size(), 2u);
   EXPECT_EQ(client_.capture().records()[0].direction, Direction::kOut);
   EXPECT_EQ(client_.capture().records()[1].direction, Direction::kIn);
-  EXPECT_EQ(client_.capture().records()[0].interface_name, "eth0");
+  EXPECT_EQ(client_.capture().interface_name(
+                client_.capture().records()[0].interface_id),
+            "eth0");
 }
 
 TEST_F(NetworkFixture, TracerouteDiscoversPath) {

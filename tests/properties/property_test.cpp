@@ -104,8 +104,9 @@ TEST_P(ProviderInvariants, ConnectLeakProfileAndRestore) {
   (void)dns::resolve_system(world.network(), client_host,
                             "daily-courier-news.com", dns::RrType::kA);
   int clear_dns = 0;
-  for (const auto& rec : client_host.capture().records()) {
-    if (rec.interface_name == "eth0" &&
+  const auto& capture = client_host.capture();
+  for (const auto& rec : capture.records()) {
+    if (capture.interface_name(rec.interface_id) == "eth0" &&
         rec.direction == netsim::Direction::kOut &&
         rec.packet.dst_port == netsim::kPortDns &&
         !rec.encapsulated)

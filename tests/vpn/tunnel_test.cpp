@@ -77,13 +77,14 @@ TEST_F(TunnelFixture, DnsPacketsRideTheTunnelNotEth0) {
                             "daily-courier-news.com", dns::RrType::kA);
   // Plaintext DNS appears on tun0 only; eth0 carries encapsulated frames.
   int dns_on_eth0 = 0, dns_on_tun0 = 0, tunnel_frames_on_eth0 = 0;
-  for (const auto& rec : client_host_.capture().records()) {
+  const auto& capture = client_host_.capture();
+  for (const auto& rec : capture.records()) {
     const bool is_dns = rec.packet.dst_port == netsim::kPortDns ||
                         rec.packet.src_port == netsim::kPortDns;
-    if (rec.interface_name == "eth0" && is_dns) ++dns_on_eth0;
-    if (rec.interface_name == "tun0" && is_dns) ++dns_on_tun0;
-    if (rec.interface_name == "eth0" && rec.encapsulated)
-      ++tunnel_frames_on_eth0;
+    const auto& name = capture.interface_name(rec.interface_id);
+    if (name == "eth0" && is_dns) ++dns_on_eth0;
+    if (name == "tun0" && is_dns) ++dns_on_tun0;
+    if (name == "eth0" && rec.encapsulated) ++tunnel_frames_on_eth0;
   }
   EXPECT_EQ(dns_on_eth0, 0);
   EXPECT_GT(dns_on_tun0, 0);
